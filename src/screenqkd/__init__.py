@@ -5,18 +5,15 @@ designed to expose."""
 from .adversary import AttackConfig, EveStorage, build_interceptor
 from .analysis import (
     ExperimentReport,
-    SecurityCurve,
     SessionSummary,
-    ad_violation_rate,
     emit_report,
     ie_mean,
     ie_sum,
-    qber,
     run_experiment,
     run_trial,
     security_curve,
 )
-from .channel import Interceptor, Leg, PublicBoard, transmit
+from .channel import Interceptor, Leg, transmit
 from .errors import ConfigError, ParameterError, ProtocolError
 from .photonics import (
     DIAGONAL,

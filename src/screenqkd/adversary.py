@@ -32,17 +32,8 @@ from typing import Optional
 import numpy as np
 
 from .channel import Interceptor, Leg
-from .errors import ConfigError
-from .photonics import (
-    PI,
-    MeasurementBasis,
-    Origin,
-    Photon,
-    Pulse,
-    born_probability,
-    canon,
-    measure,
-)
+from .errors import ConfigError, check_real
+from .photonics import PI, MeasurementBasis, Origin, Photon, Pulse, measure
 from .protocol import Announcement, ProtocolParams, MODE_PULSE, MODE_SINGLE
 
 STRATEGY_NONE = "none"
@@ -72,7 +63,9 @@ class AttackConfig:
     her own probe photon on the final leg; ``trojan_angle`` is the probe
     polarization for the simple Trojan; ``theta_oracle`` enables the
     counterfactual estimator validation mode of the standard-state strategy, in
-    which the harness feeds Eve the true theta values after the fact.
+    which the harness feeds Eve the true theta values after the fact. Only
+    ``standard_state`` accepts ``theta_oracle`` and only ``impersonation``
+    accepts ``guess_weights``.
     """
 
     strategy: str = STRATEGY_NONE
@@ -87,17 +80,32 @@ class AttackConfig:
     def __post_init__(self) -> None:
         if self.strategy not in STRATEGIES:
             raise ConfigError(f"attack: unknown strategy {self.strategy!r}")
-        if not 0.0 <= self.eve_tap_fraction <= 1.0:
+        check_real("eve_tap_fraction", self.eve_tap_fraction, 0, 1, ConfigError)
+        check_real("trojan_angle", self.trojan_angle, error=ConfigError)
+        check_real("attack_probability", self.attack_probability, 0, 1, ConfigError)
+        if not isinstance(self.theta_oracle, bool):
             raise ConfigError(
-                f"eve_tap_fraction: must be in [0, 1], got {self.eve_tap_fraction}"
+                f"theta_oracle: must be true or false, got {self.theta_oracle!r}"
             )
-        if not 0.0 <= self.attack_probability <= 1.0:
+        if self.theta_oracle and self.strategy != STRATEGY_STANDARD_STATE:
             raise ConfigError(
-                f"attack_probability: must be in [0, 1], got {self.attack_probability}"
+                f"theta_oracle: applies only to {STRATEGY_STANDARD_STATE}, "
+                f"got attack {self.strategy!r}"
             )
         if self.guess_weights is not None:
+            if self.strategy != STRATEGY_IMPERSONATION:
+                raise ConfigError(
+                    f"guess_weights: applies only to {STRATEGY_IMPERSONATION}, "
+                    f"got attack {self.strategy!r}"
+                )
+            if not isinstance(self.guess_weights, (list, tuple)):
+                raise ConfigError(
+                    f"guess_weights: must be a list of numbers, got {self.guess_weights!r}"
+                )
             object.__setattr__(self, "guess_weights", tuple(self.guess_weights))
-            if any(w < 0 for w in self.guess_weights) or sum(self.guess_weights) <= 0:
+            for weight in self.guess_weights:
+                check_real("guess_weights", weight, 0, error=ConfigError)
+            if sum(self.guess_weights) <= 0:
                 raise ConfigError(
                     f"guess_weights: need nonnegative weights with a positive sum, "
                     f"got {self.guess_weights}"
@@ -345,8 +353,16 @@ class _ProbeCaptureAttack(_BaseAttack):
                 return pulse.with_photons(remaining)
         return pulse
 
-    def _alpha_a(self, round_id: int) -> float:
-        return self.angles[self.announcement.a_indices[round_id] - 1]
+    def produce_guesses(self) -> dict[int, int]:
+        """Measure each recaptured probe in (alpha_a + pi/4, alpha_a - pi/4)."""
+        if self.announcement is None:
+            return {}
+        for round_id in sorted(self.storage.e2):
+            probe = self.storage.pop_e2(round_id)[0]
+            alpha_a = self.angles[self.announcement.a_indices[round_id] - 1]
+            basis = MeasurementBasis(alpha_a + PI / 4)
+            self.storage.guesses[round_id] = measure(probe, basis, self._rng)
+        return dict(self.storage.guesses)
 
     def metrics(self) -> dict[str, int]:
         return {"captured_rounds": self.captured_rounds}
@@ -380,17 +396,30 @@ class PnsTrojanComposite(_ProbeCaptureAttack):
             return pulse
         return self._capture_probe(pulse, round_id, rng)
 
-    def produce_guesses(self) -> dict[int, int]:
-        if self.announcement is None:
-            return {}
-        for round_id in sorted(self.storage.e2):
-            probe = self.storage.pop_e2(round_id)[0]
-            basis = MeasurementBasis(self._alpha_a(round_id) + PI / 4)
-            self.storage.guesses[round_id] = measure(probe, basis, self._rng)
-        return dict(self.storage.guesses)
+
+class SimpleTrojan(_ProbeCaptureAttack):
+    """Independent Trojan probe at a fixed angle eta.
+
+    Alice's theta compensation leaves the recaptured probe at
+    eta - theta + (-1)^k pi/4 + alpha_a, uniformly random for uniform
+    theta, so the probe carries zero information for every eta.
+    """
+
+    def _probe_angle(self) -> float:
+        return self.config.trojan_angle
+
+    def _act(
+        self, leg: Leg, pulse: Pulse, round_id: int, rng: np.random.Generator
+    ) -> Pulse:
+        if leg is Leg.BOB_TO_ALICE:
+            probe = Photon(self._probe_angle(), Origin.TROJAN_INJECTED)
+            return pulse.with_photons(pulse.photons + (probe,))
+        if leg is Leg.ALICE_TO_BOB_2:
+            return self._capture_probe(pulse, round_id, rng)
+        return pulse
 
 
-class StandardStateProbe(_ProbeCaptureAttack):
+class StandardStateProbe(SimpleTrojan):
     """Trojan variant injecting a fixed standard state instead of a split photon.
 
     The probe enters at angle 0 on the return leg, so Alice's unitary
@@ -401,64 +430,17 @@ class StandardStateProbe(_ProbeCaptureAttack):
     and validates its implementation.
     """
 
-    def __init__(self, config: AttackConfig, params: ProtocolParams) -> None:
-        super().__init__(config, params)
-        self._counterfactual_thetas: Optional[list[float]] = None
-
-    def _act(
-        self, leg: Leg, pulse: Pulse, round_id: int, rng: np.random.Generator
-    ) -> Pulse:
-        if leg is Leg.BOB_TO_ALICE:
-            probe = Photon(0.0, Origin.TROJAN_INJECTED)
-            return pulse.with_photons(pulse.photons + (probe,))
-        if leg is Leg.ALICE_TO_BOB_2:
-            return self._capture_probe(pulse, round_id, rng)
-        return pulse
+    def _probe_angle(self) -> float:
+        return 0.0
 
     def set_counterfactual_thetas(self, thetas: list[float]) -> None:
-        """Counterfactual validation hook; only used when theta_oracle is set."""
-        self._counterfactual_thetas = list(thetas)
+        """Counterfactual validation hook; only used when theta_oracle is set.
 
-    def produce_guesses(self) -> dict[int, int]:
-        if self.announcement is None:
-            return {}
-        for round_id in sorted(self.storage.e2):
-            probe = self.storage.pop_e2(round_id)[0]
-            polarization = probe.polarization
-            if self.config.theta_oracle and self._counterfactual_thetas is not None:
-                polarization = canon(polarization + self._counterfactual_thetas[round_id])
-            basis = MeasurementBasis(self._alpha_a(round_id) + PI / 4)
-            p0 = born_probability(polarization, basis.axis)
-            self.storage.guesses[round_id] = 0 if self._rng.random() < p0 else 1
-        return dict(self.storage.guesses)
-
-
-class SimpleTrojan(_ProbeCaptureAttack):
-    """Independent Trojan probe at a fixed angle eta.
-
-    Alice's theta compensation leaves the recaptured probe at
-    eta - theta + (-1)^k pi/4 + alpha_a, uniformly random for uniform
-    theta, so the probe carries zero information for every eta.
-    """
-
-    def _act(
-        self, leg: Leg, pulse: Pulse, round_id: int, rng: np.random.Generator
-    ) -> Pulse:
-        if leg is Leg.BOB_TO_ALICE:
-            probe = Photon(self.config.trojan_angle, Origin.TROJAN_INJECTED)
-            return pulse.with_photons(pulse.photons + (probe,))
-        if leg is Leg.ALICE_TO_BOB_2:
-            return self._capture_probe(pulse, round_id, rng)
-        return pulse
-
-    def produce_guesses(self) -> dict[int, int]:
-        if self.announcement is None:
-            return {}
-        for round_id in sorted(self.storage.e2):
-            probe = self.storage.pop_e2(round_id)[0]
-            basis = MeasurementBasis(self._alpha_a(round_id) + PI / 4)
-            self.storage.guesses[round_id] = measure(probe, basis, self._rng)
-        return dict(self.storage.guesses)
+        Shifts each stored probe by its round's true theta, which cancels
+        the -theta that Alice's unitary imprinted on it.
+        """
+        for round_id, (probe,) in self.storage.e2.items():
+            self.storage.e2[round_id] = (probe.rotated(thetas[round_id]),)
 
 
 class PassivePns(_BaseAttack):
@@ -472,7 +454,9 @@ class PassivePns(_BaseAttack):
 
     def __init__(self, config: AttackConfig, params: ProtocolParams) -> None:
         super().__init__(config, params)
-        self._stored: dict[Leg, dict[int, Photon]] = {leg: {} for leg in Leg}
+        # Rounds that lost a photon on each leg. Only the final-leg photon
+        # is ever measured, so it alone is kept (in storage.e2).
+        self._split_rounds: dict[Leg, set[int]] = {leg: set() for leg in Leg}
         # Which legs each guessed round had a stored photon on, kept for
         # offline reporting after the storage itself has been consumed.
         self.guess_sources: dict[int, frozenset[Leg]] = {}
@@ -481,7 +465,9 @@ class PassivePns(_BaseAttack):
         self, leg: Leg, pulse: Pulse, round_id: int, rng: np.random.Generator
     ) -> Pulse:
         if pulse.count >= 2:
-            self._stored[leg][round_id] = pulse.photons[0]
+            self._split_rounds[leg].add(round_id)
+            if leg is Leg.ALICE_TO_BOB_2:
+                self.storage.e2[round_id] = pulse.photons[:1]
             return pulse.with_photons(pulse.photons[1:])
         return pulse
 
@@ -489,25 +475,22 @@ class PassivePns(_BaseAttack):
         if self.announcement is None:
             return {}
         ann = self.announcement
-        guessed_rounds = sorted(
-            set().union(*(table.keys() for table in self._stored.values()))
-        )
-        for round_id in guessed_rounds:
+        for round_id in sorted(set().union(*self._split_rounds.values())):
             self.guess_sources[round_id] = frozenset(
-                leg for leg, table in self._stored.items() if round_id in table
+                leg for leg, rounds in self._split_rounds.items() if round_id in rounds
             )
-            final = self._stored[Leg.ALICE_TO_BOB_2].pop(round_id, None)
+            final = self.storage.pop_e2(round_id)
             alpha_sum = (
                 self.angles[ann.a_indices[round_id] - 1]
                 + self.angles[ann.b_indices[round_id] - 1]
             )
-            if final is not None and ann.analyzing_flags[round_id]:
+            if final and ann.analyzing_flags[round_id]:
                 # State phi* + (-1)^k pi/4 + alpha_a + alpha_b with every
                 # term except k public: the readout is deterministic in k.
                 axis = ann.phi_star_values[round_id] + alpha_sum + PI / 4
-                bit = measure(final, MeasurementBasis(axis), self._rng)
-            elif final is not None:
-                bit = measure(final, MeasurementBasis(alpha_sum + PI / 4), self._rng)
+                bit = measure(final[0], MeasurementBasis(axis), self._rng)
+            elif final:
+                bit = measure(final[0], MeasurementBasis(alpha_sum + PI / 4), self._rng)
             else:
                 bit = int(self._rng.integers(0, 2))
             self.storage.guesses[round_id] = bit
@@ -515,8 +498,8 @@ class PassivePns(_BaseAttack):
 
     def metrics(self) -> dict[str, int]:
         return {
-            "stored_leg1": len(self._stored[Leg.ALICE_TO_BOB_1]),
-            "stored_leg2": len(self._stored[Leg.BOB_TO_ALICE]),
+            "stored_leg1": len(self._split_rounds[Leg.ALICE_TO_BOB_1]),
+            "stored_leg2": len(self._split_rounds[Leg.BOB_TO_ALICE]),
         }
 
 

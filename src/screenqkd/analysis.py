@@ -24,7 +24,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -60,6 +60,14 @@ FLAT_COLUMNS = (
     "eve_correct",
     "eve_accuracy",
     "verdict",
+)
+
+CURVE_COLUMNS = (
+    "N",
+    "sift_rate",
+    "qber_under_attack",
+    "conclusive_rate",
+    "ad_violation_rate",
 )
 
 
@@ -102,16 +110,9 @@ class TrialCounts:
     verdict: str = Verdict.ACCEPTED.value
 
     def add_into(self, total: "TrialCounts") -> None:
-        for name in (
-            "rounds", "matched", "sifted_bits", "qber_errors",
-            "ad_clicks", "ad_violations",
-            "ad_injected_clicks", "ad_injected_violations",
-            "eve_guesses", "eve_correct",
-            "eve_key_guesses", "eve_key_correct",
-            "eve_analyzing_guesses", "eve_analyzing_correct",
-            "beamsplit_reported", "beamsplit_conclusive",
-        ):
-            setattr(total, name, getattr(total, name) + getattr(self, name))
+        for f in fields(self):
+            if f.name != "verdict":
+                setattr(total, f.name, getattr(total, f.name) + getattr(self, f.name))
 
 
 def _ratio(num: int, den: int) -> Optional[float]:
@@ -164,33 +165,28 @@ class SessionSummary:
         )
 
 
-def qber(transcript: SessionTranscript) -> Optional[float]:
-    """Fraction of sifted key bits on which Alice and Bob disagree.
-
-    Absent (None) when the sifted key is empty.
-    """
-    if not transcript.alice_key:
-        return None
-    errors = sum(a != b for a, b in zip(transcript.alice_key, transcript.bob_key))
-    return errors / len(transcript.alice_key)
-
-
-def ad_violation_rate(transcript: SessionTranscript) -> Optional[float]:
-    """Violating fraction of all AD outcomes on matched analyzing rounds."""
-    return _ratio(transcript.ad_violations, transcript.ad_checked)
-
-
 def score_trial(
     transcript: SessionTranscript,
     guesses: dict[int, int],
     metrics: dict[str, int],
 ) -> TrialCounts:
-    """Reduce one transcript plus Eve's guesses to aggregate counters."""
+    """Reduce one transcript plus Eve's guesses to aggregate counters.
+
+    AD integrity counts come from sifting; the loop adds only what the
+    parties cannot see: injected-photon AD outcomes and Eve's guess scores.
+    """
     params = transcript.params
-    counts = TrialCounts(rounds=len(transcript.rounds), verdict=transcript.verdict.value)
-    counts.sifted_bits = len(transcript.alice_key)
-    counts.qber_errors = sum(
-        a != b for a, b in zip(transcript.alice_key, transcript.bob_key)
+    counts = TrialCounts(
+        rounds=len(transcript.rounds),
+        sifted_bits=len(transcript.alice_key),
+        qber_errors=sum(
+            a != b for a, b in zip(transcript.alice_key, transcript.bob_key)
+        ),
+        ad_clicks=transcript.ad_checked,
+        ad_violations=transcript.ad_violations,
+        beamsplit_reported=metrics.get("reported_rounds", 0),
+        beamsplit_conclusive=metrics.get("conclusive_rounds", 0),
+        verdict=transcript.verdict.value,
     )
     for rec in transcript.rounds:
         matched = is_matched(rec.a_index, rec.b_index, params.n_screening)
@@ -199,13 +195,9 @@ def score_trial(
         if matched and rec.is_analyzing:
             expected = expected_ad_bit(rec.k, rec.phi_star)
             for bit, origin in zip(rec.ad_outcomes, rec.ad_origins):
-                counts.ad_clicks += 1
-                violated = bit != expected
-                if violated:
-                    counts.ad_violations += 1
                 if origin is not Origin.LEGITIMATE:
                     counts.ad_injected_clicks += 1
-                    if violated:
+                    if bit != expected:
                         counts.ad_injected_violations += 1
         guess = guesses.get(rec.round_id)
         if guess is not None:
@@ -218,8 +210,6 @@ def score_trial(
             if matched and not rec.is_analyzing and rec.bob_outcome is not None:
                 counts.eve_key_guesses += 1
                 counts.eve_key_correct += correct
-    counts.beamsplit_reported = metrics.get("reported_rounds", 0)
-    counts.beamsplit_conclusive = metrics.get("conclusive_rounds", 0)
     return counts
 
 
@@ -345,7 +335,7 @@ def run_trial(
     guesses: dict[int, int] = {}
     metrics: dict[str, int] = {}
     if interceptor is not None:
-        if attack.theta_oracle and hasattr(interceptor, "set_counterfactual_thetas"):
+        if attack.theta_oracle:
             interceptor.set_counterfactual_thetas([r.theta for r in transcript.rounds])
         guesses = interceptor.produce_guesses()
         metrics = interceptor.metrics()
@@ -401,16 +391,6 @@ def run_experiment(
     return report, transcripts
 
 
-@dataclass
-class SecurityCurve:
-    """Per-N metrics demonstrating the rate/security trade-off."""
-
-    points: list[dict] = field(default_factory=list)
-
-    def to_rows(self) -> list[dict]:
-        return self.points
-
-
 def security_curve(
     base_params: ProtocolParams,
     attack: AttackConfig,
@@ -418,15 +398,18 @@ def security_curve(
     trials: int = 1,
     channel_loss: float = 0.0,
     rate_law_epsilon: Optional[float] = None,
-) -> tuple[SecurityCurve, dict[int, ExperimentReport]]:
+) -> tuple[list[dict], dict[int, ExperimentReport]]:
     """Run the experiment for each screening-set size N.
+
+    Returns one point per N (the rate/security trade-off, in `CURVE_COLUMNS`)
+    and the report behind each point.
 
     Checks sift_rate * N = 1 within `rate_law_epsilon` (default: 3-sigma
     binomial for the realized round count); a breach raises ValueError.
     """
     if sorted(set(n_values)) != list(n_values):
         raise ParameterError(f"n_values must be strictly increasing, got {n_values}")
-    curve = SecurityCurve()
+    curve: list[dict] = []
     reports: dict[int, ExperimentReport] = {}
     for n in n_values:
         params = replace(base_params, n_screening=n)
@@ -441,7 +424,7 @@ def security_curve(
                 f"key-rate law violated at N={n}: sift_rate*N={scaled:.4f} "
                 f"outside 1 +/- {eps:.4f}"
             )
-        curve.points.append(
+        curve.append(
             {
                 "N": n,
                 "sift_rate": report.sift_rate,
@@ -488,12 +471,13 @@ def flat_rows(report: ExperimentReport, n: int, mode: str, attack: str) -> list[
     return rows
 
 
-def write_flat_table(rows: Sequence[dict], path: Path) -> None:
+def write_flat_table(columns: Sequence[str], rows: Sequence[dict], path: Path) -> None:
+    """Write `rows` as CSV under the header `columns`; absent values are empty."""
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(FLAT_COLUMNS)
+        writer.writerow(columns)
         for row in rows:
-            writer.writerow([_csv_cell(row[col]) for col in FLAT_COLUMNS])
+            writer.writerow([_csv_cell(row[col]) for col in columns])
 
 
 def emit_report(report_doc: dict, rows: Sequence[dict], outdir: Path) -> dict[str, Path]:
@@ -509,7 +493,7 @@ def emit_report(report_doc: dict, rows: Sequence[dict], outdir: Path) -> dict[st
             json.dump(report_doc, handle, indent=2, sort_keys=True)
             handle.write("\n")
         table_path = outdir / "trials.csv"
-        write_flat_table(rows, table_path)
+        write_flat_table(FLAT_COLUMNS, rows, table_path)
     except OSError as exc:
         raise OSError(f"failed writing report under {outdir}: {exc}") from exc
     return {"report": report_path, "table": table_path}

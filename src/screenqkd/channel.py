@@ -1,4 +1,4 @@
-"""Quantum channel legs, the interception hook, and the public board.
+"""Quantum channel legs and the interception hook.
 
 A round crosses the channel three times (Alice -> Bob -> Alice -> Bob).
 An adversary is modeled as an :class:`Interceptor` that may transform the
@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .errors import ParameterError, ProtocolError
+from .errors import ParameterError
 from .photonics import Photon, Pulse
 
 if TYPE_CHECKING:
@@ -83,18 +83,3 @@ def transmit(
         if rng_channel.random() >= loss:
             kept.append(photon)
     return pulse.with_photons(tuple(kept))
-
-
-class PublicBoard:
-    """Authenticated public bulletin board for the end-of-session announcement."""
-
-    def __init__(self) -> None:
-        self._announcement: Optional["Announcement"] = None
-
-    def publish(self, announcement: "Announcement") -> None:
-        if self._announcement is not None:
-            raise ProtocolError("announcement already published")
-        self._announcement = announcement
-
-    def read_public(self) -> Optional["Announcement"]:
-        return self._announcement

@@ -20,14 +20,16 @@ from typing import Optional, Sequence
 
 from .adversary import STRATEGIES, STRATEGY_NONE, AttackConfig
 from .analysis import (
+    CURVE_COLUMNS,
     ExperimentReport,
     emit_report,
     flat_rows,
     run_experiment,
     security_curve,
+    write_flat_table,
     write_transcripts,
 )
-from .errors import ConfigError, ParameterError
+from .errors import ConfigError, ParameterError, check_int, check_real
 from .protocol import MODE_PULSE, MODE_SINGLE, ProtocolParams
 
 OUTDIR_ENV = "SCREENQKD_OUTDIR"
@@ -59,32 +61,30 @@ class ExperimentConfig:
     rate_law_epsilon: Optional[float] = None
 
     def validate(self) -> None:
-        if self.n < 1:
-            raise ConfigError(f"N: must be >= 1, got {self.n}")
+        """Check the fields only the runner uses; the library types check the rest."""
         if self.sweep_n is not None:
+            if not isinstance(self.sweep_n, list):
+                raise ConfigError(
+                    f"sweep-N: must be a list of integers, got {self.sweep_n!r}"
+                )
+            for n in self.sweep_n:
+                check_int("sweep-N", n, 1, ConfigError)
             if not self.sweep_n or sorted(set(self.sweep_n)) != self.sweep_n:
                 raise ConfigError(
                     f"sweep-N: must be strictly increasing, got {self.sweep_n}"
                 )
-            if self.sweep_n[0] < 1:
-                raise ConfigError(f"sweep-N: values must be >= 1, got {self.sweep_n}")
-        if self.rounds < 1:
-            raise ConfigError(f"rounds: must be >= 1, got {self.rounds}")
-        if not 0.0 <= self.p_analyzing <= 1.0:
-            raise ConfigError(f"p-analyzing: must be in [0, 1], got {self.p_analyzing}")
-        if not 0.0 <= self.transmission <= 1.0:
-            raise ConfigError(f"transmission: must be in [0, 1], got {self.transmission}")
-        if self.mode not in (MODE_SINGLE, MODE_PULSE):
-            raise ConfigError(f"mode: must be 'single' or 'pulse', got {self.mode!r}")
-        if self.mean_photons < 0:
-            raise ConfigError(f"mean-photons: must be >= 0, got {self.mean_photons}")
-        if not 0.0 <= self.loss <= 1.0:
-            raise ConfigError(f"loss: must be in [0, 1], got {self.loss}")
-        if self.trials < 1:
-            raise ConfigError(f"trials: must be >= 1, got {self.trials}")
-        if self.attack not in STRATEGIES:
-            raise ConfigError(f"attack: unknown strategy {self.attack!r}")
-        # Delegate range checks shared with the library types.
+        check_real("loss", self.loss, 0, 1, ConfigError)
+        check_int("trials", self.trials, 1, ConfigError)
+        if self.rate_law_epsilon is not None:
+            check_real("rate-law-epsilon", self.rate_law_epsilon, 0, error=ConfigError)
+        if not isinstance(self.emit_transcript, bool):
+            raise ConfigError(
+                f"emit-transcript: must be true or false, got {self.emit_transcript!r}"
+            )
+        if self.sweep_n and self.emit_transcript:
+            raise ConfigError("emit-transcript: single-point runs only, not with sweep-N")
+        if self.outdir is not None and not isinstance(self.outdir, str):
+            raise ConfigError(f"outdir: must be a path string, got {self.outdir!r}")
         try:
             self.protocol_params()
             self.attack_config()
@@ -110,7 +110,7 @@ class ExperimentConfig:
             trojan_angle=self.trojan_angle,
             attack_probability=self.attack_probability,
             theta_oracle=self.theta_oracle,
-            guess_weights=tuple(self.guess_weights) if self.guess_weights else None,
+            guess_weights=self.guess_weights or None,
         )
 
     def echo(self) -> dict:
@@ -196,6 +196,8 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
             raise ConfigError(f"config: cannot read {args.config}: {exc}") from None
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config: invalid JSON in {args.config}: {exc}") from None
+        if not isinstance(file_values, dict):
+            raise ConfigError(f"config: {args.config} must hold a JSON object")
         known = {f.name for f in dataclasses.fields(ExperimentConfig)}
         for key, value in file_values.items():
             if key not in known:
@@ -261,7 +263,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         if config.sweep_n:
             rows = []
-            curve_points = []
             report_doc: dict = {"sweep": {}}
             base = config.protocol_params(config.sweep_n[0])
             try:
@@ -270,6 +271,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     trials=config.trials, channel_loss=config.loss,
                     rate_law_epsilon=config.rate_law_epsilon,
                 )
+            except (ConfigError, ParameterError):
+                raise  # invalid input, not a failed check: exits 2 below
             except ValueError as exc:
                 print(f"assertion failed: {exc}", file=sys.stderr)
                 return 1
@@ -280,26 +283,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 doc["config"] = {**config.echo(), "n": n}
                 report_doc["sweep"][str(n)] = doc
                 rows.extend(flat_rows(report, n, config.mode, config.attack))
+                if config.attack == STRATEGY_NONE:
+                    failures += [f"N={n}: {f}" for f in _honest_assertions(report)]
             report_doc["schema_version"] = reports[config.sweep_n[0]].schema_version
             report_doc["config"] = config.echo()
-            report_doc["curve"] = curve.to_rows()
-            curve_points = curve.to_rows()
+            report_doc["curve"] = curve
             if outdir is not None:
                 paths = emit_report(report_doc, rows, outdir)
-                with open(Path(outdir) / "curve.csv", "w") as handle:
-                    handle.write("N,sift_rate,qber_under_attack,conclusive_rate,ad_violation_rate\n")
-                    for point in curve_points:
-                        handle.write(
-                            ",".join(
-                                "" if point[key] is None else repr(point[key])
-                                if isinstance(point[key], float) else str(point[key])
-                                for key in (
-                                    "N", "sift_rate", "qber_under_attack",
-                                    "conclusive_rate", "ad_violation_rate",
-                                )
-                            )
-                            + "\n"
-                        )
+                write_flat_table(CURVE_COLUMNS, curve, Path(outdir) / "curve.csv")
                 print(f"wrote {paths['report']} and {paths['table']}")
         else:
             params = config.protocol_params()

@@ -32,8 +32,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .channel import Interceptor, Leg, PublicBoard, transmit
-from .errors import ParameterError, ProtocolError
+from .channel import Interceptor, Leg, transmit
+from .errors import ParameterError, ProtocolError, check_int, check_real
 from .photonics import (
     DIAGONAL,
     PI,
@@ -78,18 +78,14 @@ class ProtocolParams:
     digest: str = "sha256"
 
     def __post_init__(self) -> None:
-        if self.n_screening < 1:
-            raise ParameterError(f"n_screening must be >= 1, got {self.n_screening}")
-        if self.rounds < 1:
-            raise ParameterError(f"rounds must be >= 1, got {self.rounds}")
-        if not 0.0 <= self.p_analyzing <= 1.0:
-            raise ParameterError(f"p_analyzing must be in [0, 1], got {self.p_analyzing}")
-        if not 0.0 <= self.transmission <= 1.0:
-            raise ParameterError(f"transmission must be in [0, 1], got {self.transmission}")
+        check_int("n_screening (N)", self.n_screening, 1)
+        check_int("rounds", self.rounds, 1)
+        check_real("p_analyzing", self.p_analyzing, 0, 1)
+        check_real("transmission", self.transmission, 0, 1)
         if self.mode not in (MODE_SINGLE, MODE_PULSE):
             raise ParameterError(f"mode must be 'single' or 'pulse', got {self.mode!r}")
-        if self.mean_photons < 0:
-            raise ParameterError(f"mean_photons must be >= 0, got {self.mean_photons}")
+        check_real("mean_photons", self.mean_photons, 0)
+        check_int("seed", self.seed)
         try:
             hashlib.new(self.digest)
         except (ValueError, TypeError):
@@ -415,8 +411,6 @@ def run_session(
         )
 
     announcement = Announcement.from_rounds(rounds)
-    board = PublicBoard()
-    board.publish(announcement)
     if interceptor is not None:
-        interceptor.observe_announcement(board.read_public())
+        interceptor.observe_announcement(announcement)
     return sift_and_verify(params, rounds, announcement)

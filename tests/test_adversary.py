@@ -38,6 +38,13 @@ class TestConfigValidation:
             AttackConfig(strategy="standard_state", eve_tap_fraction=1.5)
         with pytest.raises(ConfigError):
             AttackConfig(strategy="standard_state", attack_probability=-0.2)
+        for bad in (
+            dict(eve_tap_fraction=float("nan")), dict(attack_probability="1"),
+            dict(trojan_angle=float("nan")), dict(trojan_angle=float("inf")),
+            dict(theta_oracle="yes"),
+        ):
+            with pytest.raises(ConfigError):
+                AttackConfig(strategy="standard_state", **bad)
 
     def test_mode_requirements(self):
         with pytest.raises(ConfigError):
@@ -48,6 +55,11 @@ class TestConfigValidation:
             build_interceptor(AttackConfig(strategy="pns_trojan"), _params())
         with pytest.raises(ConfigError):
             build_interceptor(AttackConfig(strategy="pulse_beamsplit"), _params())
+        # settings a strategy would silently ignore are rejected
+        with pytest.raises(ConfigError):
+            AttackConfig(strategy="simple_trojan", theta_oracle=True)
+        with pytest.raises(ConfigError):
+            AttackConfig(strategy="pns_trojan", guess_weights=(1.0, 1.0))
 
     def test_none_builds_nothing(self):
         assert build_interceptor(AttackConfig(), _params()) is None
@@ -162,6 +174,8 @@ class TestImpersonation:
             )
         with pytest.raises(ConfigError):
             AttackConfig(strategy="impersonation", guess_weights=(0.0, 0.0))
+        with pytest.raises(ConfigError):
+            AttackConfig(strategy="impersonation", guess_weights=(float("nan"), 1.0))
 
 
 class TestPulseBeamSplit:

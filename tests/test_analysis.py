@@ -1,22 +1,22 @@
 import json
+from dataclasses import fields
 
 import pytest
 
 from screenqkd.adversary import AttackConfig
 from screenqkd.analysis import (
     FLAT_COLUMNS,
-    ad_violation_rate,
+    TrialCounts,
     emit_report,
     flat_rows,
     ie_mean,
     ie_sum,
-    qber,
     run_experiment,
     security_curve,
     write_transcripts,
 )
 from screenqkd.errors import ParameterError
-from screenqkd.protocol import ProtocolParams, run_session
+from screenqkd.protocol import ProtocolParams
 
 from conftest import binom_sigma
 
@@ -48,23 +48,26 @@ class TestIeSum:
             ie_sum(0)
 
 
+def _honest_report(**overrides):
+    report, _ = run_experiment(_params(**overrides), AttackConfig())
+    return report
+
+
 class TestMetrics:
     def test_qber_zero_for_honest_run(self):
-        assert qber(run_session(_params())) == 0.0
+        assert _honest_report().qber == 0.0
 
     def test_qber_absent_without_sifted_bits(self):
         # analyzing-only sessions produce no key material
-        transcript = run_session(_params(p_analyzing=1.0, rounds=200))
-        assert qber(transcript) is None
+        assert _honest_report(p_analyzing=1.0, rounds=200).qber is None
 
     def test_ad_rate_zero_for_honest_run(self):
-        transcript = run_session(_params(p_analyzing=0.5, transmission=0.5))
-        assert transcript.ad_checked > 0
-        assert ad_violation_rate(transcript) == 0.0
+        report = _honest_report(p_analyzing=0.5, transmission=0.5)
+        assert report.totals.ad_clicks > 0
+        assert report.ad_violation_rate == 0.0
 
     def test_ad_rate_absent_without_clicks(self):
-        transcript = run_session(_params(transmission=1.0, rounds=500))
-        assert ad_violation_rate(transcript) is None
+        assert _honest_report(transmission=1.0, rounds=500).ad_violation_rate is None
 
 
 class TestExperimentReport:
@@ -87,6 +90,16 @@ class TestExperimentReport:
         for value in report.to_dict()["metrics"].values():
             if value is not None:
                 assert 0.0 <= value <= 1.0
+
+    def test_totals_are_sums_over_trials(self):
+        params = _params(rounds=1000, mode="pulse", mean_photons=2.0, p_analyzing=0.5)
+        report, _ = run_experiment(params, AttackConfig(strategy="pns_trojan"), trials=3)
+        for field in fields(TrialCounts):
+            total = getattr(report.totals, field.name)
+            if isinstance(total, int):
+                assert total == sum(getattr(c, field.name) for c in report.per_trial)
+        assert report.totals.rounds == 3000
+        assert report.totals.ad_injected_clicks > 0
 
     def test_verdict_histogram_counts_trials(self):
         report, _ = run_experiment(_params(rounds=2000), AttackConfig(), trials=3)
@@ -162,11 +175,11 @@ class TestSecurityCurve:
     def test_rate_law_across_n(self):
         base = _params(rounds=20_000, seed=201)
         curve, reports = security_curve(base, AttackConfig(), [2, 3, 5, 10])
-        for point in curve.points:
+        for point in curve:
             n = point["N"]
             p = 1.0 / n
             assert abs(point["sift_rate"] - p) <= 3 * binom_sigma(p, 20_000)
-        assert [p["N"] for p in curve.points] == [2, 3, 5, 10]
+        assert [p["N"] for p in curve] == [2, 3, 5, 10]
 
     def test_rate_doubles_from_n4_to_n2(self):
         base = _params(rounds=40_000, seed=202)
@@ -182,7 +195,7 @@ class TestSecurityCurve:
         curve, _ = security_curve(
             base, AttackConfig(strategy="pulse_beamsplit"), [2, 3]
         )
-        rates = [p["conclusive_rate"] for p in curve.points]
+        rates = [p["conclusive_rate"] for p in curve]
         assert rates[0] > rates[1]
 
     def test_breached_tolerance_raises(self):

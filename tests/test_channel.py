@@ -4,10 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from screenqkd.channel import Interceptor, Leg, PublicBoard, transmit
-from screenqkd.errors import ParameterError, ProtocolError
+from screenqkd.channel import Interceptor, Leg, transmit
+from screenqkd.errors import ParameterError
 from screenqkd.photonics import Photon, Pulse
-from screenqkd.protocol import Announcement, ProtocolParams, run_session
+from screenqkd.protocol import ProtocolParams, run_session
 
 from conftest import binom_sigma
 
@@ -60,26 +60,6 @@ class TestTransmit:
         survive = 1 - combined
         tol = 4 * math.sqrt(2) * binom_sigma(survive, n) * n
         assert abs(two_step - one_step) <= tol
-
-
-class TestPublicBoard:
-    def _announcement(self) -> Announcement:
-        return Announcement((1,), (2,), (False,), (None,))
-
-    def test_roundtrip(self):
-        board = PublicBoard()
-        ann = self._announcement()
-        board.publish(ann)
-        assert board.read_public() is ann
-
-    def test_read_before_publish_absent(self):
-        assert PublicBoard().read_public() is None
-
-    def test_double_publish_rejected(self):
-        board = PublicBoard()
-        board.publish(self._announcement())
-        with pytest.raises(ProtocolError):
-            board.publish(self._announcement())
 
 
 class _RecordingInterceptor(Interceptor):

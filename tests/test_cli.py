@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import screenqkd
+from screenqkd import cli
 from screenqkd.adversary import AttackConfig
 from screenqkd.analysis import run_experiment
 from screenqkd.cli import ExperimentConfig, load_config, main
@@ -59,6 +65,39 @@ def test_sweep_writes_curve_files(tmp_path, capsys):
     assert len(report["curve"]) == 2
     table = (tmp_path / "trials.csv").read_text().splitlines()
     assert len(table) == 1 + 2  # trials x |N values|
+
+
+def test_honest_sweep_curve_table_matches_report(tmp_path):
+    code = main(
+        ["--sweep-N", "2,3", "--rounds", "2000", "--seed", "9",
+         "--attack", "none", "--outdir", str(tmp_path)]
+    )
+    assert code == 0
+    lines = (tmp_path / "curve.csv").read_text().splitlines()
+    assert lines[0] == "N,sift_rate,qber_under_attack,conclusive_rate,ad_violation_rate"
+    points = json.loads((tmp_path / "report.json").read_text())["curve"]
+
+    def cell(value):
+        if value is None:
+            return ""
+        return repr(value) if isinstance(value, float) else str(value)
+
+    columns = lines[0].split(",")
+    assert lines[1:] == [",".join(cell(p[c]) for c in columns) for p in points]
+
+
+def test_honest_sweep_asserts_each_report(monkeypatch, capsys):
+    real_security_curve = cli.security_curve
+
+    def with_qber_error(*args, **kwargs):
+        curve, reports = real_security_curve(*args, **kwargs)
+        reports[3].totals.qber_errors = 1
+        return curve, reports
+
+    monkeypatch.setattr(cli, "security_curve", with_qber_error)
+    code = main(["--sweep-N", "2,3", "--rounds", "2000", "--seed", "9", "--attack", "none"])
+    assert code == 1
+    assert "N=3: honest run produced nonzero QBER" in capsys.readouterr().err
 
 
 def test_sweep_rate_law_breach_exits_one(capsys):
@@ -137,3 +176,40 @@ def test_default_config_is_valid():
     config.validate()
     assert config.protocol_params().n_screening == 2
     assert config.attack_config().strategy == "none"
+
+
+# (JSON config or None, flags): each is invalid input that must be reported
+# as one "error:" line with exit 2 before any output exists.
+INVALID_INPUTS = {
+    "rounds-string": ({"rounds": "100"}, []),
+    "rounds-fraction": ({"rounds": 10.5}, []),
+    "config-not-object": ([2, 3], []),
+    "mean-photons-inf": (None, ["--mode", "pulse", "--mean-photons", "inf"]),
+    "trojan-angle-nan": (None, ["--attack", "simple_trojan", "--trojan-angle", "nan"]),
+    "theta-oracle-other-strategy": ({"theta_oracle": True}, ["--attack", "simple_trojan"]),
+    "sweep-with-transcript": (None, ["--sweep-N", "2,3", "--emit-transcript"]),
+    "sweep-mode-mismatch": (None, ["--sweep-N", "2,3", "--attack", "impersonation",
+                                   "--mode", "pulse"]),
+}
+
+
+@pytest.mark.parametrize("case", INVALID_INPUTS)
+def test_invalid_input_exits_two_without_traceback(tmp_path, case):
+    config, argv = INVALID_INPUTS[case]
+    if config is None:
+        argv = ["--rounds", "200", *argv]
+    else:
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        argv = ["--config", str(config_path), *argv]
+    outdir = tmp_path / "out"
+    src = str(Path(screenqkd.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "screenqkd.cli", *argv, "--outdir", str(outdir)],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error:") and len(proc.stderr.splitlines()) == 1
+    assert not outdir.exists()

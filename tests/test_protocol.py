@@ -74,6 +74,14 @@ class TestParams:
             ProtocolParams(mean_photons=-1.0)
         with pytest.raises(ParameterError):
             ProtocolParams(digest="not-a-hash")
+        for bad in (
+            dict(n_screening=2.0), dict(rounds="100"), dict(rounds=10.5),
+            dict(rounds=True), dict(p_analyzing=float("nan")),
+            dict(mean_photons=float("inf")), dict(mean_photons=float("nan")),
+            dict(transmission="0.9"), dict(seed=1.5),
+        ):
+            with pytest.raises(ParameterError):
+                ProtocolParams(**bad)
 
 
 class TestAlicePrepare:
