@@ -2,7 +2,7 @@
 angles and an analyzing detector, plus the eavesdropping strategies it is
 designed to expose."""
 
-from .adversary import AttackConfig, EveStorage, build_interceptor
+from .adversary import AttackConfig, build_interceptor
 from .analysis import (
     ExperimentReport,
     SessionSummary,
@@ -17,7 +17,6 @@ from .channel import Interceptor, Leg, transmit
 from .errors import ConfigError, ParameterError, ProtocolError
 from .photonics import (
     DIAGONAL,
-    MeasurementBasis,
     Origin,
     Photon,
     Pulse,
@@ -26,7 +25,6 @@ from .photonics import (
     canon,
     make_pulse,
     measure,
-    rotate,
     single_photon_pulse,
 )
 from .protocol import (

@@ -26,14 +26,14 @@ pulse, reproducing honest statistics exactly for the same seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .channel import Interceptor, Leg
 from .errors import ConfigError, check_real
-from .photonics import PI, MeasurementBasis, Origin, Photon, Pulse, measure
+from .photonics import PI, Origin, Photon, Pulse, measure
 from .protocol import Announcement, ProtocolParams, MODE_PULSE, MODE_SINGLE
 
 STRATEGY_NONE = "none"
@@ -112,25 +112,6 @@ class AttackConfig:
                 )
 
 
-@dataclass
-class EveStorage:
-    """Per-round quantum storage sets and emitted guesses.
-
-    Stored photons are retrieved with pop semantics so each can be
-    measured at most once.
-    """
-
-    e1: dict[int, tuple[Photon, ...]] = field(default_factory=dict)
-    e2: dict[int, tuple[Photon, ...]] = field(default_factory=dict)
-    guesses: dict[int, int] = field(default_factory=dict)
-
-    def pop_e1(self, round_id: int) -> tuple[Photon, ...]:
-        return self.e1.pop(round_id, ())
-
-    def pop_e2(self, round_id: int) -> tuple[Photon, ...]:
-        return self.e2.pop(round_id, ())
-
-
 def _normalized_guess_probs(
     config: AttackConfig, params: ProtocolParams
 ) -> Optional[tuple[float, ...]]:
@@ -161,35 +142,36 @@ def _draw_guess_index(
 
 
 class _BaseAttack(Interceptor):
-    """Shared plumbing: per-round activation and the announcement cache."""
+    """Shared plumbing: per-round activation, quantum storage, guesses.
+
+    The channel runs the three legs of one round back to back, so state
+    needed only within a round is held for the current round alone. What
+    is kept across rounds is keyed by round id: the photons measured after
+    the announcement (``storage``, popped when measured, so each is
+    measured at most once) and the guesses.
+    """
 
     def __init__(self, config: AttackConfig, params: ProtocolParams) -> None:
         self.config = config
         self.params = params
-        self.angles = params.angles
-        self.storage = EveStorage()
+        self.storage: dict[int, Photon] = {}
+        self.guesses: dict[int, int] = {}
         self.announcement: Optional[Announcement] = None
-        self._active: dict[int, bool] = {}
+        self._round: Optional[int] = None
+        self._active = False
         self._rng: Optional[np.random.Generator] = None
-
-    def _is_active(self, round_id: int, rng: np.random.Generator) -> bool:
-        active = self._active.get(round_id)
-        if active is None:
-            p = self.config.attack_probability
-            if p == 0.0:
-                active = False
-            elif p == 1.0:
-                active = True
-            else:
-                active = rng.random() < p
-            self._active[round_id] = active
-        return active
 
     def intercept(
         self, leg: Leg, pulse: Pulse, round_id: int, rng: np.random.Generator
     ) -> Pulse:
         self._rng = rng
-        if not self._is_active(round_id, rng):
+        if round_id != self._round:
+            # Activation is drawn once per round, on its first leg; the
+            # p = 0 and p = 1 cases draw nothing.
+            self._round = round_id
+            p = self.config.attack_probability
+            self._active = p == 1.0 or (p > 0.0 and rng.random() < p)
+        if not self._active:
             return pulse
         return self._act(leg, pulse, round_id, rng)
 
@@ -202,37 +184,33 @@ class _BaseAttack(Interceptor):
         self.announcement = announcement
 
     def produce_guesses(self) -> dict[int, int]:
-        return dict(self.storage.guesses)
+        return dict(self.guesses)
 
 
 class _ImpersonationBase(_BaseAttack):
     """Common first two legs of the intercept-resend storyline.
 
-    Leg 1: store Alice's pulse, substitute one at a random theta'.
-    Leg 2: compensate theta' on Bob's reply and store it; return the
-    stored original so Alice encodes onto her own photons. What happens
-    on the final leg distinguishes the variants.
+    Leg 1: keep Alice's pulse, substitute one at a random theta'.
+    Leg 2: compensate theta' on Bob's reply and keep it; return Alice's
+    original so she encodes onto her own photons. What happens on the
+    final leg distinguishes the variants.
     """
 
-    def __init__(self, config: AttackConfig, params: ProtocolParams) -> None:
-        super().__init__(config, params)
-        self._theta_prime: dict[int, float] = {}
+    # The current round's theta', Alice's pulse and Bob's compensated reply.
+    _theta_prime = 0.0
+    _original = _reply = Pulse()
 
     def _act(
         self, leg: Leg, pulse: Pulse, round_id: int, rng: np.random.Generator
     ) -> Pulse:
         if leg is Leg.ALICE_TO_BOB_1:
-            self.storage.e1[round_id] = pulse.photons
-            theta_prime = rng.random() * PI
-            self._theta_prime[round_id] = theta_prime
-            substitute = tuple(
-                Photon(theta_prime, Origin.EVE_REPLAYED) for _ in pulse.photons
-            )
-            return pulse.with_photons(substitute)
+            self._original = pulse
+            self._theta_prime = rng.random() * PI
+            substitute = Photon(self._theta_prime, Origin.EVE_REPLAYED)
+            return Pulse((substitute,) * pulse.count)
         if leg is Leg.BOB_TO_ALICE:
-            compensated = pulse.rotated(-self._theta_prime.get(round_id, 0.0))
-            self.storage.e2[round_id] = compensated.photons
-            return pulse.with_photons(self.storage.pop_e1(round_id))
+            self._reply = pulse.rotated(-self._theta_prime)
+            return self._original
         return self._act_final_leg(pulse, round_id, rng)
 
     def _act_final_leg(
@@ -259,15 +237,12 @@ class ImpersonationSinglePhoton(_ImpersonationBase):
     ) -> Pulse:
         if pulse.is_empty:
             return pulse
-        guess_index = _draw_guess_index(self._guess_probs, len(self.angles), rng)
-        basis = MeasurementBasis(self.angles[guess_index] + PI / 4)
-        readout = measure(pulse.photons[0], basis, rng)
-        self.storage.guesses[round_id] = readout
+        guess_index = _draw_guess_index(self._guess_probs, self.params.n_screening, rng)
+        axis = self.params.angles[guess_index] + PI / 4
+        readout = measure(pulse.photons[0], axis, rng)
+        self.guesses[round_id] = readout
         sign = 1.0 if readout == 0 else -1.0
-        relay = tuple(
-            p.rotated(sign * PI / 4) for p in self.storage.pop_e2(round_id)
-        )
-        return pulse.with_photons(relay)
+        return self._reply.rotated(sign * PI / 4)
 
 
 class PulseBeamSplit(_ImpersonationBase):
@@ -292,25 +267,22 @@ class PulseBeamSplit(_ImpersonationBase):
         if pulse.is_empty:
             return pulse
         self.reported_rounds += 1
-        n = len(self.angles)
+        angles = self.params.angles
+        n = len(angles)
         consistent = {(i, k) for i in range(n) for k in (0, 1)}
         for photon in pulse.photons:
             i = int(rng.integers(0, n))
-            bit = measure(photon, MeasurementBasis(self.angles[i] + PI / 4), rng)
+            bit = measure(photon, angles[i] + PI / 4, rng)
             # Outcome bit b in basis i has zero Born probability only under
             # the hypothesis (alpha_i, 1 - b), which it therefore excludes.
             consistent.discard((i, 1 - bit))
-        stored = self.storage.pop_e2(round_id)
         if len(consistent) == 1:
             self.conclusive_rounds += 1
             a_i, k_hat = next(iter(consistent))
-            self.storage.guesses[round_id] = k_hat
+            self.guesses[round_id] = k_hat
             sign = 1.0 if k_hat == 0 else -1.0
-            relay = tuple(
-                p.rotated(sign * PI / 4 + self.angles[a_i]) for p in stored
-            )
-            return pulse.with_photons(relay)
-        return pulse.with_photons(stored)
+            return self._reply.rotated(sign * PI / 4 + angles[a_i])
+        return self._reply
 
     def metrics(self) -> dict[str, int]:
         return {
@@ -348,21 +320,20 @@ class _ProbeCaptureAttack(_BaseAttack):
                     )
                 )
                 if recovered:
-                    self.storage.e2[round_id] = (photon,)
+                    self.storage[round_id] = photon
                     self.captured_rounds += 1
-                return pulse.with_photons(remaining)
+                return Pulse(remaining)
         return pulse
 
     def produce_guesses(self) -> dict[int, int]:
         """Measure each recaptured probe in (alpha_a + pi/4, alpha_a - pi/4)."""
         if self.announcement is None:
             return {}
-        for round_id in sorted(self.storage.e2):
-            probe = self.storage.pop_e2(round_id)[0]
-            alpha_a = self.angles[self.announcement.a_indices[round_id] - 1]
-            basis = MeasurementBasis(alpha_a + PI / 4)
-            self.storage.guesses[round_id] = measure(probe, basis, self._rng)
-        return dict(self.storage.guesses)
+        for round_id in sorted(self.storage):
+            probe = self.storage.pop(round_id)
+            alpha_a = self.params.angles[self.announcement.a_indices[round_id] - 1]
+            self.guesses[round_id] = measure(probe, alpha_a + PI / 4, self._rng)
+        return dict(self.guesses)
 
     def metrics(self) -> dict[str, int]:
         return {"captured_rounds": self.captured_rounds}
@@ -372,27 +343,28 @@ class PnsTrojanComposite(_ProbeCaptureAttack):
     """Photon-number splitting combined with a Trojan re-injection.
 
     Leg 1: nondemolition count; if the pulse has two or more photons, one
-    is split off and stored (state theta).
-    Leg 2: the stored photon is attached to Bob's reply, so Alice's
+    is split off and held (state theta).
+    Leg 2: the held photon is attached to Bob's reply, so Alice's
     unitary cancels theta on it and leaves (-1)^k pi/4 + alpha_a.
     Leg 3: the probe is recaptured; once alpha_a is announced, measuring
     it in (alpha_a + pi/4, alpha_a - pi/4) reads k without error.
     """
 
+    _split: Optional[Photon] = None  # split off in the current round
+
     def _act(
         self, leg: Leg, pulse: Pulse, round_id: int, rng: np.random.Generator
     ) -> Pulse:
         if leg is Leg.ALICE_TO_BOB_1:
+            self._split = None
             if pulse.count >= 2:
-                split = pulse.photons[0]
-                self.storage.e1[round_id] = (split,)
-                return pulse.with_photons(pulse.photons[1:])
+                self._split = pulse.photons[0]
+                return Pulse(pulse.photons[1:])
             return pulse
         if leg is Leg.BOB_TO_ALICE:
-            stored = self.storage.pop_e1(round_id)
-            if stored:
-                probe = Photon(stored[0].polarization, Origin.TROJAN_INJECTED)
-                return pulse.with_photons(pulse.photons + (probe,))
+            if self._split is not None:
+                probe = Photon(self._split.polarization, Origin.TROJAN_INJECTED)
+                return Pulse(pulse.photons + (probe,))
             return pulse
         return self._capture_probe(pulse, round_id, rng)
 
@@ -413,7 +385,7 @@ class SimpleTrojan(_ProbeCaptureAttack):
     ) -> Pulse:
         if leg is Leg.BOB_TO_ALICE:
             probe = Photon(self._probe_angle(), Origin.TROJAN_INJECTED)
-            return pulse.with_photons(pulse.photons + (probe,))
+            return Pulse(pulse.photons + (probe,))
         if leg is Leg.ALICE_TO_BOB_2:
             return self._capture_probe(pulse, round_id, rng)
         return pulse
@@ -439,8 +411,8 @@ class StandardStateProbe(SimpleTrojan):
         Shifts each stored probe by its round's true theta, which cancels
         the -theta that Alice's unitary imprinted on it.
         """
-        for round_id, (probe,) in self.storage.e2.items():
-            self.storage.e2[round_id] = (probe.rotated(thetas[round_id]),)
+        for round_id, probe in self.storage.items():
+            self.storage[round_id] = probe.rotated(thetas[round_id])
 
 
 class PassivePns(_BaseAttack):
@@ -455,7 +427,7 @@ class PassivePns(_BaseAttack):
     def __init__(self, config: AttackConfig, params: ProtocolParams) -> None:
         super().__init__(config, params)
         # Rounds that lost a photon on each leg. Only the final-leg photon
-        # is ever measured, so it alone is kept (in storage.e2).
+        # is ever measured, so it alone is kept (in storage).
         self._split_rounds: dict[Leg, set[int]] = {leg: set() for leg in Leg}
         # Which legs each guessed round had a stored photon on, kept for
         # offline reporting after the storage itself has been consumed.
@@ -467,8 +439,8 @@ class PassivePns(_BaseAttack):
         if pulse.count >= 2:
             self._split_rounds[leg].add(round_id)
             if leg is Leg.ALICE_TO_BOB_2:
-                self.storage.e2[round_id] = pulse.photons[:1]
-            return pulse.with_photons(pulse.photons[1:])
+                self.storage[round_id] = pulse.photons[0]
+            return Pulse(pulse.photons[1:])
         return pulse
 
     def produce_guesses(self) -> dict[int, int]:
@@ -479,22 +451,22 @@ class PassivePns(_BaseAttack):
             self.guess_sources[round_id] = frozenset(
                 leg for leg, rounds in self._split_rounds.items() if round_id in rounds
             )
-            final = self.storage.pop_e2(round_id)
+            final = self.storage.pop(round_id, None)
             alpha_sum = (
-                self.angles[ann.a_indices[round_id] - 1]
-                + self.angles[ann.b_indices[round_id] - 1]
+                self.params.angles[ann.a_indices[round_id] - 1]
+                + self.params.angles[ann.b_indices[round_id] - 1]
             )
-            if final and ann.analyzing_flags[round_id]:
+            if final is None:
+                bit = int(self._rng.integers(0, 2))
+            elif ann.analyzing_flags[round_id]:
                 # State phi* + (-1)^k pi/4 + alpha_a + alpha_b with every
                 # term except k public: the readout is deterministic in k.
                 axis = ann.phi_star_values[round_id] + alpha_sum + PI / 4
-                bit = measure(final[0], MeasurementBasis(axis), self._rng)
-            elif final:
-                bit = measure(final[0], MeasurementBasis(alpha_sum + PI / 4), self._rng)
+                bit = measure(final, axis, self._rng)
             else:
-                bit = int(self._rng.integers(0, 2))
-            self.storage.guesses[round_id] = bit
-        return dict(self.storage.guesses)
+                bit = measure(final, alpha_sum + PI / 4, self._rng)
+            self.guesses[round_id] = bit
+        return dict(self.guesses)
 
     def metrics(self) -> dict[str, int]:
         return {

@@ -299,8 +299,10 @@ class ExperimentReport:
             "rounds_per_trial": self.rounds_per_trial,
             "totals": asdict(self.totals),
             "per_trial": [asdict(c) for c in self.per_trial],
+            # vars, not asdict: asdict would deep-copy the M-long index
+            # tuples that the lists below replace.
             "sessions": [
-                {**asdict(s), "a_indices": list(s.a_indices),
+                {**vars(s), "a_indices": list(s.a_indices),
                  "b_indices": list(s.b_indices)}
                 for s in self.sessions
             ],

@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 from .errors import ParameterError
-from .photonics import Photon, Pulse
+from .photonics import Pulse, beam_split
 
 if TYPE_CHECKING:
     from .protocol import Announcement
@@ -68,18 +68,11 @@ def transmit(
 ) -> Pulse:
     """Carry a pulse across one leg: interception hook first, then loss.
 
-    Each photon is dropped independently with probability `loss`.
+    Each photon is dropped independently with probability `loss`: loss is
+    a beam splitter whose tapped output is discarded.
     """
     if not 0.0 <= loss <= 1.0:
         raise ParameterError(f"loss must be in [0, 1], got {loss}")
     if interceptor is not None:
         pulse = interceptor.intercept(leg, pulse, round_id, rng_eve)
-    if loss == 0.0 or pulse.is_empty:
-        return pulse
-    if loss == 1.0:
-        return pulse.with_photons(())
-    kept: list[Photon] = []
-    for photon in pulse.photons:
-        if rng_channel.random() >= loss:
-            kept.append(photon)
-    return pulse.with_photons(tuple(kept))
+    return beam_split(pulse, loss, rng_channel)[1]

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,15 +28,15 @@ PI = math.pi
 # Absolute tolerance for angle comparisons after canonicalization.
 ANGLE_TOL = 1e-9
 
+# Largest accepted Poisson mean. A pulse then holds about 100 +/- 10
+# photons, enough for a conclusive N-way beam-split readout up to N ~ 50;
+# numpy's sampler itself fails above about 9.2e18.
+MAX_MEAN_PHOTONS = 100
+
 
 def canon(radians: float) -> float:
     """Canonicalize a polarization angle into [0, pi)."""
     return radians % PI
-
-
-def rotate(state: float, delta: float) -> float:
-    """Rotate a polarization angle; composes additively modulo pi."""
-    return canon(state + delta)
 
 
 def angles_close(a: float, b: float, tol: float = ANGLE_TOL) -> bool:
@@ -77,7 +77,6 @@ class Pulse:
     """
 
     photons: tuple[Photon, ...] = ()
-    round_id: int = 0
 
     @property
     def count(self) -> int:
@@ -88,24 +87,11 @@ class Pulse:
         return not self.photons
 
     def rotated(self, delta: float) -> Pulse:
-        return Pulse(tuple(p.rotated(delta) for p in self.photons), self.round_id)
-
-    def with_photons(self, photons: tuple[Photon, ...]) -> Pulse:
-        return Pulse(photons, self.round_id)
+        return Pulse(tuple(p.rotated(delta) for p in self.photons))
 
 
-@dataclass(frozen=True, slots=True)
-class MeasurementBasis:
-    """Two-outcome analyzer: outcome axes are `axis` and `axis + pi/2`."""
-
-    axis: float = field(default=0.0)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "axis", canon(self.axis))
-
-
-# The (+pi/4, -pi/4) analyzer used by Bob's detector pair and Alice's AD.
-DIAGONAL = MeasurementBasis(PI / 4)
+# Axis of the (+pi/4, -pi/4) analyzer used by Bob's detector pair and Alice's AD.
+DIAGONAL = PI / 4
 
 
 def born_probability(state: float, axis: float) -> float:
@@ -113,33 +99,34 @@ def born_probability(state: float, axis: float) -> float:
     return math.cos(state - axis) ** 2
 
 
-def measure(photon: Photon, basis: MeasurementBasis, rng: np.random.Generator) -> int:
-    """Projectively measure one photon; returns the outcome bit.
+def measure(photon: Photon, axis: float, rng: np.random.Generator) -> int:
+    """Projectively measure one photon on the analyzer with outcome axes
+    `axis` and `axis + pi/2`; returns the outcome bit.
 
-    Bit 0 means collapse onto the basis axis, bit 1 onto the orthogonal
-    axis. The input photon is consumed: callers must not measure it again.
+    Bit 0 means collapse onto `axis`, bit 1 onto the orthogonal axis.
+    `axis` is taken modulo pi. The input photon is consumed: callers must
+    not measure it again.
     """
-    p0 = born_probability(photon.polarization, basis.axis)
+    p0 = born_probability(photon.polarization, canon(axis))
     return 0 if rng.random() < p0 else 1
 
 
 def make_pulse(
-    polarization: float,
-    mean_photons: float,
-    rng: np.random.Generator,
-    round_id: int = 0,
+    polarization: float, mean_photons: float, rng: np.random.Generator
 ) -> Pulse:
     """Prepare a pulse with Poissonian photon number, all at one polarization."""
-    if mean_photons < 0:
-        raise ParameterError(f"mean_photons must be >= 0, got {mean_photons}")
+    if not 0 <= mean_photons <= MAX_MEAN_PHOTONS:
+        raise ParameterError(
+            f"mean_photons must be in [0, {MAX_MEAN_PHOTONS}], got {mean_photons}"
+        )
     n = int(rng.poisson(mean_photons))
     pol = canon(polarization)
-    return Pulse(tuple(Photon(pol) for _ in range(n)), round_id)
+    return Pulse(tuple(Photon(pol) for _ in range(n)))
 
 
-def single_photon_pulse(polarization: float, round_id: int = 0) -> Pulse:
+def single_photon_pulse(polarization: float) -> Pulse:
     """Prepare a pulse containing exactly one photon."""
-    return Pulse((Photon(canon(polarization)),), round_id)
+    return Pulse((Photon(canon(polarization)),))
 
 
 def beam_split(
@@ -154,11 +141,11 @@ def beam_split(
     if not 0.0 <= tap_fraction <= 1.0:
         raise ParameterError(f"tap_fraction must be in [0, 1], got {tap_fraction}")
     if tap_fraction == 0.0 or pulse.is_empty:
-        return pulse.with_photons(()), pulse
+        return Pulse(), pulse
     if tap_fraction == 1.0:
-        return pulse, pulse.with_photons(())
+        return pulse, Pulse()
     tapped: list[Photon] = []
     passed: list[Photon] = []
     for photon in pulse.photons:
         (tapped if rng.random() < tap_fraction else passed).append(photon)
-    return pulse.with_photons(tuple(tapped)), pulse.with_photons(tuple(passed))
+    return Pulse(tuple(tapped)), Pulse(tuple(passed))

@@ -26,6 +26,7 @@ O_b = k XOR 1 hold simultaneously.
 from __future__ import annotations
 
 import enum
+import functools
 import hashlib
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -36,6 +37,7 @@ from .channel import Interceptor, Leg, transmit
 from .errors import ParameterError, ProtocolError, check_int, check_real
 from .photonics import (
     DIAGONAL,
+    MAX_MEAN_PHOTONS,
     PI,
     Origin,
     Pulse,
@@ -84,16 +86,22 @@ class ProtocolParams:
         check_real("transmission", self.transmission, 0, 1)
         if self.mode not in (MODE_SINGLE, MODE_PULSE):
             raise ParameterError(f"mode must be 'single' or 'pulse', got {self.mode!r}")
-        check_real("mean_photons", self.mean_photons, 0)
+        check_real("mean_photons", self.mean_photons, 0, MAX_MEAN_PHOTONS)
         check_int("seed", self.seed)
         try:
-            hashlib.new(self.digest)
+            digest_size = hashlib.new(self.digest).digest_size
         except (ValueError, TypeError):
             raise ParameterError(f"unknown digest algorithm {self.digest!r}") from None
+        if digest_size == 0:
+            # shake_* digests take a length argument that key_digest never passes
+            raise ParameterError(
+                f"digest: {self.digest!r} has no fixed length; choose e.g. 'sha256'"
+            )
 
-    @property
-    def angles(self) -> list[float]:
-        return screening_angles(self.n_screening)
+    @functools.cached_property
+    def angles(self) -> tuple[float, ...]:
+        """The screening set, computed once per parameter set."""
+        return tuple(screening_angles(self.n_screening))
 
 
 @dataclass(frozen=True, slots=True)
@@ -195,14 +203,14 @@ def is_matched(a_index: int, b_index: int, n: int) -> bool:
 
 
 def alice_prepare(
-    params: ProtocolParams, rng: np.random.Generator, round_id: int
+    params: ProtocolParams, rng: np.random.Generator
 ) -> tuple[float, Pulse]:
     """Draw theta uniformly on [0, pi) and prepare a pulse polarized at it."""
     theta = rng.random() * PI
     if params.mode == MODE_SINGLE:
-        pulse = single_photon_pulse(theta, round_id)
+        pulse = single_photon_pulse(theta)
     else:
-        pulse = make_pulse(theta, params.mean_photons, rng, round_id)
+        pulse = make_pulse(theta, params.mean_photons, rng)
     return theta, pulse
 
 
@@ -372,7 +380,7 @@ def run_session(
 
     rounds: list[RoundRecord] = []
     for round_id in range(params.rounds):
-        theta, pulse = alice_prepare(params, rng_alice, round_id)
+        theta, pulse = alice_prepare(params, rng_alice)
         pulse = transmit(
             pulse, Leg.ALICE_TO_BOB_1, round_id, interceptor,
             channel_loss, rng_channel, rng_eve,

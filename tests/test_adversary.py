@@ -3,16 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from screenqkd.adversary import (
-    AttackConfig,
-    EveStorage,
-    PulseBeamSplit,
-    build_interceptor,
-)
+from screenqkd.adversary import AttackConfig, PulseBeamSplit, build_interceptor
 from screenqkd.analysis import run_experiment, run_trial
 from screenqkd.channel import Leg
 from screenqkd.errors import ConfigError
-from screenqkd.photonics import PI, MeasurementBasis, Photon, Pulse, measure
+from screenqkd.photonics import PI, Photon, Pulse, measure
 from screenqkd.protocol import ProtocolParams, run_session, screening_angles
 
 import oracles
@@ -65,13 +60,6 @@ class TestConfigValidation:
         assert build_interceptor(AttackConfig(), _params()) is None
 
 
-def test_storage_pop_once():
-    storage = EveStorage()
-    storage.e1[3] = (Photon(0.1),)
-    assert len(storage.pop_e1(3)) == 1
-    assert storage.pop_e1(3) == ()
-
-
 ALL_STRATEGIES = [
     ("impersonation", dict(mode="single", transmission=0.9)),
     ("pulse_beamsplit", dict(mode="pulse", mean_photons=2.0)),
@@ -105,9 +93,8 @@ class TestImpersonation:
         for alpha_a in screening_angles(4):
             for k in (0, 1):
                 photon = Photon((-1) ** k * PI / 4 + alpha_a)
-                basis = MeasurementBasis(alpha_a + PI / 4)
                 for _ in range(20):
-                    assert measure(photon, basis, rng) == k
+                    assert measure(photon, alpha_a + PI / 4, rng) == k
 
     def test_single_screening_angle_reads_everything(self):
         # N = 1: the guess is always right, so Eve's accuracy is perfect
@@ -183,7 +170,7 @@ class TestPulseBeamSplit:
         params = _params(mode="pulse", mean_photons=2.0)
         attack = PulseBeamSplit(AttackConfig(strategy="pulse_beamsplit"), params)
         rng = np.random.default_rng(1)
-        out = attack.intercept(Leg.ALICE_TO_BOB_2, Pulse((), round_id=0), 0, rng)
+        out = attack.intercept(Leg.ALICE_TO_BOB_2, Pulse(), 0, rng)
         assert out.is_empty
         assert attack.metrics()["reported_rounds"] == 0
 

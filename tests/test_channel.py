@@ -13,7 +13,7 @@ from conftest import binom_sigma
 
 
 def _pulse(n: int) -> Pulse:
-    return Pulse(tuple(Photon(0.3) for _ in range(n)), round_id=1)
+    return Pulse(tuple(Photon(0.3) for _ in range(n)))
 
 
 class TestTransmit:
@@ -90,11 +90,9 @@ class TestInformationFirewall:
             assert isinstance(pulse, Pulse)
             assert isinstance(round_id, int)
             assert isinstance(rng, np.random.Generator)
-            # a pulse exposes photons and its round id, nothing else
+            # a pulse exposes its photons, nothing else
             public = [f for f in dir(pulse) if not f.startswith("_")]
-            assert set(public) == {
-                "photons", "round_id", "count", "is_empty", "rotated", "with_photons",
-            }
+            assert set(public) == {"photons", "count", "is_empty", "rotated"}
         # the observer runs exactly once, with the published announcement
         assert len(recorder.announcements) == 1
         assert recorder.announcements[0] == transcript.announcement

@@ -185,6 +185,8 @@ INVALID_INPUTS = {
     "rounds-fraction": ({"rounds": 10.5}, []),
     "config-not-object": ([2, 3], []),
     "mean-photons-inf": (None, ["--mode", "pulse", "--mean-photons", "inf"]),
+    "mean-photons-huge": (None, ["--mode", "pulse", "--mean-photons", "1e19"]),
+    "digest-variable-length": (None, ["--digest", "shake_128"]),
     "trojan-angle-nan": (None, ["--attack", "simple_trojan", "--trojan-angle", "nan"]),
     "theta-oracle-other-strategy": ({"theta_oracle": True}, ["--attack", "simple_trojan"]),
     "sweep-with-transcript": (None, ["--sweep-N", "2,3", "--emit-transcript"]),

@@ -8,7 +8,6 @@ from screenqkd.errors import ParameterError
 from screenqkd.photonics import (
     DIAGONAL,
     PI,
-    MeasurementBasis,
     Origin,
     Photon,
     Pulse,
@@ -18,7 +17,6 @@ from screenqkd.photonics import (
     canon,
     make_pulse,
     measure,
-    rotate,
     single_photon_pulse,
 )
 
@@ -40,6 +38,10 @@ class TestCanonialization:
     def test_axis_identification(self):
         assert angles_close(canon(0.3), canon(0.3 + PI))
         assert angles_close(canon(0.1), canon(0.1 - 3 * PI))
+
+
+def rotate(state: float, delta: float) -> float:
+    return Photon(state).rotated(delta).polarization
 
 
 class TestRotate:
@@ -67,15 +69,13 @@ class TestRotate:
 class TestMeasure:
     def test_aligned_deterministic(self):
         rng = np.random.default_rng(4)
-        basis = MeasurementBasis(PI / 4)
         for _ in range(200):
-            assert measure(Photon(PI / 4), basis, rng) == 0
+            assert measure(Photon(PI / 4), PI / 4, rng) == 0
 
     def test_orthogonal_deterministic(self):
         rng = np.random.default_rng(5)
-        basis = MeasurementBasis(PI / 4)
         for _ in range(200):
-            assert measure(Photon(3 * PI / 4), basis, rng) == 1
+            assert measure(Photon(3 * PI / 4), PI / 4, rng) == 1
 
     def test_unbiased_at_45_degrees(self):
         rng = np.random.default_rng(6)
@@ -93,7 +93,7 @@ class TestMeasure:
             expected0 = math.cos(delta) ** 2 * samples
             expected1 = samples - expected0
             ones = sum(
-                measure(Photon(delta), MeasurementBasis(0.0), rng)
+                measure(Photon(delta), 0.0, rng)
                 for _ in range(samples)
             )
             zeros = samples - ones
@@ -110,8 +110,14 @@ class TestMeasure:
             assert p0 + p1 == pytest.approx(1.0, abs=1e-12)
 
     def test_basis_axes_orthogonal(self):
-        basis = MeasurementBasis(1.234)
-        assert angles_close(basis.axis + PI / 2, canon(basis.axis + PI / 2))
+        # an axis and the same axis plus pi are one analyzer: same outcomes
+        # from the same generator state
+        photon = Photon(0.4)
+        for axis in (0.0, 1.234, PI / 4, 3.0):
+            rng_a, rng_b = np.random.default_rng(21), np.random.default_rng(21)
+            a = [measure(photon, axis, rng_a) for _ in range(200)]
+            b = [measure(photon, axis + PI, rng_b) for _ in range(200)]
+            assert a == b and set(a) == {0, 1}
 
 
 class TestPulsePreparation:
@@ -127,9 +133,8 @@ class TestPulsePreparation:
         assert abs(mean - 2.0) <= 0.05
 
     def test_single_photon_forced(self):
-        pulse = single_photon_pulse(0.3, round_id=5)
+        pulse = single_photon_pulse(0.3)
         assert pulse.count == 1
-        assert pulse.round_id == 5
         assert pulse.photons[0].polarization == pytest.approx(0.3)
         assert pulse.photons[0].origin is Origin.LEGITIMATE
 
@@ -143,6 +148,8 @@ class TestPulsePreparation:
         rng = np.random.default_rng(12)
         with pytest.raises(ParameterError):
             make_pulse(0.0, -0.1, rng)
+        with pytest.raises(ParameterError):
+            make_pulse(0.0, 101.0, rng)
 
 
 class TestBeamSplit:

@@ -2,6 +2,8 @@ import dataclasses
 import hashlib
 import math
 
+import screenqkd.protocol as protocol
+
 import numpy as np
 import pytest
 from scipy.stats import kstest
@@ -78,31 +80,44 @@ class TestParams:
             dict(n_screening=2.0), dict(rounds="100"), dict(rounds=10.5),
             dict(rounds=True), dict(p_analyzing=float("nan")),
             dict(mean_photons=float("inf")), dict(mean_photons=float("nan")),
-            dict(transmission="0.9"), dict(seed=1.5),
+            dict(transmission="0.9"), dict(seed=1.5), dict(mean_photons=101),
+            dict(digest="shake_128"),
         ):
             with pytest.raises(ParameterError):
                 ProtocolParams(**bad)
+
+    def test_screening_angles_computed_once(self, monkeypatch):
+        calls = []
+
+        def counting(n):
+            calls.append(n)
+            return screening_angles(n)
+
+        monkeypatch.setattr(protocol, "screening_angles", counting)
+        params = ProtocolParams(n_screening=3, rounds=500, seed=5)
+        run_session(params)
+        assert len(calls) <= 1
 
 
 class TestAlicePrepare:
     def test_single_mode_one_photon(self):
         params = ProtocolParams(mode="single")
         rng = np.random.default_rng(0)
-        theta, pulse = alice_prepare(params, rng, 0)
+        theta, pulse = alice_prepare(params, rng)
         assert pulse.count == 1
         assert pulse.photons[0].polarization == pytest.approx(theta)
 
     def test_distinct_thetas(self):
         params = ProtocolParams()
         rng = np.random.default_rng(1)
-        t1, _ = alice_prepare(params, rng, 0)
-        t2, _ = alice_prepare(params, rng, 1)
+        t1, _ = alice_prepare(params, rng)
+        t2, _ = alice_prepare(params, rng)
         assert t1 != t2
 
     def test_theta_uniform(self):
         params = ProtocolParams()
         rng = np.random.default_rng(2)
-        thetas = [alice_prepare(params, rng, i)[0] / PI for i in range(100_000)]
+        thetas = [alice_prepare(params, rng)[0] / PI for _ in range(100_000)]
         result = kstest(thetas, "uniform")
         assert result.pvalue > 0.01
 
