@@ -14,7 +14,7 @@ from .analysis import (
     security_curve,
 )
 from .channel import Interceptor, Leg, transmit
-from .errors import ConfigError, ParameterError, ProtocolError
+from .errors import ConfigError, ProtocolError
 from .photonics import (
     DIAGONAL,
     Origin,

@@ -26,6 +26,7 @@ pulse, reproducing honest statistics exactly for the same seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -43,6 +44,9 @@ STRATEGY_PNS_TROJAN = "pns_trojan"
 STRATEGY_STANDARD_STATE = "standard_state"
 STRATEGY_SIMPLE_TROJAN = "simple_trojan"
 STRATEGY_PASSIVE_PNS = "passive_pns"
+
+# The strategies that inject a probe photon and try to recapture it.
+_PROBE_CAPTURE = (STRATEGY_PNS_TROJAN, STRATEGY_STANDARD_STATE, STRATEGY_SIMPLE_TROJAN)
 
 STRATEGIES = (
     STRATEGY_NONE,
@@ -63,9 +67,11 @@ class AttackConfig:
     her own probe photon on the final leg; ``trojan_angle`` is the probe
     polarization for the simple Trojan; ``theta_oracle`` enables the
     counterfactual estimator validation mode of the standard-state strategy, in
-    which the harness feeds Eve the true theta values after the fact. Only
-    ``standard_state`` accepts ``theta_oracle`` and only ``impersonation``
-    accepts ``guess_weights``.
+    which the harness feeds Eve the true theta values after the fact. A knob
+    other than its default is accepted only by the strategies that use it:
+    ``eve_tap_fraction`` by the probe-capture strategies, ``trojan_angle``
+    by ``simple_trojan``, ``theta_oracle`` by ``standard_state`` and
+    ``guess_weights`` by ``impersonation``.
     """
 
     strategy: str = STRATEGY_NONE
@@ -80,35 +86,41 @@ class AttackConfig:
     def __post_init__(self) -> None:
         if self.strategy not in STRATEGIES:
             raise ConfigError(f"attack: unknown strategy {self.strategy!r}")
-        check_real("eve_tap_fraction", self.eve_tap_fraction, 0, 1, ConfigError)
-        check_real("trojan_angle", self.trojan_angle, error=ConfigError)
-        check_real("attack_probability", self.attack_probability, 0, 1, ConfigError)
+        check_real("eve_tap_fraction", self.eve_tap_fraction, 0, 1)
+        check_real("trojan_angle", self.trojan_angle)
+        check_real("attack_probability", self.attack_probability, 0, 1)
         if not isinstance(self.theta_oracle, bool):
             raise ConfigError(
                 f"theta_oracle: must be true or false, got {self.theta_oracle!r}"
             )
-        if self.theta_oracle and self.strategy != STRATEGY_STANDARD_STATE:
-            raise ConfigError(
-                f"theta_oracle: applies only to {STRATEGY_STANDARD_STATE}, "
-                f"got attack {self.strategy!r}"
-            )
-        if self.guess_weights is not None:
-            if self.strategy != STRATEGY_IMPERSONATION:
+        for name, used, strategies in (
+            ("eve_tap_fraction", self.eve_tap_fraction != 1, _PROBE_CAPTURE),
+            ("trojan_angle", self.trojan_angle != 0, (STRATEGY_SIMPLE_TROJAN,)),
+            ("theta_oracle", self.theta_oracle, (STRATEGY_STANDARD_STATE,)),
+            ("guess_weights", self.guess_weights is not None, (STRATEGY_IMPERSONATION,)),
+        ):
+            if used and self.strategy not in strategies:
                 raise ConfigError(
-                    f"guess_weights: applies only to {STRATEGY_IMPERSONATION}, "
+                    f"{name}: applies only to {', '.join(strategies)}, "
                     f"got attack {self.strategy!r}"
                 )
+        if self.guess_weights is not None:
             if not isinstance(self.guess_weights, (list, tuple)):
                 raise ConfigError(
                     f"guess_weights: must be a list of numbers, got {self.guess_weights!r}"
                 )
             object.__setattr__(self, "guess_weights", tuple(self.guess_weights))
             for weight in self.guess_weights:
-                check_real("guess_weights", weight, 0, error=ConfigError)
-            if sum(self.guess_weights) <= 0:
+                check_real("guess_weights", weight, 0)
+            total = sum(self.guess_weights)
+            if total <= 0:
                 raise ConfigError(
                     f"guess_weights: need nonnegative weights with a positive sum, "
                     f"got {self.guess_weights}"
+                )
+            if not math.isfinite(total):
+                raise ConfigError(
+                    f"guess_weights: the sum overflows, got {self.guess_weights}"
                 )
 
 

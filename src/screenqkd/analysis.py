@@ -22,6 +22,7 @@ information leaked about the key.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 from dataclasses import asdict, dataclass, fields, replace
@@ -29,7 +30,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .adversary import AttackConfig, build_interceptor
-from .errors import ParameterError
+from .errors import ConfigError
 from .photonics import PI, Origin
 from .protocol import (
     ProtocolParams,
@@ -78,7 +79,7 @@ def ie_sum(n: int) -> float:
     because paired screening angles sum to pi/2.
     """
     if n < 1:
-        raise ParameterError(f"n must be >= 1, got {n}")
+        raise ConfigError(f"n must be >= 1, got {n}")
     return sum(math.sin(a - PI / 2) ** 2 for a in screening_angles(n))
 
 
@@ -108,11 +109,6 @@ class TrialCounts:
     beamsplit_reported: int = 0
     beamsplit_conclusive: int = 0
     verdict: str = Verdict.ACCEPTED.value
-
-    def add_into(self, total: "TrialCounts") -> None:
-        for f in fields(self):
-            if f.name != "verdict":
-                setattr(total, f.name, getattr(total, f.name) + getattr(self, f.name))
 
 
 def _ratio(num: int, den: int) -> Optional[float]:
@@ -215,18 +211,32 @@ def score_trial(
 
 @dataclass
 class ExperimentReport:
-    """Aggregated result of `trials` sessions at one parameter point."""
+    """Aggregated result of one session per trial at one parameter point.
 
-    schema_version: str
+    Holds only what it cannot derive; the totals, the verdict histogram
+    and the theory block follow from `params` and `per_trial`.
+    """
+
+    params: ProtocolParams
     config: dict
-    seed: int
-    trials: int
-    rounds_per_trial: int
-    totals: TrialCounts
     per_trial: list[TrialCounts]
     sessions: list[SessionSummary]
-    verdicts: dict[str, int]
-    theory: dict[str, float]
+
+    @functools.cached_property
+    def totals(self) -> TrialCounts:
+        """Field-wise sum of the per-trial counters, folded once."""
+        return TrialCounts(
+            **{
+                f.name: sum(getattr(c, f.name) for c in self.per_trial)
+                for f in fields(TrialCounts)
+                if f.name != "verdict"
+            },
+            verdict="",  # not meaningful on the aggregate
+        )
+
+    @property
+    def verdicts(self) -> dict[str, int]:
+        return {v.value: sum(c.verdict == v.value for c in self.per_trial) for v in Verdict}
 
     @property
     def sift_rate(self) -> float:
@@ -291,12 +301,13 @@ class ExperimentReport:
                 raise ValueError(f"rate out of [0, 1]: {rate}")
 
     def to_dict(self) -> dict:
+        n = self.params.n_screening
         return {
-            "schema_version": self.schema_version,
+            "schema_version": SCHEMA_VERSION,
             "config": self.config,
-            "seed": self.seed,
-            "trials": self.trials,
-            "rounds_per_trial": self.rounds_per_trial,
+            "seed": self.params.seed,
+            "trials": len(self.per_trial),
+            "rounds_per_trial": self.params.rounds,
             "totals": asdict(self.totals),
             "per_trial": [asdict(c) for c in self.per_trial],
             # vars, not asdict: asdict would deep-copy the M-long index
@@ -307,7 +318,9 @@ class ExperimentReport:
                 for s in self.sessions
             ],
             "verdicts": self.verdicts,
-            "theory": self.theory,
+            "theory": {
+                "matching_prob": 1.0 / n, "ie_sum": ie_sum(n), "ie_mean": ie_mean(n)
+            },
             "metrics": {
                 "sift_rate": self.sift_rate,
                 "qber": self.qber,
@@ -356,41 +369,14 @@ def run_experiment(
 ) -> tuple[ExperimentReport, list[SessionTranscript]]:
     """Run `trials` independent sessions and aggregate them into a report."""
     if trials < 1:
-        raise ParameterError(f"trials must be >= 1, got {trials}")
-    totals = TrialCounts()
-    per_trial: list[TrialCounts] = []
-    sessions: list[SessionSummary] = []
-    verdicts: dict[str, int] = {v.value: 0 for v in Verdict}
-    transcripts: list[SessionTranscript] = []
-    for trial in range(trials):
-        counts, summary, transcript = run_trial(
-            params, attack, trial, channel_loss, keep_transcript=keep_transcripts
-        )
-        counts.add_into(totals)
-        verdicts[counts.verdict] += 1
-        per_trial.append(counts)
-        sessions.append(summary)
-        if transcript is not None:
-            transcripts.append(transcript)
-    totals.verdict = ""  # not meaningful on the aggregate
-    report = ExperimentReport(
-        schema_version=SCHEMA_VERSION,
-        config=config_echo or {},
-        seed=params.seed,
-        trials=trials,
-        rounds_per_trial=params.rounds,
-        totals=totals,
-        per_trial=per_trial,
-        sessions=sessions,
-        verdicts=verdicts,
-        theory={
-            "matching_prob": 1.0 / params.n_screening,
-            "ie_sum": ie_sum(params.n_screening),
-            "ie_mean": ie_mean(params.n_screening),
-        },
+        raise ConfigError(f"trials must be >= 1, got {trials}")
+    per_trial, sessions, transcripts = zip(
+        *(run_trial(params, attack, trial, channel_loss, keep_transcripts)
+          for trial in range(trials))
     )
+    report = ExperimentReport(params, config_echo or {}, list(per_trial), list(sessions))
     report.validate()
-    return report, transcripts
+    return report, [t for t in transcripts if t is not None]
 
 
 def security_curve(
@@ -410,7 +396,7 @@ def security_curve(
     binomial for the realized round count); a breach raises ValueError.
     """
     if sorted(set(n_values)) != list(n_values):
-        raise ParameterError(f"n_values must be strictly increasing, got {n_values}")
+        raise ConfigError(f"n_values must be strictly increasing, got {n_values}")
     curve: list[dict] = []
     reports: dict[int, ExperimentReport] = {}
     for n in n_values:

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ConfigError
 from .photonics import Pulse, beam_split
 
 if TYPE_CHECKING:
@@ -72,7 +72,7 @@ def transmit(
     a beam splitter whose tapped output is discarded.
     """
     if not 0.0 <= loss <= 1.0:
-        raise ParameterError(f"loss must be in [0, 1], got {loss}")
+        raise ConfigError(f"loss must be in [0, 1], got {loss}")
     if interceptor is not None:
         pulse = interceptor.intercept(leg, pulse, round_id, rng_eve)
     return beam_split(pulse, loss, rng_channel)[1]

@@ -14,13 +14,14 @@ import dataclasses
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .adversary import STRATEGIES, STRATEGY_NONE, AttackConfig
+from .adversary import STRATEGIES, STRATEGY_NONE, AttackConfig, build_interceptor
 from .analysis import (
     CURVE_COLUMNS,
+    SCHEMA_VERSION,
     ExperimentReport,
     emit_report,
     flat_rows,
@@ -29,54 +30,59 @@ from .analysis import (
     write_flat_table,
     write_transcripts,
 )
-from .errors import ConfigError, ParameterError, check_int, check_real
+from .errors import ConfigError, check_int, check_real
 from .protocol import MODE_PULSE, MODE_SINGLE, ProtocolParams
 
 OUTDIR_ENV = "SCREENQKD_OUTDIR"
+
+
+# The two config keys (and flags) named differently from the library
+# fields they set: field name -> config key.
+RENAMED = {"n_screening": "n", "strategy": "attack"}
+
+
+def _keys(cls: type, skip: tuple[str, ...] = ()) -> dict[str, str]:
+    """Config key -> field name, for the fields of `cls` not in `skip`."""
+    return {
+        RENAMED.get(f.name, f.name): f.name
+        for f in dataclasses.fields(cls)
+        if f.name not in skip
+    }
 
 
 @dataclass
 class ExperimentConfig:
     """Everything one run needs; validated before any session starts."""
 
-    n: int = 2
+    params: ProtocolParams = field(default_factory=ProtocolParams)
+    attack: AttackConfig = field(default_factory=AttackConfig)
     sweep_n: Optional[list[int]] = None
-    rounds: int = 100_000
-    p_analyzing: float = 0.2
-    transmission: float = 0.9
-    mode: str = MODE_SINGLE
-    mean_photons: float = 1.0
     loss: float = 0.0
     trials: int = 1
-    seed: int = 1
-    attack: str = STRATEGY_NONE
-    eve_tap_fraction: float = 1.0
-    trojan_angle: float = 0.0
-    attack_probability: float = 1.0
-    theta_oracle: bool = False
-    guess_weights: Optional[list[float]] = None
-    digest: str = "sha256"
     outdir: Optional[str] = None
     emit_transcript: bool = False
     rate_law_epsilon: Optional[float] = None
 
     def validate(self) -> None:
-        """Check the fields only the runner uses; the library types check the rest."""
+        """Check the fields only the runner uses, then build the strategy for
+        every N the run will use; the library types check the rest."""
         if self.sweep_n is not None:
             if not isinstance(self.sweep_n, list):
                 raise ConfigError(
                     f"sweep-N: must be a list of integers, got {self.sweep_n!r}"
                 )
             for n in self.sweep_n:
-                check_int("sweep-N", n, 1, ConfigError)
+                check_int("sweep-N", n, 1)
             if not self.sweep_n or sorted(set(self.sweep_n)) != self.sweep_n:
                 raise ConfigError(
                     f"sweep-N: must be strictly increasing, got {self.sweep_n}"
                 )
-        check_real("loss", self.loss, 0, 1, ConfigError)
-        check_int("trials", self.trials, 1, ConfigError)
+        check_real("loss", self.loss, 0, 1)
+        check_int("trials", self.trials, 1)
         if self.rate_law_epsilon is not None:
-            check_real("rate-law-epsilon", self.rate_law_epsilon, 0, error=ConfigError)
+            check_real("rate-law-epsilon", self.rate_law_epsilon, 0)
+            if not self.sweep_n:
+                raise ConfigError("rate-law-epsilon: sweep-N runs only, not a single N")
         if not isinstance(self.emit_transcript, bool):
             raise ConfigError(
                 f"emit-transcript: must be true or false, got {self.emit_transcript!r}"
@@ -85,47 +91,31 @@ class ExperimentConfig:
             raise ConfigError("emit-transcript: single-point runs only, not with sweep-N")
         if self.outdir is not None and not isinstance(self.outdir, str):
             raise ConfigError(f"outdir: must be a path string, got {self.outdir!r}")
-        try:
-            self.protocol_params()
-            self.attack_config()
-        except (ParameterError, ConfigError) as exc:
-            raise ConfigError(str(exc)) from None
-
-    def protocol_params(self, n: Optional[int] = None) -> ProtocolParams:
-        return ProtocolParams(
-            n_screening=self.n if n is None else n,
-            rounds=self.rounds,
-            p_analyzing=self.p_analyzing,
-            transmission=self.transmission,
-            mode=self.mode,
-            mean_photons=self.mean_photons,
-            seed=self.seed,
-            digest=self.digest,
-        )
-
-    def attack_config(self) -> AttackConfig:
-        return AttackConfig(
-            strategy=self.attack,
-            eve_tap_fraction=self.eve_tap_fraction,
-            trojan_angle=self.trojan_angle,
-            attack_probability=self.attack_probability,
-            theta_oracle=self.theta_oracle,
-            guess_weights=self.guess_weights or None,
-        )
+        for n in self.sweep_n or [self.params.n_screening]:
+            build_interceptor(self.attack, replace(self.params, n_screening=n))
 
     def echo(self) -> dict:
         # output-destination fields do not describe the experiment and would
         # break byte-identity of re-runs landing in different directories
-        doc = dataclasses.asdict(self)
-        doc.pop("outdir")
-        doc.pop("emit_transcript")
-        return doc
+        return {
+            key: getattr(part, name)
+            for part, keys in (
+                (self.params, PARAM_KEYS), (self.attack, ATTACK_KEYS), (self, RUN_KEYS)
+            )
+            for key, name in keys.items()
+            if key not in ("outdir", "emit_transcript")
+        }
 
     def resolve_outdir(self) -> Optional[Path]:
         if self.outdir is not None:
             return Path(self.outdir)
         env = os.environ.get(OUTDIR_ENV)
         return Path(env) if env else None
+
+
+PARAM_KEYS = _keys(ProtocolParams)
+ATTACK_KEYS = _keys(AttackConfig)
+RUN_KEYS = _keys(ExperimentConfig, skip=("params", "attack"))
 
 
 def _parse_n_list(text: str) -> list[int]:
@@ -191,23 +181,29 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
     if args.config:
         try:
             with open(args.config) as handle:
-                file_values = json.load(handle)
+                values = json.load(handle)
         except OSError as exc:
             raise ConfigError(f"config: cannot read {args.config}: {exc}") from None
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON, bad UTF-8, or an int with too many digits
             raise ConfigError(f"config: invalid JSON in {args.config}: {exc}") from None
-        if not isinstance(file_values, dict):
+        if not isinstance(values, dict):
             raise ConfigError(f"config: {args.config} must hold a JSON object")
-        known = {f.name for f in dataclasses.fields(ExperimentConfig)}
-        for key, value in file_values.items():
-            if key not in known:
-                raise ConfigError(f"config: unknown field {key!r}")
-            values[key] = value
-    for name in (f.name for f in dataclasses.fields(ExperimentConfig)):
-        flag_value = getattr(args, name, None)
-        if flag_value is not None:
-            values[name] = flag_value
-    config = ExperimentConfig(**values)
+    known = {**PARAM_KEYS, **ATTACK_KEYS, **RUN_KEYS}
+    for key in values:
+        if key not in known:
+            raise ConfigError(f"config: unknown field {key!r}")
+    for key in known:
+        if getattr(args, key, None) is not None:
+            values[key] = getattr(args, key)
+
+    def pick(keys: dict[str, str]) -> dict:
+        return {name: values[key] for key, name in keys.items() if key in values}
+
+    config = ExperimentConfig(
+        ProtocolParams(**pick(PARAM_KEYS)),
+        AttackConfig(**pick(ATTACK_KEYS)),
+        **pick(RUN_KEYS),
+    )
     config.validate()
     return config
 
@@ -216,7 +212,7 @@ def _print_summary(label: str, report: ExperimentReport) -> None:
     def fmt(x: Optional[float]) -> str:
         return "absent" if x is None else f"{x:.6f}"
 
-    print(f"[{label}] rounds={report.totals.rounds} trials={report.trials}")
+    print(f"[{label}] rounds={report.totals.rounds} trials={len(report.per_trial)}")
     print(f"  sift_rate={report.sift_rate:.6f}  sifted_bits={report.totals.sifted_bits}")
     print(f"  qber={fmt(report.qber)}")
     print(
@@ -258,20 +254,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
 
     outdir = config.resolve_outdir()
-    attack = config.attack_config()
+    params, attack = config.params, config.attack
     failures: list[str] = []
     try:
         if config.sweep_n:
             rows = []
             report_doc: dict = {"sweep": {}}
-            base = config.protocol_params(config.sweep_n[0])
             try:
                 curve, reports = security_curve(
-                    base, attack, config.sweep_n,
+                    params, attack, config.sweep_n,
                     trials=config.trials, channel_loss=config.loss,
                     rate_law_epsilon=config.rate_law_epsilon,
                 )
-            except (ConfigError, ParameterError):
+            except ConfigError:
                 raise  # invalid input, not a failed check: exits 2 below
             except ValueError as exc:
                 print(f"assertion failed: {exc}", file=sys.stderr)
@@ -282,10 +277,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 doc = report.to_dict()
                 doc["config"] = {**config.echo(), "n": n}
                 report_doc["sweep"][str(n)] = doc
-                rows.extend(flat_rows(report, n, config.mode, config.attack))
-                if config.attack == STRATEGY_NONE:
+                rows.extend(flat_rows(report, n, params.mode, attack.strategy))
+                if attack.strategy == STRATEGY_NONE:
                     failures += [f"N={n}: {f}" for f in _honest_assertions(report)]
-            report_doc["schema_version"] = reports[config.sweep_n[0]].schema_version
+            report_doc["schema_version"] = SCHEMA_VERSION
             report_doc["config"] = config.echo()
             report_doc["curve"] = curve
             if outdir is not None:
@@ -293,23 +288,22 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 write_flat_table(CURVE_COLUMNS, curve, Path(outdir) / "curve.csv")
                 print(f"wrote {paths['report']} and {paths['table']}")
         else:
-            params = config.protocol_params()
             report, transcripts = run_experiment(
                 params, attack,
                 trials=config.trials, channel_loss=config.loss,
                 config_echo=config.echo(),
                 keep_transcripts=config.emit_transcript,
             )
-            _print_summary(f"N={config.n} attack={config.attack}", report)
+            _print_summary(f"N={params.n_screening} attack={attack.strategy}", report)
             if outdir is not None:
-                rows = flat_rows(report, config.n, config.mode, config.attack)
+                rows = flat_rows(report, params.n_screening, params.mode, attack.strategy)
                 paths = emit_report(report.to_dict(), rows, outdir)
                 if config.emit_transcript:
                     write_transcripts(transcripts, outdir)
                 print(f"wrote {paths['report']} and {paths['table']}")
-            if config.attack == STRATEGY_NONE:
+            if attack.strategy == STRATEGY_NONE:
                 failures = _honest_assertions(report)
-    except (ConfigError, ParameterError) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

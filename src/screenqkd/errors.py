@@ -3,10 +3,7 @@ that raise them."""
 
 import math
 import numbers
-
-
-class ParameterError(ValueError):
-    """A numeric argument is outside its allowed range."""
+import sys
 
 
 class ProtocolError(RuntimeError):
@@ -14,28 +11,26 @@ class ProtocolError(RuntimeError):
 
 
 class ConfigError(ValueError):
-    """An experiment configuration is invalid; carries the offending field name."""
+    """Invalid input: a parameter is out of range, of the wrong type, or not
+    meaningful with the others; the message names the offending field."""
 
 
-def check_int(
-    name: str, value: object, minimum: float = -math.inf, error: type = ParameterError
-) -> None:
+def check_int(name: str, value: object, minimum: float = -math.inf) -> None:
     """Require an integer (bool excluded) that is at least `minimum`."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise error(f"{name}: must be an integer, got {value!r}")
+        raise ConfigError(f"{name}: must be an integer, got {value!r}")
     if value < minimum:
-        raise error(f"{name}: must be >= {minimum}, got {value}")
+        raise ConfigError(f"{name}: must be >= {minimum}, got {value}")
 
 
 def check_real(
-    name: str,
-    value: object,
-    low: float = -math.inf,
-    high: float = math.inf,
-    error: type = ParameterError,
+    name: str, value: object, low: float = -math.inf, high: float = math.inf
 ) -> None:
     """Require a finite real number (bool excluded) in [low, high]."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise error(f"{name}: must be a number, got {value!r}")
-    if not (math.isfinite(value) and low <= value <= high):
-        raise error(f"{name}: must be a finite number in [{low}, {high}], got {value}")
+        raise ConfigError(f"{name}: must be a number, got {value!r}")
+    # Comparisons, unlike math.isfinite, also reject ints too large for a float.
+    if not (low <= value <= high and abs(value) <= sys.float_info.max):
+        raise ConfigError(
+            f"{name}: must be a finite number in [{low}, {high}], got {value}"
+        )

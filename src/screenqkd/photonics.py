@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ConfigError
 
 PI = math.pi
 
@@ -36,7 +36,9 @@ MAX_MEAN_PHOTONS = 100
 
 def canon(radians: float) -> float:
     """Canonicalize a polarization angle into [0, pi)."""
-    return radians % PI
+    # For tiny negative inputs the remainder rounds up to exactly pi.
+    r = radians % PI
+    return 0.0 if r == PI else r
 
 
 def angles_close(a: float, b: float, tol: float = ANGLE_TOL) -> bool:
@@ -66,7 +68,7 @@ class Photon:
         object.__setattr__(self, "polarization", canon(self.polarization))
 
     def rotated(self, delta: float) -> Photon:
-        return Photon(canon(self.polarization + delta), self.origin)
+        return Photon(self.polarization + delta, self.origin)
 
 
 @dataclass(frozen=True, slots=True)
@@ -116,17 +118,16 @@ def make_pulse(
 ) -> Pulse:
     """Prepare a pulse with Poissonian photon number, all at one polarization."""
     if not 0 <= mean_photons <= MAX_MEAN_PHOTONS:
-        raise ParameterError(
+        raise ConfigError(
             f"mean_photons must be in [0, {MAX_MEAN_PHOTONS}], got {mean_photons}"
         )
     n = int(rng.poisson(mean_photons))
-    pol = canon(polarization)
-    return Pulse(tuple(Photon(pol) for _ in range(n)))
+    return Pulse(tuple(Photon(polarization) for _ in range(n)))
 
 
 def single_photon_pulse(polarization: float) -> Pulse:
     """Prepare a pulse containing exactly one photon."""
-    return Pulse((Photon(canon(polarization)),))
+    return Pulse((Photon(polarization),))
 
 
 def beam_split(
@@ -139,7 +140,7 @@ def beam_split(
     outputs partition the input.
     """
     if not 0.0 <= tap_fraction <= 1.0:
-        raise ParameterError(f"tap_fraction must be in [0, 1], got {tap_fraction}")
+        raise ConfigError(f"tap_fraction must be in [0, 1], got {tap_fraction}")
     if tap_fraction == 0.0 or pulse.is_empty:
         return Pulse(), pulse
     if tap_fraction == 1.0:

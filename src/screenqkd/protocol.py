@@ -34,7 +34,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .channel import Interceptor, Leg, transmit
-from .errors import ParameterError, ProtocolError, check_int, check_real
+from .errors import ConfigError, ProtocolError, check_int, check_real
 from .photonics import (
     DIAGONAL,
     MAX_MEAN_PHOTONS,
@@ -58,7 +58,7 @@ def screening_angles(n: int) -> list[float]:
     (alpha_i, alpha_{N+1-i}) always sums to pi/2.
     """
     if n < 1:
-        raise ParameterError(f"screening set size must be >= 1, got {n}")
+        raise ConfigError(f"screening set size must be >= 1, got {n}")
     return [i * PI / (2 * (n + 1)) for i in range(1, n + 1)]
 
 
@@ -85,16 +85,16 @@ class ProtocolParams:
         check_real("p_analyzing", self.p_analyzing, 0, 1)
         check_real("transmission", self.transmission, 0, 1)
         if self.mode not in (MODE_SINGLE, MODE_PULSE):
-            raise ParameterError(f"mode must be 'single' or 'pulse', got {self.mode!r}")
+            raise ConfigError(f"mode must be 'single' or 'pulse', got {self.mode!r}")
         check_real("mean_photons", self.mean_photons, 0, MAX_MEAN_PHOTONS)
         check_int("seed", self.seed)
         try:
             digest_size = hashlib.new(self.digest).digest_size
         except (ValueError, TypeError):
-            raise ParameterError(f"unknown digest algorithm {self.digest!r}") from None
+            raise ConfigError(f"unknown digest algorithm {self.digest!r}") from None
         if digest_size == 0:
             # shake_* digests take a length argument that key_digest never passes
-            raise ParameterError(
+            raise ConfigError(
                 f"digest: {self.digest!r} has no fixed length; choose e.g. 'sha256'"
             )
 
@@ -251,9 +251,9 @@ def alice_encode(
     Returns (pulse to Bob, AD outcome bits, AD outcome origins).
     """
     if k not in (0, 1):
-        raise ParameterError(f"key bit must be 0 or 1, got {k}")
+        raise ConfigError(f"key bit must be 0 or 1, got {k}")
     if not 1 <= a_index <= params.n_screening:
-        raise ParameterError(f"a_index must be in [1, {params.n_screening}], got {a_index}")
+        raise ConfigError(f"a_index must be in [1, {params.n_screening}], got {a_index}")
     alpha_a = params.angles[a_index - 1]
     sign = 1.0 if k == 0 else -1.0
     rotated = pulse.rotated(-theta + sign * PI / 4 + alpha_a)

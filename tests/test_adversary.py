@@ -55,6 +55,14 @@ class TestConfigValidation:
             AttackConfig(strategy="simple_trojan", theta_oracle=True)
         with pytest.raises(ConfigError):
             AttackConfig(strategy="pns_trojan", guess_weights=(1.0, 1.0))
+        for strategy, ignored in (
+            ("standard_state", dict(trojan_angle=0.7)),
+            ("impersonation", dict(eve_tap_fraction=0.3)),
+            ("passive_pns", dict(eve_tap_fraction=0.3)),
+            ("impersonation", dict(guess_weights=())),
+        ):
+            with pytest.raises(ConfigError):
+                AttackConfig(strategy=strategy, **ignored)
 
     def test_none_builds_nothing(self):
         assert build_interceptor(AttackConfig(), _params()) is None
@@ -163,6 +171,9 @@ class TestImpersonation:
             AttackConfig(strategy="impersonation", guess_weights=(0.0, 0.0))
         with pytest.raises(ConfigError):
             AttackConfig(strategy="impersonation", guess_weights=(float("nan"), 1.0))
+        with pytest.raises(ConfigError):
+            # each weight is finite, but the sum overflows to inf
+            AttackConfig(strategy="impersonation", guess_weights=(1e308, 1e308))
 
 
 class TestPulseBeamSplit:
@@ -372,7 +383,7 @@ class TestPassivePns:
         report, _ = run_experiment(params, AttackConfig(strategy="passive_pns"))
         assert report.qber == 0.0
         assert report.totals.ad_violations == 0
-        assert report.verdicts["accepted"] == report.trials
+        assert report.verdicts["accepted"] == len(report.per_trial)
 
     def test_key_accuracy_stays_blind(self):
         params = _params(

@@ -15,7 +15,7 @@ from screenqkd.analysis import (
     security_curve,
     write_transcripts,
 )
-from screenqkd.errors import ParameterError
+from screenqkd.errors import ConfigError
 from screenqkd.protocol import ProtocolParams
 
 from conftest import binom_sigma
@@ -44,7 +44,7 @@ class TestIeSum:
             assert ie_mean(n) == pytest.approx(0.5, abs=1e-12)
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ConfigError):
             ie_sum(0)
 
 
@@ -204,7 +204,7 @@ class TestSecurityCurve:
             security_curve(base, AttackConfig(), [2], rate_law_epsilon=1e-9)
 
     def test_rejects_unsorted_n(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ConfigError):
             security_curve(_params(), AttackConfig(), [3, 2])
 
 

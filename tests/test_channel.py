@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from screenqkd.channel import Interceptor, Leg, transmit
-from screenqkd.errors import ParameterError
+from screenqkd.errors import ConfigError
 from screenqkd.photonics import Photon, Pulse
 from screenqkd.protocol import ProtocolParams, run_session
 
@@ -28,7 +28,7 @@ class TestTransmit:
         assert out.is_empty
 
     def test_invalid_loss(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ConfigError):
             transmit(_pulse(1), Leg.ALICE_TO_BOB_1, 1, loss=1.5)
 
     def test_identity_interceptor_equivalent_to_none(self):

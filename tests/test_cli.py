@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import screenqkd
-from screenqkd import cli
+from screenqkd import analysis, cli
 from screenqkd.adversary import AttackConfig
 from screenqkd.analysis import run_experiment
 from screenqkd.cli import ExperimentConfig, load_config, main
@@ -100,6 +100,24 @@ def test_honest_sweep_asserts_each_report(monkeypatch, capsys):
     assert "N=3: honest run produced nonzero QBER" in capsys.readouterr().err
 
 
+def test_sweep_checks_every_n_before_any_session(monkeypatch, capsys):
+    sessions = []
+    real_run_session = analysis.run_session
+
+    def counting_run_session(*args, **kwargs):
+        sessions.append(args)
+        return real_run_session(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "run_session", counting_run_session)
+    code = main(
+        ["--sweep-N", "2,3", "--attack", "impersonation", "--guess-weights", "1,1",
+         "--rounds", "2000"]
+    )
+    assert code == 2
+    assert sessions == []
+    assert "guess_weights: expected 3 weights, got 2" in capsys.readouterr().err
+
+
 def test_sweep_rate_law_breach_exits_one(capsys):
     code = main(
         ["--sweep-N", "2", "--rounds", "3000", "--seed", "9",
@@ -174,12 +192,12 @@ def test_load_config_validates():
 def test_default_config_is_valid():
     config = ExperimentConfig()
     config.validate()
-    assert config.protocol_params().n_screening == 2
-    assert config.attack_config().strategy == "none"
+    assert config.params.n_screening == 2
+    assert config.attack.strategy == "none"
 
 
-# (JSON config or None, flags): each is invalid input that must be reported
-# as one "error:" line with exit 2 before any output exists.
+# (JSON config, raw config bytes or None, flags): each is invalid input that
+# must be reported as one "error:" line with exit 2 before any output exists.
 INVALID_INPUTS = {
     "rounds-string": ({"rounds": "100"}, []),
     "rounds-fraction": ({"rounds": 10.5}, []),
@@ -192,6 +210,20 @@ INVALID_INPUTS = {
     "sweep-with-transcript": (None, ["--sweep-N", "2,3", "--emit-transcript"]),
     "sweep-mode-mismatch": (None, ["--sweep-N", "2,3", "--attack", "impersonation",
                                    "--mode", "pulse"]),
+    "sweep-guess-weights-length": (None, ["--sweep-N", "2,3", "--attack", "impersonation",
+                                          "--guess-weights", "1,1"]),
+    "guess-weights-sum-overflow": (None, ["--attack", "impersonation",
+                                          "--guess-weights", "1e308,1e308"]),
+    "guess-weights-empty": (None, ["--attack", "impersonation", "--guess-weights", ""]),
+    "rate-law-epsilon-single-point": (None, ["--rate-law-epsilon", "0.1"]),
+    "trojan-angle-other-strategy": (None, ["--attack", "standard_state",
+                                           "--trojan-angle", "0.7"]),
+    "eve-tap-fraction-other-strategy": (None, ["--attack", "impersonation",
+                                               "--eve-tap-fraction", "0.3"]),
+    "int-too-large-for-float": ({"attack": "simple_trojan", "trojan_angle": 10**400}, []),
+    # raw config bytes that json.load rejects with a ValueError of its own
+    "int-over-digit-limit": (b'{"rounds": 1' + b"0" * 5000 + b"}", []),
+    "config-not-utf8": (b'\xff{"rounds": 10}', []),
 }
 
 
@@ -202,7 +234,8 @@ def test_invalid_input_exits_two_without_traceback(tmp_path, case):
         argv = ["--rounds", "200", *argv]
     else:
         config_path = tmp_path / "config.json"
-        config_path.write_text(json.dumps(config))
+        raw = config if isinstance(config, bytes) else json.dumps(config).encode()
+        config_path.write_bytes(raw)
         argv = ["--config", str(config_path), *argv]
     outdir = tmp_path / "out"
     src = str(Path(screenqkd.__file__).resolve().parents[1])

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from screenqkd.errors import ParameterError
+from screenqkd import photonics
+from screenqkd.errors import ConfigError
 from screenqkd.photonics import (
     DIAGONAL,
     PI,
@@ -39,12 +40,31 @@ class TestCanonialization:
         assert angles_close(canon(0.3), canon(0.3 + PI))
         assert angles_close(canon(0.1), canon(0.1 - 3 * PI))
 
+    def test_tiny_negative_angles_map_to_zero(self):
+        # x % pi rounds up to exactly pi for -2.2e-16 < x < 0
+        for x in (-1e-17, -1e-20):
+            assert canon(x) == 0.0
+            assert Photon(x).polarization == 0.0
+
 
 def rotate(state: float, delta: float) -> float:
     return Photon(state).rotated(delta).polarization
 
 
 class TestRotate:
+    def test_canonicalizes_once(self, monkeypatch):
+        calls = []
+        real_canon = photonics.canon
+
+        def counting_canon(radians):
+            calls.append(radians)
+            return real_canon(radians)
+
+        photon = Photon(2.9)
+        monkeypatch.setattr(photonics, "canon", counting_canon)
+        assert photon.rotated(0.5).polarization == real_canon(3.4)
+        assert len(calls) == 1
+
     def test_identity(self):
         assert rotate(0.3, 0.0) == pytest.approx(0.3, abs=1e-15)
 
@@ -146,9 +166,9 @@ class TestPulsePreparation:
 
     def test_negative_mean_rejected(self):
         rng = np.random.default_rng(12)
-        with pytest.raises(ParameterError):
+        with pytest.raises(ConfigError):
             make_pulse(0.0, -0.1, rng)
-        with pytest.raises(ParameterError):
+        with pytest.raises(ConfigError):
             make_pulse(0.0, 101.0, rng)
 
 
@@ -196,9 +216,9 @@ class TestBeamSplit:
 
     def test_out_of_range_rejected(self):
         rng = np.random.default_rng(18)
-        with pytest.raises(ParameterError):
+        with pytest.raises(ConfigError):
             beam_split(Pulse((Photon(0.0),)), 1.5, rng)
-        with pytest.raises(ParameterError):
+        with pytest.raises(ConfigError):
             beam_split(Pulse((Photon(0.0),)), -0.1, rng)
 
 

@@ -2,14 +2,22 @@
 
 An honest session is clean for any valid parameters, and a strategy that
 never acts (``attack_probability = 0``) leaves the session bit-identical
-to the honest one. The examples are derandomized, so every run checks the
-same inputs.
+to the honest one. Every report passes its own consistency check, its
+totals do not depend on the order of the trials, and any JSON config
+either loads or is rejected with a ``ConfigError``. The examples are
+derandomized, so every run checks the same inputs.
 """
+
+import json
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from screenqkd.adversary import AttackConfig, build_interceptor
+from screenqkd import analysis, cli, protocol
+from screenqkd.adversary import STRATEGIES, AttackConfig, build_interceptor
+from screenqkd.analysis import ExperimentReport, TrialCounts, run_experiment
+from screenqkd.errors import ConfigError
 from screenqkd.protocol import MODE_PULSE, MODE_SINGLE, ProtocolParams, Verdict, run_session
 
 STRATEGIES_BY_MODE = {
@@ -54,3 +62,97 @@ def test_idle_strategies_reproduce_honest_session(params, loss):
         attacked = run_session(params, idle, channel_loss=loss)
         assert attacked.rounds == honest.rounds, strategy
         assert idle.produce_guesses() == {}, strategy
+
+
+@GENERATED
+@given(params=params, loss=unit, p=unit, trials=st.integers(1, 3), data=st.data())
+def test_every_report_validates(params, loss, p, trials, data):
+    strategy = data.draw(st.sampled_from(("none", *STRATEGIES_BY_MODE[params.mode])))
+    attack = AttackConfig(strategy=strategy, attack_probability=p)
+    report, _ = run_experiment(params, attack, trials, loss)
+    report.validate()
+
+
+counters = st.builds(
+    TrialCounts,
+    **{name: st.integers(0, 10**6) for name in vars(TrialCounts()) if name != "verdict"},
+    verdict=st.sampled_from([v.value for v in Verdict]),
+)
+
+
+@GENERATED
+@given(per_trial=st.lists(counters, min_size=1, max_size=8), data=st.data())
+def test_totals_do_not_depend_on_trial_order(per_trial, data):
+    report = ExperimentReport(ProtocolParams(), {}, per_trial, [])
+    shuffled = ExperimentReport(
+        ProtocolParams(), {}, data.draw(st.permutations(per_trial)), []
+    )
+    assert shuffled.totals == report.totals
+    assert shuffled.verdicts == report.verdicts
+
+
+json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()  # NaN and +-inf included
+    | st.text(max_size=6)
+)
+json_values = (
+    json_scalars
+    | st.lists(json_scalars, max_size=4)
+    | st.dictionaries(st.text(max_size=3), json_scalars, max_size=2)
+)
+# A plausible value per config key, so that fuzzed configs also reach the
+# checks behind the first field's.
+TYPICAL = {
+    "n": st.integers(1, 6),
+    "sweep_n": st.lists(st.integers(1, 6), unique=True).map(sorted),
+    "rounds": st.integers(1, 200),
+    "p_analyzing": unit,
+    "transmission": unit,
+    "mode": st.sampled_from((MODE_SINGLE, MODE_PULSE)),
+    "mean_photons": st.floats(0.0, 4.0),
+    "loss": unit,
+    "trials": st.integers(1, 3),
+    "seed": st.integers(),
+    "attack": st.sampled_from(STRATEGIES),
+    "eve_tap_fraction": unit,
+    "trojan_angle": st.floats(-4.0, 4.0),
+    "attack_probability": unit,
+    "theta_oracle": st.booleans(),
+    "guess_weights": st.lists(st.floats(0.0, 2.0), max_size=6),
+    "digest": st.sampled_from(("sha256", "md5", "shake_128")),
+    "outdir": st.text(max_size=6),
+    "emit_transcript": st.booleans(),
+    "rate_law_epsilon": unit,
+}
+CONFIG_KEYS = {**cli.PARAM_KEYS, **cli.ATTACK_KEYS, **cli.RUN_KEYS}
+config_docs = st.fixed_dictionaries(
+    {},
+    optional={
+        # mostly plausible, so that the other keys' checks are reached too
+        # (`|` would flatten json_values' branches and dilute TYPICAL)
+        key: st.sampled_from((TYPICAL[key],) * 3 + (json_values,)).flatmap(lambda s: s)
+        for key in CONFIG_KEYS
+    },
+)
+
+
+def _forbidden(*args, **kwargs):
+    raise AssertionError("load_config must not run a session or compute angles")
+
+
+@settings(GENERATED, max_examples=300)
+@given(doc=config_docs)
+def test_any_json_config_loads_or_raises_config_error(doc, tmp_path_factory):
+    path = tmp_path_factory.getbasetemp() / "fuzzed_config.json"
+    path.write_text(json.dumps(doc))
+    args = cli.build_parser().parse_args(["--config", str(path)])
+    with mock.patch.object(protocol, "screening_angles", _forbidden), \
+            mock.patch.object(analysis, "run_session", _forbidden):
+        try:
+            config = cli.load_config(args)
+        except ConfigError:
+            return
+    assert isinstance(config, cli.ExperimentConfig)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.stats import kstest
 
-from screenqkd.errors import ParameterError, ProtocolError
+from screenqkd.errors import ConfigError, ProtocolError
 from screenqkd.photonics import PI, Pulse, single_photon_pulse
 from screenqkd.protocol import (
     Announcement,
@@ -56,25 +56,25 @@ class TestScreeningAngles:
             assert angles[i] + angles[4 - i] == pytest.approx(PI / 2, abs=1e-12)
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ConfigError):
             screening_angles(0)
 
 
 class TestParams:
     def test_rejects_bad_values(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ConfigError):
             ProtocolParams(n_screening=0)
-        with pytest.raises(ParameterError):
+        with pytest.raises(ConfigError):
             ProtocolParams(rounds=0)
-        with pytest.raises(ParameterError):
+        with pytest.raises(ConfigError):
             ProtocolParams(p_analyzing=1.5)
-        with pytest.raises(ParameterError):
+        with pytest.raises(ConfigError):
             ProtocolParams(transmission=-0.1)
-        with pytest.raises(ParameterError):
+        with pytest.raises(ConfigError):
             ProtocolParams(mode="coherent")
-        with pytest.raises(ParameterError):
+        with pytest.raises(ConfigError):
             ProtocolParams(mean_photons=-1.0)
-        with pytest.raises(ParameterError):
+        with pytest.raises(ConfigError):
             ProtocolParams(digest="not-a-hash")
         for bad in (
             dict(n_screening=2.0), dict(rounds="100"), dict(rounds=10.5),
@@ -83,7 +83,7 @@ class TestParams:
             dict(transmission="0.9"), dict(seed=1.5), dict(mean_photons=101),
             dict(digest="shake_128"),
         ):
-            with pytest.raises(ParameterError):
+            with pytest.raises(ConfigError):
                 ProtocolParams(**bad)
 
     def test_screening_angles_computed_once(self, monkeypatch):
@@ -198,9 +198,9 @@ class TestAliceEncode:
     def test_rejects_bad_arguments(self):
         params = ProtocolParams(n_screening=2)
         rng = np.random.default_rng(9)
-        with pytest.raises(ParameterError):
+        with pytest.raises(ConfigError):
             alice_encode(single_photon_pulse(0.0), 0.0, 2, 1, params, rng)
-        with pytest.raises(ParameterError):
+        with pytest.raises(ConfigError):
             alice_encode(single_photon_pulse(0.0), 0.0, 0, 3, params, rng)
 
 
