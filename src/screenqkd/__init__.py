@@ -13,12 +13,11 @@ from .analysis import (
     run_trial,
     security_curve,
 )
-from .channel import Interceptor, Leg, transmit
+from .channel import Guesses, Interceptor, Leg, transmit
 from .errors import ConfigError, ProtocolError
 from .photonics import (
     DIAGONAL,
     Origin,
-    Photon,
     Pulse,
     beam_split,
     born_probability,
@@ -31,6 +30,7 @@ from .protocol import (
     Announcement,
     ProtocolParams,
     RoundRecord,
+    Rounds,
     SessionTranscript,
     Verdict,
     alice_encode,

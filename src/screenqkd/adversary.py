@@ -27,14 +27,14 @@ pulse, reproducing honest statistics exactly for the same seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
-from .channel import Interceptor, Leg
+from .channel import Guesses, Interceptor, Leg
 from .errors import ConfigError, check_real
-from .photonics import PI, Origin, Photon, Pulse, measure
+from .photonics import PI, Origin, Pulse, measure, single_photon_pulse
 from .protocol import Announcement, ProtocolParams, MODE_PULSE, MODE_SINGLE
 
 STRATEGY_NONE = "none"
@@ -139,64 +139,60 @@ def _normalized_guess_probs(
     return tuple(w / total for w in config.guess_weights)
 
 
-def _draw_guess_index(
-    probs: Optional[tuple[float, ...]], n: int, rng: np.random.Generator
-) -> int:
-    if probs is None:
-        return int(rng.integers(0, n))
-    u = rng.random()
-    acc = 0.0
-    for i, p in enumerate(probs):
-        acc += p
-        if u < acc:
-            return i
-    return n - 1
-
-
 class _BaseAttack(Interceptor):
     """Shared plumbing: per-round activation, quantum storage, guesses.
 
-    The channel runs the three legs of one round back to back, so state
-    needed only within a round is held for the current round alone. What
-    is kept across rounds is keyed by round id: the photons measured after
-    the announcement (``storage``, popped when measured, so each is
-    measured at most once) and the guesses.
+    Each leg arrives as one batch over every round of the session, legs in
+    order. What a strategy carries from one leg to the next is held as
+    columns over the batch's rounds, starting with ``_active``, the rounds
+    it acts on. What it measures after the announcement is ``storage``, a
+    batch of photons measured once, when the guesses are produced.
     """
 
     def __init__(self, config: AttackConfig, params: ProtocolParams) -> None:
         self.config = config
         self.params = params
-        self.storage: dict[int, Photon] = {}
-        self.guesses: dict[int, int] = {}
+        self.storage: Optional[Pulse] = None
+        self.guesses = Guesses()
         self.announcement: Optional[Announcement] = None
-        self._round: Optional[int] = None
-        self._active = False
+        self._round_ids = np.empty(0, np.intp)
+        self._active = np.zeros(0, bool)
         self._rng: Optional[np.random.Generator] = None
 
     def intercept(
-        self, leg: Leg, pulse: Pulse, round_id: int, rng: np.random.Generator
+        self, leg: Leg, pulse: Pulse, round_ids: np.ndarray, rng: np.random.Generator
     ) -> Pulse:
         self._rng = rng
-        if round_id != self._round:
-            # Activation is drawn once per round, on its first leg; the
-            # p = 0 and p = 1 cases draw nothing.
-            self._round = round_id
-            p = self.config.attack_probability
-            self._active = p == 1.0 or (p > 0.0 and rng.random() < p)
-        if not self._active:
+        if leg is Leg.ALICE_TO_BOB_1:
+            # Activation is drawn once per round, on its first leg.
+            self._round_ids = round_ids
+            self._active = rng.random(pulse.rounds) < self.config.attack_probability
+        if not self._active.any():
             return pulse
-        return self._act(leg, pulse, round_id, rng)
+        return self._act(leg, pulse, self._active[pulse.owner], rng)
 
     def _act(
-        self, leg: Leg, pulse: Pulse, round_id: int, rng: np.random.Generator
+        self, leg: Leg, pulse: Pulse, acting: np.ndarray, rng: np.random.Generator
     ) -> Pulse:
+        """Transform the batch; `acting` masks the photons of active rounds."""
         raise NotImplementedError
+
+    def _split_off(self, pulse: Pulse, acting: np.ndarray) -> np.ndarray:
+        """Mask of the first photon of each active multi-photon pulse."""
+        return acting & pulse.leading() & (pulse.counts[pulse.owner] >= 2)
 
     def observe_announcement(self, announcement: Announcement) -> None:
         self.announcement = announcement
 
-    def produce_guesses(self) -> dict[int, int]:
-        return dict(self.guesses)
+    def produce_guesses(self) -> Guesses:
+        if self.announcement is not None and self.storage is not None:
+            self.guesses = self._read_storage(self.announcement)
+            self.storage = None
+        return self.guesses
+
+    def _read_storage(self, announcement: Announcement) -> Guesses:
+        """Measure the stored photons once the announcement is public."""
+        raise NotImplementedError
 
 
 class _ImpersonationBase(_BaseAttack):
@@ -208,26 +204,34 @@ class _ImpersonationBase(_BaseAttack):
     final leg distinguishes the variants.
     """
 
-    # The current round's theta', Alice's pulse and Bob's compensated reply.
-    _theta_prime = 0.0
-    _original = _reply = Pulse()
-
     def _act(
-        self, leg: Leg, pulse: Pulse, round_id: int, rng: np.random.Generator
+        self, leg: Leg, pulse: Pulse, acting: np.ndarray, rng: np.random.Generator
     ) -> Pulse:
         if leg is Leg.ALICE_TO_BOB_1:
-            self._original = pulse
-            self._theta_prime = rng.random() * PI
-            substitute = Photon(self._theta_prime, Origin.EVE_REPLAYED)
-            return Pulse((substitute,) * pulse.count)
+            self._original = pulse.take(acting)
+            self._theta_prime = rng.random(pulse.rounds) * PI
+            substitutes = replace(
+                self._original, photons=self._theta_prime[self._original.owner]
+            )
+            return pulse.take(~acting).merged(substitutes.tagged(Origin.EVE_REPLAYED))
         if leg is Leg.BOB_TO_ALICE:
-            self._reply = pulse.rotated(-self._theta_prime)
-            return self._original
-        return self._act_final_leg(pulse, round_id, rng)
+            self._reply = pulse.take(acting).rotated(-self._theta_prime)
+            return pulse.take(~acting).merged(self._original)
+        # Eve reads the final leg's pulse in each active round; one that
+        # arrives empty stays empty.
+        read = acting & pulse.leading()
+        relayed = np.zeros(pulse.rounds, bool)
+        relayed[pulse.owner[read]] = True
+        delta = self._read_final_leg(pulse, acting, read, rng)
+        reply = self._reply.take(relayed[self._reply.owner]).rotated(delta)
+        return pulse.take(~acting).merged(reply)
 
-    def _act_final_leg(
-        self, pulse: Pulse, round_id: int, rng: np.random.Generator
-    ) -> Pulse:
+    def _read_final_leg(
+        self, pulse: Pulse, acting: np.ndarray, read: np.ndarray, rng: np.random.Generator
+    ) -> np.ndarray:
+        """Measure the active rounds' final-leg photons and record guesses;
+        `read` masks the first photon of each. Returns the rotation that
+        re-encodes each round's stored reply."""
         raise NotImplementedError
 
 
@@ -244,17 +248,16 @@ class ImpersonationSinglePhoton(_ImpersonationBase):
         super().__init__(config, params)
         self._guess_probs = _normalized_guess_probs(config, params)
 
-    def _act_final_leg(
-        self, pulse: Pulse, round_id: int, rng: np.random.Generator
-    ) -> Pulse:
-        if pulse.is_empty:
-            return pulse
-        guess_index = _draw_guess_index(self._guess_probs, self.params.n_screening, rng)
-        axis = self.params.angles[guess_index] + PI / 4
-        readout = measure(pulse.photons[0], axis, rng)
-        self.guesses[round_id] = readout
-        sign = 1.0 if readout == 0 else -1.0
-        return self._reply.rotated(sign * PI / 4)
+    def _read_final_leg(
+        self, pulse: Pulse, acting: np.ndarray, read: np.ndarray, rng: np.random.Generator
+    ) -> np.ndarray:
+        rounds = pulse.owner[read]
+        guess = rng.choice(self.params.n_screening, len(rounds), p=self._guess_probs)
+        readout = measure(pulse.photons[read], self.params.angles[guess] + PI / 4, rng)
+        self.guesses = Guesses(self._round_ids[rounds], readout)
+        delta = np.zeros(pulse.rounds)
+        delta[rounds] = (1 - 2 * readout) * (PI / 4)
+        return delta
 
 
 class PulseBeamSplit(_ImpersonationBase):
@@ -273,28 +276,35 @@ class PulseBeamSplit(_ImpersonationBase):
         self.reported_rounds = 0
         self.conclusive_rounds = 0
 
-    def _act_final_leg(
-        self, pulse: Pulse, round_id: int, rng: np.random.Generator
-    ) -> Pulse:
-        if pulse.is_empty:
-            return pulse
-        self.reported_rounds += 1
+    def _read_final_leg(
+        self, pulse: Pulse, acting: np.ndarray, read: np.ndarray, rng: np.random.Generator
+    ) -> np.ndarray:
         angles = self.params.angles
         n = len(angles)
-        consistent = {(i, k) for i in range(n) for k in (0, 1)}
-        for photon in pulse.photons:
-            i = int(rng.integers(0, n))
-            bit = measure(photon, angles[i] + PI / 4, rng)
-            # Outcome bit b in basis i has zero Born probability only under
-            # the hypothesis (alpha_i, 1 - b), which it therefore excludes.
-            consistent.discard((i, 1 - bit))
-        if len(consistent) == 1:
-            self.conclusive_rounds += 1
-            a_i, k_hat = next(iter(consistent))
-            self.guesses[round_id] = k_hat
-            sign = 1.0 if k_hat == 0 else -1.0
-            return self._reply.rotated(sign * PI / 4 + angles[a_i])
-        return self._reply
+        reported = pulse.owner[read]
+        self.reported_rounds += len(reported)
+        owner = pulse.owner[acting]
+        basis = rng.integers(0, n, len(owner))
+        bits = measure(pulse.photons[acting], angles[basis] + PI / 4, rng)
+        # Hypothesis (alpha_i, k) is number 2i + k. Outcome bit b in basis i
+        # has zero Born probability only under (alpha_i, 1 - b), which it
+        # therefore excludes; ruling out all but one of the 2N hypotheses
+        # takes at least 2N - 1 photons, so only such pulses get a row.
+        candidates = reported[pulse.counts[reported] >= 2 * n - 1]
+        row = np.full(pulse.rounds, -1)
+        row[candidates] = np.arange(len(candidates))
+        on_row = row[owner] >= 0
+        excluded = np.zeros((len(candidates), 2 * n), bool)
+        excluded[row[owner[on_row]], (2 * basis + 1 - bits)[on_row]] = True
+        conclusive = np.count_nonzero(excluded, axis=1) == 2 * n - 1
+        hypothesis = np.argmin(excluded[conclusive], axis=1)
+        rounds = candidates[conclusive]
+        k_hat = hypothesis % 2
+        self.conclusive_rounds += len(rounds)
+        self.guesses = Guesses(self._round_ids[rounds], k_hat)
+        delta = np.zeros(pulse.rounds)
+        delta[rounds] = (1 - 2 * k_hat) * (PI / 4) + angles[hypothesis // 2]
+        return delta
 
     def metrics(self) -> dict[str, int]:
         return {
@@ -318,34 +328,20 @@ class _ProbeCaptureAttack(_BaseAttack):
         super().__init__(config, params)
         self.captured_rounds = 0
 
-    def _capture_probe(
-        self, pulse: Pulse, round_id: int, rng: np.random.Generator
-    ) -> Pulse:
-        for idx, photon in enumerate(pulse.photons):
-            if photon.origin is Origin.TROJAN_INJECTED:
-                remaining = pulse.photons[:idx] + pulse.photons[idx + 1 :]
-                recovered = (
-                    self.config.eve_tap_fraction == 1.0
-                    or (
-                        self.config.eve_tap_fraction > 0.0
-                        and rng.random() < self.config.eve_tap_fraction
-                    )
-                )
-                if recovered:
-                    self.storage[round_id] = photon
-                    self.captured_rounds += 1
-                return Pulse(remaining)
-        return pulse
+    def _capture_probe(self, pulse: Pulse, rng: np.random.Generator) -> Pulse:
+        probe = pulse.origin == Origin.TROJAN_INJECTED
+        stored = pulse.take(probe)
+        if self.config.eve_tap_fraction < 1.0:
+            stored = stored.take(rng.random(stored.count) < self.config.eve_tap_fraction)
+        self.storage = stored
+        self.captured_rounds += stored.count
+        return pulse.take(~probe)
 
-    def produce_guesses(self) -> dict[int, int]:
+    def _read_storage(self, announcement: Announcement) -> Guesses:
         """Measure each recaptured probe in (alpha_a + pi/4, alpha_a - pi/4)."""
-        if self.announcement is None:
-            return {}
-        for round_id in sorted(self.storage):
-            probe = self.storage.pop(round_id)
-            alpha_a = self.params.angles[self.announcement.a_indices[round_id] - 1]
-            self.guesses[round_id] = measure(probe, alpha_a + PI / 4, self._rng)
-        return dict(self.guesses)
+        rounds = self._round_ids[self.storage.owner]
+        alpha_a = self.params.angles[announcement.a_indices[rounds] - 1]
+        return Guesses(rounds, measure(self.storage.photons, alpha_a + PI / 4, self._rng))
 
     def metrics(self) -> dict[str, int]:
         return {"captured_rounds": self.captured_rounds}
@@ -362,23 +358,16 @@ class PnsTrojanComposite(_ProbeCaptureAttack):
     it in (alpha_a + pi/4, alpha_a - pi/4) reads k without error.
     """
 
-    _split: Optional[Photon] = None  # split off in the current round
-
     def _act(
-        self, leg: Leg, pulse: Pulse, round_id: int, rng: np.random.Generator
+        self, leg: Leg, pulse: Pulse, acting: np.ndarray, rng: np.random.Generator
     ) -> Pulse:
         if leg is Leg.ALICE_TO_BOB_1:
-            self._split = None
-            if pulse.count >= 2:
-                self._split = pulse.photons[0]
-                return Pulse(pulse.photons[1:])
-            return pulse
+            split = self._split_off(pulse, acting)
+            self._split = pulse.take(split)
+            return pulse.take(~split)
         if leg is Leg.BOB_TO_ALICE:
-            if self._split is not None:
-                probe = Photon(self._split.polarization, Origin.TROJAN_INJECTED)
-                return Pulse(pulse.photons + (probe,))
-            return pulse
-        return self._capture_probe(pulse, round_id, rng)
+            return pulse.merged(self._split.tagged(Origin.TROJAN_INJECTED))
+        return self._capture_probe(pulse, rng)
 
 
 class SimpleTrojan(_ProbeCaptureAttack):
@@ -393,13 +382,13 @@ class SimpleTrojan(_ProbeCaptureAttack):
         return self.config.trojan_angle
 
     def _act(
-        self, leg: Leg, pulse: Pulse, round_id: int, rng: np.random.Generator
+        self, leg: Leg, pulse: Pulse, acting: np.ndarray, rng: np.random.Generator
     ) -> Pulse:
         if leg is Leg.BOB_TO_ALICE:
-            probe = Photon(self._probe_angle(), Origin.TROJAN_INJECTED)
-            return Pulse(pulse.photons + (probe,))
+            probes = single_photon_pulse(np.full(pulse.rounds, self._probe_angle()))
+            return pulse.merged(probes.take(self._active).tagged(Origin.TROJAN_INJECTED))
         if leg is Leg.ALICE_TO_BOB_2:
-            return self._capture_probe(pulse, round_id, rng)
+            return self._capture_probe(pulse, rng)
         return pulse
 
 
@@ -417,14 +406,15 @@ class StandardStateProbe(SimpleTrojan):
     def _probe_angle(self) -> float:
         return 0.0
 
-    def set_counterfactual_thetas(self, thetas: list[float]) -> None:
+    def set_counterfactual_thetas(self, thetas: np.ndarray) -> None:
         """Counterfactual validation hook; only used when theta_oracle is set.
 
-        Shifts each stored probe by its round's true theta, which cancels
-        the -theta that Alice's unitary imprinted on it.
+        Shifts each stored probe by its round's true theta (``thetas`` is
+        indexed by round id), which cancels the -theta that Alice's unitary
+        imprinted on it.
         """
-        for round_id, probe in self.storage.items():
-            self.storage[round_id] = probe.rotated(thetas[round_id])
+        if self.storage is not None:
+            self.storage = self.storage.rotated(np.asarray(thetas)[self._round_ids])
 
 
 class PassivePns(_BaseAttack):
@@ -438,52 +428,43 @@ class PassivePns(_BaseAttack):
 
     def __init__(self, config: AttackConfig, params: ProtocolParams) -> None:
         super().__init__(config, params)
-        # Rounds that lost a photon on each leg. Only the final-leg photon
-        # is ever measured, so it alone is kept (in storage).
-        self._split_rounds: dict[Leg, set[int]] = {leg: set() for leg in Leg}
-        # Which legs each guessed round had a stored photon on, kept for
-        # offline reporting after the storage itself has been consumed.
-        self.guess_sources: dict[int, frozenset[Leg]] = {}
+        # Per leg, a mask of the rounds that lost a photon there. Only the
+        # final-leg photon is ever measured, so it alone is kept (in storage).
+        self.split = {leg: np.zeros(0, bool) for leg in Leg}
 
     def _act(
-        self, leg: Leg, pulse: Pulse, round_id: int, rng: np.random.Generator
+        self, leg: Leg, pulse: Pulse, acting: np.ndarray, rng: np.random.Generator
     ) -> Pulse:
-        if pulse.count >= 2:
-            self._split_rounds[leg].add(round_id)
-            if leg is Leg.ALICE_TO_BOB_2:
-                self.storage[round_id] = pulse.photons[0]
-            return Pulse(pulse.photons[1:])
-        return pulse
+        split = self._split_off(pulse, acting)
+        self.split[leg] = np.zeros(pulse.rounds, bool)
+        self.split[leg][pulse.owner[split]] = True
+        if leg is Leg.ALICE_TO_BOB_2:
+            self.storage = pulse.take(split)
+        return pulse.take(~split)
 
-    def produce_guesses(self) -> dict[int, int]:
-        if self.announcement is None:
-            return {}
-        ann = self.announcement
-        for round_id in sorted(set().union(*self._split_rounds.values())):
-            self.guess_sources[round_id] = frozenset(
-                leg for leg, rounds in self._split_rounds.items() if round_id in rounds
-            )
-            final = self.storage.pop(round_id, None)
-            alpha_sum = (
-                self.params.angles[ann.a_indices[round_id] - 1]
-                + self.params.angles[ann.b_indices[round_id] - 1]
-            )
-            if final is None:
-                bit = int(self._rng.integers(0, 2))
-            elif ann.analyzing_flags[round_id]:
-                # State phi* + (-1)^k pi/4 + alpha_a + alpha_b with every
-                # term except k public: the readout is deterministic in k.
-                axis = ann.phi_star_values[round_id] + alpha_sum + PI / 4
-                bit = measure(final, axis, self._rng)
-            else:
-                bit = measure(final, alpha_sum + PI / 4, self._rng)
-            self.guesses[round_id] = bit
-        return dict(self.guesses)
+    def _read_storage(self, announcement: Announcement) -> Guesses:
+        local = np.flatnonzero(np.logical_or.reduce(list(self.split.values())))
+        final = self.split[Leg.ALICE_TO_BOB_2][local]
+        rounds = self._round_ids[local]
+        # A coin flip for rounds without a stored final-leg photon.
+        bits = self._rng.integers(0, 2, len(local), dtype=np.int8)
+        stored = rounds[final]
+        alpha_sum = (
+            self.params.angles[announcement.a_indices[stored] - 1]
+            + self.params.angles[announcement.b_indices[stored] - 1]
+        )
+        # On analyzing rounds the state phi* + (-1)^k pi/4 + alpha_a + alpha_b
+        # has every term except k public: the readout is deterministic in k.
+        phi_star = np.where(
+            announcement.analyzing_flags[stored], announcement.phi_star_values[stored], 0.0
+        )
+        bits[final] = measure(self.storage.photons, phi_star + alpha_sum + PI / 4, self._rng)
+        return Guesses(rounds, bits)
 
     def metrics(self) -> dict[str, int]:
         return {
-            "stored_leg1": len(self._split_rounds[Leg.ALICE_TO_BOB_1]),
-            "stored_leg2": len(self._split_rounds[Leg.BOB_TO_ALICE]),
+            "stored_leg1": int(np.count_nonzero(self.split[Leg.ALICE_TO_BOB_1])),
+            "stored_leg2": int(np.count_nonzero(self.split[Leg.BOB_TO_ALICE])),
         }
 
 

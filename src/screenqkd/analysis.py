@@ -29,21 +29,25 @@ from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .adversary import AttackConfig, build_interceptor
+from .channel import Guesses
 from .errors import ConfigError
 from .photonics import PI, Origin
 from .protocol import (
     ProtocolParams,
     SessionTranscript,
     Verdict,
-    expected_ad_bit,
+    ad_check,
     is_matched,
     pack_key_bits,
     run_session,
     screening_angles,
+    sifted,
 )
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 FLAT_COLUMNS = (
     "trial",
@@ -111,21 +115,26 @@ class TrialCounts:
     verdict: str = Verdict.ACCEPTED.value
 
 
+def _count(mask: np.ndarray) -> int:
+    return int(np.count_nonzero(mask))
+
+
 def _ratio(num: int, den: int) -> Optional[float]:
     return num / den if den else None
 
 
-def _bits_hex(bits: Sequence[int]) -> str:
+def _bits_hex(bits) -> str:
     return pack_key_bits(bits).hex()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SessionSummary:
     """Auditable per-session record carried inside the structured report.
 
     Keys and flag sequences are big-endian bit-packed hex;
     ``phi_star_flags`` has a set bit where the analyzing angle was pi/2
-    and is only meaningful where ``analyzing_flags`` is set.
+    and is only meaningful where ``analyzing_flags`` is set. The index
+    lists are arrays with one entry per round.
     """
 
     verdict: str
@@ -134,8 +143,8 @@ class SessionSummary:
     bob_key: str
     alice_hash: str
     bob_hash: str
-    a_indices: tuple[int, ...]
-    b_indices: tuple[int, ...]
+    a_indices: np.ndarray
+    b_indices: np.ndarray
     analyzing_flags: str
     phi_star_flags: str
 
@@ -151,62 +160,51 @@ class SessionSummary:
             bob_hash=transcript.bob_hash.hex(),
             a_indices=ann.a_indices,
             b_indices=ann.b_indices,
-            analyzing_flags=_bits_hex([int(f) for f in ann.analyzing_flags]),
-            phi_star_flags=_bits_hex(
-                [
-                    1 if flag and value > PI / 4 else 0
-                    for flag, value in zip(ann.analyzing_flags, ann.phi_star_values)
-                ]
-            ),
+            analyzing_flags=_bits_hex(ann.analyzing_flags),
+            # NaN, the value on rounds that were not analyzing, compares False
+            phi_star_flags=_bits_hex(ann.phi_star_values > PI / 4),
         )
 
 
 def score_trial(
     transcript: SessionTranscript,
-    guesses: dict[int, int],
+    guesses: Guesses,
     metrics: dict[str, int],
 ) -> TrialCounts:
     """Reduce one transcript plus Eve's guesses to aggregate counters.
 
-    AD integrity counts come from sifting; the loop adds only what the
-    parties cannot see: injected-photon AD outcomes and Eve's guess scores.
+    AD integrity counts come from sifting; the rest is what the parties
+    cannot see: injected-photon AD outcomes and Eve's guess scores.
     """
-    params = transcript.params
-    counts = TrialCounts(
-        rounds=len(transcript.rounds),
+    rounds = transcript.rounds
+    n = transcript.params.n_screening
+    checked, violated = ad_check(rounds, n)
+    injected = rounds.ad_origin != Origin.LEGITIMATE
+    correct = guesses.bits == rounds.k[guesses.rounds]
+    analyzing = rounds.is_analyzing[guesses.rounds]
+    on_key = sifted(rounds, n)[guesses.rounds]
+    key_errors = np.frombuffer(transcript.alice_key, np.uint8) != np.frombuffer(
+        transcript.bob_key, np.uint8
+    )
+    return TrialCounts(
+        rounds=len(rounds),
+        matched=_count(is_matched(rounds.a_index, rounds.b_index, n)),
         sifted_bits=len(transcript.alice_key),
-        qber_errors=sum(
-            a != b for a, b in zip(transcript.alice_key, transcript.bob_key)
-        ),
+        qber_errors=_count(key_errors),
         ad_clicks=transcript.ad_checked,
         ad_violations=transcript.ad_violations,
+        ad_injected_clicks=_count(checked & injected),
+        ad_injected_violations=_count(violated & injected),
+        eve_guesses=len(guesses),
+        eve_correct=_count(correct),
+        eve_key_guesses=_count(on_key),
+        eve_key_correct=_count(correct & on_key),
+        eve_analyzing_guesses=_count(analyzing),
+        eve_analyzing_correct=_count(correct & analyzing),
         beamsplit_reported=metrics.get("reported_rounds", 0),
         beamsplit_conclusive=metrics.get("conclusive_rounds", 0),
         verdict=transcript.verdict.value,
     )
-    for rec in transcript.rounds:
-        matched = is_matched(rec.a_index, rec.b_index, params.n_screening)
-        if matched:
-            counts.matched += 1
-        if matched and rec.is_analyzing:
-            expected = expected_ad_bit(rec.k, rec.phi_star)
-            for bit, origin in zip(rec.ad_outcomes, rec.ad_origins):
-                if origin is not Origin.LEGITIMATE:
-                    counts.ad_injected_clicks += 1
-                    if bit != expected:
-                        counts.ad_injected_violations += 1
-        guess = guesses.get(rec.round_id)
-        if guess is not None:
-            correct = guess == rec.k
-            counts.eve_guesses += 1
-            counts.eve_correct += correct
-            if rec.is_analyzing:
-                counts.eve_analyzing_guesses += 1
-                counts.eve_analyzing_correct += correct
-            if matched and not rec.is_analyzing and rec.bob_outcome is not None:
-                counts.eve_key_guesses += 1
-                counts.eve_key_correct += correct
-    return counts
 
 
 @dataclass
@@ -311,10 +309,10 @@ class ExperimentReport:
             "totals": asdict(self.totals),
             "per_trial": [asdict(c) for c in self.per_trial],
             # vars, not asdict: asdict would deep-copy the M-long index
-            # tuples that the lists below replace.
+            # arrays that the lists below replace.
             "sessions": [
-                {**vars(s), "a_indices": list(s.a_indices),
-                 "b_indices": list(s.b_indices)}
+                {**vars(s), "a_indices": s.a_indices.tolist(),
+                 "b_indices": s.b_indices.tolist()}
                 for s in self.sessions
             ],
             "verdicts": self.verdicts,
@@ -347,11 +345,11 @@ def run_trial(
     transcript = run_session(
         params, interceptor, channel_loss=channel_loss, trial=trial
     )
-    guesses: dict[int, int] = {}
+    guesses = Guesses()
     metrics: dict[str, int] = {}
     if interceptor is not None:
         if attack.theta_oracle:
-            interceptor.set_counterfactual_thetas([r.theta for r in transcript.rounds])
+            interceptor.set_counterfactual_thetas(transcript.rounds.theta)
         guesses = interceptor.produce_guesses()
         metrics = interceptor.metrics()
     counts = score_trial(transcript, guesses, metrics)

@@ -1,11 +1,12 @@
 """Quantum channel legs and the interception hook.
 
 A round crosses the channel three times (Alice -> Bob -> Alice -> Bob).
-An adversary is modeled as an :class:`Interceptor` that may transform the
-pulse on each leg. The hook receives only physically available data: the
-pulse itself, which leg it is on, the round id, and (after the session)
-the public announcement. Round secrets (theta, phi, k, screening indices)
-are never handed to it.
+A session runs leg-major: each leg carries one batch holding the pulse of
+every round. An adversary is modeled as an :class:`Interceptor` that may
+transform the batch on each leg. The hook receives only physically
+available data: the pulses themselves, which leg they are on, their round
+ids, and (after the session) the public announcement. Round secrets
+(theta, phi, k, screening indices) are never handed to it.
 
 The classical channel is public and authentic: the adversary can read the
 announcement but cannot forge it.
@@ -14,6 +15,7 @@ announcement but cannot forge it.
 from __future__ import annotations
 
 import enum
+from collections.abc import Mapping
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
@@ -31,26 +33,51 @@ class Leg(enum.Enum):
     ALICE_TO_BOB_2 = 3
 
 
-class Interceptor:
-    """Base adversary: passes every pulse through untouched.
+class Guesses(Mapping):
+    """Eve's key-bit guesses as two columns: ``bits[i]`` is her guess for
+    round ``rounds[i]``, with the round ids ascending. As a mapping it maps
+    round id -> guessed bit."""
 
-    Subclasses override :meth:`intercept` per leg, may observe the public
-    announcement once the session is over, and may emit per-round key-bit
-    guesses afterwards. ``rng`` is the adversary's own generator, handed
-    in by the channel on every call; it is never shared with the parties.
+    def __init__(self, rounds=(), bits=()) -> None:
+        self.rounds = np.asarray(rounds, dtype=np.intp)
+        self.bits = np.asarray(bits, dtype=np.int8)
+
+    def __len__(self) -> int:
+        return len(self.rounds)
+
+    def __iter__(self):
+        return iter(self.rounds.tolist())
+
+    def __getitem__(self, round_id: int) -> int:
+        i = int(np.searchsorted(self.rounds, round_id))
+        if i == len(self.rounds) or self.rounds[i] != round_id:
+            raise KeyError(round_id)
+        return int(self.bits[i])
+
+
+class Interceptor:
+    """Base adversary: passes every batch through untouched.
+
+    Subclasses override :meth:`intercept`, which sees each leg once with
+    the pulses of all rounds: pulse j of the batch belongs to session round
+    ``round_ids[j]``, and the legs arrive in order. They may observe the
+    public announcement once the session is over, and may emit per-round
+    key-bit guesses afterwards. ``rng`` is the adversary's own generator,
+    handed in by the channel on every call; it is never shared with the
+    parties.
     """
 
     def intercept(
-        self, leg: Leg, pulse: Pulse, round_id: int, rng: np.random.Generator
+        self, leg: Leg, pulse: Pulse, round_ids: np.ndarray, rng: np.random.Generator
     ) -> Pulse:
         return pulse
 
     def observe_announcement(self, announcement: "Announcement") -> None:
         pass
 
-    def produce_guesses(self) -> dict[int, int]:
-        """Per-round key-bit guesses, keyed by round id."""
-        return {}
+    def produce_guesses(self) -> Guesses:
+        """Per-round key-bit guesses."""
+        return Guesses()
 
     def metrics(self) -> dict[str, int]:
         """Strategy-specific counters (e.g. conclusive relays)."""
@@ -60,19 +87,22 @@ class Interceptor:
 def transmit(
     pulse: Pulse,
     leg: Leg,
-    round_id: int,
+    round_ids: np.ndarray,
     interceptor: Optional[Interceptor] = None,
     loss: float = 0.0,
     rng_channel: Optional[np.random.Generator] = None,
     rng_eve: Optional[np.random.Generator] = None,
 ) -> Pulse:
-    """Carry a pulse across one leg: interception hook first, then loss.
+    """Carry a batch of pulses across one leg: interception hook first, then loss.
 
     Each photon is dropped independently with probability `loss`: loss is
-    a beam splitter whose tapped output is discarded.
+    a beam splitter whose tapped output is discarded. A loss-free leg
+    returns the batch it was handed and draws nothing.
     """
     if not 0.0 <= loss <= 1.0:
         raise ConfigError(f"loss must be in [0, 1], got {loss}")
     if interceptor is not None:
-        pulse = interceptor.intercept(leg, pulse, round_id, rng_eve)
+        pulse = interceptor.intercept(leg, pulse, round_ids, rng_eve)
+    if loss == 0.0:
+        return pulse
     return beam_split(pulse, loss, rng_channel)[1]

@@ -1,4 +1,4 @@
-"""Linear-polarization photon model.
+"""Linear-polarization photon model over batches of pulses.
 
 Polarization states are axis-like: an angle and the same angle plus pi
 describe the same state, so every angle is kept canonical in [0, pi).
@@ -7,17 +7,18 @@ a photon at angle s measured against an axis a collapses onto the axis
 with probability cos^2(s - a) (outcome bit 0) and onto the orthogonal
 axis a + pi/2 otherwise (outcome bit 1).
 
-Multi-photon pulses are products of identical independent photons; photon
-number is Poissonian with configurable mean. All values here are immutable
-after construction and safe to share across threads. Random number
-generators are single-owner and must be passed in explicitly.
+A :class:`Pulse` holds one pulse per round for a batch of rounds, as flat
+photon columns. Multi-photon pulses are products of identical independent
+photons; photon number is Poissonian with configurable mean. Batches are
+never modified after construction. Random number generators are
+single-owner and must be passed in explicitly.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -34,11 +35,11 @@ ANGLE_TOL = 1e-9
 MAX_MEAN_PHOTONS = 100
 
 
-def canon(radians: float) -> float:
-    """Canonicalize a polarization angle into [0, pi)."""
+def canon(radians):
+    """Canonicalize polarization angles (a number or an array) into [0, pi)."""
+    r = np.remainder(radians, PI)
     # For tiny negative inputs the remainder rounds up to exactly pi.
-    r = radians % PI
-    return 0.0 if r == PI else r
+    return np.where(r == PI, 0.0, r)
 
 
 def angles_close(a: float, b: float, tol: float = ANGLE_TOL) -> bool:
@@ -47,93 +48,134 @@ def angles_close(a: float, b: float, tol: float = ANGLE_TOL) -> bool:
     return d < tol or PI - d < tol
 
 
-class Origin(enum.Enum):
-    """Diagnostic provenance tag for a photon.
+class Origin(enum.IntEnum):
+    """Diagnostic provenance code of a photon (the values of `Pulse.origin`).
 
     Bookkeeping only: it must never influence a measurement probability or
     a routing decision made by Alice or Bob.
     """
 
-    LEGITIMATE = "legitimate"
-    TROJAN_INJECTED = "trojan_injected"
-    EVE_REPLAYED = "eve_replayed"
+    LEGITIMATE = 0
+    TROJAN_INJECTED = 1
+    EVE_REPLAYED = 2
 
 
-@dataclass(frozen=True, slots=True)
-class Photon:
-    polarization: float
-    origin: Origin = Origin.LEGITIMATE
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "polarization", canon(self.polarization))
-
-    def rotated(self, delta: float) -> Photon:
-        return Photon(self.polarization + delta, self.origin)
-
-
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Pulse:
-    """A multiset of photons transmitted as one unit on the quantum channel.
+    """One pulse per round for `rounds` rounds, as flat photon columns.
 
-    An empty pulse models loss/vacuum.
+    Photon i has the canonical polarization ``photons[i]``, the origin code
+    ``origin[i]`` (int8, see :class:`Origin`) and belongs to round
+    ``owner[i]``. Photons are sorted by round, so each pulse is a
+    contiguous run that keeps its order through every operation here. A
+    round without photons is vacuum (or lost).
     """
 
-    photons: tuple[Photon, ...] = ()
+    photons: np.ndarray
+    origin: np.ndarray
+    owner: np.ndarray
+    rounds: int
+
+    @classmethod
+    def vacuum(cls, rounds: int) -> Pulse:
+        return cls(np.empty(0), np.empty(0, np.int8), np.empty(0, np.intp), rounds)
 
     @property
     def count(self) -> int:
+        """Photons in the batch."""
         return len(self.photons)
 
     @property
     def is_empty(self) -> bool:
-        return not self.photons
+        return not len(self.photons)
 
-    def rotated(self, delta: float) -> Pulse:
-        return Pulse(tuple(p.rotated(delta) for p in self.photons))
+    @property
+    def counts(self) -> np.ndarray:
+        """Photon number of each round's pulse."""
+        return np.bincount(self.owner, minlength=self.rounds)
+
+    def leading(self) -> np.ndarray:
+        """Mask of the first photon of every nonempty pulse."""
+        first = np.ones(self.count, dtype=bool)
+        np.not_equal(self.owner[1:], self.owner[:-1], out=first[1:])
+        return first
+
+    def take(self, index: np.ndarray) -> Pulse:
+        """The photons selected by a mask (or ascending indices)."""
+        return Pulse(self.photons[index], self.origin[index], self.owner[index], self.rounds)
+
+    def tagged(self, origin: Origin) -> Pulse:
+        """The same photons, all with origin code `origin`."""
+        return replace(self, origin=np.full(self.count, origin, dtype=np.int8))
+
+    def merged(self, other: Pulse) -> Pulse:
+        """Both batches' photons; within a round this batch's come first."""
+        owner = np.concatenate((self.owner, other.owner))
+        order = np.argsort(owner, kind="stable")
+        return Pulse(
+            np.concatenate((self.photons, other.photons))[order],
+            np.concatenate((self.origin, other.origin))[order],
+            owner[order],
+            self.rounds,
+        )
+
+    def rotated(self, delta) -> Pulse:
+        """Rotate round j's pulse by ``delta[j]``, or every photon by a number."""
+        if np.ndim(delta):
+            delta = np.asarray(delta)[self.owner]
+        return replace(self, photons=canon(self.photons + delta))
 
 
 # Axis of the (+pi/4, -pi/4) analyzer used by Bob's detector pair and Alice's AD.
 DIAGONAL = PI / 4
 
 
-def born_probability(state: float, axis: float) -> float:
+def born_probability(state, axis):
     """Probability of collapsing onto `axis` (outcome bit 0)."""
-    return math.cos(state - axis) ** 2
+    return np.cos(state - axis) ** 2
 
 
-def measure(photon: Photon, axis: float, rng: np.random.Generator) -> int:
-    """Projectively measure one photon on the analyzer with outcome axes
-    `axis` and `axis + pi/2`; returns the outcome bit.
+def measure(photons: np.ndarray, axis, rng: np.random.Generator) -> np.ndarray:
+    """Projectively measure photons at polarizations `photons` on the
+    analyzer with outcome axes `axis` and `axis + pi/2` (one axis for all,
+    or one per photon); returns one int8 outcome bit per photon.
 
     Bit 0 means collapse onto `axis`, bit 1 onto the orthogonal axis.
-    `axis` is taken modulo pi. The input photon is consumed: callers must
-    not measure it again.
+    `axis` counts modulo pi. Measured photons are consumed: callers must
+    not measure them again.
     """
-    p0 = born_probability(photon.polarization, canon(axis))
-    return 0 if rng.random() < p0 else 1
+    p0 = born_probability(np.asarray(photons), axis)
+    return (rng.random(p0.shape) >= p0).view(np.int8)
 
 
 def make_pulse(
-    polarization: float, mean_photons: float, rng: np.random.Generator
+    polarization: np.ndarray, mean_photons: float, rng: np.random.Generator
 ) -> Pulse:
-    """Prepare a pulse with Poissonian photon number, all at one polarization."""
+    """One pulse per entry of `polarization`, all of its photons at that
+    angle, with a Poissonian photon number."""
     if not 0 <= mean_photons <= MAX_MEAN_PHOTONS:
         raise ConfigError(
             f"mean_photons must be in [0, {MAX_MEAN_PHOTONS}], got {mean_photons}"
         )
-    n = int(rng.poisson(mean_photons))
-    return Pulse(tuple(Photon(polarization) for _ in range(n)))
+    rounds = len(polarization)
+    owner = np.repeat(np.arange(rounds), rng.poisson(mean_photons, rounds))
+    return Pulse(
+        canon(polarization)[owner], np.zeros(len(owner), np.int8), owner, rounds
+    )
 
 
-def single_photon_pulse(polarization: float) -> Pulse:
-    """Prepare a pulse containing exactly one photon."""
-    return Pulse((Photon(polarization),))
+def single_photon_pulse(polarization: np.ndarray) -> Pulse:
+    """One single-photon pulse per entry of `polarization`."""
+    rounds = len(polarization)
+    return Pulse(
+        canon(polarization), np.zeros(rounds, np.int8), np.arange(rounds), rounds
+    )
 
 
 def beam_split(
     pulse: Pulse, tap_fraction: float, rng: np.random.Generator
 ) -> tuple[Pulse, Pulse]:
-    """Split a pulse on a beam splitter; returns (tapped, passed).
+    """Split every pulse on a beam splitter; returns (tapped, passed).
 
     Each photon independently moves to the tapped output with probability
     `tap_fraction`. Polarizations and origins are untouched and the two
@@ -142,11 +184,8 @@ def beam_split(
     if not 0.0 <= tap_fraction <= 1.0:
         raise ConfigError(f"tap_fraction must be in [0, 1], got {tap_fraction}")
     if tap_fraction == 0.0 or pulse.is_empty:
-        return Pulse(), pulse
+        return Pulse.vacuum(pulse.rounds), pulse
     if tap_fraction == 1.0:
-        return pulse, Pulse()
-    tapped: list[Photon] = []
-    passed: list[Photon] = []
-    for photon in pulse.photons:
-        (tapped if rng.random() < tap_fraction else passed).append(photon)
-    return Pulse(tuple(tapped)), Pulse(tuple(passed))
+        return pulse, Pulse.vacuum(pulse.rounds)
+    tapped = rng.random(pulse.count) < tap_fraction
+    return pulse.take(tapped), pulse.take(~tapped)

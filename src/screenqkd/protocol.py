@@ -21,6 +21,10 @@ Detector bit convention (both AD and Bob): outcome 1 means collapse onto
 the -pi/4 axis, 0 onto +pi/4. This is the unique convention, up to a
 global flip, under which the AD integrity relation and Bob's key relation
 O_b = k XOR 1 hold simultaneously.
+
+Rounds are independent, so a session runs leg-major: each step acts on
+one batch holding every round's pulse, and the transcript is kept as
+columns with one entry per round.
 """
 
 from __future__ import annotations
@@ -28,8 +32,9 @@ from __future__ import annotations
 import enum
 import functools
 import hashlib
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from collections.abc import Sequence
+from dataclasses import dataclass, fields
+from typing import Optional
 
 import numpy as np
 
@@ -99,9 +104,11 @@ class ProtocolParams:
             )
 
     @functools.cached_property
-    def angles(self) -> tuple[float, ...]:
-        """The screening set, computed once per parameter set."""
-        return tuple(screening_angles(self.n_screening))
+    def angles(self) -> np.ndarray:
+        """The screening set (read-only), computed once per parameter set."""
+        angles = np.array(screening_angles(self.n_screening))
+        angles.setflags(write=False)
+        return angles
 
 
 @dataclass(frozen=True, slots=True)
@@ -132,38 +139,87 @@ class RoundRecord:
 
     def to_dict(self) -> dict:
         return {
-            "round_id": self.round_id,
-            "theta": self.theta,
-            "phi": self.phi,
-            "is_analyzing": self.is_analyzing,
-            "phi_star": self.phi_star,
-            "a_index": self.a_index,
-            "b_index": self.b_index,
-            "k": self.k,
+            **{f.name: getattr(self, f.name) for f in fields(self)},
             "ad_outcomes": list(self.ad_outcomes),
-            "ad_origins": [o.value for o in self.ad_origins],
-            "bob_outcome": self.bob_outcome,
-            "bob_conclusive": self.bob_conclusive,
-            "bob_received_photons": self.bob_received_photons,
+            "ad_origins": [o.name.lower() for o in self.ad_origins],
         }
 
 
-@dataclass(frozen=True)
-class Announcement:
-    """The public end-of-session disclosure; readable by the adversary."""
+@dataclass(frozen=True, eq=False)
+class Rounds(Sequence):
+    """A session's transcript as columns with one entry per round.
 
-    a_indices: tuple[int, ...]
-    b_indices: tuple[int, ...]
-    analyzing_flags: tuple[bool, ...]
-    phi_star_values: tuple[Optional[float], ...]
+    The AD outcomes are photon columns sorted by round: outcome bit
+    ``ad_bits[i]`` came from a photon with origin code ``ad_origin[i]`` in
+    round ``ad_owner[i]``. ``phi`` equals phi* on analyzing rounds.
+    ``bob_outcome`` is -1 where Bob has no outcome (vacuum or an
+    inconclusive multi-photon round).
+
+    As a sequence it is a lazy view: item i builds round i's
+    :class:`RoundRecord` from the columns.
+    """
+
+    theta: np.ndarray
+    phi: np.ndarray
+    is_analyzing: np.ndarray
+    a_index: np.ndarray
+    b_index: np.ndarray
+    k: np.ndarray
+    ad_bits: np.ndarray
+    ad_origin: np.ndarray
+    ad_owner: np.ndarray
+    bob_outcome: np.ndarray
+    bob_received: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.theta)
+
+    def __getitem__(self, i: int) -> RoundRecord:
+        i = range(len(self))[i]
+        lo, hi = np.searchsorted(self.ad_owner, (i, i + 1))
+        chosen = {
+            name: getattr(self, name)[i].item()
+            for name in ("theta", "phi", "is_analyzing", "a_index", "b_index", "k")
+        }
+        outcome = self.bob_outcome[i].item()
+        return RoundRecord(
+            round_id=i,
+            **chosen,
+            phi_star=chosen["phi"] if chosen["is_analyzing"] else None,
+            ad_outcomes=tuple(self.ad_bits[lo:hi].tolist()),
+            ad_origins=tuple(map(Origin, self.ad_origin[lo:hi].tolist())),
+            bob_outcome=None if outcome < 0 else outcome,
+            bob_conclusive=outcome >= 0,
+            bob_received_photons=self.bob_received[i].item(),
+        )
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Rounds) and all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name))
+            for f in fields(self)
+        )
+
+
+@dataclass(frozen=True, eq=False)
+class Announcement:
+    """The public end-of-session disclosure; readable by the adversary.
+
+    One entry per round; ``phi_star_values`` is NaN on rounds that were
+    not analyzing.
+    """
+
+    a_indices: np.ndarray
+    b_indices: np.ndarray
+    analyzing_flags: np.ndarray
+    phi_star_values: np.ndarray
 
     @classmethod
-    def from_rounds(cls, rounds: Sequence[RoundRecord]) -> Announcement:
+    def from_rounds(cls, rounds: Rounds) -> Announcement:
         return cls(
-            a_indices=tuple(r.a_index for r in rounds),
-            b_indices=tuple(r.b_index for r in rounds),
-            analyzing_flags=tuple(r.is_analyzing for r in rounds),
-            phi_star_values=tuple(r.phi_star for r in rounds),
+            a_indices=rounds.a_index,
+            b_indices=rounds.b_index,
+            analyzing_flags=rounds.is_analyzing,
+            phi_star_values=np.where(rounds.is_analyzing, rounds.phi, np.nan),
         )
 
 
@@ -173,13 +229,16 @@ class Verdict(enum.Enum):
     INTEGRITY_VIOLATION = "integrity_violation"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SessionTranscript:
+    """A sifted session. ``alice_key`` and ``bob_key`` hold one byte, 0 or
+    1, per sifted key bit."""
+
     params: ProtocolParams
-    rounds: tuple[RoundRecord, ...]
+    rounds: Rounds
     announcement: Announcement
-    alice_key: tuple[int, ...]
-    bob_key: tuple[int, ...]
+    alice_key: bytes
+    bob_key: bytes
     alice_hash: bytes
     bob_hash: bytes
     verdict: Verdict
@@ -192,114 +251,120 @@ def derive_rng(seed: int, *stream: int) -> np.random.Generator:
     return np.random.default_rng([seed & 0xFFFFFFFFFFFFFFFF, *stream])
 
 
-def expected_ad_bit(k: int, phi_star: float) -> int:
+def expected_ad_bit(k, phi_star):
     """AD integrity condition on matched analyzing rounds: k ^ (2 phi*/pi) ^ 1."""
-    return k ^ (1 if phi_star > PI / 4 else 0) ^ 1
+    return k ^ (phi_star > PI / 4) ^ 1
 
 
-def is_matched(a_index: int, b_index: int, n: int) -> bool:
+def is_matched(a_index, b_index, n: int):
     """Matching condition alpha_a + alpha_b = pi/2, as an exact index test."""
     return a_index + b_index == n + 1
 
 
+def sifted(rounds: Rounds, n: int) -> np.ndarray:
+    """Mask of the rounds that yield a key bit: matched, not analyzing, and
+    with a conclusive detection by Bob."""
+    return (
+        is_matched(rounds.a_index, rounds.b_index, n)
+        & ~rounds.is_analyzing
+        & (rounds.bob_outcome >= 0)
+    )
+
+
+def ad_check(rounds: Rounds, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per AD outcome: whether the integrity condition applies to it (it
+    lies on a matched analyzing round), and whether it violates it there."""
+    checked = (is_matched(rounds.a_index, rounds.b_index, n) & rounds.is_analyzing)[
+        rounds.ad_owner
+    ]
+    expected = expected_ad_bit(rounds.k, rounds.phi)[rounds.ad_owner]
+    return checked, checked & (rounds.ad_bits != expected)
+
+
 def alice_prepare(
-    params: ProtocolParams, rng: np.random.Generator
-) -> tuple[float, Pulse]:
-    """Draw theta uniformly on [0, pi) and prepare a pulse polarized at it."""
-    theta = rng.random() * PI
+    theta: np.ndarray, params: ProtocolParams, rng: np.random.Generator
+) -> Pulse:
+    """Prepare each round's pulse polarized at its theta."""
     if params.mode == MODE_SINGLE:
-        pulse = single_photon_pulse(theta)
-    else:
-        pulse = make_pulse(theta, params.mean_photons, rng)
-    return theta, pulse
+        return single_photon_pulse(theta)
+    return make_pulse(theta, params.mean_photons, rng)
 
 
 def bob_transform(
-    pulse: Pulse, params: ProtocolParams, rng: np.random.Generator
-) -> tuple[Pulse, float, int, bool, Optional[float]]:
-    """Bob's rotation step: pick phi (or phi*) and a screening angle.
-
-    Returns (rotated pulse, phi, b_index, is_analyzing, phi_star).
-    """
-    is_analyzing = rng.random() < params.p_analyzing
-    if is_analyzing:
-        phi_star: Optional[float] = 0.0 if rng.integers(0, 2) == 0 else PI / 2
-        phi = phi_star
-    else:
-        phi_star = None
-        phi = rng.random() * PI
-    b_index = int(rng.integers(1, params.n_screening + 1))
-    alpha_b = params.angles[b_index - 1]
-    return pulse.rotated(phi + alpha_b), phi, b_index, is_analyzing, phi_star
+    pulse: Pulse, phi: np.ndarray, b_index: np.ndarray, params: ProtocolParams
+) -> Pulse:
+    """Bob's rotation step: rotate each round's pulse by phi + alpha_b."""
+    return pulse.rotated(phi + params.angles[b_index - 1])
 
 
 def alice_encode(
     pulse: Pulse,
-    theta: float,
-    k: int,
-    a_index: int,
+    theta: np.ndarray,
+    k: np.ndarray,
+    a_index: np.ndarray,
     params: ProtocolParams,
     rng: np.random.Generator,
-) -> tuple[Pulse, tuple[int, ...], tuple[Origin, ...]]:
+) -> tuple[Pulse, np.ndarray, Pulse]:
     """Alice's encode step: rotation, AD tap, AD measurement.
 
-    Every photon in the received pulse (including any adversary-injected
-    one) is rotated by -theta + (-1)^k * pi/4 + alpha_a. A fraction
+    Every photon in round j's received pulse (including any
+    adversary-injected one) is rotated by
+    -theta[j] + (-1)^k[j] * pi/4 + alpha_a[j]. A fraction
     (1 - transmission) is then tapped into the AD and measured in the
     diagonal basis; the remainder continues to Bob.
 
-    Returns (pulse to Bob, AD outcome bits, AD outcome origins).
+    Returns (pulses to Bob, AD outcome bits, tapped photons).
     """
-    if k not in (0, 1):
-        raise ConfigError(f"key bit must be 0 or 1, got {k}")
-    if not 1 <= a_index <= params.n_screening:
-        raise ConfigError(f"a_index must be in [1, {params.n_screening}], got {a_index}")
-    alpha_a = params.angles[a_index - 1]
-    sign = 1.0 if k == 0 else -1.0
-    rotated = pulse.rotated(-theta + sign * PI / 4 + alpha_a)
+    if not np.isin(k, (0, 1)).all():
+        raise ConfigError(f"key bits must be 0 or 1, got {np.unique(k)}")
+    if not np.all((1 <= a_index) & (a_index <= params.n_screening)):
+        raise ConfigError(
+            f"a_index must be in [1, {params.n_screening}], got {np.unique(a_index)}"
+        )
+    sign = 1 - 2 * np.asarray(k, dtype=float)
+    rotated = pulse.rotated(-theta + sign * PI / 4 + params.angles[a_index - 1])
     tapped, to_bob = beam_split(rotated, 1.0 - params.transmission, rng)
-    ad_outcomes = tuple(measure(p, DIAGONAL, rng) for p in tapped.photons)
-    ad_origins = tuple(p.origin for p in tapped.photons)
-    return to_bob, ad_outcomes, ad_origins
+    return to_bob, measure(tapped.photons, DIAGONAL, rng), tapped
 
 
 def bob_decode(
-    pulse: Pulse, phi: float, rng: np.random.Generator
-) -> tuple[Optional[int], bool, int]:
+    pulse: Pulse, phi: np.ndarray, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
     """Bob's decode step: undo phi, measure every photon diagonally.
 
-    Returns (outcome bit or None, conclusive flag, photons received).
-    A vacuum pulse gives (None, False, 0). If the per-photon outcomes
-    disagree the round is inconclusive (double click) and the outcome is
-    absent; on honest matched rounds the state is exactly aligned with an
-    analyzer axis, so all photons agree deterministically.
+    Returns (outcome bit per round, photons received per round). The
+    outcome is -1 for a vacuum pulse, and for an inconclusive one whose
+    photon outcomes disagree (double click); on honest matched rounds the
+    state is exactly aligned with an analyzer axis, so all photons agree
+    deterministically.
     """
-    if pulse.is_empty:
-        return None, False, 0
-    undone = pulse.rotated(-phi)
-    bits = [measure(p, DIAGONAL, rng) for p in undone.photons]
-    first = bits[0]
-    if all(b == first for b in bits):
-        return first, True, len(bits)
-    return None, False, len(bits)
+    received = pulse.counts
+    bits = measure(pulse.rotated(-phi).photons, DIAGONAL, rng)
+    ones = np.bincount(pulse.owner[bits == 1], minlength=pulse.rounds)
+    outcome = np.full(pulse.rounds, -1, dtype=np.int8)
+    outcome[(received > 0) & (ones == 0)] = 0
+    outcome[(received > 0) & (ones == received)] = 1
+    return outcome, received
 
 
-def pack_key_bits(bits: Sequence[int]) -> bytes:
-    """Pack a bit string big-endian (first bit = MSB), zero-padding the tail."""
-    out = bytearray((len(bits) + 7) // 8)
-    for i, bit in enumerate(bits):
-        if bit:
-            out[i >> 3] |= 0x80 >> (i & 7)
-    return bytes(out)
+def pack_key_bits(bits) -> bytes:
+    """Pack a bit string big-endian (first bit = MSB), zero-padding the tail.
+
+    `bits` is a sequence or array of 0/1 values, or bytes holding one bit
+    per byte.
+    """
+    if isinstance(bits, bytes):
+        bits = np.frombuffer(bits, dtype=np.uint8)
+    return np.packbits(np.asarray(bits, dtype=bool)).tobytes()
 
 
-def key_digest(bits: Sequence[int], algorithm: str = "sha256") -> bytes:
+def key_digest(bits, algorithm: str = "sha256") -> bytes:
     return hashlib.new(algorithm, pack_key_bits(bits)).digest()
 
 
 def sift_and_verify(
     params: ProtocolParams,
-    rounds: Sequence[RoundRecord],
+    rounds: Rounds,
     announcement: Announcement,
 ) -> SessionTranscript:
     """Sifting and verification over a completed session.
@@ -322,24 +387,13 @@ def sift_and_verify(
             raise ProtocolError(
                 f"announcement field {name} has length {len(values)}, expected {m}"
             )
-    alice_bits: list[int] = []
-    bob_bits: list[int] = []
-    ad_checked = 0
-    ad_violations = 0
-    for rec in rounds:
-        if not is_matched(rec.a_index, rec.b_index, params.n_screening):
-            continue
-        if rec.is_analyzing:
-            expected = expected_ad_bit(rec.k, rec.phi_star)
-            for bit in rec.ad_outcomes:
-                ad_checked += 1
-                if bit != expected:
-                    ad_violations += 1
-        elif rec.bob_outcome is not None:
-            alice_bits.append(rec.k)
-            bob_bits.append(rec.bob_outcome ^ 1)
-    alice_hash = key_digest(alice_bits, params.digest)
-    bob_hash = key_digest(bob_bits, params.digest)
+    key = sifted(rounds, params.n_screening)
+    alice_key = rounds.k[key].astype(np.uint8).tobytes()
+    bob_key = (rounds.bob_outcome[key] ^ 1).astype(np.uint8).tobytes()
+    checked, violated = ad_check(rounds, params.n_screening)
+    ad_violations = int(np.count_nonzero(violated))
+    alice_hash = key_digest(alice_key, params.digest)
+    bob_hash = key_digest(bob_key, params.digest)
     if ad_violations > 0:
         verdict = Verdict.INTEGRITY_VIOLATION
     elif alice_hash != bob_hash:
@@ -348,14 +402,14 @@ def sift_and_verify(
         verdict = Verdict.ACCEPTED
     return SessionTranscript(
         params=params,
-        rounds=tuple(rounds),
+        rounds=rounds,
         announcement=announcement,
-        alice_key=tuple(alice_bits),
-        bob_key=tuple(bob_bits),
+        alice_key=alice_key,
+        bob_key=bob_key,
         alice_hash=alice_hash,
         bob_hash=bob_hash,
         verdict=verdict,
-        ad_checked=ad_checked,
+        ad_checked=int(np.count_nonzero(checked)),
         ad_violations=ad_violations,
     )
 
@@ -369,55 +423,52 @@ def run_session(
 ) -> SessionTranscript:
     """Execute a full session of M rounds plus announcement and sifting.
 
-    Each actor owns a generator derived from (seed, trial, actor), so a
-    run is bit-reproducible and an adversary that draws from its own
-    stream never perturbs the honest parties' randomness.
+    Every step runs once over all M rounds: Alice's and Bob's choices are
+    drawn as arrays, then all rounds take leg 1, Bob's transform, leg 2,
+    Alice's encode and AD tap, leg 3 and Bob's decode in turn. Each actor
+    owns a generator derived from (seed, trial, actor), so a run is
+    bit-reproducible and an adversary that draws from its own stream never
+    perturbs the honest parties' randomness.
     """
     rng_alice = derive_rng(params.seed, trial, 0)
     rng_bob = derive_rng(params.seed, trial, 1)
     rng_channel = derive_rng(params.seed, trial, 2)
     rng_eve = derive_rng(params.seed, trial, 3)
+    m, n = params.rounds, params.n_screening
+    channel = (np.arange(m), interceptor, channel_loss, rng_channel, rng_eve)
 
-    rounds: list[RoundRecord] = []
-    for round_id in range(params.rounds):
-        theta, pulse = alice_prepare(params, rng_alice)
-        pulse = transmit(
-            pulse, Leg.ALICE_TO_BOB_1, round_id, interceptor,
-            channel_loss, rng_channel, rng_eve,
-        )
-        pulse, phi, b_index, is_analyzing, phi_star = bob_transform(pulse, params, rng_bob)
-        pulse = transmit(
-            pulse, Leg.BOB_TO_ALICE, round_id, interceptor,
-            channel_loss, rng_channel, rng_eve,
-        )
-        k = int(rng_alice.integers(0, 2))
-        a_index = int(rng_alice.integers(1, params.n_screening + 1))
-        to_bob, ad_outcomes, ad_origins = alice_encode(
-            pulse, theta, k, a_index, params, rng_alice
-        )
-        pulse = transmit(
-            to_bob, Leg.ALICE_TO_BOB_2, round_id, interceptor,
-            channel_loss, rng_channel, rng_eve,
-        )
-        outcome, conclusive, received = bob_decode(pulse, phi, rng_bob)
-        rounds.append(
-            RoundRecord(
-                round_id=round_id,
-                theta=theta,
-                phi=phi,
-                is_analyzing=is_analyzing,
-                phi_star=phi_star,
-                a_index=a_index,
-                b_index=b_index,
-                k=k,
-                ad_outcomes=ad_outcomes,
-                ad_origins=ad_origins,
-                bob_outcome=outcome,
-                bob_conclusive=conclusive,
-                bob_received_photons=received,
-            )
-        )
+    # Alice: theta uniform on [0, pi), key bit k, screening index a.
+    theta = rng_alice.random(m) * PI
+    k = rng_alice.integers(0, 2, m, dtype=np.int8)
+    a_index = rng_alice.integers(1, n + 1, m)
+    # Bob: phi uniform on [0, pi), or with probability p_analyzing an
+    # analyzing angle phi* in {0, pi/2}; screening index b.
+    is_analyzing = rng_bob.random(m) < params.p_analyzing
+    phi = rng_bob.random(m) * PI
+    phi[is_analyzing] = rng_bob.integers(0, 2, np.count_nonzero(is_analyzing)) * (PI / 2)
+    b_index = rng_bob.integers(1, n + 1, m)
 
+    pulse = alice_prepare(theta, params, rng_alice)
+    pulse = transmit(pulse, Leg.ALICE_TO_BOB_1, *channel)
+    pulse = bob_transform(pulse, phi, b_index, params)
+    pulse = transmit(pulse, Leg.BOB_TO_ALICE, *channel)
+    to_bob, ad_bits, tapped = alice_encode(pulse, theta, k, a_index, params, rng_alice)
+    pulse = transmit(to_bob, Leg.ALICE_TO_BOB_2, *channel)
+    bob_outcome, received = bob_decode(pulse, phi, rng_bob)
+
+    rounds = Rounds(
+        theta=theta,
+        phi=phi,
+        is_analyzing=is_analyzing,
+        a_index=a_index,
+        b_index=b_index,
+        k=k,
+        ad_bits=ad_bits,
+        ad_origin=tapped.origin,
+        ad_owner=tapped.owner,
+        bob_outcome=bob_outcome,
+        bob_received=received,
+    )
     announcement = Announcement.from_rounds(rounds)
     if interceptor is not None:
         interceptor.observe_announcement(announcement)

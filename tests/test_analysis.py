@@ -1,9 +1,10 @@
 import json
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
-from screenqkd.adversary import AttackConfig
+from screenqkd.adversary import AttackConfig, build_interceptor
 from screenqkd.analysis import (
     FLAT_COLUMNS,
     TrialCounts,
@@ -12,11 +13,20 @@ from screenqkd.analysis import (
     ie_mean,
     ie_sum,
     run_experiment,
+    score_trial,
     security_curve,
     write_transcripts,
 )
+from screenqkd.channel import Guesses
 from screenqkd.errors import ConfigError
-from screenqkd.protocol import ProtocolParams
+from screenqkd.photonics import Origin
+from screenqkd.protocol import (
+    ProtocolParams,
+    Rounds,
+    expected_ad_bit,
+    is_matched,
+    run_session,
+)
 
 from conftest import binom_sigma
 
@@ -119,8 +129,8 @@ class TestExperimentReport:
         assert session.alice_key == pack_key_bits(transcript.alice_key).hex()
         assert session.bob_key == session.alice_key  # honest run
         assert session.alice_hash == transcript.alice_hash.hex()
-        assert session.a_indices == transcript.announcement.a_indices
-        assert session.b_indices == transcript.announcement.b_indices
+        assert np.array_equal(session.a_indices, transcript.announcement.a_indices)
+        assert np.array_equal(session.b_indices, transcript.announcement.b_indices)
         flags = pack_key_bits(
             [int(f) for f in transcript.announcement.analyzing_flags]
         ).hex()
@@ -233,3 +243,87 @@ def test_no_attack_gains_key_information_invisibly():
         else:
             blind = True
         assert visible_qber or visible_ad or blind, strategy
+
+
+# Every strategy valid in each mode.
+STRATEGY_CASES = [
+    *((mode, strategy) for mode in ("single", "pulse") for strategy in ("none",
+      "standard_state", "simple_trojan", "passive_pns")),
+    ("single", "impersonation"),
+    ("pulse", "pulse_beamsplit"),
+    ("pulse", "pns_trojan"),
+]
+
+
+def _attack(strategy: str, **knobs) -> AttackConfig:
+    # The theta oracle is the one report path that reads a round column.
+    oracle = {"theta_oracle": True} if strategy == "standard_state" else {}
+    return AttackConfig(strategy=strategy, **oracle, **knobs)
+
+
+@pytest.mark.parametrize("mode,strategy", STRATEGY_CASES)
+def test_report_path_builds_no_round_records(monkeypatch, mode, strategy):
+    def forbidden(self, i):
+        raise AssertionError("a RoundRecord was built on the report path")
+
+    monkeypatch.setattr(Rounds, "__getitem__", forbidden)
+    params = _params(rounds=2000, mode=mode, mean_photons=2.0, p_analyzing=0.3)
+    report, _ = run_experiment(params, _attack(strategy), trials=2, channel_loss=0.1)
+    report.to_dict()
+    flat_rows(report, 2, mode, strategy)
+
+
+def _recount(transcript, guesses) -> dict:
+    """The per-record scorer the batch one replaced, kept as its reference."""
+    n = transcript.params.n_screening
+    skip = ("verdict", "beamsplit_reported", "beamsplit_conclusive")  # Eve's metrics
+    c = {f.name: 0 for f in fields(TrialCounts) if f.name not in skip}
+    alice_key, bob_key = [], []
+    for rec in transcript.rounds:
+        c["rounds"] += 1
+        matched = is_matched(rec.a_index, rec.b_index, n)
+        c["matched"] += matched
+        if matched and rec.is_analyzing:
+            expected = expected_ad_bit(rec.k, rec.phi_star)
+            for bit, origin in zip(rec.ad_outcomes, rec.ad_origins):
+                c["ad_clicks"] += 1
+                c["ad_violations"] += bit != expected
+                if origin is not Origin.LEGITIMATE:
+                    c["ad_injected_clicks"] += 1
+                    c["ad_injected_violations"] += bit != expected
+        elif matched and rec.bob_outcome is not None:
+            alice_key.append(rec.k)
+            bob_key.append(rec.bob_outcome ^ 1)
+        guess = guesses.get(rec.round_id)
+        if guess is not None:
+            correct = guess == rec.k
+            c["eve_guesses"] += 1
+            c["eve_correct"] += correct
+            if rec.is_analyzing:
+                c["eve_analyzing_guesses"] += 1
+                c["eve_analyzing_correct"] += correct
+            if matched and not rec.is_analyzing and rec.bob_outcome is not None:
+                c["eve_key_guesses"] += 1
+                c["eve_key_correct"] += correct
+    c["sifted_bits"] = len(alice_key)
+    c["qber_errors"] = sum(a != b for a, b in zip(alice_key, bob_key))
+    assert transcript.alice_key == bytes(alice_key)
+    assert transcript.bob_key == bytes(bob_key)
+    return c
+
+
+@pytest.mark.parametrize("mode,strategy", STRATEGY_CASES)
+def test_batch_scorer_matches_per_record_recount(mode, strategy):
+    params = _params(
+        rounds=3000, mode=mode, mean_photons=3.0, p_analyzing=0.4,
+        transmission=0.7, seed=206,
+    )
+    knobs = {"attack_probability": 0.6} if strategy != "none" else {}
+    interceptor = build_interceptor(_attack(strategy, **knobs), params)
+    transcript = run_session(params, interceptor, channel_loss=0.2)
+    guesses = interceptor.produce_guesses() if interceptor else Guesses()
+    metrics = interceptor.metrics() if interceptor else {}
+    counts = score_trial(transcript, guesses, metrics)
+    expected = _recount(transcript, guesses)
+    assert {name: getattr(counts, name) for name in expected} == expected
+    assert counts.rounds == 3000 and counts.matched > 0

@@ -1,35 +1,52 @@
+import dataclasses
 import inspect
 import math
 
 import numpy as np
 import pytest
 
+from screenqkd import channel
 from screenqkd.channel import Interceptor, Leg, transmit
 from screenqkd.errors import ConfigError
-from screenqkd.photonics import Photon, Pulse
+from screenqkd.photonics import Pulse
 from screenqkd.protocol import ProtocolParams, run_session
 
 from conftest import binom_sigma
 
+ROUND = np.arange(1)
+
 
 def _pulse(n: int) -> Pulse:
-    return Pulse(tuple(Photon(0.3) for _ in range(n)))
+    """A batch of one round whose pulse holds n photons at 0.3."""
+    return Pulse(np.full(n, 0.3), np.zeros(n, np.int8), np.zeros(n, np.intp), 1)
 
 
 class TestTransmit:
     def test_lossless_identity(self):
         pulse = _pulse(5)
-        out = transmit(pulse, Leg.ALICE_TO_BOB_1, 1)
-        assert out.photons == pulse.photons
+        out = transmit(pulse, Leg.ALICE_TO_BOB_1, ROUND)
+        assert np.array_equal(out.photons, pulse.photons)
+
+    def test_loss_free_leg_does_no_work(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("a loss-free leg called beam_split")
+
+        monkeypatch.setattr(channel, "beam_split", forbidden)
+        pulse = _pulse(5)
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        out = transmit(pulse, Leg.BOB_TO_ALICE, ROUND, loss=0.0, rng_channel=rng)
+        assert out is pulse
+        assert rng.bit_generator.state == before
 
     def test_full_loss(self):
         rng = np.random.default_rng(0)
-        out = transmit(_pulse(5), Leg.ALICE_TO_BOB_1, 1, loss=1.0, rng_channel=rng)
+        out = transmit(_pulse(5), Leg.ALICE_TO_BOB_1, ROUND, loss=1.0, rng_channel=rng)
         assert out.is_empty
 
     def test_invalid_loss(self):
         with pytest.raises(ConfigError):
-            transmit(_pulse(1), Leg.ALICE_TO_BOB_1, 1, loss=1.5)
+            transmit(_pulse(1), Leg.ALICE_TO_BOB_1, ROUND, loss=1.5)
 
     def test_identity_interceptor_equivalent_to_none(self):
         params = ProtocolParams(n_screening=2, rounds=2000, seed=60)
@@ -46,17 +63,12 @@ class TestTransmit:
         a, b = 0.2, 0.3
         combined = 1 - (1 - a) * (1 - b)
         n = 40_000
-        two_step = 0
-        one_step = 0
-        for i in range(n // 100):
-            pulse = _pulse(100)
-            mid = transmit(pulse, Leg.ALICE_TO_BOB_1, i, loss=a, rng_channel=rng1)
-            out = transmit(mid, Leg.BOB_TO_ALICE, i, loss=b, rng_channel=rng1)
-            two_step += out.count
-            out2 = transmit(
-                pulse, Leg.ALICE_TO_BOB_1, i, loss=combined, rng_channel=rng2
-            )
-            one_step += out2.count
+        pulse = _pulse(n)
+        mid = transmit(pulse, Leg.ALICE_TO_BOB_1, ROUND, loss=a, rng_channel=rng1)
+        two_step = transmit(mid, Leg.BOB_TO_ALICE, ROUND, loss=b, rng_channel=rng1).count
+        one_step = transmit(
+            pulse, Leg.ALICE_TO_BOB_1, ROUND, loss=combined, rng_channel=rng2
+        ).count
         survive = 1 - combined
         tol = 4 * math.sqrt(2) * binom_sigma(survive, n) * n
         assert abs(two_step - one_step) <= tol
@@ -67,8 +79,8 @@ class _RecordingInterceptor(Interceptor):
         self.calls = []
         self.announcements = []
 
-    def intercept(self, leg, pulse, round_id, rng):
-        self.calls.append((leg, pulse, round_id, rng))
+    def intercept(self, leg, pulse, round_ids, rng):
+        self.calls.append((leg, pulse, round_ids, rng))
         return pulse
 
     def observe_announcement(self, announcement):
@@ -80,22 +92,22 @@ class TestInformationFirewall:
         recorder = _RecordingInterceptor()
         params = ProtocolParams(n_screening=2, rounds=50, seed=63)
         transcript = run_session(params, recorder)
-        assert len(recorder.calls) == 150  # three legs per round
-        for i, (leg, pulse, round_id, rng) in enumerate(recorder.calls):
-            # legs occur in order 1, 2, 3 within each round
-            assert leg is list(Leg)[i % 3]
-            assert round_id == i // 3
-        for leg, pulse, round_id, rng in recorder.calls:
+        assert len(recorder.calls) == 3  # one batch of all rounds per leg
+        for i, (leg, pulse, round_ids, rng) in enumerate(recorder.calls):
+            # legs occur in order 1, 2, 3, each carrying every round
+            assert leg is list(Leg)[i]
+            assert round_ids.tolist() == list(range(50))
+        for leg, pulse, round_ids, rng in recorder.calls:
             assert isinstance(leg, Leg)
             assert isinstance(pulse, Pulse)
-            assert isinstance(round_id, int)
+            assert pulse.rounds == 50
             assert isinstance(rng, np.random.Generator)
-            # a pulse exposes its photons, nothing else
-            public = [f for f in dir(pulse) if not f.startswith("_")]
-            assert set(public) == {"photons", "count", "is_empty", "rotated"}
+            # a batch holds its photon columns, nothing else
+            fields = {f.name for f in dataclasses.fields(pulse)}
+            assert fields == {"photons", "origin", "owner", "rounds"}
         # the observer runs exactly once, with the published announcement
         assert len(recorder.announcements) == 1
-        assert recorder.announcements[0] == transcript.announcement
+        assert recorder.announcements[0] is transcript.announcement
 
     def test_base_interceptor_api_surface(self):
         # API review: the interceptor contract has no transcript access
@@ -113,5 +125,5 @@ class TestInformationFirewall:
         params = ProtocolParams(n_screening=3, rounds=200, seed=64)
         transcript = run_session(params, recorder)
         ann = recorder.announcements[0]
-        assert ann.a_indices == tuple(r.a_index for r in transcript.rounds)
-        assert ann.b_indices == tuple(r.b_index for r in transcript.rounds)
+        assert ann.a_indices.tolist() == [r.a_index for r in transcript.rounds]
+        assert ann.b_indices.tolist() == [r.b_index for r in transcript.rounds]

@@ -10,7 +10,6 @@ from screenqkd.photonics import (
     DIAGONAL,
     PI,
     Origin,
-    Photon,
     Pulse,
     angles_close,
     beam_split,
@@ -44,11 +43,18 @@ class TestCanonialization:
         # x % pi rounds up to exactly pi for -2.2e-16 < x < 0
         for x in (-1e-17, -1e-20):
             assert canon(x) == 0.0
-            assert Photon(x).polarization == 0.0
+            assert single_photon_pulse(np.array([x])).photons[0] == 0.0
+
+
+def _pulse(polarizations, origins=None) -> Pulse:
+    """A batch of one round whose pulse holds the given photons."""
+    n = len(polarizations)
+    origins = np.zeros(n, np.int8) if origins is None else np.asarray(origins, np.int8)
+    return Pulse(np.asarray(polarizations, float), origins, np.zeros(n, np.intp), 1)
 
 
 def rotate(state: float, delta: float) -> float:
-    return Photon(state).rotated(delta).polarization
+    return single_photon_pulse(np.array([state])).rotated(delta).photons[0]
 
 
 class TestRotate:
@@ -60,9 +66,9 @@ class TestRotate:
             calls.append(radians)
             return real_canon(radians)
 
-        photon = Photon(2.9)
+        pulse = single_photon_pulse(np.array([2.9]))
         monkeypatch.setattr(photonics, "canon", counting_canon)
-        assert photon.rotated(0.5).polarization == real_canon(3.4)
+        assert pulse.rotated(0.5).photons[0] == real_canon(3.4)
         assert len(calls) == 1
 
     def test_identity(self):
@@ -89,18 +95,16 @@ class TestRotate:
 class TestMeasure:
     def test_aligned_deterministic(self):
         rng = np.random.default_rng(4)
-        for _ in range(200):
-            assert measure(Photon(PI / 4), PI / 4, rng) == 0
+        assert (measure(np.full(200, PI / 4), PI / 4, rng) == 0).all()
 
     def test_orthogonal_deterministic(self):
         rng = np.random.default_rng(5)
-        for _ in range(200):
-            assert measure(Photon(3 * PI / 4), PI / 4, rng) == 1
+        assert (measure(np.full(200, 3 * PI / 4), PI / 4, rng) == 1).all()
 
     def test_unbiased_at_45_degrees(self):
         rng = np.random.default_rng(6)
         n = 100_000
-        mean = sum(measure(Photon(0.0), DIAGONAL, rng) for _ in range(n)) / n
+        mean = measure(np.zeros(n), DIAGONAL, rng).sum() / n
         assert abs(mean - 0.5) <= 0.01
 
     def test_born_rule_chi_squared(self):
@@ -112,10 +116,7 @@ class TestMeasure:
             delta = (i + 0.5) * PI / 16
             expected0 = math.cos(delta) ** 2 * samples
             expected1 = samples - expected0
-            ones = sum(
-                measure(Photon(delta), 0.0, rng)
-                for _ in range(samples)
-            )
+            ones = int(measure(np.full(samples, delta), 0.0, rng).sum())
             zeros = samples - ones
             statistic += (zeros - expected0) ** 2 / expected0
             statistic += (ones - expected1) ** 2 / expected1
@@ -132,84 +133,81 @@ class TestMeasure:
     def test_basis_axes_orthogonal(self):
         # an axis and the same axis plus pi are one analyzer: same outcomes
         # from the same generator state
-        photon = Photon(0.4)
+        photons = np.full(200, 0.4)
         for axis in (0.0, 1.234, PI / 4, 3.0):
             rng_a, rng_b = np.random.default_rng(21), np.random.default_rng(21)
-            a = [measure(photon, axis, rng_a) for _ in range(200)]
-            b = [measure(photon, axis + PI, rng_b) for _ in range(200)]
+            a = measure(photons, axis, rng_a).tolist()
+            b = measure(photons, axis + PI, rng_b).tolist()
             assert a == b and set(a) == {0, 1}
 
 
 class TestPulsePreparation:
     def test_vacuum_mean(self):
         rng = np.random.default_rng(9)
-        for _ in range(200):
-            assert make_pulse(0.7, 0.0, rng).count == 0
+        assert make_pulse(np.full(200, 0.7), 0.0, rng).count == 0
 
     def test_poisson_sample_mean(self):
         rng = np.random.default_rng(10)
         n = 100_000
-        mean = sum(make_pulse(0.7, 2.0, rng).count for _ in range(n)) / n
+        mean = make_pulse(np.full(n, 0.7), 2.0, rng).count / n
         assert abs(mean - 2.0) <= 0.05
 
     def test_single_photon_forced(self):
-        pulse = single_photon_pulse(0.3)
+        pulse = single_photon_pulse(np.array([0.3]))
         assert pulse.count == 1
-        assert pulse.photons[0].polarization == pytest.approx(0.3)
-        assert pulse.photons[0].origin is Origin.LEGITIMATE
+        assert pulse.photons[0] == pytest.approx(0.3)
+        assert pulse.origin[0] == Origin.LEGITIMATE
 
     def test_shared_polarization(self):
         rng = np.random.default_rng(11)
-        pulse = make_pulse(2.5, 6.0, rng)
+        pulse = make_pulse(np.array([2.5]), 6.0, rng)
         for photon in pulse.photons:
-            assert photon.polarization == pytest.approx(canon(2.5))
+            assert photon == pytest.approx(canon(2.5))
 
     def test_negative_mean_rejected(self):
         rng = np.random.default_rng(12)
         with pytest.raises(ConfigError):
-            make_pulse(0.0, -0.1, rng)
+            make_pulse(np.zeros(1), -0.1, rng)
         with pytest.raises(ConfigError):
-            make_pulse(0.0, 101.0, rng)
+            make_pulse(np.zeros(1), 101.0, rng)
 
 
 class TestBeamSplit:
     def test_tap_zero(self):
         rng = np.random.default_rng(13)
-        pulse = make_pulse(0.2, 4.0, rng)
+        pulse = make_pulse(np.full(3, 0.2), 4.0, rng)
         tapped, passed = beam_split(pulse, 0.0, rng)
         assert tapped.is_empty
-        assert passed.photons == pulse.photons
+        assert np.array_equal(passed.photons, pulse.photons)
 
     def test_tap_one(self):
         rng = np.random.default_rng(14)
-        pulse = make_pulse(0.2, 4.0, rng)
+        pulse = make_pulse(np.full(3, 0.2), 4.0, rng)
         tapped, passed = beam_split(pulse, 1.0, rng)
         assert passed.is_empty
-        assert tapped.photons == pulse.photons
+        assert np.array_equal(tapped.photons, pulse.photons)
 
     def test_binomial_mean(self):
         rng = np.random.default_rng(15)
-        pulse = Pulse(tuple(Photon(0.1) for _ in range(100_000)))
+        pulse = _pulse(np.full(100_000, 0.1))
         tapped, passed = beam_split(pulse, 0.3, rng)
         assert abs(tapped.count - 30_000) <= 450
         assert tapped.count + passed.count == 100_000
 
     def test_conserves_photons(self):
         rng = np.random.default_rng(16)
-        pulse = Pulse(tuple(Photon(i * 0.01, Origin.LEGITIMATE) for i in range(50)))
+        pulse = _pulse(np.arange(50) * 0.01)
         tapped, passed = beam_split(pulse, 0.5, rng)
-        merged = sorted(p.polarization for p in tapped.photons + passed.photons)
-        assert merged == sorted(p.polarization for p in pulse.photons)
+        merged = sorted(np.concatenate((tapped.photons, passed.photons)))
+        assert merged == sorted(pulse.photons)
 
     def test_origin_blind(self):
         # tapped fraction must not depend on the diagnostic origin tag
         rng = np.random.default_rng(17)
         n = 50_000
-        photons = tuple(Photon(0.4, Origin.LEGITIMATE) for _ in range(n)) + tuple(
-            Photon(0.4, Origin.TROJAN_INJECTED) for _ in range(n)
-        )
-        tapped, _ = beam_split(Pulse(photons), 0.3, rng)
-        legit = sum(p.origin is Origin.LEGITIMATE for p in tapped.photons)
+        origins = [Origin.LEGITIMATE] * n + [Origin.TROJAN_INJECTED] * n
+        tapped, _ = beam_split(_pulse(np.full(2 * n, 0.4), origins), 0.3, rng)
+        legit = int(np.count_nonzero(tapped.origin == Origin.LEGITIMATE))
         trojan = tapped.count - legit
         tol = 4 * math.sqrt(2) * binom_sigma(0.3, n) * n
         assert abs(legit - trojan) <= tol
@@ -217,19 +215,45 @@ class TestBeamSplit:
     def test_out_of_range_rejected(self):
         rng = np.random.default_rng(18)
         with pytest.raises(ConfigError):
-            beam_split(Pulse((Photon(0.0),)), 1.5, rng)
+            beam_split(_pulse([0.0]), 1.5, rng)
         with pytest.raises(ConfigError):
-            beam_split(Pulse((Photon(0.0),)), -0.1, rng)
+            beam_split(_pulse([0.0]), -0.1, rng)
 
 
 def test_photon_immutable():
-    photon = Photon(0.5)
+    pulse = single_photon_pulse(np.array([0.5]))
     with pytest.raises(AttributeError):
-        photon.polarization = 0.6  # type: ignore[misc]
+        pulse.photons = np.array([0.6])  # type: ignore[misc]
 
 
 def test_pulse_rotation_preserves_origin():
-    pulse = Pulse((Photon(0.2, Origin.TROJAN_INJECTED),))
+    pulse = _pulse([0.2], [Origin.TROJAN_INJECTED])
     rotated = pulse.rotated(1.0)
-    assert rotated.photons[0].origin is Origin.TROJAN_INJECTED
-    assert rotated.photons[0].polarization == pytest.approx(1.2)
+    assert rotated.origin[0] == Origin.TROJAN_INJECTED
+    assert rotated.photons[0] == pytest.approx(1.2)
+
+
+class TestBatch:
+    def test_rotation_per_round(self):
+        pulse = make_pulse(np.array([0.1, 0.2, 0.3]), 3.0, np.random.default_rng(22))
+        rotated = pulse.rotated(np.array([0.5, 1.0, 1.5]))
+        expected = [canon(0.1 + 0.5), canon(0.2 + 1.0), canon(0.3 + 1.5)]
+        for photon, owner in zip(rotated.photons, rotated.owner):
+            assert photon == pytest.approx(expected[owner])
+
+    def test_merged_keeps_rounds_contiguous_and_in_order(self):
+        first = Pulse(np.array([0.1, 0.2, 0.3]), np.zeros(3, np.int8), np.array([0, 0, 2]), 3)
+        second = single_photon_pulse(np.array([1.0, 1.1, 1.2])).tagged(
+            Origin.TROJAN_INJECTED
+        )
+        merged = first.merged(second)
+        assert merged.owner.tolist() == [0, 0, 0, 1, 2, 2]
+        assert merged.photons.tolist() == pytest.approx([0.1, 0.2, 1.0, 1.1, 0.3, 1.2])
+        assert merged.origin.tolist() == [0, 0, 1, 1, 0, 1]
+        assert merged.counts.tolist() == [3, 1, 2]
+        assert merged.leading().tolist() == [True, False, False, True, True, False]
+
+    def test_make_pulse_sorts_photons_by_round(self):
+        pulse = make_pulse(np.linspace(0.0, 3.0, 1000), 2.0, np.random.default_rng(23))
+        assert np.all(np.diff(pulse.owner) >= 0)
+        assert pulse.counts.sum() == pulse.count and pulse.rounds == 1000

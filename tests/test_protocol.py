@@ -6,6 +6,8 @@ import screenqkd.protocol as protocol
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import kstest
 
 from screenqkd.errors import ConfigError, ProtocolError
@@ -103,21 +105,18 @@ class TestAlicePrepare:
     def test_single_mode_one_photon(self):
         params = ProtocolParams(mode="single")
         rng = np.random.default_rng(0)
-        theta, pulse = alice_prepare(params, rng)
+        theta = np.array([1.3])
+        pulse = alice_prepare(theta, params, rng)
         assert pulse.count == 1
-        assert pulse.photons[0].polarization == pytest.approx(theta)
+        assert pulse.photons[0] == pytest.approx(theta[0])
 
     def test_distinct_thetas(self):
-        params = ProtocolParams()
-        rng = np.random.default_rng(1)
-        t1, _ = alice_prepare(params, rng)
-        t2, _ = alice_prepare(params, rng)
-        assert t1 != t2
+        thetas = run_session(ProtocolParams(rounds=2, seed=1)).rounds.theta
+        assert thetas[0] != thetas[1]
 
     def test_theta_uniform(self):
-        params = ProtocolParams()
-        rng = np.random.default_rng(2)
-        thetas = [alice_prepare(params, rng)[0] / PI for _ in range(100_000)]
+        params = ProtocolParams(rounds=100_000, seed=2)
+        thetas = run_session(params).rounds.theta / PI
         result = kstest(thetas, "uniform")
         assert result.pvalue > 0.01
 
@@ -125,37 +124,33 @@ class TestAlicePrepare:
 class TestBobTransform:
     def test_rotation_arithmetic(self):
         params = ProtocolParams(n_screening=2, p_analyzing=0.0)
-        rng = np.random.default_rng(3)
-        theta = 0.37
-        pulse, phi, b_index, is_analyzing, phi_star = bob_transform(
-            single_photon_pulse(theta), params, rng
+        theta, phi, b_index = 0.37, 1.9, 2
+        pulse = bob_transform(
+            single_photon_pulse(np.array([theta])), np.array([phi]),
+            np.array([b_index]), params,
         )
         alpha_b = params.angles[b_index - 1]
-        assert not is_analyzing and phi_star is None
-        assert pulse.photons[0].polarization == pytest.approx(
+        assert pulse.photons[0] == pytest.approx(
             (theta + phi + alpha_b) % PI, abs=1e-12
         )
 
     def test_never_analyzing_at_zero(self):
-        params = ProtocolParams(p_analyzing=0.0)
-        rng = np.random.default_rng(4)
-        for _ in range(500):
-            _, _, _, is_analyzing, _ = bob_transform(single_photon_pulse(0.1), params, rng)
-            assert not is_analyzing
+        transcript = run_session(ProtocolParams(p_analyzing=0.0, rounds=500, seed=4))
+        assert not transcript.rounds.is_analyzing.any()
 
     def test_always_analyzing_at_one(self):
-        params = ProtocolParams(p_analyzing=1.0)
-        rng = np.random.default_rng(5)
+        transcript = run_session(ProtocolParams(p_analyzing=1.0, rounds=500, seed=5))
         seen = set()
-        for _ in range(500):
-            _, phi, _, is_analyzing, phi_star = bob_transform(
-                single_photon_pulse(0.1), params, rng
-            )
-            assert is_analyzing
-            assert phi == phi_star
-            assert phi_star in (0.0, PI / 2)
-            seen.add(phi_star)
+        for rec in transcript.rounds:
+            assert rec.is_analyzing
+            assert rec.phi == rec.phi_star
+            assert rec.phi_star in (0.0, PI / 2)
+            seen.add(rec.phi_star)
         assert seen == {0.0, PI / 2}
+
+
+def _one(value) -> np.ndarray:
+    return np.array([value])
 
 
 class TestAliceEncode:
@@ -163,22 +158,24 @@ class TestAliceEncode:
         params = ProtocolParams(n_screening=2, transmission=1.0)
         rng = np.random.default_rng(6)
         theta, phi, alpha_b = 0.81, 1.1, params.angles[1]
-        incoming = single_photon_pulse(theta + phi + alpha_b)
+        incoming = single_photon_pulse(_one(theta + phi + alpha_b))
         for k in (0, 1):
-            to_bob, ad_outcomes, _ = alice_encode(incoming, theta, k, 1, params, rng)
-            assert ad_outcomes == ()
+            to_bob, ad_outcomes, _ = alice_encode(
+                incoming, _one(theta), _one(k), _one(1), params, rng
+            )
+            assert len(ad_outcomes) == 0
             assert to_bob.count == 1
             expected = (phi + (-1) ** k * PI / 4 + params.angles[0] + alpha_b) % PI
-            assert to_bob.photons[0].polarization == pytest.approx(expected, abs=1e-12)
+            assert to_bob.photons[0] == pytest.approx(expected, abs=1e-12)
 
     def test_full_tap_consumes_pulse(self):
         params = ProtocolParams(n_screening=2, transmission=0.0)
         rng = np.random.default_rng(7)
-        to_bob, ad_outcomes, origins = alice_encode(
-            single_photon_pulse(0.4), 0.4, 0, 1, params, rng
+        to_bob, ad_outcomes, tapped = alice_encode(
+            single_photon_pulse(_one(0.4)), _one(0.4), _one(0), _one(1), params, rng
         )
         assert to_bob.is_empty
-        assert len(ad_outcomes) == 1 and len(origins) == 1
+        assert len(ad_outcomes) == 1 and tapped.count == 1
 
     def test_matched_analyzing_ad_bit_all_cases(self):
         # exhaustive (k, phi*) x matched pair check of the integrity relation
@@ -189,19 +186,20 @@ class TestAliceEncode:
             alpha_b = params.angles[b_index - 1]
             for k in (0, 1):
                 for phi_star in (0.0, PI / 2):
-                    incoming = single_photon_pulse(theta + phi_star + alpha_b)
+                    incoming = single_photon_pulse(_one(theta + phi_star + alpha_b))
                     _, ad_outcomes, _ = alice_encode(
-                        incoming, theta, k, a_index, params, rng
+                        incoming, _one(theta), _one(k), _one(a_index), params, rng
                     )
-                    assert ad_outcomes == (expected_ad_bit(k, phi_star),)
+                    assert ad_outcomes.tolist() == [expected_ad_bit(k, phi_star)]
 
     def test_rejects_bad_arguments(self):
         params = ProtocolParams(n_screening=2)
         rng = np.random.default_rng(9)
+        pulse = single_photon_pulse(_one(0.0))
         with pytest.raises(ConfigError):
-            alice_encode(single_photon_pulse(0.0), 0.0, 2, 1, params, rng)
+            alice_encode(pulse, _one(0.0), _one(2), _one(1), params, rng)
         with pytest.raises(ConfigError):
-            alice_encode(single_photon_pulse(0.0), 0.0, 0, 3, params, rng)
+            alice_encode(pulse, _one(0.0), _one(0), _one(3), params, rng)
 
 
 class TestBobDecode:
@@ -210,24 +208,30 @@ class TestBobDecode:
         phi = 0.77
         for k, expected in ((0, 1), (1, 0)):
             state = phi + (-1) ** k * PI / 4 + PI / 2
-            outcome, conclusive, received = bob_decode(
-                single_photon_pulse(state), phi, rng
-            )
-            assert conclusive and received == 1
-            assert outcome == expected == (k ^ 1)
+            outcome, received = bob_decode(single_photon_pulse(_one(state)), _one(phi), rng)
+            assert received[0] == 1
+            assert outcome[0] == expected == (k ^ 1)
 
     def test_vacuum_absent(self):
         rng = np.random.default_rng(11)
-        outcome, conclusive, received = bob_decode(Pulse(), 0.3, rng)
-        assert outcome is None and not conclusive and received == 0
+        outcome, received = bob_decode(Pulse.vacuum(1), _one(0.3), rng)
+        assert outcome[0] == -1 and received[0] == 0
 
     def test_multi_photon_agreement(self):
         rng = np.random.default_rng(12)
         phi = 0.2
         state = phi + PI / 4 + PI / 2  # k = 0 on a matched round
-        pulse = Pulse(tuple(single_photon_pulse(state).photons * 4))
-        outcome, conclusive, received = bob_decode(pulse, phi, rng)
-        assert conclusive and received == 4 and outcome == 1
+        pulse = Pulse(np.full(4, state), np.zeros(4, np.int8), np.zeros(4, np.intp), 1)
+        outcome, received = bob_decode(pulse, _one(phi), rng)
+        assert received[0] == 4 and outcome[0] == 1
+
+    def test_multi_photon_disagreement_is_inconclusive(self):
+        # 20 photons halfway between the analyzer axes: all 20 outcomes
+        # agree with probability 2^-19, else the round has no outcome
+        rng = np.random.default_rng(13)
+        pulse = Pulse(np.zeros(20), np.zeros(20, np.int8), np.zeros(20, np.intp), 2)
+        outcome, received = bob_decode(pulse, np.zeros(2), rng)
+        assert received.tolist() == [20, 0] and outcome.tolist() == [-1, -1]
 
 
 class TestKeyDigest:
@@ -242,6 +246,17 @@ class TestKeyDigest:
         bits = [1, 0, 1, 1, 0, 0, 1, 0, 1]
         assert key_digest(bits) == hashlib.sha256(pack_key_bits(bits)).digest()
         assert len(key_digest(bits)) == 32
+
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(bits=st.lists(st.integers(0, 1), max_size=257))
+    def test_packing_matches_bit_loop(self, bits):
+        expected = bytearray((len(bits) + 7) // 8)
+        for i, bit in enumerate(bits):
+            if bit:
+                expected[i >> 3] |= 0x80 >> (i & 7)
+        assert pack_key_bits(bits) == bytes(expected)
+        assert pack_key_bits(bytes(bits)) == bytes(expected)
+        assert pack_key_bits(np.array(bits, dtype=bool)) == bytes(expected)
 
 
 def _honest_session(**overrides):
@@ -387,7 +402,7 @@ class TestHonestSession:
             n_screening=2, rounds=300, mode="pulse", mean_photons=0.0, seed=55,
         )
         transcript = run_session(params)
-        assert transcript.alice_key == ()
+        assert transcript.alice_key == b""
         assert transcript.alice_hash == transcript.bob_hash
         assert transcript.verdict is Verdict.ACCEPTED
 
@@ -395,15 +410,16 @@ class TestHonestSession:
 class TestSiftAndVerify:
     def test_flipped_bob_bit_gives_hash_mismatch(self):
         transcript = _honest_session(seed=51)
-        rounds = list(transcript.rounds)
-        for i, rec in enumerate(rounds):
+        bob_outcome = transcript.rounds.bob_outcome.copy()
+        for i, rec in enumerate(transcript.rounds):
             if (
                 is_matched(rec.a_index, rec.b_index, 2)
                 and not rec.is_analyzing
                 and rec.bob_outcome is not None
             ):
-                rounds[i] = dataclasses.replace(rec, bob_outcome=rec.bob_outcome ^ 1)
+                bob_outcome[i] ^= 1
                 break
+        rounds = dataclasses.replace(transcript.rounds, bob_outcome=bob_outcome)
         tampered = sift_and_verify(
             transcript.params, rounds, Announcement.from_rounds(rounds)
         )
@@ -423,7 +439,7 @@ class TestSiftAndVerify:
 
     def test_analyzing_rounds_excluded_from_key(self):
         transcript = _honest_session(seed=53, p_analyzing=1.0)
-        assert transcript.alice_key == ()
+        assert transcript.alice_key == b""
         assert transcript.verdict is Verdict.ACCEPTED
 
 
