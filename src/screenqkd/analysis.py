@@ -47,7 +47,7 @@ from .protocol import (
     sifted,
 )
 
-SCHEMA_VERSION = "2"
+SCHEMA_VERSION = "3"
 
 FLAT_COLUMNS = (
     "trial",
@@ -127,6 +127,13 @@ def _bits_hex(bits) -> str:
     return pack_key_bits(bits).hex()
 
 
+def _indices_hex(indices: np.ndarray, n: int) -> str:
+    """Screening indices in 1..n as big-endian unsigned hex, one entry per
+    round in the smallest of 1, 2 or 4 bytes that holds n."""
+    width = next(w for w in (1, 2, 4) if n < 256**w)
+    return indices.astype(f">u{width}").tobytes().hex()
+
+
 @dataclass(frozen=True, eq=False)
 class SessionSummary:
     """Auditable per-session record carried inside the structured report.
@@ -134,7 +141,7 @@ class SessionSummary:
     Keys and flag sequences are big-endian bit-packed hex;
     ``phi_star_flags`` has a set bit where the analyzing angle was pi/2
     and is only meaningful where ``analyzing_flags`` is set. The index
-    lists are arrays with one entry per round.
+    arrays have one entry per round; the report stores them as hex too.
     """
 
     verdict: str
@@ -309,10 +316,10 @@ class ExperimentReport:
             "totals": asdict(self.totals),
             "per_trial": [asdict(c) for c in self.per_trial],
             # vars, not asdict: asdict would deep-copy the M-long index
-            # arrays that the lists below replace.
+            # arrays that the hex strings below replace.
             "sessions": [
-                {**vars(s), "a_indices": s.a_indices.tolist(),
-                 "b_indices": s.b_indices.tolist()}
+                {**vars(s), "a_indices": _indices_hex(s.a_indices, n),
+                 "b_indices": _indices_hex(s.b_indices, n)}
                 for s in self.sessions
             ],
             "verdicts": self.verdicts,

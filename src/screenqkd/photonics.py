@@ -102,6 +102,8 @@ class Pulse:
 
     def take(self, index: np.ndarray) -> Pulse:
         """The photons selected by a mask (or ascending indices)."""
+        if index.dtype == bool:
+            index = np.flatnonzero(index)  # one mask scan for all three gathers
         return Pulse(self.photons[index], self.origin[index], self.owner[index], self.rounds)
 
     def tagged(self, origin: Origin) -> Pulse:

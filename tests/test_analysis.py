@@ -1,5 +1,5 @@
 import json
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -18,9 +18,11 @@ from screenqkd.analysis import (
     write_transcripts,
 )
 from screenqkd.channel import Guesses
+from screenqkd.cli import build_parser, load_config, main
 from screenqkd.errors import ConfigError
-from screenqkd.photonics import Origin
+from screenqkd.photonics import PI, Origin
 from screenqkd.protocol import (
+    Announcement,
     ProtocolParams,
     Rounds,
     expected_ad_bit,
@@ -327,3 +329,102 @@ def test_batch_scorer_matches_per_record_recount(mode, strategy):
     expected = _recount(transcript, guesses)
     assert {name: getattr(counts, name) for name in expected} == expected
     assert counts.rounds == 3000 and counts.matched > 0
+
+
+def announcement_from_session(session: dict, rounds: int) -> Announcement:
+    """Decode one report session block back to the public announcement.
+
+    Each index field holds one big-endian unsigned entry per round, so its
+    width is the hex length over 2 * rounds; flags are packed bits, and
+    phi* is 0 or pi/2 on analyzing rounds.
+    """
+    def indices(field: str) -> np.ndarray:
+        raw = bytes.fromhex(field)
+        return np.frombuffer(raw, f">u{len(raw) // rounds}")
+
+    def flags(field: str) -> np.ndarray:
+        bits = np.unpackbits(np.frombuffer(bytes.fromhex(field), np.uint8))
+        return bits[:rounds].astype(bool)
+
+    analyzing = flags(session["analyzing_flags"])
+    phi_star = np.where(flags(session["phi_star_flags"]), PI / 2, 0.0)
+    return Announcement(
+        a_indices=indices(session["a_indices"]),
+        b_indices=indices(session["b_indices"]),
+        analyzing_flags=analyzing,
+        phi_star_values=np.where(analyzing, phi_star, np.nan),
+    )
+
+
+def _assert_decodes(doc: dict, transcripts) -> None:
+    assert len(doc["sessions"]) == len(transcripts)
+    for session, transcript in zip(doc["sessions"], transcripts):
+        decoded = announcement_from_session(session, doc["rounds_per_trial"])
+        ann = transcript.announcement
+        assert np.array_equal(decoded.a_indices, ann.a_indices)
+        assert np.array_equal(decoded.b_indices, ann.b_indices)
+        assert np.array_equal(decoded.analyzing_flags, ann.analyzing_flags)
+        assert np.array_equal(decoded.phi_star_values, ann.phi_star_values, equal_nan=True)
+
+
+def _cli_report(argv: list[str], outdir) -> tuple[dict, list]:
+    """Run the CLI, then rerun its config in-process to keep the transcripts."""
+    assert main([*argv, "--outdir", str(outdir)]) == 0
+    doc = json.loads((outdir / "report.json").read_text())
+    config = load_config(build_parser().parse_args(argv))
+    transcripts = {}
+    for n in config.sweep_n or [config.params.n_screening]:
+        _, transcripts[n] = run_experiment(
+            replace(config.params, n_screening=n), config.attack,
+            trials=config.trials, channel_loss=config.loss, keep_transcripts=True,
+        )
+    return doc, transcripts
+
+
+@pytest.mark.parametrize("mode,strategy", STRATEGY_CASES)
+def test_report_announcement_round_trips(tmp_path, capsys, mode, strategy):
+    argv = [
+        "--mode", mode, "--attack", strategy, "--loss", "0.1", "--trials", "2",
+        "--rounds", "2000", "--p-analyzing", "0.3", "--seed", "11",
+        *(["--mean-photons", "2.0"] if mode == "pulse" else []),
+    ]
+    doc, transcripts = _cli_report(argv, tmp_path)
+    _assert_decodes(doc, transcripts[doc["config"]["n"]])
+
+
+@pytest.mark.parametrize("n,width", [(1, 1), (255, 1), (256, 2), (300, 2), (65_536, 4)])
+def test_index_width_is_smallest_that_holds_n(n, width):
+    params = _params(n_screening=n, rounds=37, p_analyzing=0.5)
+    report, transcripts = run_experiment(
+        params, AttackConfig(), trials=2, keep_transcripts=True
+    )
+    doc = report.to_dict()
+    for session in doc["sessions"]:
+        assert len(session["a_indices"]) == len(session["b_indices"]) == 2 * 37 * width
+    _assert_decodes(doc, transcripts)
+
+
+def test_sweep_report_encodes_every_n(tmp_path, capsys):
+    argv = ["--sweep-N", "2,300", "--rounds", "600", "--trials", "2", "--seed", "12"]
+    doc, transcripts = _cli_report(argv, tmp_path)
+    for n, width in ((2, 1), (300, 2)):
+        point = doc["sweep"][str(n)]
+        assert {len(s["a_indices"]) for s in point["sessions"]} == {2 * 600 * width}
+        _assert_decodes(point, transcripts[n])
+
+
+def _longest_list(node) -> int:
+    """Length of the longest list anywhere in a JSON document."""
+    if isinstance(node, dict):
+        return max(map(_longest_list, node.values()), default=0)
+    if isinstance(node, list):
+        return max([len(node), *map(_longest_list, node)])
+    return 0
+
+
+def test_report_holds_no_per_round_list(tmp_path, capsys):
+    report, _ = run_experiment(_params(rounds=5000), AttackConfig(), trials=3)
+    assert _longest_list(report.to_dict()) <= 3
+    argv = ["--sweep-N", "2,3", "--rounds", "5000", "--trials", "3", "--seed", "13"]
+    assert main([*argv, "--outdir", str(tmp_path)]) == 0
+    assert _longest_list(json.loads((tmp_path / "report.json").read_text())) <= 3
