@@ -14,7 +14,7 @@ from .analysis import (
     security_curve,
 )
 from .channel import Guesses, Interceptor, Leg, transmit
-from .errors import ConfigError, ProtocolError
+from .errors import ConfigError
 from .photonics import (
     DIAGONAL,
     Origin,

@@ -378,14 +378,11 @@ class SimpleTrojan(_ProbeCaptureAttack):
     theta, so the probe carries zero information for every eta.
     """
 
-    def _probe_angle(self) -> float:
-        return self.config.trojan_angle
-
     def _act(
         self, leg: Leg, pulse: Pulse, acting: np.ndarray, rng: np.random.Generator
     ) -> Pulse:
         if leg is Leg.BOB_TO_ALICE:
-            probes = single_photon_pulse(np.full(pulse.rounds, self._probe_angle()))
+            probes = single_photon_pulse(np.full(pulse.rounds, self.config.trojan_angle))
             return pulse.merged(probes.take(self._active).tagged(Origin.TROJAN_INJECTED))
         if leg is Leg.ALICE_TO_BOB_2:
             return self._capture_probe(pulse, rng)
@@ -395,16 +392,14 @@ class SimpleTrojan(_ProbeCaptureAttack):
 class StandardStateProbe(SimpleTrojan):
     """Trojan variant injecting a fixed standard state instead of a split photon.
 
-    The probe enters at angle 0 on the return leg, so Alice's unitary
-    leaves it at -theta + (-1)^k pi/4 + alpha_a: the unknown theta
+    The probe enters at angle 0 on the return leg (the inherited
+    ``trojan_angle``, which `AttackConfig` holds at 0 here), so Alice's
+    unitary leaves it at -theta + (-1)^k pi/4 + alpha_a: the unknown theta
     randomizes it completely and the post-announcement estimate of k is a
     coin flip. With ``theta_oracle`` the harness hands Eve the true theta
     values afterwards, which degenerates the estimator to a perfect one
     and validates its implementation.
     """
-
-    def _probe_angle(self) -> float:
-        return 0.0
 
     def set_counterfactual_thetas(self, thetas: np.ndarray) -> None:
         """Counterfactual validation hook; only used when theta_oracle is set.

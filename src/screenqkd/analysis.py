@@ -67,6 +67,20 @@ FLAT_COLUMNS = (
     "verdict",
 )
 
+# The rates of a report's "metrics" block: ExperimentReport properties,
+# each in [0, 1] or None.
+METRICS = (
+    "sift_rate",
+    "qber",
+    "ad_violation_rate",
+    "ad_violation_rate_injected",
+    "eve_accuracy",
+    "eve_key_accuracy",
+    "eve_accuracy_analyzing",
+    "eve_accuracy_non_analyzing",
+    "conclusive_rate",
+)
+
 CURVE_COLUMNS = (
     "N",
     "sift_rate",
@@ -223,7 +237,6 @@ class ExperimentReport:
     """
 
     params: ProtocolParams
-    config: dict
     per_trial: list[TrialCounts]
     sessions: list[SessionSummary]
 
@@ -297,19 +310,17 @@ class ExperimentReport:
         for num, den in pairs:
             if num < 0 or num > den:
                 raise ValueError(f"inconsistent counts: {num} > {den}")
-        for rate in (
-            self.sift_rate, self.qber, self.ad_violation_rate,
-            self.ad_violation_rate_injected, self.eve_accuracy,
-            self.eve_key_accuracy, self.conclusive_rate,
-        ):
+        for name in METRICS:
+            rate = getattr(self, name)
             if rate is not None and not 0.0 <= rate <= 1.0:
-                raise ValueError(f"rate out of [0, 1]: {rate}")
+                raise ValueError(f"rate out of [0, 1]: {name} = {rate}")
 
-    def to_dict(self) -> dict:
+    def to_dict(self, config: dict) -> dict:
+        """The report document; `config` is the echo of the run's settings."""
         n = self.params.n_screening
         return {
             "schema_version": SCHEMA_VERSION,
-            "config": self.config,
+            "config": config,
             "seed": self.params.seed,
             "trials": len(self.per_trial),
             "rounds_per_trial": self.params.rounds,
@@ -326,17 +337,7 @@ class ExperimentReport:
             "theory": {
                 "matching_prob": 1.0 / n, "ie_sum": ie_sum(n), "ie_mean": ie_mean(n)
             },
-            "metrics": {
-                "sift_rate": self.sift_rate,
-                "qber": self.qber,
-                "ad_violation_rate": self.ad_violation_rate,
-                "ad_violation_rate_injected": self.ad_violation_rate_injected,
-                "eve_accuracy": self.eve_accuracy,
-                "eve_key_accuracy": self.eve_key_accuracy,
-                "eve_accuracy_analyzing": self.eve_accuracy_analyzing,
-                "eve_accuracy_non_analyzing": self.eve_accuracy_non_analyzing,
-                "conclusive_rate": self.conclusive_rate,
-            },
+            "metrics": {name: getattr(self, name) for name in METRICS},
         }
 
 
@@ -369,7 +370,6 @@ def run_experiment(
     attack: AttackConfig,
     trials: int = 1,
     channel_loss: float = 0.0,
-    config_echo: Optional[dict] = None,
     keep_transcripts: bool = False,
 ) -> tuple[ExperimentReport, list[SessionTranscript]]:
     """Run `trials` independent sessions and aggregate them into a report."""
@@ -379,7 +379,7 @@ def run_experiment(
         *(run_trial(params, attack, trial, channel_loss, keep_transcripts)
           for trial in range(trials))
     )
-    report = ExperimentReport(params, config_echo or {}, list(per_trial), list(sessions))
+    report = ExperimentReport(params, list(per_trial), list(sessions))
     report.validate()
     return report, [t for t in transcripts if t is not None]
 

@@ -15,7 +15,6 @@ announcement but cannot forge it.
 from __future__ import annotations
 
 import enum
-from collections.abc import Mapping
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
@@ -33,10 +32,9 @@ class Leg(enum.Enum):
     ALICE_TO_BOB_2 = 3
 
 
-class Guesses(Mapping):
+class Guesses:
     """Eve's key-bit guesses as two columns: ``bits[i]`` is her guess for
-    round ``rounds[i]``, with the round ids ascending. As a mapping it maps
-    round id -> guessed bit."""
+    round ``rounds[i]``, with the round ids ascending."""
 
     def __init__(self, rounds=(), bits=()) -> None:
         self.rounds = np.asarray(rounds, dtype=np.intp)
@@ -44,15 +42,6 @@ class Guesses(Mapping):
 
     def __len__(self) -> int:
         return len(self.rounds)
-
-    def __iter__(self):
-        return iter(self.rounds.tolist())
-
-    def __getitem__(self, round_id: int) -> int:
-        i = int(np.searchsorted(self.rounds, round_id))
-        if i == len(self.rounds) or self.rounds[i] != round_id:
-            raise KeyError(round_id)
-        return int(self.bits[i])
 
 
 class Interceptor:

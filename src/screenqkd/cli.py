@@ -274,9 +274,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             for n in config.sweep_n:
                 report = reports[n]
                 _print_summary(f"N={n}", report)
-                doc = report.to_dict()
-                doc["config"] = {**config.echo(), "n": n}
-                report_doc["sweep"][str(n)] = doc
+                report_doc["sweep"][str(n)] = report.to_dict({**config.echo(), "n": n})
                 rows.extend(flat_rows(report, n, params.mode, attack.strategy))
                 if attack.strategy == STRATEGY_NONE:
                     failures += [f"N={n}: {f}" for f in _honest_assertions(report)]
@@ -291,13 +289,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             report, transcripts = run_experiment(
                 params, attack,
                 trials=config.trials, channel_loss=config.loss,
-                config_echo=config.echo(),
                 keep_transcripts=config.emit_transcript,
             )
             _print_summary(f"N={params.n_screening} attack={attack.strategy}", report)
             if outdir is not None:
                 rows = flat_rows(report, params.n_screening, params.mode, attack.strategy)
-                paths = emit_report(report.to_dict(), rows, outdir)
+                paths = emit_report(report.to_dict(config.echo()), rows, outdir)
                 if config.emit_transcript:
                     write_transcripts(transcripts, outdir)
                 print(f"wrote {paths['report']} and {paths['table']}")

@@ -1,13 +1,9 @@
-"""Exception types shared across the simulator, and the argument checks
-that raise them."""
+"""The simulator's one invalid-input exception type, and the argument
+checks that raise it."""
 
 import math
 import numbers
 import sys
-
-
-class ProtocolError(RuntimeError):
-    """The protocol state machine was driven out of order or with bad data."""
 
 
 class ConfigError(ValueError):

@@ -26,9 +26,6 @@ from .errors import ConfigError
 
 PI = math.pi
 
-# Absolute tolerance for angle comparisons after canonicalization.
-ANGLE_TOL = 1e-9
-
 # Largest accepted Poisson mean. A pulse then holds about 100 +/- 10
 # photons, enough for a conclusive N-way beam-split readout up to N ~ 50;
 # numpy's sampler itself fails above about 9.2e18.
@@ -40,12 +37,6 @@ def canon(radians):
     r = np.remainder(radians, PI)
     # For tiny negative inputs the remainder rounds up to exactly pi.
     return np.where(r == PI, 0.0, r)
-
-
-def angles_close(a: float, b: float, tol: float = ANGLE_TOL) -> bool:
-    """Compare two angles modulo pi (handles wrap-around at 0/pi)."""
-    d = canon(a - b)
-    return d < tol or PI - d < tol
 
 
 class Origin(enum.IntEnum):

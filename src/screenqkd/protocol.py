@@ -39,7 +39,7 @@ from typing import Optional
 import numpy as np
 
 from .channel import Interceptor, Leg, transmit
-from .errors import ConfigError, ProtocolError, check_int, check_real
+from .errors import ConfigError, check_int, check_real
 from .photonics import (
     DIAGONAL,
     MAX_MEAN_PHOTONS,
@@ -384,7 +384,7 @@ def sift_and_verify(
         ("phi_star_values", announcement.phi_star_values),
     ):
         if len(values) != m:
-            raise ProtocolError(
+            raise ConfigError(
                 f"announcement field {name} has length {len(values)}, expected {m}"
             )
     key = sifted(rounds, params.n_screening)

@@ -21,14 +21,9 @@ from screenqkd.protocol import (
 )
 
 import oracles
-from conftest import binom_sigma
+from conftest import binom_sigma, pass_fail
 
 SEED = 2026
-
-
-def _report(ok: bool, label: str, detail: str) -> None:
-    print(f"[{'PASS' if ok else 'FAIL'}] {label}: {detail}")
-    assert ok, f"{label}: {detail}"
 
 
 def test_criterion_1_honest_protocol_correctness():
@@ -56,7 +51,7 @@ def test_criterion_1_honest_protocol_correctness():
         and transcript.alice_hash == transcript.bob_hash
         and elapsed < 10.0
     )
-    _report(
+    pass_fail(
         ok,
         "criterion 1 (honest correctness)",
         f"qber_errors={qber_errors}/{len(transcript.alice_key)}, "
@@ -83,7 +78,7 @@ def test_criterion_2_key_rate_law():
         if n == 2:
             ok &= abs(report.sift_rate - 0.5) <= 0.005
         details.append(f"N={n}: {report.sift_rate:.4f} (1/N={p:.4f})")
-    _report(ok, "criterion 2 (key-rate law 1/N)", "; ".join(details))
+    pass_fail(ok, "criterion 2 (key-rate law 1/N)", "; ".join(details))
 
 
 def test_criterion_3_impersonation_detectability():
@@ -100,7 +95,7 @@ def test_criterion_3_impersonation_detectability():
         and abs(report.qber - oracle) <= 0.01
         and sums_ok
     )
-    _report(
+    pass_fail(
         ok,
         "criterion 3 (impersonation QBER)",
         f"qber={report.qber:.4f} vs oracle={oracle:.4f} "
@@ -129,7 +124,7 @@ def test_criterion_4_composite_pns_trojan_detectability():
         and report.eve_accuracy == 1.0
         and abs(spot - 0.75) <= 1e-12
     )
-    _report(
+    pass_fail(
         ok,
         "criterion 4 (PNS+Trojan composite)",
         f"qber={report.qber} exactly, probe ad_violation_rate={measured:.4f} vs "
@@ -150,7 +145,7 @@ def test_criterion_5_standard_state_variant_detectability():
     violation = report.ad_violation_rate_injected
     accuracy = report.eve_accuracy
     ok = abs(violation - 0.5) <= 0.01 and abs(accuracy - 0.5) <= 0.01
-    _report(
+    pass_fail(
         ok,
         "criterion 5 (standard-state variant)",
         f"probe ad_violation_rate={violation:.4f} over "
@@ -175,7 +170,7 @@ def test_criterion_6_simple_trojan_futility():
         )
         ok &= abs(report.eve_accuracy - 0.5) <= 0.01
         details.append(f"{report.eve_accuracy:.4f}")
-    _report(
+    pass_fail(
         ok,
         "criterion 6 (simple Trojan futility)",
         f"eve_accuracy over 8 probe angles: {', '.join(details)}",
@@ -197,7 +192,7 @@ def test_criterion_7_pulse_split_suppression_trend():
     ok = True
     for (_, c1, s1), (_, c2, s2) in zip(stats, stats[1:]):
         ok &= (c1 - c2) > 3 * math.sqrt(s1 ** 2 + s2 ** 2)
-    _report(
+    pass_fail(
         ok,
         "criterion 7 (conclusive-rate suppression in N)",
         "; ".join(f"N={n}: {c:.5f}" for n, c, _ in stats),
@@ -223,7 +218,7 @@ def test_criterion_8_determinism(tmp_path):
     ok = identical and "report.json" in files and "trials.csv" in files and any(
         name.startswith("transcript_") for name in files
     )
-    _report(
+    pass_fail(
         ok,
         "criterion 8 (determinism)",
         f"two identical runs produced byte-identical {files}",

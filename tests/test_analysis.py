@@ -7,6 +7,7 @@ import pytest
 from screenqkd.adversary import AttackConfig, build_interceptor
 from screenqkd.analysis import (
     FLAT_COLUMNS,
+    ExperimentReport,
     TrialCounts,
     emit_report,
     flat_rows,
@@ -85,11 +86,9 @@ class TestMetrics:
 class TestExperimentReport:
     def test_validate_and_roundtrip(self, tmp_path):
         params = _params(rounds=3000)
-        report, _ = run_experiment(
-            params, AttackConfig(), trials=2, config_echo={"n": 2}
-        )
+        report, _ = run_experiment(params, AttackConfig(), trials=2)
         report.validate()
-        doc = report.to_dict()
+        doc = report.to_dict({"n": 2})
         assert json.loads(json.dumps(doc)) == doc
         assert doc["metrics"]["qber"] == 0.0
         assert doc["trials"] == 2
@@ -99,9 +98,25 @@ class TestExperimentReport:
         report, _ = run_experiment(
             params, AttackConfig(strategy="pns_trojan"), trials=1
         )
-        for value in report.to_dict()["metrics"].values():
+        for value in report.to_dict({})["metrics"].values():
             if value is not None:
                 assert 0.0 <= value <= 1.0
+
+    @pytest.mark.parametrize(
+        "name,doctored",
+        [
+            # 5 correct of 3 analyzing guesses: accuracy 5/3
+            ("eve_accuracy_analyzing", {"eve_correct": 5, "eve_analyzing_correct": 5}),
+            # 3 analyzing rounds correct of 2 overall: accuracy (2 - 3)/(10 - 3)
+            ("eve_accuracy_non_analyzing", {"eve_correct": 2, "eve_analyzing_correct": 3}),
+        ],
+    )
+    def test_validate_rejects_doctored_eve_accuracy(self, name, doctored):
+        counts = TrialCounts(rounds=100, eve_guesses=10, eve_analyzing_guesses=3, **doctored)
+        report = ExperimentReport(_params(), [counts], [])
+        assert not 0.0 <= getattr(report, name) <= 1.0
+        with pytest.raises(ValueError, match=name):
+            report.validate()
 
     def test_totals_are_sums_over_trials(self):
         params = _params(rounds=1000, mode="pulse", mean_photons=2.0, p_analyzing=0.5)
@@ -146,11 +161,11 @@ class TestReportEmission:
         outputs = []
         for name in ("a", "b"):
             report, transcripts = run_experiment(
-                params, AttackConfig(), trials=2,
-                config_echo={"seed": params.seed}, keep_transcripts=True,
+                params, AttackConfig(), trials=2, keep_transcripts=True
             )
             rows = flat_rows(report, 2, "single", "none")
-            paths = emit_report(report.to_dict(), rows, tmp_path / name)
+            doc = report.to_dict({"seed": params.seed})
+            paths = emit_report(doc, rows, tmp_path / name)
             tpaths = write_transcripts(transcripts, tmp_path / name)
             outputs.append((paths, tpaths))
         for key in ("report", "table"):
@@ -162,15 +177,15 @@ class TestReportEmission:
 
     def test_report_reloads_to_equal_document(self, tmp_path):
         report, _ = run_experiment(_params(rounds=1000), AttackConfig())
-        paths = emit_report(report.to_dict(), flat_rows(report, 2, "single", "none"),
+        paths = emit_report(report.to_dict({}), flat_rows(report, 2, "single", "none"),
                             tmp_path)
         with open(paths["report"]) as handle:
-            assert json.load(handle) == report.to_dict()
+            assert json.load(handle) == report.to_dict({})
 
     def test_flat_table_schema_and_row_count(self, tmp_path):
         report, _ = run_experiment(_params(rounds=1000), AttackConfig(), trials=3)
         rows = flat_rows(report, 2, "single", "none")
-        paths = emit_report(report.to_dict(), rows, tmp_path)
+        paths = emit_report(report.to_dict({}), rows, tmp_path)
         lines = paths["table"].read_text().splitlines()
         assert lines[0] == ",".join(FLAT_COLUMNS)
         assert len(lines) == 1 + 3
@@ -180,7 +195,7 @@ class TestReportEmission:
         target.write_text("a file, not a directory")
         report, _ = run_experiment(_params(rounds=500), AttackConfig())
         with pytest.raises(OSError, match="blocked"):
-            emit_report(report.to_dict(), [], target)
+            emit_report(report.to_dict({}), [], target)
 
 
 class TestSecurityCurve:
@@ -271,7 +286,7 @@ def test_report_path_builds_no_round_records(monkeypatch, mode, strategy):
     monkeypatch.setattr(Rounds, "__getitem__", forbidden)
     params = _params(rounds=2000, mode=mode, mean_photons=2.0, p_analyzing=0.3)
     report, _ = run_experiment(params, _attack(strategy), trials=2, channel_loss=0.1)
-    report.to_dict()
+    report.to_dict({})
     flat_rows(report, 2, mode, strategy)
 
 
@@ -280,6 +295,7 @@ def _recount(transcript, guesses) -> dict:
     n = transcript.params.n_screening
     skip = ("verdict", "beamsplit_reported", "beamsplit_conclusive")  # Eve's metrics
     c = {f.name: 0 for f in fields(TrialCounts) if f.name not in skip}
+    guess_of = dict(zip(guesses.rounds.tolist(), guesses.bits.tolist()))
     alice_key, bob_key = [], []
     for rec in transcript.rounds:
         c["rounds"] += 1
@@ -296,7 +312,7 @@ def _recount(transcript, guesses) -> dict:
         elif matched and rec.bob_outcome is not None:
             alice_key.append(rec.k)
             bob_key.append(rec.bob_outcome ^ 1)
-        guess = guesses.get(rec.round_id)
+        guess = guess_of.get(rec.round_id)
         if guess is not None:
             correct = guess == rec.k
             c["eve_guesses"] += 1
@@ -398,7 +414,7 @@ def test_index_width_is_smallest_that_holds_n(n, width):
     report, transcripts = run_experiment(
         params, AttackConfig(), trials=2, keep_transcripts=True
     )
-    doc = report.to_dict()
+    doc = report.to_dict({})
     for session in doc["sessions"]:
         assert len(session["a_indices"]) == len(session["b_indices"]) == 2 * 37 * width
     _assert_decodes(doc, transcripts)
@@ -424,7 +440,7 @@ def _longest_list(node) -> int:
 
 def test_report_holds_no_per_round_list(tmp_path, capsys):
     report, _ = run_experiment(_params(rounds=5000), AttackConfig(), trials=3)
-    assert _longest_list(report.to_dict()) <= 3
+    assert _longest_list(report.to_dict({})) <= 3
     argv = ["--sweep-N", "2,3", "--rounds", "5000", "--trials", "3", "--seed", "13"]
     assert main([*argv, "--outdir", str(tmp_path)]) == 0
     assert _longest_list(json.loads((tmp_path / "report.json").read_text())) <= 3

@@ -167,9 +167,9 @@ def test_cli_matches_library(tmp_path):
     )
     lib_report, _ = run_experiment(params, AttackConfig(strategy="pns_trojan"))
     assert cli_report["metrics"] == json.loads(
-        json.dumps(lib_report.to_dict()["metrics"])
+        json.dumps(lib_report.to_dict({})["metrics"])
     )
-    assert cli_report["totals"] == lib_report.to_dict()["totals"]
+    assert cli_report["totals"] == lib_report.to_dict({})["totals"]
 
 
 def test_load_config_validates():

@@ -11,7 +11,6 @@ from screenqkd.photonics import (
     PI,
     Origin,
     Pulse,
-    angles_close,
     beam_split,
     born_probability,
     canon,
@@ -21,6 +20,15 @@ from screenqkd.photonics import (
 )
 
 from conftest import binom_sigma
+
+# Absolute tolerance for angle comparisons after canonicalization.
+ANGLE_TOL = 1e-9
+
+
+def angles_close(a: float, b: float, tol: float = ANGLE_TOL) -> bool:
+    """Compare two angles modulo pi (handles wrap-around at 0/pi)."""
+    d = canon(a - b)
+    return d < tol or PI - d < tol
 
 
 class TestCanonialization:

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import kstest
 
-from screenqkd.errors import ConfigError, ProtocolError
+from screenqkd.errors import ConfigError
 from screenqkd.photonics import PI, Pulse, single_photon_pulse
 from screenqkd.protocol import (
     Announcement,
@@ -434,7 +434,7 @@ class TestSiftAndVerify:
             analyzing_flags=transcript.announcement.analyzing_flags,
             phi_star_values=transcript.announcement.phi_star_values,
         )
-        with pytest.raises(ProtocolError):
+        with pytest.raises(ConfigError, match="a_indices has length 99"):
             sift_and_verify(transcript.params, transcript.rounds, bad)
 
     def test_analyzing_rounds_excluded_from_key(self):
