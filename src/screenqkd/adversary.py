@@ -178,8 +178,11 @@ class _BaseAttack(Interceptor):
         raise NotImplementedError
 
     def _split_off(self, pulse: Pulse, acting: np.ndarray) -> np.ndarray:
-        """Mask of the first photon of each active multi-photon pulse."""
-        return acting & pulse.leading() & (pulse.counts[pulse.owner] >= 2)
+        """Mask of the first photon of each active multi-photon pulse: a
+        leading photon whose successor is in the same round."""
+        multi = np.zeros(pulse.count, bool)
+        np.equal(pulse.owner[1:], pulse.owner[:-1], out=multi[:-1])
+        return acting & pulse.leading() & multi
 
     def observe_announcement(self, announcement: Announcement) -> None:
         self.announcement = announcement

@@ -39,12 +39,9 @@ from .protocol import (
     ProtocolParams,
     SessionTranscript,
     Verdict,
-    ad_check,
-    is_matched,
     pack_key_bits,
     run_session,
     screening_angles,
-    sifted,
 )
 
 SCHEMA_VERSION = "3"
@@ -194,28 +191,27 @@ def score_trial(
 ) -> TrialCounts:
     """Reduce one transcript plus Eve's guesses to aggregate counters.
 
-    AD integrity counts come from sifting; the rest is what the parties
-    cannot see: injected-photon AD outcomes and Eve's guess scores.
+    The matched, sifted and AD integrity masks come from sifting; the rest
+    is what the parties cannot see: injected-photon AD outcomes and Eve's
+    guess scores.
     """
     rounds = transcript.rounds
-    n = transcript.params.n_screening
-    checked, violated = ad_check(rounds, n)
     injected = rounds.ad_origin != Origin.LEGITIMATE
     correct = guesses.bits == rounds.k[guesses.rounds]
     analyzing = rounds.is_analyzing[guesses.rounds]
-    on_key = sifted(rounds, n)[guesses.rounds]
+    on_key = transcript.sifted[guesses.rounds]
     key_errors = np.frombuffer(transcript.alice_key, np.uint8) != np.frombuffer(
         transcript.bob_key, np.uint8
     )
     return TrialCounts(
         rounds=len(rounds),
-        matched=_count(is_matched(rounds.a_index, rounds.b_index, n)),
+        matched=_count(transcript.matched),
         sifted_bits=len(transcript.alice_key),
         qber_errors=_count(key_errors),
         ad_clicks=transcript.ad_checked,
         ad_violations=transcript.ad_violations,
-        ad_injected_clicks=_count(checked & injected),
-        ad_injected_violations=_count(violated & injected),
+        ad_injected_clicks=_count(transcript.ad_checked_mask & injected),
+        ad_injected_violations=_count(transcript.ad_violation_mask & injected),
         eve_guesses=len(guesses),
         eve_correct=_count(correct),
         eve_key_guesses=_count(on_key),

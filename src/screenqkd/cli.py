@@ -91,6 +91,10 @@ class ExperimentConfig:
             raise ConfigError("emit-transcript: single-point runs only, not with sweep-N")
         if self.outdir is not None and not isinstance(self.outdir, str):
             raise ConfigError(f"outdir: must be a path string, got {self.outdir!r}")
+        if self.emit_transcript and self.resolve_outdir() is None:
+            raise ConfigError(
+                f"emit-transcript: needs an output directory (--outdir or ${OUTDIR_ENV})"
+            )
         for n in self.sweep_n or [self.params.n_screening]:
             build_interceptor(self.attack, replace(self.params, n_screening=n))
 

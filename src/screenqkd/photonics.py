@@ -1,7 +1,14 @@
 """Linear-polarization photon model over batches of pulses.
 
 Polarization states are axis-like: an angle and the same angle plus pi
-describe the same state, so every angle is kept canonical in [0, pi).
+describe the same state. A pulse's constructor reduces each input angle
+into [0, pi) once (see :func:`canon`); after that a rotation is one plain
+add and is never reduced again. Every later rotation is a sum of a few
+angles in [0, pi) or +/-pi/4, so a photon's angle stays within a few pi of
+its canonical entry value, and the Born rule, being pi-periodic, needs no
+reduced form. Reducing at entry keeps a huge input angle (say 1e20) from
+swallowing the small rotations added to it later.
+
 Measurement follows the Born rule for a two-outcome polarization analyzer:
 a photon at angle s measured against an axis a collapses onto the axis
 with probability cos^2(s - a) (outcome bit 0) and onto the orthogonal
@@ -55,7 +62,8 @@ class Origin(enum.IntEnum):
 class Pulse:
     """One pulse per round for `rounds` rounds, as flat photon columns.
 
-    Photon i has the canonical polarization ``photons[i]``, the origin code
+    Photon i has the polarization ``photons[i]`` (a raw angle, meaningful
+    modulo pi: see the module docstring), the origin code
     ``origin[i]`` (int8, see :class:`Origin`) and belongs to round
     ``owner[i]``. Photons are sorted by round, so each pulse is a
     contiguous run that keeps its order through every operation here. A
@@ -95,7 +103,10 @@ class Pulse:
         """The photons selected by a mask (or ascending indices)."""
         if index.dtype == bool:
             index = np.flatnonzero(index)  # one mask scan for all three gathers
-        return Pulse(self.photons[index], self.origin[index], self.owner[index], self.rounds)
+        return Pulse(
+            self.photons.take(index), self.origin.take(index), self.owner.take(index),
+            self.rounds,
+        )
 
     def tagged(self, origin: Origin) -> Pulse:
         """The same photons, all with origin code `origin`."""
@@ -106,17 +117,19 @@ class Pulse:
         owner = np.concatenate((self.owner, other.owner))
         order = np.argsort(owner, kind="stable")
         return Pulse(
-            np.concatenate((self.photons, other.photons))[order],
-            np.concatenate((self.origin, other.origin))[order],
-            owner[order],
+            np.concatenate((self.photons, other.photons)).take(order),
+            np.concatenate((self.origin, other.origin)).take(order),
+            owner.take(order),
             self.rounds,
         )
 
     def rotated(self, delta) -> Pulse:
-        """Rotate round j's pulse by ``delta[j]``, or every photon by a number."""
+        """Rotate round j's pulse by ``delta[j]``, or every photon by a number.
+
+        One add, not reduced modulo pi (see the module docstring)."""
         if np.ndim(delta):
-            delta = np.asarray(delta)[self.owner]
-        return replace(self, photons=canon(self.photons + delta))
+            delta = np.asarray(delta).take(self.owner)
+        return replace(self, photons=self.photons + delta)
 
 
 # Axis of the (+pi/4, -pi/4) analyzer used by Bob's detector pair and Alice's AD.
@@ -153,7 +166,7 @@ def make_pulse(
     rounds = len(polarization)
     owner = np.repeat(np.arange(rounds), rng.poisson(mean_photons, rounds))
     return Pulse(
-        canon(polarization)[owner], np.zeros(len(owner), np.int8), owner, rounds
+        canon(polarization).take(owner), np.zeros(len(owner), np.int8), owner, rounds
     )
 
 

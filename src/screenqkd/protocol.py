@@ -232,7 +232,13 @@ class Verdict(enum.Enum):
 @dataclass(frozen=True, eq=False)
 class SessionTranscript:
     """A sifted session. ``alice_key`` and ``bob_key`` hold one byte, 0 or
-    1, per sifted key bit."""
+    1, per sifted key bit.
+
+    The masks sifting computed are kept for scoring: ``matched`` and
+    ``sifted`` have one entry per round (``sifted`` marks the rounds that
+    yield a key bit), ``ad_checked_mask`` and ``ad_violation_mask`` one per
+    AD outcome (the integrity condition applies to it; it violates it).
+    """
 
     params: ProtocolParams
     rounds: Rounds
@@ -242,8 +248,20 @@ class SessionTranscript:
     alice_hash: bytes
     bob_hash: bytes
     verdict: Verdict
-    ad_checked: int = 0
-    ad_violations: int = 0
+    matched: np.ndarray
+    sifted: np.ndarray
+    ad_checked_mask: np.ndarray
+    ad_violation_mask: np.ndarray
+
+    @property
+    def ad_checked(self) -> int:
+        """AD outcomes on matched analyzing rounds."""
+        return int(np.count_nonzero(self.ad_checked_mask))
+
+    @property
+    def ad_violations(self) -> int:
+        """AD outcomes that violate the integrity condition."""
+        return int(np.count_nonzero(self.ad_violation_mask))
 
 
 def derive_rng(seed: int, *stream: int) -> np.random.Generator:
@@ -259,26 +277,6 @@ def expected_ad_bit(k, phi_star):
 def is_matched(a_index, b_index, n: int):
     """Matching condition alpha_a + alpha_b = pi/2, as an exact index test."""
     return a_index + b_index == n + 1
-
-
-def sifted(rounds: Rounds, n: int) -> np.ndarray:
-    """Mask of the rounds that yield a key bit: matched, not analyzing, and
-    with a conclusive detection by Bob."""
-    return (
-        is_matched(rounds.a_index, rounds.b_index, n)
-        & ~rounds.is_analyzing
-        & (rounds.bob_outcome >= 0)
-    )
-
-
-def ad_check(rounds: Rounds, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per AD outcome: whether the integrity condition applies to it (it
-    lies on a matched analyzing round), and whether it violates it there."""
-    checked = (is_matched(rounds.a_index, rounds.b_index, n) & rounds.is_analyzing)[
-        rounds.ad_owner
-    ]
-    expected = expected_ad_bit(rounds.k, rounds.phi)[rounds.ad_owner]
-    return checked, checked & (rounds.ad_bits != expected)
 
 
 def alice_prepare(
@@ -387,14 +385,17 @@ def sift_and_verify(
             raise ConfigError(
                 f"announcement field {name} has length {len(values)}, expected {m}"
             )
-    key = sifted(rounds, params.n_screening)
+    matched = is_matched(rounds.a_index, rounds.b_index, params.n_screening)
+    key = matched & ~rounds.is_analyzing & (rounds.bob_outcome >= 0)
     alice_key = rounds.k[key].astype(np.uint8).tobytes()
     bob_key = (rounds.bob_outcome[key] ^ 1).astype(np.uint8).tobytes()
-    checked, violated = ad_check(rounds, params.n_screening)
-    ad_violations = int(np.count_nonzero(violated))
+    owner = rounds.ad_owner
+    checked = (matched & rounds.is_analyzing).take(owner)
+    expected = expected_ad_bit(rounds.k.take(owner), rounds.phi.take(owner))
+    violated = checked & (rounds.ad_bits != expected)
     alice_hash = key_digest(alice_key, params.digest)
     bob_hash = key_digest(bob_key, params.digest)
-    if ad_violations > 0:
+    if violated.any():
         verdict = Verdict.INTEGRITY_VIOLATION
     elif alice_hash != bob_hash:
         verdict = Verdict.HASH_MISMATCH
@@ -409,8 +410,10 @@ def sift_and_verify(
         alice_hash=alice_hash,
         bob_hash=bob_hash,
         verdict=verdict,
-        ad_checked=int(np.count_nonzero(checked)),
-        ad_violations=ad_violations,
+        matched=matched,
+        sifted=key,
+        ad_checked_mask=checked,
+        ad_violation_mask=violated,
     )
 
 
@@ -452,8 +455,8 @@ def run_session(
     pulse = transmit(pulse, Leg.ALICE_TO_BOB_1, *channel)
     pulse = bob_transform(pulse, phi, b_index, params)
     pulse = transmit(pulse, Leg.BOB_TO_ALICE, *channel)
-    to_bob, ad_bits, tapped = alice_encode(pulse, theta, k, a_index, params, rng_alice)
-    pulse = transmit(to_bob, Leg.ALICE_TO_BOB_2, *channel)
+    pulse, ad_bits, tapped = alice_encode(pulse, theta, k, a_index, params, rng_alice)
+    pulse = transmit(pulse, Leg.ALICE_TO_BOB_2, *channel)
     bob_outcome, received = bob_decode(pulse, phi, rng_bob)
 
     rounds = Rounds(

@@ -4,6 +4,17 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from screenqkd.photonics import PI, canon  # noqa: E402
+
+# Absolute tolerance for angle comparisons modulo pi.
+ANGLE_TOL = 1e-9
+
+
+def angles_close(a: float, b: float, tol: float = ANGLE_TOL) -> bool:
+    """Compare two angles modulo pi (handles wrap-around at 0/pi)."""
+    d = canon(a - b)
+    return d < tol or PI - d < tol
+
 
 def binom_sigma(p: float, n: int) -> float:
     """Standard error of a proportion estimated from n Bernoulli trials."""

@@ -7,11 +7,16 @@ from screenqkd.adversary import AttackConfig, PulseBeamSplit, build_interceptor
 from screenqkd.analysis import run_experiment, run_trial
 from screenqkd.channel import Leg
 from screenqkd.errors import ConfigError
-from screenqkd.photonics import PI, Pulse, measure
+from screenqkd.photonics import PI, Pulse, canon, measure
 from screenqkd.protocol import ProtocolParams, run_session, screening_angles
 
 import oracles
 from conftest import binom_sigma
+
+
+# Probe angles far outside [0, pi), where a raw angle loses the rotations
+# added to it.
+HUGE_ANGLES = (1e20, -1e20, 1e6 * PI + 0.7)
 
 
 def _params(**overrides) -> ProtocolParams:
@@ -329,6 +334,23 @@ class TestSimpleTrojan:
         )
         assert report.qber == 0.0
         assert report.verdicts["hash_mismatch"] == 0
+
+    @pytest.mark.parametrize("eta", HUGE_ANGLES)
+    def test_huge_probe_angle_counts_modulo_pi(self, eta):
+        # The probe's angle is reduced once, where the probe is made; the
+        # raw 1e20 would swallow Alice's rotation, whose size is below its ulp.
+        params = _params(mode="pulse", mean_photons=2.0, rounds=3000, seed=127)
+        runs = []
+        for angle in (eta, float(canon(eta))):
+            attack = AttackConfig(strategy="simple_trojan", trojan_angle=angle)
+            interceptor = build_interceptor(attack, params)
+            transcript = run_session(params, interceptor, channel_loss=0.1)
+            runs.append((transcript.rounds, interceptor.produce_guesses()))
+        (rounds, guesses), (rounds_canon, guesses_canon) = runs
+        assert len(guesses) > 0 and len(rounds.ad_bits) > 0
+        assert rounds == rounds_canon
+        assert np.array_equal(guesses.rounds, guesses_canon.rounds)
+        assert np.array_equal(guesses.bits, guesses_canon.bits)
 
 
 class TestPassivePns:

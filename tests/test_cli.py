@@ -208,6 +208,7 @@ INVALID_INPUTS = {
     "trojan-angle-nan": (None, ["--attack", "simple_trojan", "--trojan-angle", "nan"]),
     "theta-oracle-other-strategy": ({"theta_oracle": True}, ["--attack", "simple_trojan"]),
     "sweep-with-transcript": (None, ["--sweep-N", "2,3", "--emit-transcript"]),
+    "transcript-without-outdir": (None, ["--emit-transcript"]),
     "sweep-mode-mismatch": (None, ["--sweep-N", "2,3", "--attack", "impersonation",
                                    "--mode", "pulse"]),
     "sweep-guess-weights-length": (None, ["--sweep-N", "2,3", "--attack", "impersonation",
@@ -225,6 +226,8 @@ INVALID_INPUTS = {
     "int-over-digit-limit": (b'{"rounds": 1' + b"0" * 5000 + b"}", []),
     "config-not-utf8": (b'\xff{"rounds": 10}', []),
 }
+# Cases run without --outdir; no case sees $SCREENQKD_OUTDIR.
+NO_OUTDIR = {"transcript-without-outdir"}
 
 
 @pytest.mark.parametrize("case", INVALID_INPUTS)
@@ -238,11 +241,14 @@ def test_invalid_input_exits_two_without_traceback(tmp_path, case):
         config_path.write_bytes(raw)
         argv = ["--config", str(config_path), *argv]
     outdir = tmp_path / "out"
+    if case not in NO_OUTDIR:
+        argv = [*argv, "--outdir", str(outdir)]
     src = str(Path(screenqkd.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    env.pop(cli.OUTDIR_ENV, None)
     proc = subprocess.run(
-        [sys.executable, "-m", "screenqkd.cli", *argv, "--outdir", str(outdir)],
-        capture_output=True, text=True, timeout=120,
-        env={**os.environ, "PYTHONPATH": src},
+        [sys.executable, "-m", "screenqkd.cli", *argv],
+        capture_output=True, text=True, timeout=120, env=env, cwd=tmp_path,
     )
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr

@@ -19,16 +19,7 @@ from screenqkd.photonics import (
     single_photon_pulse,
 )
 
-from conftest import binom_sigma
-
-# Absolute tolerance for angle comparisons after canonicalization.
-ANGLE_TOL = 1e-9
-
-
-def angles_close(a: float, b: float, tol: float = ANGLE_TOL) -> bool:
-    """Compare two angles modulo pi (handles wrap-around at 0/pi)."""
-    d = canon(a - b)
-    return d < tol or PI - d < tol
+from conftest import angles_close, binom_sigma
 
 
 class TestCanonialization:
@@ -67,17 +58,45 @@ def rotate(state: float, delta: float) -> float:
 
 class TestRotate:
     def test_canonicalizes_once(self, monkeypatch):
+        # each constructor reduces its input exactly once, one entry per round
         calls = []
         real_canon = photonics.canon
 
         def counting_canon(radians):
-            calls.append(radians)
+            calls.append(np.array(radians, copy=True))
             return real_canon(radians)
 
-        pulse = single_photon_pulse(np.array([2.9]))
         monkeypatch.setattr(photonics, "canon", counting_canon)
-        assert pulse.rotated(0.5).photons[0] == real_canon(3.4)
-        assert len(calls) == 1
+        polarization = np.array([2.9, -0.4, 7.0])
+        for build in (
+            lambda: single_photon_pulse(polarization),
+            lambda: make_pulse(polarization, 3.0, np.random.default_rng(1)),
+        ):
+            calls.clear()
+            pulse = build()
+            assert len(calls) == 1 and np.array_equal(calls[0], polarization)
+            assert np.array_equal(pulse.photons, real_canon(polarization)[pulse.owner])
+            calls.clear()
+            pulse.rotated(0.5).rotated(polarization)
+            assert not calls
+
+    @pytest.mark.parametrize("x", (1e20, -1e20, 1e6 * PI + 0.7))
+    def test_constructors_reduce_huge_angles(self, x):
+        raw, reduced = np.full(4, x), np.full(4, float(canon(x)))
+        assert np.array_equal(
+            single_photon_pulse(raw).photons, single_photon_pulse(reduced).photons
+        )
+        pulses = [make_pulse(p, 3.0, np.random.default_rng(5)) for p in (raw, reduced)]
+        assert np.array_equal(pulses[0].owner, pulses[1].owner)
+        assert np.array_equal(pulses[0].photons, pulses[1].photons)
+        assert 0 <= pulses[0].photons.min() and pulses[0].photons.max() < PI
+
+    def test_rotated_adds_without_reducing(self):
+        rng = np.random.default_rng(2)
+        pulse = make_pulse(rng.uniform(0, PI, 50), 3.0, rng)
+        for delta in (0.5, -PI / 4, 2.5 * PI, rng.uniform(-PI, PI, 50)):
+            shift = delta[pulse.owner] if np.ndim(delta) else delta
+            assert np.array_equal(pulse.rotated(delta).photons, pulse.photons + shift)
 
     def test_identity(self):
         assert rotate(0.3, 0.0) == pytest.approx(0.3, abs=1e-15)
@@ -88,8 +107,8 @@ class TestRotate:
     def test_mod_pi_wrap(self):
         # independent fmod computation of 2.9 + 0.5 reduced mod pi
         expected = math.fmod(3.4, PI)
-        assert rotate(2.9, 0.5) == pytest.approx(expected, abs=1e-12)
-        assert rotate(2.9, 0.5) == pytest.approx(0.2584073464102069, abs=1e-9)
+        assert angles_close(rotate(2.9, 0.5), expected, tol=1e-12)
+        assert angles_close(rotate(2.9, 0.5), 0.2584073464102069, tol=1e-9)
 
     def test_group_action(self):
         rng = np.random.default_rng(3)

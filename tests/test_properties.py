@@ -4,13 +4,17 @@ An honest session is clean for any valid parameters, and a strategy that
 never acts (``attack_probability = 0``) leaves the session bit-identical
 to the honest one. Every report passes its own consistency check, its
 totals do not depend on the order of the trials, and any JSON config
-either loads or is rejected with a ``ConfigError``. The examples are
+either loads or is rejected with a ``ConfigError``. The pulse kernels
+(``take``, ``merged``, ``leading`` and the adversary's split-off mask)
+equal a plain-Python reference on generated batches. The examples are
 derandomized, so every run checks the same inputs.
 """
 
 import json
+from collections import Counter
 from unittest import mock
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,6 +22,7 @@ from screenqkd import analysis, cli, protocol
 from screenqkd.adversary import STRATEGIES, AttackConfig, build_interceptor
 from screenqkd.analysis import ExperimentReport, TrialCounts, run_experiment
 from screenqkd.errors import ConfigError
+from screenqkd.photonics import Origin, Pulse
 from screenqkd.protocol import MODE_PULSE, MODE_SINGLE, ProtocolParams, Verdict, run_session
 
 STRATEGIES_BY_MODE = {
@@ -156,3 +161,59 @@ def test_any_json_config_loads_or_raises_config_error(doc, tmp_path_factory):
         except ConfigError:
             return
     assert isinstance(config, cli.ExperimentConfig)
+
+
+@st.composite
+def pulses(draw, rounds: int) -> Pulse:
+    """A batch over `rounds` rounds with 0-3 photons each, so vacuum rounds
+    and photon-free batches occur; owners come out sorted."""
+    counts = draw(st.lists(st.integers(0, 3), min_size=rounds, max_size=rounds))
+    owner = [j for j, c in enumerate(counts) for _ in range(c)]
+    n = len(owner)
+    photons = draw(st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n))
+    origin = draw(st.lists(st.sampled_from(list(Origin)), min_size=n, max_size=n))
+    return Pulse(
+        np.array(photons, float), np.array(origin, np.int8), np.array(owner, np.intp),
+        rounds,
+    )
+
+
+def _rows(pulse: Pulse) -> list[tuple]:
+    """The batch as (polarization, origin, round) per photon, in order."""
+    return list(zip(pulse.photons.tolist(), pulse.origin.tolist(), pulse.owner.tolist()))
+
+
+@GENERATED
+@given(data=st.data(), rounds=st.integers(1, 6))
+def test_pulse_kernels_match_reference(data, rounds):
+    pulse = data.draw(pulses(rounds))
+    other = data.draw(pulses(rounds))
+    rows = _rows(pulse)
+    mask = data.draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows)))
+    mask = np.array(mask, bool)
+
+    kept = [r for r, m in zip(rows, mask) if m]
+    assert _rows(pulse.take(mask)) == kept
+    assert _rows(pulse.take(np.flatnonzero(mask))) == kept
+
+    other_rows = _rows(other)
+    assert _rows(pulse.merged(other)) == [
+        r
+        for j in range(rounds)
+        for r in [r for r in rows if r[2] == j] + [r for r in other_rows if r[2] == j]
+    ]
+
+    owners = [r[2] for r in rows]
+    leading = [i == 0 or owners[i] != owners[i - 1] for i in range(len(owners))]
+    assert pulse.leading().tolist() == leading
+
+    counts = Counter(owners)
+    active = data.draw(st.lists(st.booleans(), min_size=rounds, max_size=rounds))
+    acting = np.array(active, bool)[pulse.owner]
+    attack = build_interceptor(
+        AttackConfig(strategy="pns_trojan"), ProtocolParams(mode=MODE_PULSE)
+    )
+    assert attack._split_off(pulse, acting).tolist() == [
+        leading[i] and active[owners[i]] and counts[owners[i]] >= 2
+        for i in range(len(owners))
+    ]

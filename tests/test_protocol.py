@@ -30,7 +30,7 @@ from screenqkd.protocol import (
     sift_and_verify,
 )
 
-from conftest import binom_sigma
+from conftest import angles_close, binom_sigma
 
 
 class TestScreeningAngles:
@@ -130,9 +130,7 @@ class TestBobTransform:
             np.array([b_index]), params,
         )
         alpha_b = params.angles[b_index - 1]
-        assert pulse.photons[0] == pytest.approx(
-            (theta + phi + alpha_b) % PI, abs=1e-12
-        )
+        assert angles_close(pulse.photons[0], theta + phi + alpha_b, tol=1e-12)
 
     def test_never_analyzing_at_zero(self):
         transcript = run_session(ProtocolParams(p_analyzing=0.0, rounds=500, seed=4))
@@ -165,8 +163,8 @@ class TestAliceEncode:
             )
             assert len(ad_outcomes) == 0
             assert to_bob.count == 1
-            expected = (phi + (-1) ** k * PI / 4 + params.angles[0] + alpha_b) % PI
-            assert to_bob.photons[0] == pytest.approx(expected, abs=1e-12)
+            expected = phi + (-1) ** k * PI / 4 + params.angles[0] + alpha_b
+            assert angles_close(to_bob.photons[0], expected, tol=1e-12)
 
     def test_full_tap_consumes_pulse(self):
         params = ProtocolParams(n_screening=2, transmission=0.0)
