@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 from .errors import ConfigError
-from .photonics import Pulse, beam_split
+from .photonics import Pulse, attenuated
 
 if TYPE_CHECKING:
     from .protocol import Announcement
@@ -85,8 +85,9 @@ def transmit(
     """Carry a batch of pulses across one leg: interception hook first, then loss.
 
     Each photon is dropped independently with probability `loss`: loss is
-    a beam splitter whose tapped output is discarded. A loss-free leg
-    returns the batch it was handed and draws nothing.
+    a beam splitter whose tapped output is discarded, so only the
+    survivors are gathered. A loss-free leg returns the batch it was
+    handed and draws nothing.
     """
     if not 0.0 <= loss <= 1.0:
         raise ConfigError(f"loss must be in [0, 1], got {loss}")
@@ -94,4 +95,4 @@ def transmit(
         pulse = interceptor.intercept(leg, pulse, round_ids, rng_eve)
     if loss == 0.0:
         return pulse
-    return beam_split(pulse, loss, rng_channel)[1]
+    return attenuated(pulse, loss, rng_channel)

@@ -136,8 +136,34 @@ def _parse_float_list(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
 
 
+def _is_number_list(token: str) -> bool:
+    """True for a number, or comma-separated numbers, as float() reads them."""
+    try:
+        for part in token.split(","):
+            if part.strip():
+                float(part)
+    except ValueError:
+        return False
+    return True
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that takes every number as a flag value.
+
+    argparse reads a token that starts with "-" as an option unless it is
+    a plain negative decimal, so ``--trojan-angle -1e20`` or
+    ``--p-analyzing -inf`` would end in a usage error. Here such a token
+    is a value, as it already is in ``--trojan-angle=-1e20``.
+    """
+
+    def _parse_optional(self, arg_string):
+        if arg_string.startswith("-") and _is_number_list(arg_string):
+            return None
+        return super()._parse_optional(arg_string)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="screenqkd",
         description="Run screening-angle QKD sessions and report attack statistics.",
     )

@@ -40,7 +40,16 @@ MAX_MEAN_PHOTONS = 100
 
 
 def canon(radians):
-    """Canonicalize polarization angles (a number or an array) into [0, pi)."""
+    """Canonicalize polarization angles (a number or an array) into [0, pi).
+
+    A float64 array whose values all lie strictly inside (0, pi) is
+    returned as it is, the same bits the reduction would give; drawn
+    angles take this path. Zero, which may be -0.0, is left to the
+    reduction, which maps it to +0.0.
+    """
+    if isinstance(radians, np.ndarray) and radians.dtype == np.float64 and radians.size:
+        if radians.min() > 0.0 and radians.max() < PI:
+            return radians
     r = np.remainder(radians, PI)
     # For tiny negative inputs the remainder rounds up to exactly pi.
     return np.where(r == PI, 0.0, r)
@@ -178,6 +187,21 @@ def single_photon_pulse(polarization: np.ndarray) -> Pulse:
     )
 
 
+def _tapped(pulse: Pulse, tap_fraction: float, rng: np.random.Generator):
+    """Draw which photons a beam splitter moves to its tapped output.
+
+    Returns a mask with one uniform draw per photon, or False (True) when
+    no photon (every photon) is tapped, in which case nothing is drawn.
+    """
+    if not 0.0 <= tap_fraction <= 1.0:
+        raise ConfigError(f"tap_fraction must be in [0, 1], got {tap_fraction}")
+    if tap_fraction == 0.0 or pulse.is_empty:
+        return False
+    if tap_fraction == 1.0:
+        return True
+    return rng.random(pulse.count) < tap_fraction
+
+
 def beam_split(
     pulse: Pulse, tap_fraction: float, rng: np.random.Generator
 ) -> tuple[Pulse, Pulse]:
@@ -187,11 +211,20 @@ def beam_split(
     `tap_fraction`. Polarizations and origins are untouched and the two
     outputs partition the input.
     """
-    if not 0.0 <= tap_fraction <= 1.0:
-        raise ConfigError(f"tap_fraction must be in [0, 1], got {tap_fraction}")
-    if tap_fraction == 0.0 or pulse.is_empty:
+    tapped = _tapped(pulse, tap_fraction, rng)
+    if tapped is False:
         return Pulse.vacuum(pulse.rounds), pulse
-    if tap_fraction == 1.0:
+    if tapped is True:
         return pulse, Pulse.vacuum(pulse.rounds)
-    tapped = rng.random(pulse.count) < tap_fraction
     return pulse.take(tapped), pulse.take(~tapped)
+
+
+def attenuated(pulse: Pulse, loss: float, rng: np.random.Generator) -> Pulse:
+    """The photons that survive a loss of `loss`: ``beam_split(pulse, loss,
+    rng)[1]`` from the same draw, without gathering the lost photons."""
+    lost = _tapped(pulse, loss, rng)
+    if lost is False:
+        return pulse
+    if lost is True:
+        return Pulse.vacuum(pulse.rounds)
+    return pulse.take(~lost)

@@ -292,7 +292,7 @@ def bob_transform(
     pulse: Pulse, phi: np.ndarray, b_index: np.ndarray, params: ProtocolParams
 ) -> Pulse:
     """Bob's rotation step: rotate each round's pulse by phi + alpha_b."""
-    return pulse.rotated(phi + params.angles[b_index - 1])
+    return pulse.rotated(phi + params.angles.take(b_index - 1))
 
 
 def alice_encode(
@@ -313,14 +313,16 @@ def alice_encode(
 
     Returns (pulses to Bob, AD outcome bits, tapped photons).
     """
-    if not np.isin(k, (0, 1)).all():
+    if not ((k == 0) | (k == 1)).all():
         raise ConfigError(f"key bits must be 0 or 1, got {np.unique(k)}")
-    if not np.all((1 <= a_index) & (a_index <= params.n_screening)):
+    if len(a_index) and not (1 <= a_index.min() and a_index.max() <= params.n_screening):
         raise ConfigError(
             f"a_index must be in [1, {params.n_screening}], got {np.unique(a_index)}"
         )
-    sign = 1 - 2 * np.asarray(k, dtype=float)
-    rotated = pulse.rotated(-theta + sign * PI / 4 + params.angles[a_index - 1])
+    # (-1)^k pi/4 - theta + alpha_a; numpy sums in place into the first temporary
+    rotated = pulse.rotated(
+        np.where(k == 1, -PI / 4, PI / 4) - theta + params.angles.take(a_index - 1)
+    )
     tapped, to_bob = beam_split(rotated, 1.0 - params.transmission, rng)
     return to_bob, measure(tapped.photons, DIAGONAL, rng), tapped
 
@@ -338,11 +340,12 @@ def bob_decode(
     """
     received = pulse.counts
     bits = measure(pulse.rotated(-phi).photons, DIAGONAL, rng)
-    ones = np.bincount(pulse.owner[bits == 1], minlength=pulse.rounds)
-    outcome = np.full(pulse.rounds, -1, dtype=np.int8)
-    outcome[(received > 0) & (ones == 0)] = 0
-    outcome[(received > 0) & (ones == received)] = 1
-    return outcome, received
+    ones = np.bincount(pulse.owner, weights=bits, minlength=pulse.rounds)
+    # Conclusive iff exactly one of "no 1 outcome" and "all 1 outcomes"
+    # holds (both hold for vacuum); the outcome is then the latter.
+    all_ones = ones == received
+    conclusive = (ones == 0) != all_ones
+    return np.where(conclusive, all_ones.view(np.int8), np.int8(-1)), received
 
 
 def pack_key_bits(bits) -> bytes:
@@ -387,8 +390,9 @@ def sift_and_verify(
             )
     matched = is_matched(rounds.a_index, rounds.b_index, params.n_screening)
     key = matched & ~rounds.is_analyzing & (rounds.bob_outcome >= 0)
-    alice_key = rounds.k[key].astype(np.uint8).tobytes()
-    bob_key = (rounds.bob_outcome[key] ^ 1).astype(np.uint8).tobytes()
+    key_rounds = np.flatnonzero(key)
+    alice_key = rounds.k.take(key_rounds).astype(np.uint8).tobytes()
+    bob_key = (rounds.bob_outcome.take(key_rounds) ^ 1).astype(np.uint8).tobytes()
     owner = rounds.ad_owner
     checked = (matched & rounds.is_analyzing).take(owner)
     expected = expected_ad_bit(rounds.k.take(owner), rounds.phi.take(owner))
@@ -448,7 +452,10 @@ def run_session(
     # analyzing angle phi* in {0, pi/2}; screening index b.
     is_analyzing = rng_bob.random(m) < params.p_analyzing
     phi = rng_bob.random(m) * PI
-    phi[is_analyzing] = rng_bob.integers(0, 2, np.count_nonzero(is_analyzing)) * (PI / 2)
+    phi.put(
+        np.flatnonzero(is_analyzing),
+        rng_bob.integers(0, 2, np.count_nonzero(is_analyzing)) * (PI / 2),
+    )
     b_index = rng_bob.integers(1, n + 1, m)
 
     pulse = alice_prepare(theta, params, rng_alice)

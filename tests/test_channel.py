@@ -8,7 +8,7 @@ import pytest
 from screenqkd import channel
 from screenqkd.channel import Interceptor, Leg, transmit
 from screenqkd.errors import ConfigError
-from screenqkd.photonics import Pulse
+from screenqkd.photonics import Pulse, beam_split
 from screenqkd.protocol import ProtocolParams, run_session
 
 from conftest import binom_sigma
@@ -29,15 +29,35 @@ class TestTransmit:
 
     def test_loss_free_leg_does_no_work(self, monkeypatch):
         def forbidden(*args):
-            raise AssertionError("a loss-free leg called beam_split")
+            raise AssertionError("a loss-free leg applied loss")
 
-        monkeypatch.setattr(channel, "beam_split", forbidden)
+        monkeypatch.setattr(channel, "attenuated", forbidden)
+        monkeypatch.setattr(Pulse, "take", forbidden)
         pulse = _pulse(5)
         rng = np.random.default_rng(0)
         before = rng.bit_generator.state
         out = transmit(pulse, Leg.BOB_TO_ALICE, ROUND, loss=0.0, rng_channel=rng)
         assert out is pulse
         assert rng.bit_generator.state == before
+
+    @pytest.mark.parametrize("loss", [0.3, 1.0])
+    @pytest.mark.parametrize("photons", [0, 200])
+    def test_survivors_are_beam_splits_passed_output(self, loss, photons):
+        # loss gathers only the survivors, from the draw the AD tap makes
+        counts = np.random.default_rng(5).poisson(photons / 50, 50)
+        owner = np.repeat(np.arange(50), counts)
+        pulse = Pulse(
+            np.random.default_rng(6).random(len(owner)), np.ones(len(owner), np.int8),
+            owner, 50,
+        )
+        rng_loss, rng_split = np.random.default_rng(7), np.random.default_rng(7)
+        out = transmit(pulse, Leg.ALICE_TO_BOB_2, np.arange(50), loss=loss,
+                       rng_channel=rng_loss)
+        passed = beam_split(pulse, loss, rng_split)[1]
+        for column in ("photons", "origin", "owner"):
+            assert np.array_equal(getattr(out, column), getattr(passed, column))
+        assert out.rounds == passed.rounds == 50
+        assert rng_loss.bit_generator.state == rng_split.bit_generator.state
 
     def test_full_loss(self):
         rng = np.random.default_rng(0)

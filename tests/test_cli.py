@@ -172,6 +172,16 @@ def test_cli_matches_library(tmp_path):
     assert cli_report["totals"] == lib_report.to_dict({})["totals"]
 
 
+def test_negative_exponent_flag_value_matches_equals_form(tmp_path, capsys):
+    argv = BASE + ["--attack", "simple_trojan", "--mode", "pulse", "--loss", "0.1"]
+    spaced, joined = tmp_path / "spaced", tmp_path / "joined"
+    assert main(argv + ["--trojan-angle", "-1e20", "--outdir", str(spaced)]) == 0
+    assert main(argv + ["--trojan-angle=-1e20", "--outdir", str(joined)]) == 0
+    report = (spaced / "report.json").read_bytes()
+    assert report == (joined / "report.json").read_bytes()
+    assert json.loads(report)["config"]["trojan_angle"] == -1e20
+
+
 def test_load_config_validates():
     class Args:
         config = None
@@ -206,6 +216,13 @@ INVALID_INPUTS = {
     "mean-photons-huge": (None, ["--mode", "pulse", "--mean-photons", "1e19"]),
     "digest-variable-length": (None, ["--digest", "shake_128"]),
     "trojan-angle-nan": (None, ["--attack", "simple_trojan", "--trojan-angle", "nan"]),
+    # negative numbers that argparse alone would read as options
+    "trojan-angle-minus-inf": (None, ["--attack", "simple_trojan", "--trojan-angle", "-inf"]),
+    "p-analyzing-negative-exponent": (None, ["--p-analyzing", "-1e-3"]),
+    "loss-negative-exponent": (None, ["--loss", "-1e-3"]),
+    "sweep-negative-n": (None, ["--sweep-N", "-1,2"]),
+    "guess-weights-negative-exponent": (None, ["--attack", "impersonation",
+                                               "--guess-weights", "-1e-3,1"]),
     "theta-oracle-other-strategy": ({"theta_oracle": True}, ["--attack", "simple_trojan"]),
     "sweep-with-transcript": (None, ["--sweep-N", "2,3", "--emit-transcript"]),
     "transcript-without-outdir": (None, ["--emit-transcript"]),

@@ -5,9 +5,10 @@ never acts (``attack_probability = 0``) leaves the session bit-identical
 to the honest one. Every report passes its own consistency check, its
 totals do not depend on the order of the trials, and any JSON config
 either loads or is rejected with a ``ConfigError``. The pulse kernels
-(``take``, ``merged``, ``leading`` and the adversary's split-off mask)
-equal a plain-Python reference on generated batches. The examples are
-derandomized, so every run checks the same inputs.
+(``take``, ``merged``, ``leading`` and the adversary's split-off mask),
+``canon``, Bob's decode and Alice's encode equal a plain reference on
+generated input. The examples are derandomized, so every run checks the
+same inputs.
 """
 
 import json
@@ -15,15 +16,31 @@ from collections import Counter
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from screenqkd import analysis, cli, protocol
 from screenqkd.adversary import STRATEGIES, AttackConfig, build_interceptor
 from screenqkd.analysis import ExperimentReport, TrialCounts, run_experiment
 from screenqkd.errors import ConfigError
-from screenqkd.photonics import Origin, Pulse
-from screenqkd.protocol import MODE_PULSE, MODE_SINGLE, ProtocolParams, Verdict, run_session
+from screenqkd.photonics import (
+    DIAGONAL,
+    PI,
+    Origin,
+    Pulse,
+    canon,
+    measure,
+    single_photon_pulse,
+)
+from screenqkd.protocol import (
+    MODE_PULSE,
+    MODE_SINGLE,
+    ProtocolParams,
+    Verdict,
+    alice_encode,
+    bob_decode,
+    run_session,
+)
 
 STRATEGIES_BY_MODE = {
     MODE_SINGLE: ("impersonation", "standard_state", "simple_trojan", "passive_pns"),
@@ -217,3 +234,74 @@ def test_pulse_kernels_match_reference(data, rounds):
         leading[i] and active[owners[i]] and counts[owners[i]] >= 2
         for i in range(len(owners))
     ]
+
+
+# Angles at the edges of canon's fast path, and far outside [0, pi).
+EDGE_ANGLES = (0.0, -0.0, -5e-324, 5e-324, np.nextafter(PI, 0.0), PI, 1e20, -1e20)
+
+
+@st.composite
+def angle_batches(draw) -> list[float]:
+    """Mostly in-range angles, with up to two edge or far-out values mixed in."""
+    inside = draw(st.lists(st.floats(0.0, PI, exclude_max=True), max_size=6))
+    edges = draw(st.lists(st.sampled_from(EDGE_ANGLES) | st.floats(-1e3, 1e3), max_size=2))
+    return draw(st.permutations(inside + edges))
+
+
+@GENERATED
+@example(values=[])
+@example(values=[-0.0])
+@example(values=[1.0, -0.0, np.nextafter(PI, 0.0)])
+@example(values=[5e-324, 0.0])
+@given(values=angle_batches())
+def test_canon_is_bitwise_remainder(values):
+    radians = np.array(values, dtype=float)
+    reference = np.remainder(radians, PI)
+    reference = np.where(reference == PI, 0.0, reference)
+    reduced = canon(radians)
+    assert reduced.dtype == np.float64 and reduced.shape == radians.shape
+    # the bit patterns, so a -0.0 that leaks through differs from +0.0
+    assert reduced.view(np.uint64).tolist() == reference.view(np.uint64).tolist()
+
+
+@GENERATED
+@given(data=st.data(), rounds=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+def test_bob_decode_matches_per_round_reference(data, rounds, seed):
+    pulse = data.draw(pulses(rounds))
+    phi = np.array(data.draw(st.lists(st.floats(0.0, PI), min_size=rounds,
+                                      max_size=rounds)))
+    outcome, received = bob_decode(pulse, phi, np.random.default_rng(seed))
+    # the same draws: one uniform per photon, at the photon's angle minus phi
+    bits = measure(
+        pulse.photons - phi[pulse.owner], DIAGONAL, np.random.default_rng(seed)
+    ).tolist()
+    owners = pulse.owner.tolist()
+    per_round = [[b for b, o in zip(bits, owners) if o == j] for j in range(rounds)]
+    assert received.tolist() == [len(b) for b in per_round]
+    # one outcome when every photon agrees; none for vacuum or a double click
+    assert outcome.tolist() == [b[0] if len(set(b)) == 1 else -1 for b in per_round]
+
+
+@GENERATED
+@given(data=st.data(), n=st.integers(1, 4), size=st.integers(0, 5))
+def test_alice_encode_rejects_exactly_invalid_input(data, n, size):
+    k = data.draw(st.lists(st.sampled_from((0, 1, 0.5, 2)), min_size=size, max_size=size))
+    a_index = data.draw(st.lists(st.integers(0, n + 1), min_size=size, max_size=size))
+    theta = np.array(data.draw(st.lists(st.floats(0.0, PI, exclude_max=True),
+                                        min_size=size, max_size=size)))
+    params = ProtocolParams(n_screening=n, transmission=1.0)
+    invalid = any(b not in (0, 1) for b in k) or any(not 1 <= a <= n for a in a_index)
+    k, a_index = np.array(k), np.array(a_index, dtype=np.intp)
+    pulse = single_photon_pulse(theta)
+    try:
+        to_bob, ad_bits, _ = alice_encode(
+            pulse, theta, k, a_index, params, np.random.default_rng(0)
+        )
+    except ConfigError:
+        assert invalid
+        return
+    assert not invalid
+    # no tap at t = 1; each photon turns by the documented sum, bit for bit
+    delta = -theta + (1 - 2 * k.astype(float)) * PI / 4 + params.angles[a_index - 1]
+    assert len(ad_bits) == 0
+    assert to_bob.photons.tolist() == (pulse.photons + delta).tolist()

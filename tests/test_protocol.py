@@ -10,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import kstest
 
+from screenqkd.adversary import AttackConfig, build_interceptor
 from screenqkd.errors import ConfigError
-from screenqkd.photonics import PI, Pulse, single_photon_pulse
+from screenqkd.photonics import PI, Pulse, canon, single_photon_pulse
 from screenqkd.protocol import (
     Announcement,
     ProtocolParams,
@@ -447,3 +448,24 @@ def test_derive_rng_reproducible():
     c = derive_rng(7, 0, 2).random(4)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+def test_session_hot_path_avoids_remainder_and_isin(monkeypatch):
+    # drawn angles are already in [0, pi), so canon skips the reduction,
+    # and key bits are checked without isin
+    calls = []
+    for name in ("remainder", "isin"):
+        real = getattr(np, name)
+
+        def counting(*args, _name=name, _real=real, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np, name, counting)
+    run_session(ProtocolParams(rounds=3000, seed=21))
+    pulsed = ProtocolParams(rounds=3000, seed=22, mode="pulse", mean_photons=2.0)
+    attack = build_interceptor(AttackConfig(strategy="pns_trojan"), pulsed)
+    run_session(pulsed, attack, channel_loss=0.1)
+    assert calls == []
+    canon(np.array([-1.0]))  # the counters see a reduction that does happen
+    assert calls == ["remainder"]
