@@ -29,7 +29,6 @@ from .photonics import (
 from .protocol import (
     Announcement,
     ProtocolParams,
-    RoundRecord,
     Rounds,
     SessionTranscript,
     Verdict,

@@ -435,9 +435,11 @@ def _csv_cell(value) -> str:
 
 
 def flat_rows(report: ExperimentReport, n: int, mode: str, attack: str) -> list[dict]:
-    """One stable-schema row per trial."""
+    """One stable-schema row per trial, with the report's rates over that
+    trial alone."""
     rows = []
     for i, c in enumerate(report.per_trial):
+        trial = ExperimentReport(report.params, [c], [])
         rows.append(
             {
                 "trial": i,
@@ -446,14 +448,14 @@ def flat_rows(report: ExperimentReport, n: int, mode: str, attack: str) -> list[
                 "attack": attack,
                 "rounds": c.rounds,
                 "sifted_bits": c.sifted_bits,
-                "matched_rate": c.matched / c.rounds if c.rounds else None,
-                "qber": _ratio(c.qber_errors, c.sifted_bits),
+                "matched_rate": trial.sift_rate,
+                "qber": trial.qber,
                 "ad_clicks": c.ad_clicks,
                 "ad_violations": c.ad_violations,
-                "ad_violation_rate": _ratio(c.ad_violations, c.ad_clicks),
+                "ad_violation_rate": trial.ad_violation_rate,
                 "eve_guesses": c.eve_guesses,
                 "eve_correct": c.eve_correct,
-                "eve_accuracy": _ratio(c.eve_correct, c.eve_guesses),
+                "eve_accuracy": trial.eve_accuracy,
                 "verdict": c.verdict,
             }
         )
@@ -491,15 +493,50 @@ def emit_report(report_doc: dict, rows: Sequence[dict], outdir: Path) -> dict[st
 def write_transcripts(
     transcripts: Sequence[SessionTranscript], outdir: Path
 ) -> list[Path]:
-    """Dump each session transcript as line-delimited JSON, one round per line."""
+    """Dump each session transcript as line-delimited JSON, one round per line.
+
+    Each line holds a round's columns under sorted keys. ``phi_star`` is
+    phi on analyzing rounds and null otherwise; ``ad_outcomes`` and
+    ``ad_origins`` list the round's AD photons in column order.
+    ``bob_outcome`` is null, and ``bob_conclusive`` false, where Bob has no
+    outcome (vacuum or an inconclusive multi-photon round).
+    """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
+    names = {o.value: o.name.lower() for o in Origin}
     paths = []
     for i, transcript in enumerate(transcripts):
+        r = transcript.rounds
+        bounds = np.searchsorted(r.ad_owner, np.arange(len(r) + 1)).tolist()
+        ad_bits = r.ad_bits.tolist()
+        ad_origins = [names[code] for code in r.ad_origin.tolist()]
+        columns = zip(
+            r.theta.tolist(), r.phi.tolist(), r.is_analyzing.tolist(),
+            r.a_index.tolist(), r.b_index.tolist(), r.k.tolist(),
+            r.bob_outcome.tolist(), r.bob_received.tolist(),
+        )
         path = outdir / f"transcript_{i:03d}.jsonl"
         with open(path, "w") as handle:
-            for rec in transcript.rounds:
-                handle.write(json.dumps(rec.to_dict(), sort_keys=True))
+            for j, row in enumerate(columns):
+                theta, phi, analyzing, a, b, k, outcome, received = row
+                lo, hi = bounds[j], bounds[j + 1]
+                conclusive = outcome >= 0
+                record = {
+                    "round_id": j,
+                    "theta": theta,
+                    "phi": phi,
+                    "is_analyzing": analyzing,
+                    "phi_star": phi if analyzing else None,
+                    "a_index": a,
+                    "b_index": b,
+                    "k": k,
+                    "ad_outcomes": ad_bits[lo:hi],
+                    "ad_origins": ad_origins[lo:hi],
+                    "bob_outcome": outcome if conclusive else None,
+                    "bob_conclusive": conclusive,
+                    "bob_received_photons": received,
+                }
+                handle.write(json.dumps(record, sort_keys=True))
                 handle.write("\n")
         paths.append(path)
     return paths

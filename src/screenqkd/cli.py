@@ -148,7 +148,8 @@ def _is_number_list(token: str) -> bool:
 
 
 class _Parser(argparse.ArgumentParser):
-    """An argument parser that takes every number as a flag value.
+    """An argument parser that takes every number as a flag value and
+    reports a usage error in one line.
 
     argparse reads a token that starts with "-" as an option unless it is
     a plain negative decimal, so ``--trojan-angle -1e20`` or
@@ -160,6 +161,9 @@ class _Parser(argparse.ArgumentParser):
         if arg_string.startswith("-") and _is_number_list(arg_string):
             return None
         return super()._parse_optional(arg_string)
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:

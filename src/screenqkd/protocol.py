@@ -32,7 +32,6 @@ from __future__ import annotations
 import enum
 import functools
 import hashlib
-from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from typing import Optional
 
@@ -44,7 +43,6 @@ from .photonics import (
     DIAGONAL,
     MAX_MEAN_PHOTONS,
     PI,
-    Origin,
     Pulse,
     beam_split,
     make_pulse,
@@ -111,42 +109,8 @@ class ProtocolParams:
         return angles
 
 
-@dataclass(frozen=True, slots=True)
-class RoundRecord:
-    """Full per-round transcript entry.
-
-    ``ad_origins`` mirrors ``ad_outcomes`` with the diagnostic provenance
-    of each tapped photon; it exists for offline analysis only and is
-    never visible to the in-simulation parties. ``bob_outcome`` is present
-    iff at least one photon arrived and all photon outcomes agreed
-    (disagreeing multi-photon rounds are marked inconclusive and dropped
-    from the key).
-    """
-
-    round_id: int
-    theta: float
-    phi: float
-    is_analyzing: bool
-    phi_star: Optional[float]
-    a_index: int
-    b_index: int
-    k: int
-    ad_outcomes: tuple[int, ...]
-    ad_origins: tuple[Origin, ...]
-    bob_outcome: Optional[int]
-    bob_conclusive: bool
-    bob_received_photons: int
-
-    def to_dict(self) -> dict:
-        return {
-            **{f.name: getattr(self, f.name) for f in fields(self)},
-            "ad_outcomes": list(self.ad_outcomes),
-            "ad_origins": [o.name.lower() for o in self.ad_origins],
-        }
-
-
 @dataclass(frozen=True, eq=False)
-class Rounds(Sequence):
+class Rounds:
     """A session's transcript as columns with one entry per round.
 
     The AD outcomes are photon columns sorted by round: outcome bit
@@ -154,9 +118,6 @@ class Rounds(Sequence):
     round ``ad_owner[i]``. ``phi`` equals phi* on analyzing rounds.
     ``bob_outcome`` is -1 where Bob has no outcome (vacuum or an
     inconclusive multi-photon round).
-
-    As a sequence it is a lazy view: item i builds round i's
-    :class:`RoundRecord` from the columns.
     """
 
     theta: np.ndarray
@@ -173,25 +134,6 @@ class Rounds(Sequence):
 
     def __len__(self) -> int:
         return len(self.theta)
-
-    def __getitem__(self, i: int) -> RoundRecord:
-        i = range(len(self))[i]
-        lo, hi = np.searchsorted(self.ad_owner, (i, i + 1))
-        chosen = {
-            name: getattr(self, name)[i].item()
-            for name in ("theta", "phi", "is_analyzing", "a_index", "b_index", "k")
-        }
-        outcome = self.bob_outcome[i].item()
-        return RoundRecord(
-            round_id=i,
-            **chosen,
-            phi_star=chosen["phi"] if chosen["is_analyzing"] else None,
-            ad_outcomes=tuple(self.ad_bits[lo:hi].tolist()),
-            ad_origins=tuple(map(Origin, self.ad_origin[lo:hi].tolist())),
-            bob_outcome=None if outcome < 0 else outcome,
-            bob_conclusive=outcome >= 0,
-            bob_received_photons=self.bob_received[i].item(),
-        )
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Rounds) and all(

@@ -1,9 +1,11 @@
+import json
 import math
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from screenqkd.analysis import write_transcripts  # noqa: E402
 from screenqkd.photonics import PI, canon  # noqa: E402
 
 # Absolute tolerance for angle comparisons modulo pi.
@@ -25,3 +27,11 @@ def pass_fail(ok: bool, label: str, detail: str) -> None:
     """Print one [PASS]/[FAIL] line for a check, then assert it."""
     print(f"[{'PASS' if ok else 'FAIL'}] {label}: {detail}")
     assert ok, f"{label}: {detail}"
+
+
+def transcript_records(transcript, outdir: Path) -> list[dict]:
+    """The session's rounds as ``--emit-transcript`` writes them, read back:
+    one dict per round, independent of how the columns are laid out."""
+    [path] = write_transcripts([transcript], outdir)
+    with open(path) as handle:
+        return [json.loads(line) for line in handle]

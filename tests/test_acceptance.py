@@ -39,10 +39,11 @@ def test_criterion_1_honest_protocol_correctness():
         a != b for a, b in zip(transcript.alice_key, transcript.bob_key)
     )
     integrity_ok = transcript.ad_checked > 0 and transcript.ad_violations == 0
-    for rec in transcript.rounds:
-        if is_matched(rec.a_index, rec.b_index, 2) and rec.is_analyzing:
-            expected = expected_ad_bit(rec.k, rec.phi_star)
-            integrity_ok &= all(bit == expected for bit in rec.ad_outcomes)
+    rounds = transcript.rounds
+    owner = rounds.ad_owner
+    audited = (is_matched(rounds.a_index, rounds.b_index, 2) & rounds.is_analyzing)[owner]
+    expected = expected_ad_bit(rounds.k[owner], rounds.phi[owner])
+    integrity_ok &= bool((rounds.ad_bits == expected)[audited].all())
     ok = (
         len(transcript.alice_key) > 0
         and qber_errors == 0

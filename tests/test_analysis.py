@@ -25,13 +25,12 @@ from screenqkd.photonics import PI, Origin
 from screenqkd.protocol import (
     Announcement,
     ProtocolParams,
-    Rounds,
     expected_ad_bit,
     is_matched,
     run_session,
 )
 
-from conftest import binom_sigma
+from conftest import binom_sigma, transcript_records
 
 
 def _params(**overrides) -> ProtocolParams:
@@ -278,49 +277,40 @@ def _attack(strategy: str, **knobs) -> AttackConfig:
     return AttackConfig(strategy=strategy, **oracle, **knobs)
 
 
-@pytest.mark.parametrize("mode,strategy", STRATEGY_CASES)
-def test_report_path_builds_no_round_records(monkeypatch, mode, strategy):
-    def forbidden(self, i):
-        raise AssertionError("a RoundRecord was built on the report path")
+def _recount(transcript, guesses, records) -> dict:
+    """The per-record scorer the batch one replaced, kept as its reference.
 
-    monkeypatch.setattr(Rounds, "__getitem__", forbidden)
-    params = _params(rounds=2000, mode=mode, mean_photons=2.0, p_analyzing=0.3)
-    report, _ = run_experiment(params, _attack(strategy), trials=2, channel_loss=0.1)
-    report.to_dict({})
-    flat_rows(report, 2, mode, strategy)
-
-
-def _recount(transcript, guesses) -> dict:
-    """The per-record scorer the batch one replaced, kept as its reference."""
+    `records` are the session's rounds read back from its JSONL transcript.
+    """
     n = transcript.params.n_screening
     skip = ("verdict", "beamsplit_reported", "beamsplit_conclusive")  # Eve's metrics
     c = {f.name: 0 for f in fields(TrialCounts) if f.name not in skip}
     guess_of = dict(zip(guesses.rounds.tolist(), guesses.bits.tolist()))
     alice_key, bob_key = [], []
-    for rec in transcript.rounds:
+    for rec in records:
         c["rounds"] += 1
-        matched = is_matched(rec.a_index, rec.b_index, n)
+        matched = is_matched(rec["a_index"], rec["b_index"], n)
         c["matched"] += matched
-        if matched and rec.is_analyzing:
-            expected = expected_ad_bit(rec.k, rec.phi_star)
-            for bit, origin in zip(rec.ad_outcomes, rec.ad_origins):
+        if matched and rec["is_analyzing"]:
+            expected = expected_ad_bit(rec["k"], rec["phi_star"])
+            for bit, origin in zip(rec["ad_outcomes"], rec["ad_origins"]):
                 c["ad_clicks"] += 1
                 c["ad_violations"] += bit != expected
-                if origin is not Origin.LEGITIMATE:
+                if origin != "legitimate":
                     c["ad_injected_clicks"] += 1
                     c["ad_injected_violations"] += bit != expected
-        elif matched and rec.bob_outcome is not None:
-            alice_key.append(rec.k)
-            bob_key.append(rec.bob_outcome ^ 1)
-        guess = guess_of.get(rec.round_id)
+        elif matched and rec["bob_outcome"] is not None:
+            alice_key.append(rec["k"])
+            bob_key.append(rec["bob_outcome"] ^ 1)
+        guess = guess_of.get(rec["round_id"])
         if guess is not None:
-            correct = guess == rec.k
+            correct = guess == rec["k"]
             c["eve_guesses"] += 1
             c["eve_correct"] += correct
-            if rec.is_analyzing:
+            if rec["is_analyzing"]:
                 c["eve_analyzing_guesses"] += 1
                 c["eve_analyzing_correct"] += correct
-            if matched and not rec.is_analyzing and rec.bob_outcome is not None:
+            if matched and not rec["is_analyzing"] and rec["bob_outcome"] is not None:
                 c["eve_key_guesses"] += 1
                 c["eve_key_correct"] += correct
     c["sifted_bits"] = len(alice_key)
@@ -331,7 +321,7 @@ def _recount(transcript, guesses) -> dict:
 
 
 @pytest.mark.parametrize("mode,strategy", STRATEGY_CASES)
-def test_batch_scorer_matches_per_record_recount(mode, strategy):
+def test_batch_scorer_matches_per_record_recount(tmp_path, mode, strategy):
     params = _params(
         rounds=3000, mode=mode, mean_photons=3.0, p_analyzing=0.4,
         transmission=0.7, seed=206,
@@ -342,9 +332,55 @@ def test_batch_scorer_matches_per_record_recount(mode, strategy):
     guesses = interceptor.produce_guesses() if interceptor else Guesses()
     metrics = interceptor.metrics() if interceptor else {}
     counts = score_trial(transcript, guesses, metrics)
-    expected = _recount(transcript, guesses)
+    expected = _recount(transcript, guesses, transcript_records(transcript, tmp_path))
     assert {name: getattr(counts, name) for name in expected} == expected
     assert counts.rounds == 3000 and counts.matched > 0
+
+
+def test_transcript_lines_equal_the_columns(tmp_path):
+    # Lossy pulse-mode pns_trojan: rounds with 0, 1 and several AD photons
+    # of both origins, vacuum rounds and inconclusive (double-click) rounds.
+    params = _params(
+        rounds=3000, mode="pulse", mean_photons=2.0, p_analyzing=0.4,
+        transmission=0.5, seed=207,
+    )
+    interceptor = build_interceptor(AttackConfig(strategy="pns_trojan"), params)
+    transcript = run_session(params, interceptor, channel_loss=0.1)
+    records = transcript_records(transcript, tmp_path)
+    r = transcript.rounds
+    assert len(records) == len(r)
+    ad_counts = np.bincount(r.ad_owner, minlength=len(r))
+    ad_end = np.cumsum(ad_counts)
+    for i, rec in enumerate(records):
+        assert list(rec) == sorted(rec)
+        ad = slice(ad_end[i] - ad_counts[i], ad_end[i])
+        outcome = int(r.bob_outcome[i])
+        assert rec == {
+            "round_id": i,
+            "theta": float(r.theta[i]),
+            "phi": float(r.phi[i]),
+            "is_analyzing": bool(r.is_analyzing[i]),
+            "phi_star": float(r.phi[i]) if r.is_analyzing[i] else None,
+            "a_index": int(r.a_index[i]),
+            "b_index": int(r.b_index[i]),
+            "k": int(r.k[i]),
+            "ad_outcomes": [int(b) for b in r.ad_bits[ad]],
+            "ad_origins": [Origin(o).name.lower() for o in r.ad_origin[ad]],
+            "bob_outcome": outcome if outcome >= 0 else None,
+            "bob_conclusive": outcome >= 0,
+            "bob_received_photons": int(r.bob_received[i]),
+        }, i
+    assert {0, 1} <= set(ad_counts.tolist()) and ad_counts.max() >= 2
+    assert {o for rec in records for o in rec["ad_origins"]} == {
+        "legitimate", "trojan_injected",
+    }
+    vacuum = [rec for rec in records if rec["bob_received_photons"] == 0]
+    inconclusive = [
+        rec for rec in records
+        if rec["bob_received_photons"] > 0 and not rec["bob_conclusive"]
+    ]
+    assert vacuum and all(rec["bob_outcome"] is None for rec in vacuum)
+    assert inconclusive and all(rec["bob_outcome"] is None for rec in inconclusive)
 
 
 def announcement_from_session(session: dict, rounds: int) -> Announcement:

@@ -145,5 +145,5 @@ class TestInformationFirewall:
         params = ProtocolParams(n_screening=3, rounds=200, seed=64)
         transcript = run_session(params, recorder)
         ann = recorder.announcements[0]
-        assert ann.a_indices.tolist() == [r.a_index for r in transcript.rounds]
-        assert ann.b_indices.tolist() == [r.b_index for r in transcript.rounds]
+        assert np.array_equal(ann.a_indices, transcript.rounds.a_index)
+        assert np.array_equal(ann.b_indices, transcript.rounds.b_index)

@@ -242,6 +242,11 @@ INVALID_INPUTS = {
     # raw config bytes that json.load rejects with a ValueError of its own
     "int-over-digit-limit": (b'{"rounds": 1' + b"0" * 5000 + b"}", []),
     "config-not-utf8": (b'\xff{"rounds": 10}', []),
+    # argparse's own type and unknown-flag errors, raised inside parse_args
+    "rounds-exponent": (None, ["--rounds", "1e3"]),
+    "rounds-negative-exponent": (None, ["--rounds=-1e3"]),
+    "n-word": (None, ["--N", "two"]),
+    "unknown-flag": (None, ["--bogus"]),
 }
 # Cases run without --outdir; no case sees $SCREENQKD_OUTDIR.
 NO_OUTDIR = {"transcript-without-outdir"}

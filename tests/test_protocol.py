@@ -31,7 +31,7 @@ from screenqkd.protocol import (
     sift_and_verify,
 )
 
-from conftest import angles_close, binom_sigma
+from conftest import angles_close, binom_sigma, transcript_records
 
 
 class TestScreeningAngles:
@@ -139,13 +139,10 @@ class TestBobTransform:
 
     def test_always_analyzing_at_one(self):
         transcript = run_session(ProtocolParams(p_analyzing=1.0, rounds=500, seed=5))
-        seen = set()
-        for rec in transcript.rounds:
-            assert rec.is_analyzing
-            assert rec.phi == rec.phi_star
-            assert rec.phi_star in (0.0, PI / 2)
-            seen.add(rec.phi_star)
-        assert seen == {0.0, PI / 2}
+        rounds = transcript.rounds
+        assert rounds.is_analyzing.all()
+        assert np.array_equal(transcript.announcement.phi_star_values, rounds.phi)
+        assert set(rounds.phi.tolist()) == {0.0, PI / 2}
 
 
 def _one(value) -> np.ndarray:
@@ -278,37 +275,34 @@ class TestHonestSession:
 
     def test_end_to_end_outcome_identity(self):
         # O_b = k ^ 1 on every matched detected round, analyzing or not
-        transcript = _honest_session(seed=43)
-        checked = 0
-        for rec in transcript.rounds:
-            if is_matched(rec.a_index, rec.b_index, 2) and rec.bob_outcome is not None:
-                assert rec.bob_outcome == rec.k ^ 1
-                checked += 1
-        assert checked > 1000
+        rounds = _honest_session(seed=43).rounds
+        checked = is_matched(rounds.a_index, rounds.b_index, 2) & (rounds.bob_outcome >= 0)
+        assert np.array_equal(rounds.bob_outcome[checked], rounds.k[checked] ^ 1)
+        assert np.count_nonzero(checked) > 1000
 
-    def test_integrity_condition_exact(self):
+    def test_integrity_condition_exact(self, tmp_path):
+        # per round, over the records read back from the JSONL transcript
         transcript = _honest_session(seed=44, p_analyzing=0.5, transmission=0.5)
         checked = 0
-        for rec in transcript.rounds:
-            if is_matched(rec.a_index, rec.b_index, 2) and rec.is_analyzing:
-                expected = expected_ad_bit(rec.k, rec.phi_star)
-                for bit in rec.ad_outcomes:
+        for rec in transcript_records(transcript, tmp_path):
+            if is_matched(rec["a_index"], rec["b_index"], 2) and rec["is_analyzing"]:
+                expected = expected_ad_bit(rec["k"], rec["phi_star"])
+                for bit in rec["ad_outcomes"]:
                     assert bit == expected
                     checked += 1
         assert checked > 100
 
     def test_analyzing_phi_equals_phi_star(self):
         transcript = _honest_session(seed=45, p_analyzing=0.5)
-        for rec in transcript.rounds:
-            if rec.is_analyzing:
-                assert rec.phi == rec.phi_star
-            else:
-                assert rec.phi_star is None
+        analyzing = transcript.rounds.is_analyzing
+        phi_star = transcript.announcement.phi_star_values
+        assert 0 < np.count_nonzero(analyzing) < len(analyzing)
+        assert np.array_equal(np.isnan(phi_star), ~analyzing)
+        assert np.array_equal(phi_star[analyzing], transcript.rounds.phi[analyzing])
 
     def test_bob_outcome_present_iff_detected(self):
-        transcript = _honest_session(seed=46)
-        for rec in transcript.rounds:
-            assert (rec.bob_outcome is not None) == (rec.bob_received_photons >= 1)
+        rounds = _honest_session(seed=46).rounds
+        assert np.array_equal(rounds.bob_outcome >= 0, rounds.bob_received >= 1)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 10])
     def test_matching_probability(self, n):
@@ -316,9 +310,8 @@ class TestHonestSession:
         transcript = run_session(
             ProtocolParams(n_screening=n, rounds=rounds, seed=47, mode="single")
         )
-        matched = sum(
-            is_matched(r.a_index, r.b_index, n) for r in transcript.rounds
-        )
+        columns = transcript.rounds
+        matched = np.count_nonzero(is_matched(columns.a_index, columns.b_index, n))
         p = 1.0 / n
         assert abs(matched / rounds - p) <= 3 * binom_sigma(p, rounds) + 1e-12
 
@@ -337,17 +330,12 @@ class TestHonestSession:
         )
 
     def test_non_analyzing_ad_outcomes_uncorrelated_with_key(self):
-        transcript = _honest_session(seed=49, rounds=30_000, transmission=0.5)
-        pairs = [
-            (bit, rec.k)
-            for rec in transcript.rounds
-            if not rec.is_analyzing
-            for bit in rec.ad_outcomes
-        ]
-        n = len(pairs)
+        rounds = _honest_session(seed=49, rounds=30_000, transmission=0.5).rounds
+        keep = ~rounds.is_analyzing[rounds.ad_owner]
+        bits = rounds.ad_bits[keep].astype(float)
+        ks = rounds.k[rounds.ad_owner[keep]].astype(float)
+        n = len(bits)
         assert n > 5000
-        bits = np.array([p[0] for p in pairs], dtype=float)
-        ks = np.array([p[1] for p in pairs], dtype=float)
         corr = np.corrcoef(bits, ks)[0, 1]
         assert abs(corr) <= 4 / math.sqrt(n)
 
@@ -387,14 +375,9 @@ class TestHonestSession:
         assert transcript.alice_key == transcript.bob_key
         assert transcript.ad_violations == 0 and transcript.ad_checked > 500
         assert transcript.verdict is Verdict.ACCEPTED
-        inconclusive_matched = sum(
-            1
-            for r in transcript.rounds
-            if is_matched(r.a_index, r.b_index, 2)
-            and r.bob_received_photons >= 1
-            and not r.bob_conclusive
-        )
-        assert inconclusive_matched == 0
+        rounds = transcript.rounds
+        inconclusive = (rounds.bob_received >= 1) & (rounds.bob_outcome < 0)
+        assert not (is_matched(rounds.a_index, rounds.b_index, 2) & inconclusive).any()
 
     def test_vacuum_source_produces_empty_accepted_session(self):
         params = ProtocolParams(
@@ -409,16 +392,15 @@ class TestHonestSession:
 class TestSiftAndVerify:
     def test_flipped_bob_bit_gives_hash_mismatch(self):
         transcript = _honest_session(seed=51)
-        bob_outcome = transcript.rounds.bob_outcome.copy()
-        for i, rec in enumerate(transcript.rounds):
-            if (
-                is_matched(rec.a_index, rec.b_index, 2)
-                and not rec.is_analyzing
-                and rec.bob_outcome is not None
-            ):
-                bob_outcome[i] ^= 1
-                break
-        rounds = dataclasses.replace(transcript.rounds, bob_outcome=bob_outcome)
+        rounds = transcript.rounds
+        key = np.flatnonzero(
+            is_matched(rounds.a_index, rounds.b_index, 2)
+            & ~rounds.is_analyzing
+            & (rounds.bob_outcome >= 0)
+        )
+        bob_outcome = rounds.bob_outcome.copy()
+        bob_outcome[key[0]] ^= 1
+        rounds = dataclasses.replace(rounds, bob_outcome=bob_outcome)
         tampered = sift_and_verify(
             transcript.params, rounds, Announcement.from_rounds(rounds)
         )
