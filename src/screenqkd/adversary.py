@@ -180,9 +180,11 @@ class _BaseAttack(Interceptor):
     def _split_off(self, pulse: Pulse, acting: np.ndarray) -> np.ndarray:
         """Mask of the first photon of each active multi-photon pulse: a
         leading photon whose successor is in the same round."""
-        multi = np.zeros(pulse.count, bool)
-        np.equal(pulse.owner[1:], pulse.owner[:-1], out=multi[:-1])
-        return acting & pulse.leading() & multi
+        same = pulse.owner[1:] == pulse.owner[:-1]
+        split = np.zeros(pulse.count, bool)
+        split[:-1] = same  # the successor is in the same round
+        split[1:] &= ~same  # the predecessor is not
+        return np.logical_and(split, acting, out=split)
 
     def observe_announcement(self, announcement: Announcement) -> None:
         self.announcement = announcement
@@ -219,7 +221,9 @@ class _ImpersonationBase(_BaseAttack):
             return pulse.take(~acting).merged(substitutes.tagged(Origin.EVE_REPLAYED))
         if leg is Leg.BOB_TO_ALICE:
             self._reply = pulse.take(acting).rotated(-self._theta_prime)
-            return pulse.take(~acting).merged(self._original)
+            original = self._original
+            self._original = self._theta_prime = None  # used up
+            return pulse.take(~acting).merged(original)
         # Eve reads the final leg's pulse in each active round; one that
         # arrives empty stays empty.
         read = acting & pulse.leading()
@@ -227,6 +231,7 @@ class _ImpersonationBase(_BaseAttack):
         relayed[pulse.owner[read]] = True
         delta = self._read_final_leg(pulse, acting, read, rng)
         reply = self._reply.take(relayed[self._reply.owner]).rotated(delta)
+        self._reply = None  # used up
         return pulse.take(~acting).merged(reply)
 
     def _read_final_leg(
@@ -369,7 +374,8 @@ class PnsTrojanComposite(_ProbeCaptureAttack):
             self._split = pulse.take(split)
             return pulse.take(~split)
         if leg is Leg.BOB_TO_ALICE:
-            return pulse.merged(self._split.tagged(Origin.TROJAN_INJECTED))
+            split, self._split = self._split, None  # used up
+            return pulse.merged(split.tagged(Origin.TROJAN_INJECTED))
         return self._capture_probe(pulse, rng)
 
 

@@ -76,13 +76,16 @@ class Interceptor:
 def transmit(
     pulse: Pulse,
     leg: Leg,
-    round_ids: np.ndarray,
+    round_ids: Optional[np.ndarray],
     interceptor: Optional[Interceptor] = None,
     loss: float = 0.0,
     rng_channel: Optional[np.random.Generator] = None,
     rng_eve: Optional[np.random.Generator] = None,
 ) -> Pulse:
     """Carry a batch of pulses across one leg: interception hook first, then loss.
+
+    `round_ids` is handed only to the interceptor; it may be None when
+    there is none.
 
     Each photon is dropped independently with probability `loss`: loss is
     a beam splitter whose tapped output is discarded, so only the

@@ -11,12 +11,16 @@ class ConfigError(ValueError):
     meaningful with the others; the message names the offending field."""
 
 
-def check_int(name: str, value: object, minimum: float = -math.inf) -> None:
-    """Require an integer (bool excluded) that is at least `minimum`."""
+def check_int(
+    name: str, value: object, minimum: float = -math.inf, maximum: float = math.inf
+) -> None:
+    """Require an integer (bool excluded) in [minimum, maximum]."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ConfigError(f"{name}: must be an integer, got {value!r}")
     if value < minimum:
         raise ConfigError(f"{name}: must be >= {minimum}, got {value}")
+    if value > maximum:
+        raise ConfigError(f"{name}: must be <= {maximum}, got {value}")
 
 
 def check_real(

@@ -38,6 +38,9 @@ PI = math.pi
 # numpy's sampler itself fails above about 9.2e18.
 MAX_MEAN_PHOTONS = 100
 
+# Largest accepted batch: a photon's round, `Pulse.owner`, is an int32.
+MAX_ROUNDS = 2**31 - 1
+
 
 def canon(radians):
     """Canonicalize polarization angles (a number or an array) into [0, pi).
@@ -74,9 +77,10 @@ class Pulse:
     Photon i has the polarization ``photons[i]`` (a raw angle, meaningful
     modulo pi: see the module docstring), the origin code
     ``origin[i]`` (int8, see :class:`Origin`) and belongs to round
-    ``owner[i]``. Photons are sorted by round, so each pulse is a
-    contiguous run that keeps its order through every operation here. A
-    round without photons is vacuum (or lost).
+    ``owner[i]`` (int32, so a batch holds at most `MAX_ROUNDS` rounds).
+    Photons are sorted by round, so each pulse is a contiguous run that
+    keeps its order through every operation here. A round without photons
+    is vacuum (or lost).
     """
 
     photons: np.ndarray
@@ -86,7 +90,7 @@ class Pulse:
 
     @classmethod
     def vacuum(cls, rounds: int) -> Pulse:
-        return cls(np.empty(0), np.empty(0, np.int8), np.empty(0, np.intp), rounds)
+        return cls(np.empty(0), np.empty(0, np.int8), np.empty(0, np.int32), rounds)
 
     @property
     def count(self) -> int:
@@ -125,20 +129,25 @@ class Pulse:
         """Both batches' photons; within a round this batch's come first."""
         owner = np.concatenate((self.owner, other.owner))
         order = np.argsort(owner, kind="stable")
+        # The sorted owners first, so the unsorted ones are freed before
+        # the photon columns are concatenated.
+        owner = owner.take(order)
         return Pulse(
             np.concatenate((self.photons, other.photons)).take(order),
             np.concatenate((self.origin, other.origin)).take(order),
-            owner.take(order),
+            owner,
             self.rounds,
         )
 
     def rotated(self, delta) -> Pulse:
         """Rotate round j's pulse by ``delta[j]``, or every photon by a number.
 
-        One add, not reduced modulo pi (see the module docstring)."""
-        if np.ndim(delta):
-            delta = np.asarray(delta).take(self.owner)
-        return replace(self, photons=self.photons + delta)
+        One add, not reduced modulo pi (see the module docstring), made
+        into the gathered per-photon delta when there is one."""
+        if not np.ndim(delta):
+            return replace(self, photons=self.photons + delta)
+        moved = np.asarray(delta, dtype=np.float64)[self.owner]
+        return replace(self, photons=np.add(self.photons, moved, out=moved))
 
 
 # Axis of the (+pi/4, -pi/4) analyzer used by Bob's detector pair and Alice's AD.
@@ -147,7 +156,11 @@ DIAGONAL = PI / 4
 
 def born_probability(state, axis):
     """Probability of collapsing onto `axis` (outcome bit 0)."""
-    return np.cos(state - axis) ** 2
+    p = np.subtract(state, axis)
+    if not isinstance(p, np.ndarray):
+        return np.cos(p) ** 2
+    np.cos(p, out=p)
+    return np.square(p, out=p)
 
 
 def measure(photons: np.ndarray, axis, rng: np.random.Generator) -> np.ndarray:
@@ -173,9 +186,9 @@ def make_pulse(
             f"mean_photons must be in [0, {MAX_MEAN_PHOTONS}], got {mean_photons}"
         )
     rounds = len(polarization)
-    owner = np.repeat(np.arange(rounds), rng.poisson(mean_photons, rounds))
+    owner = np.repeat(np.arange(rounds, dtype=np.int32), rng.poisson(mean_photons, rounds))
     return Pulse(
-        canon(polarization).take(owner), np.zeros(len(owner), np.int8), owner, rounds
+        canon(polarization)[owner], np.zeros(len(owner), np.int8), owner, rounds
     )
 
 
@@ -183,23 +196,22 @@ def single_photon_pulse(polarization: np.ndarray) -> Pulse:
     """One single-photon pulse per entry of `polarization`."""
     rounds = len(polarization)
     return Pulse(
-        canon(polarization), np.zeros(rounds, np.int8), np.arange(rounds), rounds
+        canon(polarization), np.zeros(rounds, np.int8), np.arange(rounds, dtype=np.int32),
+        rounds,
     )
 
 
-def _tapped(pulse: Pulse, tap_fraction: float, rng: np.random.Generator):
-    """Draw which photons a beam splitter moves to its tapped output.
-
-    Returns a mask with one uniform draw per photon, or False (True) when
-    no photon (every photon) is tapped, in which case nothing is drawn.
-    """
+def _split_trivially(pulse: Pulse, tap_fraction: float):
+    """Check a beam splitter's tap fraction. Returns False (True) when no
+    photon (every photon) is tapped, so that nothing is drawn, and None
+    when each photon needs one uniform draw."""
     if not 0.0 <= tap_fraction <= 1.0:
         raise ConfigError(f"tap_fraction must be in [0, 1], got {tap_fraction}")
     if tap_fraction == 0.0 or pulse.is_empty:
         return False
     if tap_fraction == 1.0:
         return True
-    return rng.random(pulse.count) < tap_fraction
+    return None
 
 
 def beam_split(
@@ -211,20 +223,21 @@ def beam_split(
     `tap_fraction`. Polarizations and origins are untouched and the two
     outputs partition the input.
     """
-    tapped = _tapped(pulse, tap_fraction, rng)
-    if tapped is False:
+    trivial = _split_trivially(pulse, tap_fraction)
+    if trivial is False:
         return Pulse.vacuum(pulse.rounds), pulse
-    if tapped is True:
+    if trivial is True:
         return pulse, Pulse.vacuum(pulse.rounds)
+    tapped = rng.random(pulse.count) < tap_fraction
     return pulse.take(tapped), pulse.take(~tapped)
 
 
 def attenuated(pulse: Pulse, loss: float, rng: np.random.Generator) -> Pulse:
     """The photons that survive a loss of `loss`: ``beam_split(pulse, loss,
     rng)[1]`` from the same draw, without gathering the lost photons."""
-    lost = _tapped(pulse, loss, rng)
-    if lost is False:
+    trivial = _split_trivially(pulse, loss)
+    if trivial is False:
         return pulse
-    if lost is True:
+    if trivial is True:
         return Pulse.vacuum(pulse.rounds)
-    return pulse.take(~lost)
+    return pulse.take(rng.random(pulse.count) >= loss)

@@ -42,6 +42,7 @@ from .errors import ConfigError, check_int, check_real
 from .photonics import (
     DIAGONAL,
     MAX_MEAN_PHOTONS,
+    MAX_ROUNDS,
     PI,
     Pulse,
     beam_split,
@@ -84,7 +85,7 @@ class ProtocolParams:
 
     def __post_init__(self) -> None:
         check_int("n_screening (N)", self.n_screening, 1)
-        check_int("rounds", self.rounds, 1)
+        check_int("rounds", self.rounds, 1, MAX_ROUNDS)
         check_real("p_analyzing", self.p_analyzing, 0, 1)
         check_real("transmission", self.transmission, 0, 1)
         if self.mode not in (MODE_SINGLE, MODE_PULSE):
@@ -117,7 +118,11 @@ class Rounds:
     ``ad_bits[i]`` came from a photon with origin code ``ad_origin[i]`` in
     round ``ad_owner[i]``. ``phi`` equals phi* on analyzing rounds.
     ``bob_outcome`` is -1 where Bob has no outcome (vacuum or an
-    inconclusive multi-photon round).
+    inconclusive multi-photon round). The screening indices are held in
+    the smallest unsigned type that holds 2N, so their sum cannot
+    overflow. In a session's record the parties' choices (``theta``,
+    ``phi``, ``is_analyzing``, ``a_index``, ``b_index``, ``k``) are
+    read-only.
     """
 
     theta: np.ndarray
@@ -147,13 +152,18 @@ class Announcement:
     """The public end-of-session disclosure; readable by the adversary.
 
     One entry per round; ``phi_star_values`` is NaN on rounds that were
-    not analyzing.
+    not analyzing. Every array is read-only: the adversary reads the
+    announcement but cannot forge it.
     """
 
     a_indices: np.ndarray
     b_indices: np.ndarray
     analyzing_flags: np.ndarray
     phi_star_values: np.ndarray
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            getattr(self, f.name).setflags(write=False)
 
     @classmethod
     def from_rounds(cls, rounds: Rounds) -> Announcement:
@@ -216,6 +226,13 @@ def expected_ad_bit(k, phi_star):
     return k ^ (phi_star > PI / 4) ^ 1
 
 
+def _sealed(values: np.ndarray) -> np.ndarray:
+    """`values`, made read-only: a party's final choices, which no later
+    step (and no interceptor handed a view of them) may write into."""
+    values.setflags(write=False)
+    return values
+
+
 def is_matched(a_index, b_index, n: int):
     """Matching condition alpha_a + alpha_b = pi/2, as an exact index test."""
     return a_index + b_index == n + 1
@@ -234,7 +251,7 @@ def bob_transform(
     pulse: Pulse, phi: np.ndarray, b_index: np.ndarray, params: ProtocolParams
 ) -> Pulse:
     """Bob's rotation step: rotate each round's pulse by phi + alpha_b."""
-    return pulse.rotated(phi + params.angles.take(b_index - 1))
+    return pulse.rotated(phi + params.angles[b_index - 1])
 
 
 def alice_encode(
@@ -263,7 +280,7 @@ def alice_encode(
         )
     # (-1)^k pi/4 - theta + alpha_a; numpy sums in place into the first temporary
     rotated = pulse.rotated(
-        np.where(k == 1, -PI / 4, PI / 4) - theta + params.angles.take(a_index - 1)
+        np.where(k == 1, -PI / 4, PI / 4) - theta + params.angles[a_index - 1]
     )
     tapped, to_bob = beam_split(rotated, 1.0 - params.transmission, rng)
     return to_bob, measure(tapped.photons, DIAGONAL, rng), tapped
@@ -336,8 +353,8 @@ def sift_and_verify(
     alice_key = rounds.k.take(key_rounds).astype(np.uint8).tobytes()
     bob_key = (rounds.bob_outcome.take(key_rounds) ^ 1).astype(np.uint8).tobytes()
     owner = rounds.ad_owner
-    checked = (matched & rounds.is_analyzing).take(owner)
-    expected = expected_ad_bit(rounds.k.take(owner), rounds.phi.take(owner))
+    checked = (matched & rounds.is_analyzing)[owner]
+    expected = expected_ad_bit(rounds.k[owner], rounds.phi[owner])
     violated = checked & (rounds.ad_bits != expected)
     alice_hash = key_digest(alice_key, params.digest)
     bob_hash = key_digest(bob_key, params.digest)
@@ -372,36 +389,45 @@ def run_session(
 ) -> SessionTranscript:
     """Execute a full session of M rounds plus announcement and sifting.
 
-    Every step runs once over all M rounds: Alice's and Bob's choices are
-    drawn as arrays, then all rounds take leg 1, Bob's transform, leg 2,
-    Alice's encode and AD tap, leg 3 and Bob's decode in turn. Each actor
-    owns a generator derived from (seed, trial, actor), so a run is
-    bit-reproducible and an adversary that draws from its own stream never
-    perturbs the honest parties' randomness.
+    Every step runs once over all M rounds: Alice's choices are drawn as
+    arrays, then all rounds take leg 1; Bob draws his choices when he
+    first acts, then all rounds take his transform, leg 2, Alice's encode
+    and AD tap, leg 3 and Bob's decode in turn. Each actor owns a
+    generator derived from (seed, trial, actor), so a run is
+    bit-reproducible, when an actor draws does not change what it draws,
+    and an adversary that draws from its own stream never perturbs the
+    honest parties' randomness. The round ids are handed only to an
+    interceptor, and exist only when there is one.
     """
     rng_alice = derive_rng(params.seed, trial, 0)
     rng_bob = derive_rng(params.seed, trial, 1)
     rng_channel = derive_rng(params.seed, trial, 2)
     rng_eve = derive_rng(params.seed, trial, 3)
     m, n = params.rounds, params.n_screening
-    channel = (np.arange(m), interceptor, channel_loss, rng_channel, rng_eve)
+    # The smallest unsigned type that holds 2N: is_matched's sum fits.
+    index_dtype = np.min_scalar_type(2 * n)
+    round_ids = None if interceptor is None else np.arange(m)
+    channel = (round_ids, interceptor, channel_loss, rng_channel, rng_eve)
 
     # Alice: theta uniform on [0, pi), key bit k, screening index a.
-    theta = rng_alice.random(m) * PI
-    k = rng_alice.integers(0, 2, m, dtype=np.int8)
-    a_index = rng_alice.integers(1, n + 1, m)
+    theta = _sealed(rng_alice.random(m) * PI)
+    k = _sealed(rng_alice.integers(0, 2, m, dtype=np.int8))
+    a_index = _sealed(rng_alice.integers(1, n + 1, m).astype(index_dtype))
+
+    pulse = alice_prepare(theta, params, rng_alice)
+    pulse = transmit(pulse, Leg.ALICE_TO_BOB_1, *channel)
+
     # Bob: phi uniform on [0, pi), or with probability p_analyzing an
     # analyzing angle phi* in {0, pi/2}; screening index b.
-    is_analyzing = rng_bob.random(m) < params.p_analyzing
+    is_analyzing = _sealed(rng_bob.random(m) < params.p_analyzing)
     phi = rng_bob.random(m) * PI
     phi.put(
         np.flatnonzero(is_analyzing),
         rng_bob.integers(0, 2, np.count_nonzero(is_analyzing)) * (PI / 2),
     )
-    b_index = rng_bob.integers(1, n + 1, m)
+    phi = _sealed(phi)
+    b_index = _sealed(rng_bob.integers(1, n + 1, m).astype(index_dtype))
 
-    pulse = alice_prepare(theta, params, rng_alice)
-    pulse = transmit(pulse, Leg.ALICE_TO_BOB_1, *channel)
     pulse = bob_transform(pulse, phi, b_index, params)
     pulse = transmit(pulse, Leg.BOB_TO_ALICE, *channel)
     pulse, ad_bits, tapped = alice_encode(pulse, theta, k, a_index, params, rng_alice)

@@ -8,8 +8,8 @@ import pytest
 from screenqkd import channel
 from screenqkd.channel import Interceptor, Leg, transmit
 from screenqkd.errors import ConfigError
-from screenqkd.photonics import Pulse, beam_split
-from screenqkd.protocol import ProtocolParams, run_session
+from screenqkd.photonics import PI, Pulse, beam_split
+from screenqkd.protocol import MODE_SINGLE, ProtocolParams, Verdict, derive_rng, run_session
 
 from conftest import binom_sigma
 
@@ -143,7 +143,74 @@ class TestInformationFirewall:
     def test_announcement_matches_true_choices(self):
         recorder = _RecordingInterceptor()
         params = ProtocolParams(n_screening=3, rounds=200, seed=64)
-        transcript = run_session(params, recorder)
+        run_session(params, recorder)
         ann = recorder.announcements[0]
-        assert np.array_equal(ann.a_indices, transcript.rounds.a_index)
-        assert np.array_equal(ann.b_indices, transcript.rounds.b_index)
+        choices = _drawn_choices(params)
+        assert ann.a_indices.tolist() == choices["a_index"].tolist()
+        assert ann.b_indices.tolist() == choices["b_index"].tolist()
+        assert ann.analyzing_flags.tolist() == choices["is_analyzing"].tolist()
+        analyzing = choices["is_analyzing"]
+        assert ann.phi_star_values[analyzing].tolist() == choices["phi"][analyzing].tolist()
+        assert np.isnan(ann.phi_star_values[~analyzing]).all()
+
+    def test_leg1_write_cannot_rewrite_alices_theta(self):
+        # In single-photon mode the leg-1 photons are the prepared angles;
+        # a write into them must not reach Alice's record.
+        params = ProtocolParams(n_screening=2, rounds=2000, seed=3, mode=MODE_SINGLE)
+        scribbler = _Scribbler("photons")
+        transcript = run_session(params, scribbler)
+        assert transcript.rounds.theta.tolist() == _drawn_choices(params)["theta"].tolist()
+        assert scribbler.refused == 1
+
+    def test_announcement_write_cannot_rewrite_sifting(self):
+        params = ProtocolParams(n_screening=2, rounds=1000, seed=3)
+        scribbler = _Scribbler("b_indices")
+        transcript = run_session(params, scribbler)
+        honest = run_session(params)
+        assert transcript.rounds == honest.rounds
+        assert transcript.announcement.b_indices.tolist() == honest.rounds.b_index.tolist()
+        assert transcript.alice_key == honest.alice_key
+        assert transcript.verdict is honest.verdict is Verdict.ACCEPTED
+        assert scribbler.refused == 1
+
+
+def _drawn_choices(params: ProtocolParams, trial: int = 0) -> dict[str, np.ndarray]:
+    """Alice's and Bob's choices drawn anew from their own generators, in
+    the order a session draws them."""
+    m, n = params.rounds, params.n_screening
+    alice = derive_rng(params.seed, trial, 0)
+    theta = alice.random(m) * PI
+    k = alice.integers(0, 2, m, dtype=np.int8)
+    a_index = alice.integers(1, n + 1, m)
+    bob = derive_rng(params.seed, trial, 1)
+    is_analyzing = bob.random(m) < params.p_analyzing
+    phi = bob.random(m) * PI
+    phi[is_analyzing] = bob.integers(0, 2, np.count_nonzero(is_analyzing)) * (PI / 2)
+    b_index = bob.integers(1, n + 1, m)
+    return dict(theta=theta, k=k, a_index=a_index, is_analyzing=is_analyzing, phi=phi,
+                b_index=b_index)
+
+
+class _Scribbler(Interceptor):
+    """Writes into what it is handed: 0.5 into every leg-1 photon
+    (``target="photons"``) or 1 into every announced b index
+    (``target="b_indices"``); counts the writes that are refused."""
+
+    def __init__(self, target: str):
+        self.target = target
+        self.refused = 0
+
+    def _write(self, values: np.ndarray, value) -> None:
+        try:
+            values[:] = value
+        except ValueError:
+            self.refused += 1
+
+    def intercept(self, leg, pulse, round_ids, rng):
+        if leg is Leg.ALICE_TO_BOB_1 and self.target == "photons":
+            self._write(pulse.photons, 0.5)
+        return pulse
+
+    def observe_announcement(self, announcement):
+        if self.target == "b_indices":
+            self._write(announcement.b_indices, 1)

@@ -247,6 +247,8 @@ INVALID_INPUTS = {
     "rounds-negative-exponent": (None, ["--rounds=-1e3"]),
     "n-word": (None, ["--N", "two"]),
     "unknown-flag": (None, ["--bogus"]),
+    # one past MAX_ROUNDS, the most rounds an int32 photon owner can name
+    "rounds-over-cap": (None, ["--rounds", "2147483648"]),
 }
 # Cases run without --outdir; no case sees $SCREENQKD_OUTDIR.
 NO_OUTDIR = {"transcript-without-outdir"}

@@ -5,10 +5,10 @@ never acts (``attack_probability = 0``) leaves the session bit-identical
 to the honest one. Every report passes its own consistency check, its
 totals do not depend on the order of the trials, and any JSON config
 either loads or is rejected with a ``ConfigError``. The pulse kernels
-(``take``, ``merged``, ``leading`` and the adversary's split-off mask),
-``canon``, Bob's decode and Alice's encode equal a plain reference on
-generated input. The examples are derandomized, so every run checks the
-same inputs.
+(``take``, ``merged``, ``rotated``, ``attenuated``, ``leading`` and the
+adversary's split-off mask), ``canon``, Bob's decode and Alice's encode
+equal a plain reference on generated input. The examples are
+derandomized, so every run checks the same inputs.
 """
 
 import json
@@ -28,6 +28,7 @@ from screenqkd.photonics import (
     PI,
     Origin,
     Pulse,
+    attenuated,
     canon,
     measure,
     single_photon_pulse,
@@ -183,16 +184,22 @@ def test_any_json_config_loads_or_raises_config_error(doc, tmp_path_factory):
 @st.composite
 def pulses(draw, rounds: int) -> Pulse:
     """A batch over `rounds` rounds with 0-3 photons each, so vacuum rounds
-    and photon-free batches occur; owners come out sorted."""
+    and photon-free batches occur; owners come out sorted. Its columns are
+    read-only, so a kernel that writes into its input raises."""
     counts = draw(st.lists(st.integers(0, 3), min_size=rounds, max_size=rounds))
     owner = [j for j, c in enumerate(counts) for _ in range(c)]
     n = len(owner)
     photons = draw(st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n))
     origin = draw(st.lists(st.sampled_from(list(Origin)), min_size=n, max_size=n))
     return Pulse(
-        np.array(photons, float), np.array(origin, np.int8), np.array(owner, np.intp),
-        rounds,
+        _read_only(np.array(photons, float)), _read_only(np.array(origin, np.int8)),
+        _read_only(np.array(owner, np.int32)), rounds,
     )
+
+
+def _read_only(values: np.ndarray) -> np.ndarray:
+    values.setflags(write=False)
+    return values
 
 
 def _rows(pulse: Pulse) -> list[tuple]:
@@ -201,24 +208,46 @@ def _rows(pulse: Pulse) -> list[tuple]:
 
 
 @GENERATED
-@given(data=st.data(), rounds=st.integers(1, 6))
-def test_pulse_kernels_match_reference(data, rounds):
+@given(data=st.data(), rounds=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+def test_pulse_kernels_match_reference(data, rounds, seed):
     pulse = data.draw(pulses(rounds))
     other = data.draw(pulses(rounds))
     rows = _rows(pulse)
-    mask = data.draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows)))
-    mask = np.array(mask, bool)
+    mask = _read_only(np.array(
+        data.draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows))), bool
+    ))
+
+    # Each kernel returns int32 owners; the read-only inputs show it
+    # writes into none of them.
+    def checked(out: Pulse) -> list[tuple]:
+        assert out.owner.dtype == np.int32
+        return _rows(out)
 
     kept = [r for r, m in zip(rows, mask) if m]
-    assert _rows(pulse.take(mask)) == kept
-    assert _rows(pulse.take(np.flatnonzero(mask))) == kept
+    assert checked(pulse.take(mask)) == kept
+    assert checked(pulse.take(_read_only(np.flatnonzero(mask)))) == kept
 
     other_rows = _rows(other)
-    assert _rows(pulse.merged(other)) == [
+    assert checked(pulse.merged(other)) == [
         r
         for j in range(rounds)
         for r in [r for r in rows if r[2] == j] + [r for r in other_rows if r[2] == j]
     ]
+
+    delta = data.draw(st.lists(st.floats(-10.0, 10.0), min_size=rounds, max_size=rounds))
+    assert checked(pulse.rotated(_read_only(np.array(delta)))) == [
+        (p + delta[j], o, j) for p, o, j in rows
+    ]
+    assert checked(pulse.rotated(delta[0])) == [(p + delta[0], o, j) for p, o, j in rows]
+
+    # the same draw: one uniform per photon, kept where it is >= the loss
+    loss = data.draw(st.floats(0.0, 1.0))
+    if loss in (0.0, 1.0):  # nothing to draw
+        survivors = rows if loss == 0.0 else []
+    else:
+        uniforms = np.random.default_rng(seed).random(len(rows))
+        survivors = [r for r, u in zip(rows, uniforms) if u >= loss]
+    assert checked(attenuated(pulse, loss, np.random.default_rng(seed))) == survivors
 
     owners = [r[2] for r in rows]
     leading = [i == 0 or owners[i] != owners[i - 1] for i in range(len(owners))]

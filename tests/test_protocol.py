@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import tracemalloc
 
 import screenqkd.protocol as protocol
 
@@ -84,10 +85,11 @@ class TestParams:
             dict(rounds=True), dict(p_analyzing=float("nan")),
             dict(mean_photons=float("inf")), dict(mean_photons=float("nan")),
             dict(transmission="0.9"), dict(seed=1.5), dict(mean_photons=101),
-            dict(digest="shake_128"),
+            dict(digest="shake_128"), dict(rounds=2**31),
         ):
             with pytest.raises(ConfigError):
                 ProtocolParams(**bad)
+        assert ProtocolParams(rounds=2**31 - 1).rounds == 2**31 - 1
 
     def test_screening_angles_computed_once(self, monkeypatch):
         calls = []
@@ -451,3 +453,32 @@ def test_session_hot_path_avoids_remainder_and_isin(monkeypatch):
     assert calls == []
     canon(np.array([-1.0]))  # the counters see a reduction that does happen
     assert calls == ["remainder"]
+
+
+# Peak bytes allocated per round by one session at M = 10^5, and the bound
+# on each: below the 150 and 92 B/round that 8-byte screening-index and
+# photon-owner columns take, above the 107 and 65 B/round measured with
+# the narrow ones.
+SESSION_MEMORY = {
+    "pns_trojan_lossy": (
+        ProtocolParams(rounds=100_000, seed=1, mode="pulse", mean_photons=2.0,
+                       p_analyzing=0.5),
+        "pns_trojan", 0.1, 125,
+    ),
+    "honest_single": (ProtocolParams(rounds=100_000, seed=1), "none", 0.0, 78),
+}
+
+
+@pytest.mark.parametrize("case", SESSION_MEMORY)
+def test_session_peak_memory_per_round(case):
+    params, strategy, loss, bound = SESSION_MEMORY[case]
+    # one small session first, so one-off allocations are not counted
+    run_session(dataclasses.replace(params, rounds=1000))
+    interceptor = build_interceptor(AttackConfig(strategy=strategy), params)
+    tracemalloc.start()
+    try:
+        run_session(params, interceptor, channel_loss=loss)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / params.rounds <= bound
