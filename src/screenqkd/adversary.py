@@ -34,7 +34,7 @@ import numpy as np
 
 from .channel import Guesses, Interceptor, Leg
 from .errors import ConfigError, check_real
-from .photonics import PI, Origin, Pulse, measure, single_photon_pulse
+from .photonics import PI, Origin, Pulse, beam_split, measure, single_photon_pulse
 from .protocol import Announcement, ProtocolParams, MODE_PULSE, MODE_SINGLE
 
 STRATEGY_NONE = "none"
@@ -145,8 +145,10 @@ class _BaseAttack(Interceptor):
     Each leg arrives as one batch over every round of the session, legs in
     order. What a strategy carries from one leg to the next is held as
     columns over the batch's rounds, starting with ``_active``, the rounds
-    it acts on. What it measures after the announcement is ``storage``, a
-    batch of photons measured once, when the guesses are produced.
+    it acts on; a strategy that needs the photons of those rounds asks
+    :meth:`_acting` for them. What it measures after the announcement is
+    ``storage``, a batch of photons measured once, when the guesses are
+    produced.
     """
 
     def __init__(self, config: AttackConfig, params: ProtocolParams) -> None:
@@ -169,22 +171,24 @@ class _BaseAttack(Interceptor):
             self._active = rng.random(pulse.rounds) < self.config.attack_probability
         if not self._active.any():
             return pulse
-        return self._act(leg, pulse, self._active[pulse.owner], rng)
+        return self._act(leg, pulse, rng)
 
-    def _act(
-        self, leg: Leg, pulse: Pulse, acting: np.ndarray, rng: np.random.Generator
-    ) -> Pulse:
-        """Transform the batch; `acting` masks the photons of active rounds."""
+    def _act(self, leg: Leg, pulse: Pulse, rng: np.random.Generator) -> Pulse:
+        """Transform the batch, acting on the rounds in ``_active``."""
         raise NotImplementedError
 
-    def _split_off(self, pulse: Pulse, acting: np.ndarray) -> np.ndarray:
-        """Mask of the first photon of each active multi-photon pulse: a
-        leading photon whose successor is in the same round."""
+    def _acting(self, pulse: Pulse) -> np.ndarray:
+        """Mask of the photons of the active rounds."""
+        return self._active[pulse.owner]
+
+    def _split_off(self, pulse: Pulse) -> tuple[Pulse, Pulse]:
+        """(the first photon of each active multi-photon pulse, the rest):
+        a split-off photon leads its pulse and has a successor in its round."""
         same = pulse.owner[1:] == pulse.owner[:-1]
         split = np.zeros(pulse.count, bool)
         split[:-1] = same  # the successor is in the same round
         split[1:] &= ~same  # the predecessor is not
-        return np.logical_and(split, acting, out=split)
+        return pulse.split(np.logical_and(split, self._acting(pulse), out=split))
 
     def observe_announcement(self, announcement: Announcement) -> None:
         self.announcement = announcement
@@ -200,75 +204,61 @@ class _BaseAttack(Interceptor):
         raise NotImplementedError
 
 
-class _ImpersonationBase(_BaseAttack):
-    """Common first two legs of the intercept-resend storyline.
+class Impersonation(_BaseAttack):
+    """Intercept-resend against all three legs, single-photon mode.
 
     Leg 1: keep Alice's pulse, substitute one at a random theta'.
     Leg 2: compensate theta' on Bob's reply and keep it; return Alice's
-    original so she encodes onto her own photons. What happens on the
-    final leg distinguishes the variants.
-    """
-
-    def _act(
-        self, leg: Leg, pulse: Pulse, acting: np.ndarray, rng: np.random.Generator
-    ) -> Pulse:
-        if leg is Leg.ALICE_TO_BOB_1:
-            self._original = pulse.take(acting)
-            self._theta_prime = rng.random(pulse.rounds) * PI
-            substitutes = replace(
-                self._original, photons=self._theta_prime[self._original.owner]
-            )
-            return pulse.take(~acting).merged(substitutes.tagged(Origin.EVE_REPLAYED))
-        if leg is Leg.BOB_TO_ALICE:
-            self._reply = pulse.take(acting).rotated(-self._theta_prime)
-            original = self._original
-            self._original = self._theta_prime = None  # used up
-            return pulse.take(~acting).merged(original)
-        # Eve reads the final leg's pulse in each active round; one that
-        # arrives empty stays empty.
-        read = acting & pulse.leading()
-        relayed = np.zeros(pulse.rounds, bool)
-        relayed[pulse.owner[read]] = True
-        delta = self._read_final_leg(pulse, acting, read, rng)
-        reply = self._reply.take(relayed[self._reply.owner]).rotated(delta)
-        self._reply = None  # used up
-        return pulse.take(~acting).merged(reply)
-
-    def _read_final_leg(
-        self, pulse: Pulse, acting: np.ndarray, read: np.ndarray, rng: np.random.Generator
-    ) -> np.ndarray:
-        """Measure the active rounds' final-leg photons and record guesses;
-        `read` masks the first photon of each. Returns the rotation that
-        re-encodes each round's stored reply."""
-        raise NotImplementedError
-
-
-class ImpersonationSinglePhoton(_ImpersonationBase):
-    """Intercept-resend against all three legs, single-photon mode.
-
-    On the final leg the returning state is (-1)^k pi/4 + alpha_a (theta
+    original so she encodes onto her own photons.
+    Leg 3: read Alice's returning pulse and re-encode the readout onto the
+    stored reply. The returning state is (-1)^k pi/4 + alpha_a (theta
     cancelled): Eve guesses a screening angle, measures in the guessed
-    basis (alpha_g +/- pi/4), and re-encodes the readout onto the stored
-    reply with the same sign convention Alice uses for k.
+    basis (alpha_g +/- pi/4), and re-encodes with the same sign convention
+    Alice uses for k. :class:`PulseBeamSplit` reads this leg its own way.
     """
 
     def __init__(self, config: AttackConfig, params: ProtocolParams) -> None:
         super().__init__(config, params)
         self._guess_probs = _normalized_guess_probs(config, params)
 
-    def _read_final_leg(
-        self, pulse: Pulse, acting: np.ndarray, read: np.ndarray, rng: np.random.Generator
-    ) -> np.ndarray:
-        rounds = pulse.owner[read]
+    def _act(self, leg: Leg, pulse: Pulse, rng: np.random.Generator) -> Pulse:
+        if leg is Leg.ALICE_TO_BOB_1:
+            self._original, rest = pulse.split(self._acting(pulse))
+            self._theta_prime = rng.random(pulse.rounds) * PI
+            substitutes = replace(
+                self._original, photons=self._theta_prime[self._original.owner]
+            )
+            return rest.merged(substitutes.tagged(Origin.EVE_REPLAYED))
+        if leg is Leg.BOB_TO_ALICE:
+            reply, rest = pulse.split(self._acting(pulse))
+            self._reply = reply.rotated(-self._theta_prime)
+            original = self._original
+            self._original = self._theta_prime = None  # used up
+            return rest.merged(original)
+        # Eve relays her stored reply in each active round whose final-leg
+        # pulse arrives; one that arrives empty stays empty.
+        active, rest = pulse.split(self._acting(pulse))
+        relayed = np.zeros(pulse.rounds, bool)
+        relayed[active.owner] = True
+        delta = self._read_final_leg(active, rng)
+        reply = self._reply.take(relayed[self._reply.owner]).rotated(delta)
+        self._reply = None  # used up
+        return rest.merged(reply)
+
+    def _read_final_leg(self, active: Pulse, rng: np.random.Generator) -> np.ndarray:
+        """Measure the active rounds' final-leg photons and record guesses.
+        Returns the rotation that re-encodes each round's stored reply."""
+        read = active.leading()
+        rounds = active.owner[read]
         guess = rng.choice(self.params.n_screening, len(rounds), p=self._guess_probs)
-        readout = measure(pulse.photons[read], self.params.angles[guess] + PI / 4, rng)
+        readout = measure(active.photons[read], self.params.angles[guess] + PI / 4, rng)
         self.guesses = Guesses(self._round_ids[rounds], readout)
-        delta = np.zeros(pulse.rounds)
+        delta = np.zeros(active.rounds)
         delta[rounds] = (1 - 2 * readout) * (PI / 4)
         return delta
 
 
-class PulseBeamSplit(_ImpersonationBase):
+class PulseBeamSplit(Impersonation):
     """Pulse-mode impersonation with an N-way measurement on the final leg.
 
     The returning pulse is split into N equal sub-pulses and sub-pulse i
@@ -284,22 +274,20 @@ class PulseBeamSplit(_ImpersonationBase):
         self.reported_rounds = 0
         self.conclusive_rounds = 0
 
-    def _read_final_leg(
-        self, pulse: Pulse, acting: np.ndarray, read: np.ndarray, rng: np.random.Generator
-    ) -> np.ndarray:
+    def _read_final_leg(self, active: Pulse, rng: np.random.Generator) -> np.ndarray:
         angles = self.params.angles
         n = len(angles)
-        reported = pulse.owner[read]
+        reported = active.owner[active.leading()]
         self.reported_rounds += len(reported)
-        owner = pulse.owner[acting]
+        owner = active.owner
         basis = rng.integers(0, n, len(owner))
-        bits = measure(pulse.photons[acting], angles[basis] + PI / 4, rng)
+        bits = measure(active.photons, angles[basis] + PI / 4, rng)
         # Hypothesis (alpha_i, k) is number 2i + k. Outcome bit b in basis i
         # has zero Born probability only under (alpha_i, 1 - b), which it
         # therefore excludes; ruling out all but one of the 2N hypotheses
         # takes at least 2N - 1 photons, so only such pulses get a row.
-        candidates = reported[pulse.counts[reported] >= 2 * n - 1]
-        row = np.full(pulse.rounds, -1)
+        candidates = reported[active.counts[reported] >= 2 * n - 1]
+        row = np.full(active.rounds, -1)
         row[candidates] = np.arange(len(candidates))
         on_row = row[owner] >= 0
         excluded = np.zeros((len(candidates), 2 * n), bool)
@@ -310,7 +298,7 @@ class PulseBeamSplit(_ImpersonationBase):
         k_hat = hypothesis % 2
         self.conclusive_rounds += len(rounds)
         self.guesses = Guesses(self._round_ids[rounds], k_hat)
-        delta = np.zeros(pulse.rounds)
+        delta = np.zeros(active.rounds)
         delta[rounds] = (1 - 2 * k_hat) * (PI / 4) + angles[hypothesis // 2]
         return delta
 
@@ -326,10 +314,10 @@ class _ProbeCaptureAttack(_BaseAttack):
 
     The probe is identified by its injection tag (the idealized stand-in
     for physical marking) and always separated out of the pulse, so it
-    never reaches Bob's detectors; with probability ``eve_tap_fraction``
-    Eve recovers it into storage, otherwise it is lost. Legitimate
-    photons pass untouched either way, which keeps these strategies
-    exactly invisible in QBER.
+    never reaches Bob's detectors; Eve taps it into storage on a beam
+    splitter of tap fraction ``eve_tap_fraction``, otherwise it is lost.
+    Legitimate photons pass untouched either way, which keeps these
+    strategies exactly invisible in QBER.
     """
 
     def __init__(self, config: AttackConfig, params: ProtocolParams) -> None:
@@ -337,13 +325,20 @@ class _ProbeCaptureAttack(_BaseAttack):
         self.captured_rounds = 0
 
     def _capture_probe(self, pulse: Pulse, rng: np.random.Generator) -> Pulse:
-        probe = pulse.origin == Origin.TROJAN_INJECTED
-        stored = pulse.take(probe)
-        if self.config.eve_tap_fraction < 1.0:
-            stored = stored.take(rng.random(stored.count) < self.config.eve_tap_fraction)
-        self.storage = stored
-        self.captured_rounds += stored.count
-        return pulse.take(~probe)
+        probes, rest = pulse.split(pulse.origin == Origin.TROJAN_INJECTED)
+        self.storage = beam_split(probes, self.config.eve_tap_fraction, rng)[0]
+        self.captured_rounds += self.storage.count
+        return rest
+
+    def set_counterfactual_thetas(self, thetas: np.ndarray) -> None:
+        """Counterfactual validation hook; only used when theta_oracle is set.
+
+        Shifts each stored probe by its round's true theta (``thetas`` is
+        indexed by round id), which cancels the -theta that Alice's unitary
+        imprinted on it.
+        """
+        if self.storage is not None:
+            self.storage = self.storage.rotated(np.asarray(thetas)[self._round_ids])
 
     def _read_storage(self, announcement: Announcement) -> Guesses:
         """Measure each recaptured probe in (alpha_a + pi/4, alpha_a - pi/4)."""
@@ -366,13 +361,10 @@ class PnsTrojanComposite(_ProbeCaptureAttack):
     it in (alpha_a + pi/4, alpha_a - pi/4) reads k without error.
     """
 
-    def _act(
-        self, leg: Leg, pulse: Pulse, acting: np.ndarray, rng: np.random.Generator
-    ) -> Pulse:
+    def _act(self, leg: Leg, pulse: Pulse, rng: np.random.Generator) -> Pulse:
         if leg is Leg.ALICE_TO_BOB_1:
-            split = self._split_off(pulse, acting)
-            self._split = pulse.take(split)
-            return pulse.take(~split)
+            self._split, rest = self._split_off(pulse)
+            return rest
         if leg is Leg.BOB_TO_ALICE:
             split, self._split = self._split, None  # used up
             return pulse.merged(split.tagged(Origin.TROJAN_INJECTED))
@@ -380,45 +372,26 @@ class PnsTrojanComposite(_ProbeCaptureAttack):
 
 
 class SimpleTrojan(_ProbeCaptureAttack):
-    """Independent Trojan probe at a fixed angle eta.
+    """Independent Trojan probe at a fixed angle eta; also ``standard_state``.
 
-    Alice's theta compensation leaves the recaptured probe at
-    eta - theta + (-1)^k pi/4 + alpha_a, uniformly random for uniform
-    theta, so the probe carries zero information for every eta.
+    The probe enters on the return leg, and Alice's theta compensation
+    leaves the recaptured probe at eta - theta + (-1)^k pi/4 + alpha_a,
+    uniformly random for uniform theta, so the probe carries zero
+    information for every eta. ``standard_state`` is the case eta = 0
+    (`AttackConfig` holds ``trojan_angle`` at 0 for it): a fixed standard
+    state instead of a split photon, whose post-announcement estimate of
+    k is a coin flip. With ``theta_oracle`` the harness hands Eve the true
+    theta values afterwards, which degenerates the estimator to a perfect
+    one and validates its implementation.
     """
 
-    def _act(
-        self, leg: Leg, pulse: Pulse, acting: np.ndarray, rng: np.random.Generator
-    ) -> Pulse:
+    def _act(self, leg: Leg, pulse: Pulse, rng: np.random.Generator) -> Pulse:
         if leg is Leg.BOB_TO_ALICE:
             probes = single_photon_pulse(np.full(pulse.rounds, self.config.trojan_angle))
             return pulse.merged(probes.take(self._active).tagged(Origin.TROJAN_INJECTED))
         if leg is Leg.ALICE_TO_BOB_2:
             return self._capture_probe(pulse, rng)
         return pulse
-
-
-class StandardStateProbe(SimpleTrojan):
-    """Trojan variant injecting a fixed standard state instead of a split photon.
-
-    The probe enters at angle 0 on the return leg (the inherited
-    ``trojan_angle``, which `AttackConfig` holds at 0 here), so Alice's
-    unitary leaves it at -theta + (-1)^k pi/4 + alpha_a: the unknown theta
-    randomizes it completely and the post-announcement estimate of k is a
-    coin flip. With ``theta_oracle`` the harness hands Eve the true theta
-    values afterwards, which degenerates the estimator to a perfect one
-    and validates its implementation.
-    """
-
-    def set_counterfactual_thetas(self, thetas: np.ndarray) -> None:
-        """Counterfactual validation hook; only used when theta_oracle is set.
-
-        Shifts each stored probe by its round's true theta (``thetas`` is
-        indexed by round id), which cancels the -theta that Alice's unitary
-        imprinted on it.
-        """
-        if self.storage is not None:
-            self.storage = self.storage.rotated(np.asarray(thetas)[self._round_ids])
 
 
 class PassivePns(_BaseAttack):
@@ -436,15 +409,13 @@ class PassivePns(_BaseAttack):
         # final-leg photon is ever measured, so it alone is kept (in storage).
         self.split = {leg: np.zeros(0, bool) for leg in Leg}
 
-    def _act(
-        self, leg: Leg, pulse: Pulse, acting: np.ndarray, rng: np.random.Generator
-    ) -> Pulse:
-        split = self._split_off(pulse, acting)
+    def _act(self, leg: Leg, pulse: Pulse, rng: np.random.Generator) -> Pulse:
+        split, rest = self._split_off(pulse)
         self.split[leg] = np.zeros(pulse.rounds, bool)
-        self.split[leg][pulse.owner[split]] = True
+        self.split[leg][split.owner] = True
         if leg is Leg.ALICE_TO_BOB_2:
-            self.storage = pulse.take(split)
-        return pulse.take(~split)
+            self.storage = split
+        return rest
 
     def _read_storage(self, announcement: Announcement) -> Guesses:
         local = np.flatnonzero(np.logical_or.reduce(list(self.split.values())))
@@ -478,10 +449,10 @@ _SINGLE_ONLY = {STRATEGY_IMPERSONATION}
 _PULSE_ONLY = {STRATEGY_PULSE_BEAMSPLIT, STRATEGY_PNS_TROJAN}
 
 _CLASSES = {
-    STRATEGY_IMPERSONATION: ImpersonationSinglePhoton,
+    STRATEGY_IMPERSONATION: Impersonation,
     STRATEGY_PULSE_BEAMSPLIT: PulseBeamSplit,
     STRATEGY_PNS_TROJAN: PnsTrojanComposite,
-    STRATEGY_STANDARD_STATE: StandardStateProbe,
+    STRATEGY_STANDARD_STATE: SimpleTrojan,
     STRATEGY_SIMPLE_TROJAN: SimpleTrojan,
     STRATEGY_PASSIVE_PNS: PassivePns,
 }

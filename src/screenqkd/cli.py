@@ -31,7 +31,7 @@ from .analysis import (
     write_transcripts,
 )
 from .errors import ConfigError, check_int, check_real
-from .protocol import MODE_PULSE, MODE_SINGLE, ProtocolParams
+from .protocol import MAX_SCREENING, MODE_PULSE, MODE_SINGLE, ProtocolParams
 
 OUTDIR_ENV = "SCREENQKD_OUTDIR"
 
@@ -72,7 +72,7 @@ class ExperimentConfig:
                     f"sweep-N: must be a list of integers, got {self.sweep_n!r}"
                 )
             for n in self.sweep_n:
-                check_int("sweep-N", n, 1)
+                check_int("sweep-N", n, 1, MAX_SCREENING)
             if not self.sweep_n or sorted(set(self.sweep_n)) != self.sweep_n:
                 raise ConfigError(
                     f"sweep-N: must be strictly increasing, got {self.sweep_n}"

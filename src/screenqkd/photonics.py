@@ -121,6 +121,10 @@ class Pulse:
             self.rounds,
         )
 
+    def split(self, mask: np.ndarray) -> tuple[Pulse, Pulse]:
+        """(the photons selected by `mask`, the rest), both in order."""
+        return self.take(mask), self.take(~mask)
+
     def tagged(self, origin: Origin) -> Pulse:
         """The same photons, all with origin code `origin`."""
         return replace(self, origin=np.full(self.count, origin, dtype=np.int8))
@@ -228,8 +232,7 @@ def beam_split(
         return Pulse.vacuum(pulse.rounds), pulse
     if trivial is True:
         return pulse, Pulse.vacuum(pulse.rounds)
-    tapped = rng.random(pulse.count) < tap_fraction
-    return pulse.take(tapped), pulse.take(~tapped)
+    return pulse.split(rng.random(pulse.count) < tap_fraction)
 
 
 def attenuated(pulse: Pulse, loss: float, rng: np.random.Generator) -> Pulse:

@@ -54,6 +54,11 @@ from .photonics import (
 MODE_SINGLE = "single"
 MODE_PULSE = "pulse"
 
+# Largest accepted screening set: its angles are built as a list before
+# the first round, so an unbounded N would exhaust memory instead of
+# failing as invalid input.
+MAX_SCREENING = 2**20
+
 
 def screening_angles(n: int) -> list[float]:
     """The public screening set: alpha_i = i * pi / (2 * (N + 1)), i = 1..N.
@@ -61,8 +66,8 @@ def screening_angles(n: int) -> list[float]:
     All N angles are distinct and lie strictly inside (0, pi/2); the pair
     (alpha_i, alpha_{N+1-i}) always sums to pi/2.
     """
-    if n < 1:
-        raise ConfigError(f"screening set size must be >= 1, got {n}")
+    if not 1 <= n <= MAX_SCREENING:
+        raise ConfigError(f"screening set size must be in [1, {MAX_SCREENING}], got {n}")
     return [i * PI / (2 * (n + 1)) for i in range(1, n + 1)]
 
 
@@ -84,7 +89,7 @@ class ProtocolParams:
     digest: str = "sha256"
 
     def __post_init__(self) -> None:
-        check_int("n_screening (N)", self.n_screening, 1)
+        check_int("n_screening (N)", self.n_screening, 1, MAX_SCREENING)
         check_int("rounds", self.rounds, 1, MAX_ROUNDS)
         check_real("p_analyzing", self.p_analyzing, 0, 1)
         check_real("transmission", self.transmission, 0, 1)

@@ -7,7 +7,9 @@ from screenqkd.adversary import AttackConfig, PulseBeamSplit, build_interceptor
 from screenqkd.analysis import run_experiment, run_trial
 from screenqkd.channel import Leg
 from screenqkd.errors import ConfigError
-from screenqkd.photonics import PI, Pulse, canon, measure
+from screenqkd.photonics import (
+    PI, Origin, Pulse, beam_split, canon, make_pulse, measure, single_photon_pulse,
+)
 from screenqkd.protocol import ProtocolParams, run_session, screening_angles
 
 import oracles
@@ -276,6 +278,33 @@ class TestPnsTrojanComposite:
         assert report.totals.eve_guesses / 10_000 == pytest.approx(
             expected_injections, abs=4 * binom_sigma(expected_injections, 10_000)
         )
+
+
+class TestProbeRecapture:
+    @pytest.mark.parametrize("tap", (0.0, 0.4, 1.0))
+    def test_recapture_is_the_beam_split_draw(self, tap):
+        rng = np.random.default_rng(7)
+        legit = make_pulse(rng.random(300) * PI, 2.0, rng)
+        probes = single_photon_pulse(rng.random(300) * PI).take(rng.random(300) < 0.5)
+        probes = probes.tagged(Origin.TROJAN_INJECTED)
+        attack = build_interceptor(
+            AttackConfig(strategy="pns_trojan", eve_tap_fraction=tap),
+            _params(mode="pulse", mean_photons=2.0),
+        )
+        eve_rng, reference_rng = np.random.default_rng(8), np.random.default_rng(8)
+        passed = attack._capture_probe(legit.merged(probes), eve_rng)
+        stored = beam_split(probes, tap, reference_rng)[0]
+
+        def columns(pulse):
+            return pulse.photons.tolist(), pulse.origin.tolist(), pulse.owner.tolist()
+
+        assert columns(attack.storage) == columns(stored)
+        assert attack.metrics()["captured_rounds"] == stored.count
+        assert columns(passed) == columns(legit)
+        # as many draws as the beam splitter's: none at a tap fraction of 0 or 1
+        assert eve_rng.random() == reference_rng.random()
+        if tap == 0.4:
+            assert 0 < stored.count < probes.count
 
 
 class TestStandardStateProbe:

@@ -249,6 +249,9 @@ INVALID_INPUTS = {
     "unknown-flag": (None, ["--bogus"]),
     # one past MAX_ROUNDS, the most rounds an int32 photon owner can name
     "rounds-over-cap": (None, ["--rounds", "2147483648"]),
+    # one past MAX_SCREENING, whose angles are built before the first round
+    "n-over-cap": (None, ["--N", "1048577"]),
+    "sweep-n-over-cap": (None, ["--sweep-N", "2,1048577"]),
 }
 # Cases run without --outdir; no case sees $SCREENQKD_OUTDIR.
 NO_OUTDIR = {"transcript-without-outdir"}

@@ -5,10 +5,10 @@ never acts (``attack_probability = 0``) leaves the session bit-identical
 to the honest one. Every report passes its own consistency check, its
 totals do not depend on the order of the trials, and any JSON config
 either loads or is rejected with a ``ConfigError``. The pulse kernels
-(``take``, ``merged``, ``rotated``, ``attenuated``, ``leading`` and the
-adversary's split-off mask), ``canon``, Bob's decode and Alice's encode
-equal a plain reference on generated input. The examples are
-derandomized, so every run checks the same inputs.
+(``take``, ``split``, ``merged``, ``rotated``, ``attenuated``, ``leading``
+and the adversary's split-off partition), ``canon``, Bob's decode and
+Alice's encode equal a plain reference on generated input. The examples
+are derandomized, so every run checks the same inputs.
 """
 
 import json
@@ -224,8 +224,10 @@ def test_pulse_kernels_match_reference(data, rounds, seed):
         return _rows(out)
 
     kept = [r for r, m in zip(rows, mask) if m]
+    rest = [r for r, m in zip(rows, mask) if not m]
     assert checked(pulse.take(mask)) == kept
     assert checked(pulse.take(_read_only(np.flatnonzero(mask)))) == kept
+    assert [checked(half) for half in pulse.split(mask)] == [kept, rest]
 
     other_rows = _rows(other)
     assert checked(pulse.merged(other)) == [
@@ -255,13 +257,17 @@ def test_pulse_kernels_match_reference(data, rounds, seed):
 
     counts = Counter(owners)
     active = data.draw(st.lists(st.booleans(), min_size=rounds, max_size=rounds))
-    acting = np.array(active, bool)[pulse.owner]
     attack = build_interceptor(
         AttackConfig(strategy="pns_trojan"), ProtocolParams(mode=MODE_PULSE)
     )
-    assert attack._split_off(pulse, acting).tolist() == [
+    attack._active = _read_only(np.array(active, bool))
+    split_off = [
         leading[i] and active[owners[i]] and counts[owners[i]] >= 2
         for i in range(len(owners))
+    ]
+    assert [checked(half) for half in attack._split_off(pulse)] == [
+        [r for r, s in zip(rows, split_off) if s],
+        [r for r, s in zip(rows, split_off) if not s],
     ]
 
 

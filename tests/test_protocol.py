@@ -62,6 +62,8 @@ class TestScreeningAngles:
     def test_rejects_nonpositive(self):
         with pytest.raises(ConfigError):
             screening_angles(0)
+        with pytest.raises(ConfigError):  # and one past MAX_SCREENING
+            screening_angles(2**20 + 1)
 
 
 class TestParams:
@@ -85,11 +87,12 @@ class TestParams:
             dict(rounds=True), dict(p_analyzing=float("nan")),
             dict(mean_photons=float("inf")), dict(mean_photons=float("nan")),
             dict(transmission="0.9"), dict(seed=1.5), dict(mean_photons=101),
-            dict(digest="shake_128"), dict(rounds=2**31),
+            dict(digest="shake_128"), dict(rounds=2**31), dict(n_screening=2**20 + 1),
         ):
             with pytest.raises(ConfigError):
                 ProtocolParams(**bad)
         assert ProtocolParams(rounds=2**31 - 1).rounds == 2**31 - 1
+        assert ProtocolParams(n_screening=2**20).n_screening == 2**20
 
     def test_screening_angles_computed_once(self, monkeypatch):
         calls = []
