@@ -78,6 +78,26 @@ METRICS = (
     "conclusive_rate",
 )
 
+# (part, whole): TrialCounts fields where every counted event of the part
+# is also one of the whole.
+PART_OF = (
+    ("matched", "rounds"),
+    ("sifted_bits", "matched"),
+    ("qber_errors", "sifted_bits"),
+    ("ad_violations", "ad_clicks"),
+    ("ad_injected_clicks", "ad_clicks"),
+    ("ad_injected_violations", "ad_injected_clicks"),
+    ("ad_injected_violations", "ad_violations"),
+    ("eve_correct", "eve_guesses"),
+    ("eve_key_guesses", "eve_guesses"),
+    ("eve_key_correct", "eve_key_guesses"),
+    ("eve_key_correct", "eve_correct"),
+    ("eve_analyzing_guesses", "eve_guesses"),
+    ("eve_analyzing_correct", "eve_analyzing_guesses"),
+    ("eve_analyzing_correct", "eve_correct"),
+    ("beamsplit_conclusive", "beamsplit_reported"),
+)
+
 CURVE_COLUMNS = (
     "N",
     "sift_rate",
@@ -292,28 +312,23 @@ class ExperimentReport:
         return _ratio(self.totals.beamsplit_conclusive, self.totals.beamsplit_reported)
 
     def validate(self) -> None:
-        t = self.totals
-        pairs = (
-            (t.matched, t.rounds),
-            (t.qber_errors, max(t.sifted_bits, t.qber_errors)),
-            (t.ad_violations, t.ad_clicks),
-            (t.ad_injected_violations, t.ad_injected_clicks),
-            (t.ad_injected_clicks, t.ad_clicks),
-            (t.eve_correct, t.eve_guesses),
-            (t.eve_key_correct, t.eve_key_guesses),
-            (t.beamsplit_conclusive, max(t.beamsplit_reported, t.beamsplit_conclusive)),
-        )
-        for num, den in pairs:
-            if num < 0 or num > den:
-                raise ValueError(f"inconsistent counts: {num} > {den}")
+        """Check every rate lies in [0, 1] and every part <= whole count."""
         for name in METRICS:
             rate = getattr(self, name)
             if rate is not None and not 0.0 <= rate <= 1.0:
                 raise ValueError(f"rate out of [0, 1]: {name} = {rate}")
+        t = self.totals
+        for part, whole in PART_OF:
+            num, den = getattr(t, part), getattr(t, whole)
+            if not 0 <= num <= den:
+                raise ValueError(
+                    f"inconsistent counts: 0 <= {part} <= {whole} fails for {num}, {den}"
+                )
 
     def to_dict(self, config: dict) -> dict:
         """The report document; `config` is the echo of the run's settings."""
         n = self.params.n_screening
+        ie_total = ie_sum(n)
         return {
             "schema_version": SCHEMA_VERSION,
             "config": config,
@@ -331,7 +346,7 @@ class ExperimentReport:
             ],
             "verdicts": self.verdicts,
             "theory": {
-                "matching_prob": 1.0 / n, "ie_sum": ie_sum(n), "ie_mean": ie_mean(n)
+                "matching_prob": 1.0 / n, "ie_sum": ie_total, "ie_mean": ie_total / n
             },
             "metrics": {name: getattr(self, name) for name in METRICS},
         }
@@ -341,14 +356,11 @@ def run_trial(
     params: ProtocolParams,
     attack: AttackConfig,
     trial: int,
-    channel_loss: float = 0.0,
     keep_transcript: bool = False,
 ) -> tuple[TrialCounts, SessionSummary, Optional[SessionTranscript]]:
     """Run one session; reduce it to counters plus an audit summary."""
     interceptor = build_interceptor(attack, params)
-    transcript = run_session(
-        params, interceptor, channel_loss=channel_loss, trial=trial
-    )
+    transcript = run_session(params, interceptor, trial=trial)
     guesses = Guesses()
     metrics: dict[str, int] = {}
     if interceptor is not None:
@@ -365,15 +377,13 @@ def run_experiment(
     params: ProtocolParams,
     attack: AttackConfig,
     trials: int = 1,
-    channel_loss: float = 0.0,
     keep_transcripts: bool = False,
 ) -> tuple[ExperimentReport, list[SessionTranscript]]:
     """Run `trials` independent sessions and aggregate them into a report."""
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
     per_trial, sessions, transcripts = zip(
-        *(run_trial(params, attack, trial, channel_loss, keep_transcripts)
-          for trial in range(trials))
+        *(run_trial(params, attack, trial, keep_transcripts) for trial in range(trials))
     )
     report = ExperimentReport(params, list(per_trial), list(sessions))
     report.validate()
@@ -385,7 +395,6 @@ def security_curve(
     attack: AttackConfig,
     n_values: Sequence[int],
     trials: int = 1,
-    channel_loss: float = 0.0,
     rate_law_epsilon: Optional[float] = None,
 ) -> tuple[list[dict], dict[int, ExperimentReport]]:
     """Run the experiment for each screening-set size N.
@@ -402,7 +411,7 @@ def security_curve(
     reports: dict[int, ExperimentReport] = {}
     for n in n_values:
         params = replace(base_params, n_screening=n)
-        report, _ = run_experiment(params, attack, trials, channel_loss)
+        report, _ = run_experiment(params, attack, trials)
         total_rounds = report.totals.rounds
         eps = rate_law_epsilon
         if eps is None:
@@ -434,7 +443,7 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def flat_rows(report: ExperimentReport, n: int, mode: str, attack: str) -> list[dict]:
+def flat_rows(report: ExperimentReport, attack: str) -> list[dict]:
     """One stable-schema row per trial, with the report's rates over that
     trial alone."""
     rows = []
@@ -443,8 +452,8 @@ def flat_rows(report: ExperimentReport, n: int, mode: str, attack: str) -> list[
         rows.append(
             {
                 "trial": i,
-                "N": n,
-                "mode": mode,
+                "N": report.params.n_screening,
+                "mode": report.params.mode,
                 "attack": attack,
                 "rounds": c.rounds,
                 "sifted_bits": c.sifted_bits,

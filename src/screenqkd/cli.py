@@ -57,7 +57,6 @@ class ExperimentConfig:
     params: ProtocolParams = field(default_factory=ProtocolParams)
     attack: AttackConfig = field(default_factory=AttackConfig)
     sweep_n: Optional[list[int]] = None
-    loss: float = 0.0
     trials: int = 1
     outdir: Optional[str] = None
     emit_transcript: bool = False
@@ -77,7 +76,6 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"sweep-N: must be strictly increasing, got {self.sweep_n}"
                 )
-        check_real("loss", self.loss, 0, 1)
         check_int("trials", self.trials, 1)
         if self.rate_law_epsilon is not None:
             check_real("rate-law-epsilon", self.rate_law_epsilon, 0)
@@ -297,8 +295,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             try:
                 curve, reports = security_curve(
                     params, attack, config.sweep_n,
-                    trials=config.trials, channel_loss=config.loss,
-                    rate_law_epsilon=config.rate_law_epsilon,
+                    trials=config.trials, rate_law_epsilon=config.rate_law_epsilon,
                 )
             except ConfigError:
                 raise  # invalid input, not a failed check: exits 2 below
@@ -309,7 +306,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 report = reports[n]
                 _print_summary(f"N={n}", report)
                 report_doc["sweep"][str(n)] = report.to_dict({**config.echo(), "n": n})
-                rows.extend(flat_rows(report, n, params.mode, attack.strategy))
+                rows.extend(flat_rows(report, attack.strategy))
                 if attack.strategy == STRATEGY_NONE:
                     failures += [f"N={n}: {f}" for f in _honest_assertions(report)]
             report_doc["schema_version"] = SCHEMA_VERSION
@@ -322,12 +319,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         else:
             report, transcripts = run_experiment(
                 params, attack,
-                trials=config.trials, channel_loss=config.loss,
-                keep_transcripts=config.emit_transcript,
+                trials=config.trials, keep_transcripts=config.emit_transcript,
             )
             _print_summary(f"N={params.n_screening} attack={attack.strategy}", report)
             if outdir is not None:
-                rows = flat_rows(report, params.n_screening, params.mode, attack.strategy)
+                rows = flat_rows(report, attack.strategy)
                 paths = emit_report(report.to_dict(config.echo()), rows, outdir)
                 if config.emit_transcript:
                     write_transcripts(transcripts, outdir)

@@ -54,21 +54,22 @@ from .photonics import (
 MODE_SINGLE = "single"
 MODE_PULSE = "pulse"
 
-# Largest accepted screening set: its angles are built as a list before
+# Largest accepted screening set: its angles are built as an array before
 # the first round, so an unbounded N would exhaust memory instead of
 # failing as invalid input.
 MAX_SCREENING = 2**20
 
 
-def screening_angles(n: int) -> list[float]:
+def screening_angles(n: int) -> np.ndarray:
     """The public screening set: alpha_i = i * pi / (2 * (N + 1)), i = 1..N.
 
     All N angles are distinct and lie strictly inside (0, pi/2); the pair
-    (alpha_i, alpha_{N+1-i}) always sums to pi/2.
+    (alpha_i, alpha_{N+1-i}) always sums to pi/2. Each is the scalar
+    formula's own IEEE multiply and divide, so the bits match it.
     """
     if not 1 <= n <= MAX_SCREENING:
         raise ConfigError(f"screening set size must be in [1, {MAX_SCREENING}], got {n}")
-    return [i * PI / (2 * (n + 1)) for i in range(1, n + 1)]
+    return np.arange(1, n + 1) * PI / (2 * (n + 1))
 
 
 @dataclass(frozen=True)
@@ -77,12 +78,14 @@ class ProtocolParams:
 
     ``p_analyzing`` and ``transmission`` have no canonical values; the
     defaults 0.2 and 0.9 are arbitrary and only pin the test workloads.
+    ``loss`` is the per-photon drop probability on each of the three legs.
     """
 
     n_screening: int = 2
     rounds: int = 100_000
     p_analyzing: float = 0.2
     transmission: float = 0.9
+    loss: float = 0.0
     mode: str = MODE_SINGLE
     mean_photons: float = 1.0
     seed: int = 1
@@ -93,6 +96,7 @@ class ProtocolParams:
         check_int("rounds", self.rounds, 1, MAX_ROUNDS)
         check_real("p_analyzing", self.p_analyzing, 0, 1)
         check_real("transmission", self.transmission, 0, 1)
+        check_real("loss", self.loss, 0, 1)
         if self.mode not in (MODE_SINGLE, MODE_PULSE):
             raise ConfigError(f"mode must be 'single' or 'pulse', got {self.mode!r}")
         check_real("mean_photons", self.mean_photons, 0, MAX_MEAN_PHOTONS)
@@ -110,7 +114,7 @@ class ProtocolParams:
     @functools.cached_property
     def angles(self) -> np.ndarray:
         """The screening set (read-only), computed once per parameter set."""
-        angles = np.array(screening_angles(self.n_screening))
+        angles = screening_angles(self.n_screening)
         angles.setflags(write=False)
         return angles
 
@@ -389,7 +393,6 @@ def run_session(
     params: ProtocolParams,
     interceptor: Optional[Interceptor] = None,
     *,
-    channel_loss: float = 0.0,
     trial: int = 0,
 ) -> SessionTranscript:
     """Execute a full session of M rounds plus announcement and sifting.
@@ -412,7 +415,7 @@ def run_session(
     # The smallest unsigned type that holds 2N: is_matched's sum fits.
     index_dtype = np.min_scalar_type(2 * n)
     round_ids = None if interceptor is None else np.arange(m)
-    channel = (round_ids, interceptor, channel_loss, rng_channel, rng_eve)
+    channel = (round_ids, interceptor, params.loss, rng_channel, rng_eve)
 
     # Alice: theta uniform on [0, pi), key bit k, screening index a.
     theta = _sealed(rng_alice.random(m) * PI)

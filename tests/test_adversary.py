@@ -368,12 +368,12 @@ class TestSimpleTrojan:
     def test_huge_probe_angle_counts_modulo_pi(self, eta):
         # The probe's angle is reduced once, where the probe is made; the
         # raw 1e20 would swallow Alice's rotation, whose size is below its ulp.
-        params = _params(mode="pulse", mean_photons=2.0, rounds=3000, seed=127)
+        params = _params(mode="pulse", mean_photons=2.0, rounds=3000, seed=127, loss=0.1)
         runs = []
         for angle in (eta, float(canon(eta))):
             attack = AttackConfig(strategy="simple_trojan", trojan_angle=angle)
             interceptor = build_interceptor(attack, params)
-            transcript = run_session(params, interceptor, channel_loss=0.1)
+            transcript = run_session(params, interceptor)
             runs.append((transcript.rounds, interceptor.produce_guesses()))
         (rounds, guesses), (rounds_canon, guesses_canon) = runs
         assert len(guesses) > 0 and len(rounds.ad_bits) > 0

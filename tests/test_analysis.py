@@ -117,6 +117,33 @@ class TestExperimentReport:
         with pytest.raises(ValueError, match=name):
             report.validate()
 
+    @pytest.mark.parametrize(
+        "part,whole,doctored",
+        [
+            ("sifted_bits", "matched", dict(matched=5, sifted_bits=6)),
+            ("qber_errors", "sifted_bits", dict(qber_errors=3)),
+            ("ad_injected_violations", "ad_violations",
+             dict(ad_clicks=10, ad_violations=1, ad_injected_clicks=5,
+                  ad_injected_violations=2)),
+            ("eve_key_guesses", "eve_guesses", dict(eve_guesses=5, eve_key_guesses=7)),
+            ("eve_key_correct", "eve_correct",
+             dict(eve_guesses=10, eve_correct=2, eve_key_guesses=5, eve_key_correct=3)),
+            ("eve_analyzing_guesses", "eve_guesses",
+             dict(eve_guesses=5, eve_analyzing_guesses=7)),
+            ("eve_analyzing_correct", "eve_analyzing_guesses",
+             dict(eve_guesses=10, eve_correct=5, eve_analyzing_correct=2)),
+            ("eve_analyzing_correct", "eve_correct",
+             dict(eve_guesses=4, eve_correct=1, eve_analyzing_guesses=4,
+                  eve_analyzing_correct=3)),
+            ("beamsplit_conclusive", "beamsplit_reported", dict(beamsplit_conclusive=4)),
+        ],
+    )
+    def test_validate_rejects_part_above_whole(self, part, whole, doctored):
+        # every rate is None or in [0, 1]: only the count check can catch these
+        report = ExperimentReport(_params(), [TrialCounts(rounds=100, **doctored)], [])
+        with pytest.raises(ValueError, match=f"0 <= {part} <= {whole} fails"):
+            report.validate()
+
     def test_totals_are_sums_over_trials(self):
         params = _params(rounds=1000, mode="pulse", mean_photons=2.0, p_analyzing=0.5)
         report, _ = run_experiment(params, AttackConfig(strategy="pns_trojan"), trials=3)
@@ -162,7 +189,7 @@ class TestReportEmission:
             report, transcripts = run_experiment(
                 params, AttackConfig(), trials=2, keep_transcripts=True
             )
-            rows = flat_rows(report, 2, "single", "none")
+            rows = flat_rows(report, "none")
             doc = report.to_dict({"seed": params.seed})
             paths = emit_report(doc, rows, tmp_path / name)
             tpaths = write_transcripts(transcripts, tmp_path / name)
@@ -176,14 +203,14 @@ class TestReportEmission:
 
     def test_report_reloads_to_equal_document(self, tmp_path):
         report, _ = run_experiment(_params(rounds=1000), AttackConfig())
-        paths = emit_report(report.to_dict({}), flat_rows(report, 2, "single", "none"),
+        paths = emit_report(report.to_dict({}), flat_rows(report, "none"),
                             tmp_path)
         with open(paths["report"]) as handle:
             assert json.load(handle) == report.to_dict({})
 
     def test_flat_table_schema_and_row_count(self, tmp_path):
         report, _ = run_experiment(_params(rounds=1000), AttackConfig(), trials=3)
-        rows = flat_rows(report, 2, "single", "none")
+        rows = flat_rows(report, "none")
         paths = emit_report(report.to_dict({}), rows, tmp_path)
         lines = paths["table"].read_text().splitlines()
         assert lines[0] == ",".join(FLAT_COLUMNS)
@@ -324,11 +351,11 @@ def _recount(transcript, guesses, records) -> dict:
 def test_batch_scorer_matches_per_record_recount(tmp_path, mode, strategy):
     params = _params(
         rounds=3000, mode=mode, mean_photons=3.0, p_analyzing=0.4,
-        transmission=0.7, seed=206,
+        transmission=0.7, loss=0.2, seed=206,
     )
     knobs = {"attack_probability": 0.6} if strategy != "none" else {}
     interceptor = build_interceptor(_attack(strategy, **knobs), params)
-    transcript = run_session(params, interceptor, channel_loss=0.2)
+    transcript = run_session(params, interceptor)
     guesses = interceptor.produce_guesses() if interceptor else Guesses()
     metrics = interceptor.metrics() if interceptor else {}
     counts = score_trial(transcript, guesses, metrics)
@@ -342,10 +369,10 @@ def test_transcript_lines_equal_the_columns(tmp_path):
     # of both origins, vacuum rounds and inconclusive (double-click) rounds.
     params = _params(
         rounds=3000, mode="pulse", mean_photons=2.0, p_analyzing=0.4,
-        transmission=0.5, seed=207,
+        transmission=0.5, loss=0.1, seed=207,
     )
     interceptor = build_interceptor(AttackConfig(strategy="pns_trojan"), params)
-    transcript = run_session(params, interceptor, channel_loss=0.1)
+    transcript = run_session(params, interceptor)
     records = transcript_records(transcript, tmp_path)
     r = transcript.rounds
     assert len(records) == len(r)
@@ -428,7 +455,7 @@ def _cli_report(argv: list[str], outdir) -> tuple[dict, list]:
     for n in config.sweep_n or [config.params.n_screening]:
         _, transcripts[n] = run_experiment(
             replace(config.params, n_screening=n), config.attack,
-            trials=config.trials, channel_loss=config.loss, keep_transcripts=True,
+            trials=config.trials, keep_transcripts=True,
         )
     return doc, transcripts
 

@@ -139,6 +139,17 @@ def test_flags_override_config_file(tmp_path):
     assert report["config"]["rounds"] == 1000
 
 
+def test_loss_flag_matches_config_key(tmp_path, capsys):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"loss": 0.1}))
+    flag, key = tmp_path / "flag", tmp_path / "key"
+    assert main(BASE + ["--loss", "0.1", "--outdir", str(flag)]) == 0
+    assert main(BASE + ["--config", str(config_path), "--outdir", str(key)]) == 0
+    report = (flag / "report.json").read_bytes()
+    assert report == (key / "report.json").read_bytes()
+    assert json.loads(report)["config"]["loss"] == 0.1
+
+
 def test_unknown_config_field_rejected(tmp_path):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps({"rounds": 100, "typo_field": 1}))
@@ -220,6 +231,8 @@ INVALID_INPUTS = {
     "trojan-angle-minus-inf": (None, ["--attack", "simple_trojan", "--trojan-angle", "-inf"]),
     "p-analyzing-negative-exponent": (None, ["--p-analyzing", "-1e-3"]),
     "loss-negative-exponent": (None, ["--loss", "-1e-3"]),
+    # both invalid: the one line names the first field checked
+    "loss-and-attack": (None, ["--loss", "2", "--attack", "bogus"]),
     "sweep-negative-n": (None, ["--sweep-N", "-1,2"]),
     "guess-weights-negative-exponent": (None, ["--attack", "impersonation",
                                                "--guess-weights", "-1e-3,1"]),

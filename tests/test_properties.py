@@ -59,6 +59,7 @@ params = st.builds(
     rounds=st.integers(1, 200),
     p_analyzing=unit,
     transmission=unit,
+    loss=unit,
     mode=st.sampled_from((MODE_SINGLE, MODE_PULSE)),
     mean_photons=st.floats(min_value=0.0, max_value=4.0),
     seed=st.integers(0, 2**64 - 1),
@@ -66,33 +67,33 @@ params = st.builds(
 
 
 @GENERATED
-@given(params=params, loss=unit)
-def test_honest_session_is_clean(params, loss):
-    transcript = run_session(params, channel_loss=loss)
+@given(params=params)
+def test_honest_session_is_clean(params):
+    transcript = run_session(params)
     assert transcript.alice_key == transcript.bob_key
     assert transcript.ad_violations == 0
     assert transcript.verdict is Verdict.ACCEPTED
 
 
 @GENERATED
-@given(params=params, loss=unit)
-def test_idle_strategies_reproduce_honest_session(params, loss):
-    honest = run_session(params, channel_loss=loss)
+@given(params=params)
+def test_idle_strategies_reproduce_honest_session(params):
+    honest = run_session(params)
     for strategy in STRATEGIES_BY_MODE[params.mode]:
         idle = build_interceptor(
             AttackConfig(strategy=strategy, attack_probability=0.0), params
         )
-        attacked = run_session(params, idle, channel_loss=loss)
+        attacked = run_session(params, idle)
         assert attacked.rounds == honest.rounds, strategy
         assert len(idle.produce_guesses()) == 0, strategy
 
 
 @GENERATED
-@given(params=params, loss=unit, p=unit, trials=st.integers(1, 3), data=st.data())
-def test_every_report_validates(params, loss, p, trials, data):
+@given(params=params, p=unit, trials=st.integers(1, 3), data=st.data())
+def test_every_report_validates(params, p, trials, data):
     strategy = data.draw(st.sampled_from(("none", *STRATEGIES_BY_MODE[params.mode])))
     attack = AttackConfig(strategy=strategy, attack_probability=p)
-    report, _ = run_experiment(params, attack, trials, loss)
+    report, _ = run_experiment(params, attack, trials)
     report.validate()
 
 

@@ -59,6 +59,12 @@ class TestScreeningAngles:
         for i in range(5):
             assert angles[i] + angles[4 - i] == pytest.approx(PI / 2, abs=1e-12)
 
+    def test_bit_identical_to_scalar_formula(self):
+        # finite nonzero floats compare equal exactly when their bits do
+        for n in (*range(1, 301), 2**20):
+            reference = [i * PI / (2 * (n + 1)) for i in range(1, n + 1)]
+            assert screening_angles(n).tolist() == reference, n
+
     def test_rejects_nonpositive(self):
         with pytest.raises(ConfigError):
             screening_angles(0)
@@ -88,6 +94,8 @@ class TestParams:
             dict(mean_photons=float("inf")), dict(mean_photons=float("nan")),
             dict(transmission="0.9"), dict(seed=1.5), dict(mean_photons=101),
             dict(digest="shake_128"), dict(rounds=2**31), dict(n_screening=2**20 + 1),
+            dict(loss=1.5), dict(loss=-0.1), dict(loss=float("nan")), dict(loss="0.1"),
+            dict(loss=True),
         ):
             with pytest.raises(ConfigError):
                 ProtocolParams(**bad)
@@ -356,9 +364,9 @@ class TestHonestSession:
         rounds, loss, t = 30_000, 0.2, 0.9
         params = ProtocolParams(
             n_screening=2, rounds=rounds, p_analyzing=0.2,
-            transmission=t, mode="single", seed=54,
+            transmission=t, loss=loss, mode="single", seed=54,
         )
-        transcript = run_session(params, channel_loss=loss)
+        transcript = run_session(params)
         assert transcript.alice_key == transcript.bob_key
         assert transcript.verdict is Verdict.ACCEPTED
         # the photon must survive three lossy legs and the AD tap
@@ -450,9 +458,11 @@ def test_session_hot_path_avoids_remainder_and_isin(monkeypatch):
 
         monkeypatch.setattr(np, name, counting)
     run_session(ProtocolParams(rounds=3000, seed=21))
-    pulsed = ProtocolParams(rounds=3000, seed=22, mode="pulse", mean_photons=2.0)
+    pulsed = ProtocolParams(
+        rounds=3000, seed=22, mode="pulse", mean_photons=2.0, loss=0.1
+    )
     attack = build_interceptor(AttackConfig(strategy="pns_trojan"), pulsed)
-    run_session(pulsed, attack, channel_loss=0.1)
+    run_session(pulsed, attack)
     assert calls == []
     canon(np.array([-1.0]))  # the counters see a reduction that does happen
     assert calls == ["remainder"]
@@ -465,22 +475,22 @@ def test_session_hot_path_avoids_remainder_and_isin(monkeypatch):
 SESSION_MEMORY = {
     "pns_trojan_lossy": (
         ProtocolParams(rounds=100_000, seed=1, mode="pulse", mean_photons=2.0,
-                       p_analyzing=0.5),
-        "pns_trojan", 0.1, 125,
+                       p_analyzing=0.5, loss=0.1),
+        "pns_trojan", 125,
     ),
-    "honest_single": (ProtocolParams(rounds=100_000, seed=1), "none", 0.0, 78),
+    "honest_single": (ProtocolParams(rounds=100_000, seed=1), "none", 78),
 }
 
 
 @pytest.mark.parametrize("case", SESSION_MEMORY)
 def test_session_peak_memory_per_round(case):
-    params, strategy, loss, bound = SESSION_MEMORY[case]
+    params, strategy, bound = SESSION_MEMORY[case]
     # one small session first, so one-off allocations are not counted
     run_session(dataclasses.replace(params, rounds=1000))
     interceptor = build_interceptor(AttackConfig(strategy=strategy), params)
     tracemalloc.start()
     try:
-        run_session(params, interceptor, channel_loss=loss)
+        run_session(params, interceptor)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
