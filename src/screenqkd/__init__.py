@@ -7,7 +7,6 @@ from .analysis import (
     ExperimentReport,
     SessionSummary,
     emit_report,
-    ie_mean,
     ie_sum,
     run_experiment,
     run_trial,

@@ -269,16 +269,10 @@ class PulseBeamSplit(Impersonation):
     and unavoidably injects errors.
     """
 
-    def __init__(self, config: AttackConfig, params: ProtocolParams) -> None:
-        super().__init__(config, params)
-        self.reported_rounds = 0
-        self.conclusive_rounds = 0
-
     def _read_final_leg(self, active: Pulse, rng: np.random.Generator) -> np.ndarray:
         angles = self.params.angles
         n = len(angles)
         reported = active.owner[active.leading()]
-        self.reported_rounds += len(reported)
         owner = active.owner
         basis = rng.integers(0, n, len(owner))
         bits = measure(active.photons, angles[basis] + PI / 4, rng)
@@ -296,17 +290,10 @@ class PulseBeamSplit(Impersonation):
         hypothesis = np.argmin(excluded[conclusive], axis=1)
         rounds = candidates[conclusive]
         k_hat = hypothesis % 2
-        self.conclusive_rounds += len(rounds)
-        self.guesses = Guesses(self._round_ids[rounds], k_hat)
+        self.guesses = Guesses(self._round_ids[rounds], k_hat, reported=len(reported))
         delta = np.zeros(active.rounds)
         delta[rounds] = (1 - 2 * k_hat) * (PI / 4) + angles[hypothesis // 2]
         return delta
-
-    def metrics(self) -> dict[str, int]:
-        return {
-            "reported_rounds": self.reported_rounds,
-            "conclusive_rounds": self.conclusive_rounds,
-        }
 
 
 class _ProbeCaptureAttack(_BaseAttack):
@@ -320,14 +307,9 @@ class _ProbeCaptureAttack(_BaseAttack):
     strategies exactly invisible in QBER.
     """
 
-    def __init__(self, config: AttackConfig, params: ProtocolParams) -> None:
-        super().__init__(config, params)
-        self.captured_rounds = 0
-
     def _capture_probe(self, pulse: Pulse, rng: np.random.Generator) -> Pulse:
         probes, rest = pulse.split(pulse.origin == Origin.TROJAN_INJECTED)
         self.storage = beam_split(probes, self.config.eve_tap_fraction, rng)[0]
-        self.captured_rounds += self.storage.count
         return rest
 
     def set_counterfactual_thetas(self, thetas: np.ndarray) -> None:
@@ -345,9 +327,6 @@ class _ProbeCaptureAttack(_BaseAttack):
         rounds = self._round_ids[self.storage.owner]
         alpha_a = self.params.angles[announcement.a_indices[rounds] - 1]
         return Guesses(rounds, measure(self.storage.photons, alpha_a + PI / 4, self._rng))
-
-    def metrics(self) -> dict[str, int]:
-        return {"captured_rounds": self.captured_rounds}
 
 
 class PnsTrojanComposite(_ProbeCaptureAttack):
@@ -403,27 +382,23 @@ class PassivePns(_BaseAttack):
     rounds theta and phi stay uniform and the estimate is a coin flip.
     """
 
-    def __init__(self, config: AttackConfig, params: ProtocolParams) -> None:
-        super().__init__(config, params)
-        # Per leg, a mask of the rounds that lost a photon there. Only the
-        # final-leg photon is ever measured, so it alone is kept (in storage).
-        self.split = {leg: np.zeros(0, bool) for leg in Leg}
-
     def _act(self, leg: Leg, pulse: Pulse, rng: np.random.Generator) -> Pulse:
         split, rest = self._split_off(pulse)
-        self.split[leg] = np.zeros(pulse.rounds, bool)
-        self.split[leg][split.owner] = True
+        if leg is Leg.ALICE_TO_BOB_1:
+            # The rounds that lost a photon on any leg. Only the final-leg
+            # photon is ever measured, so it alone is kept (in storage).
+            self._removed = np.zeros(pulse.rounds, bool)
+        self._removed[split.owner] = True
         if leg is Leg.ALICE_TO_BOB_2:
             self.storage = split
         return rest
 
     def _read_storage(self, announcement: Announcement) -> Guesses:
-        local = np.flatnonzero(np.logical_or.reduce(list(self.split.values())))
-        final = self.split[Leg.ALICE_TO_BOB_2][local]
+        local = np.flatnonzero(self._removed)
         rounds = self._round_ids[local]
         # A coin flip for rounds without a stored final-leg photon.
         bits = self._rng.integers(0, 2, len(local), dtype=np.int8)
-        stored = rounds[final]
+        stored = self._round_ids[self.storage.owner]
         alpha_sum = (
             self.params.angles[announcement.a_indices[stored] - 1]
             + self.params.angles[announcement.b_indices[stored] - 1]
@@ -433,14 +408,9 @@ class PassivePns(_BaseAttack):
         phi_star = np.where(
             announcement.analyzing_flags[stored], announcement.phi_star_values[stored], 0.0
         )
+        final = np.searchsorted(local, self.storage.owner)  # stored rounds within local
         bits[final] = measure(self.storage.photons, phi_star + alpha_sum + PI / 4, self._rng)
         return Guesses(rounds, bits)
-
-    def metrics(self) -> dict[str, int]:
-        return {
-            "stored_leg1": int(np.count_nonzero(self.split[Leg.ALICE_TO_BOB_1])),
-            "stored_leg2": int(np.count_nonzero(self.split[Leg.BOB_TO_ALICE])),
-        }
 
 
 # passive_pns is not listed pulse-only: in single-photon mode it simply

@@ -115,12 +115,7 @@ def ie_sum(n: int) -> float:
     """
     if n < 1:
         raise ConfigError(f"n must be >= 1, got {n}")
-    return sum(math.sin(a - PI / 2) ** 2 for a in screening_angles(n))
-
-
-def ie_mean(n: int) -> float:
-    """Per-round average of the impersonation error sum (always 1/2)."""
-    return ie_sum(n) / n
+    return sum(math.sin(a) ** 2 for a in screening_angles(n) - PI / 2)
 
 
 @dataclass
@@ -204,16 +199,12 @@ class SessionSummary:
         )
 
 
-def score_trial(
-    transcript: SessionTranscript,
-    guesses: Guesses,
-    metrics: dict[str, int],
-) -> TrialCounts:
+def score_trial(transcript: SessionTranscript, guesses: Guesses) -> TrialCounts:
     """Reduce one transcript plus Eve's guesses to aggregate counters.
 
     The matched, sifted and AD integrity masks come from sifting; the rest
     is what the parties cannot see: injected-photon AD outcomes and Eve's
-    guess scores.
+    guess scores. A beam-split guess exists exactly on a conclusive readout.
     """
     rounds = transcript.rounds
     injected = rounds.ad_origin != Origin.LEGITIMATE
@@ -238,8 +229,8 @@ def score_trial(
         eve_key_correct=_count(correct & on_key),
         eve_analyzing_guesses=_count(analyzing),
         eve_analyzing_correct=_count(correct & analyzing),
-        beamsplit_reported=metrics.get("reported_rounds", 0),
-        beamsplit_conclusive=metrics.get("conclusive_rounds", 0),
+        beamsplit_reported=guesses.reported,
+        beamsplit_conclusive=len(guesses) if guesses.reported else 0,
         verdict=transcript.verdict.value,
     )
 
@@ -362,13 +353,11 @@ def run_trial(
     interceptor = build_interceptor(attack, params)
     transcript = run_session(params, interceptor, trial=trial)
     guesses = Guesses()
-    metrics: dict[str, int] = {}
     if interceptor is not None:
         if attack.theta_oracle:
             interceptor.set_counterfactual_thetas(transcript.rounds.theta)
         guesses = interceptor.produce_guesses()
-        metrics = interceptor.metrics()
-    counts = score_trial(transcript, guesses, metrics)
+    counts = score_trial(transcript, guesses)
     summary = SessionSummary.from_transcript(transcript)
     return counts, summary, (transcript if keep_transcript else None)
 

@@ -34,11 +34,16 @@ class Leg(enum.Enum):
 
 class Guesses:
     """Eve's key-bit guesses as two columns: ``bits[i]`` is her guess for
-    round ``rounds[i]``, with the round ids ascending."""
+    round ``rounds[i]``, with the round ids ascending.
 
-    def __init__(self, rounds=(), bits=()) -> None:
+    ``reported`` counts the final-leg pulses read by a strategy that guesses
+    only on conclusive readouts (``pulse_beamsplit``); it is 0 for the others.
+    """
+
+    def __init__(self, rounds=(), bits=(), reported: int = 0) -> None:
         self.rounds = np.asarray(rounds, dtype=np.intp)
         self.bits = np.asarray(bits, dtype=np.int8)
+        self.reported = reported
 
     def __len__(self) -> int:
         return len(self.rounds)
@@ -51,9 +56,9 @@ class Interceptor:
     the pulses of all rounds: pulse j of the batch belongs to session round
     ``round_ids[j]``, and the legs arrive in order. They may observe the
     public announcement once the session is over, and may emit per-round
-    key-bit guesses afterwards. ``rng`` is the adversary's own generator,
-    handed in by the channel on every call; it is never shared with the
-    parties.
+    key-bit guesses afterwards; those guesses are all it reports. ``rng``
+    is the adversary's own generator, handed in by the channel on every
+    call; it is never shared with the parties.
     """
 
     def intercept(
@@ -67,10 +72,6 @@ class Interceptor:
     def produce_guesses(self) -> Guesses:
         """Per-round key-bit guesses."""
         return Guesses()
-
-    def metrics(self) -> dict[str, int]:
-        """Strategy-specific counters (e.g. conclusive relays)."""
-        return {}
 
 
 def transmit(

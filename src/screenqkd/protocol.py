@@ -100,7 +100,7 @@ class ProtocolParams:
         if self.mode not in (MODE_SINGLE, MODE_PULSE):
             raise ConfigError(f"mode must be 'single' or 'pulse', got {self.mode!r}")
         check_real("mean_photons", self.mean_photons, 0, MAX_MEAN_PHOTONS)
-        check_int("seed", self.seed)
+        check_int("seed", self.seed, 0, 2**64 - 1)
         try:
             digest_size = hashlib.new(self.digest).digest_size
         except (ValueError, TypeError):
@@ -227,7 +227,7 @@ class SessionTranscript:
 
 def derive_rng(seed: int, *stream: int) -> np.random.Generator:
     """Deterministic generator derived from (seed, stream ids)."""
-    return np.random.default_rng([seed & 0xFFFFFFFFFFFFFFFF, *stream])
+    return np.random.default_rng([seed, *stream])
 
 
 def expected_ad_bit(k, phi_star):

@@ -184,7 +184,7 @@ class TestPulseBeamSplit:
         for leg in Leg:
             out = attack.intercept(leg, Pulse.vacuum(1), np.arange(1), rng)
         assert out.is_empty
-        assert attack.metrics()["reported_rounds"] == 0
+        assert attack.produce_guesses().reported == 0
 
     def test_conclusive_rate_decreases_with_n(self):
         rates = []
@@ -299,7 +299,6 @@ class TestProbeRecapture:
             return pulse.photons.tolist(), pulse.origin.tolist(), pulse.owner.tolist()
 
         assert columns(attack.storage) == columns(stored)
-        assert attack.metrics()["captured_rounds"] == stored.count
         assert columns(passed) == columns(legit)
         # as many draws as the beam splitter's: none at a tap fraction of 0 or 1
         assert eve_rng.random() == reference_rng.random()
@@ -400,21 +399,19 @@ class TestPassivePns:
 
     def test_analyzing_rounds_with_stored_final_photon_read_key(self):
         # phi = phi* is public there; with a stored final-leg photon the
-        # readout is deterministic (here conditioned on leg-2 presence too)
+        # readout is deterministic
         params = _params(
             mode="pulse", mean_photons=3.0, p_analyzing=0.5,
             transmission=0.9, rounds=20_000, seed=127,
         )
         attack = build_interceptor(AttackConfig(strategy="passive_pns"), params)
         transcript = run_session(params, attack)
+        stored = np.zeros(params.rounds, bool)
+        stored[attack.storage.owner] = True  # read before the guesses use it up
         guesses = attack.produce_guesses()
         assert oracles.passive_pns_analyzing_accuracy(2) == pytest.approx(1.0)
         rounds = guesses.rounds
-        checked = (
-            transcript.rounds.is_analyzing[rounds]
-            & attack.split[Leg.BOB_TO_ALICE][rounds]
-            & attack.split[Leg.ALICE_TO_BOB_2][rounds]
-        )
+        checked = transcript.rounds.is_analyzing[rounds] & stored[rounds]
         assert np.all(guesses.bits[checked] == transcript.rounds.k[rounds[checked]])
         assert np.count_nonzero(checked) > 1000
 

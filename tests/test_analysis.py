@@ -1,4 +1,5 @@
 import json
+import math
 from dataclasses import fields, replace
 
 import numpy as np
@@ -11,14 +12,13 @@ from screenqkd.analysis import (
     TrialCounts,
     emit_report,
     flat_rows,
-    ie_mean,
     ie_sum,
     run_experiment,
     score_trial,
     security_curve,
     write_transcripts,
 )
-from screenqkd.channel import Guesses
+from screenqkd.channel import Guesses, Leg
 from screenqkd.cli import build_parser, load_config, main
 from screenqkd.errors import ConfigError
 from screenqkd.photonics import PI, Origin
@@ -28,6 +28,7 @@ from screenqkd.protocol import (
     expected_ad_bit,
     is_matched,
     run_session,
+    screening_angles,
 )
 
 from conftest import binom_sigma, transcript_records
@@ -53,7 +54,15 @@ class TestIeSum:
     def test_pairing_identity_up_to_64(self):
         for n in range(1, 65):
             assert ie_sum(n) == pytest.approx(n / 2, abs=1e-12)
-            assert ie_mean(n) == pytest.approx(0.5, abs=1e-12)
+            assert ie_sum(n) / n == pytest.approx(0.5, abs=1e-12)
+
+    def test_bits_equal_the_scalar_generator(self):
+        # The report's ie_sum keeps the bits of the per-scalar sum it replaced.
+        def reference(n):
+            return sum(math.sin(a - PI / 2) ** 2 for a in screening_angles(n))
+
+        for n in (*range(1, 301), 2**20):
+            assert ie_sum(n) == reference(n), n
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ConfigError):
@@ -304,14 +313,15 @@ def _attack(strategy: str, **knobs) -> AttackConfig:
     return AttackConfig(strategy=strategy, **oracle, **knobs)
 
 
-def _recount(transcript, guesses, records) -> dict:
+def _recount(transcript, guesses, records, beamsplit_reported=None) -> dict:
     """The per-record scorer the batch one replaced, kept as its reference.
 
     `records` are the session's rounds read back from its JSONL transcript.
+    `beamsplit_reported` is the number of final-leg pulses a beam-split
+    attack read, or None for any other strategy.
     """
     n = transcript.params.n_screening
-    skip = ("verdict", "beamsplit_reported", "beamsplit_conclusive")  # Eve's metrics
-    c = {f.name: 0 for f in fields(TrialCounts) if f.name not in skip}
+    c = {f.name: 0 for f in fields(TrialCounts) if f.name != "verdict"}
     guess_of = dict(zip(guesses.rounds.tolist(), guesses.bits.tolist()))
     alice_key, bob_key = [], []
     for rec in records:
@@ -342,6 +352,10 @@ def _recount(transcript, guesses, records) -> dict:
                 c["eve_key_correct"] += correct
     c["sifted_bits"] = len(alice_key)
     c["qber_errors"] = sum(a != b for a, b in zip(alice_key, bob_key))
+    if beamsplit_reported is not None:
+        # a beam-split guess is made exactly on a conclusive readout
+        c["beamsplit_reported"] = beamsplit_reported
+        c["beamsplit_conclusive"] = c["eve_guesses"]
     assert transcript.alice_key == bytes(alice_key)
     assert transcript.bob_key == bytes(bob_key)
     return c
@@ -355,11 +369,28 @@ def test_batch_scorer_matches_per_record_recount(tmp_path, mode, strategy):
     )
     knobs = {"attack_probability": 0.6} if strategy != "none" else {}
     interceptor = build_interceptor(_attack(strategy, **knobs), params)
+    final_leg = []  # Eve's input on the final leg
+    if interceptor is not None:
+        intercept = interceptor.intercept
+
+        def recording_intercept(leg, pulse, round_ids, rng):
+            if leg is Leg.ALICE_TO_BOB_2:
+                final_leg.append(pulse)
+            return intercept(leg, pulse, round_ids, rng)
+
+        interceptor.intercept = recording_intercept
     transcript = run_session(params, interceptor)
     guesses = interceptor.produce_guesses() if interceptor else Guesses()
-    metrics = interceptor.metrics() if interceptor else {}
-    counts = score_trial(transcript, guesses, metrics)
-    expected = _recount(transcript, guesses, transcript_records(transcript, tmp_path))
+    counts = score_trial(transcript, guesses)
+    reported = None
+    if strategy == "pulse_beamsplit":
+        # an active round whose final-leg pulse is not empty
+        (pulse,) = final_leg
+        reported = np.count_nonzero(interceptor._active & (pulse.counts > 0))
+        assert 0 < counts.beamsplit_conclusive < reported
+    expected = _recount(
+        transcript, guesses, transcript_records(transcript, tmp_path), reported
+    )
     assert {name: getattr(counts, name) for name in expected} == expected
     assert counts.rounds == 3000 and counts.matched > 0
 

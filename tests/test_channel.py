@@ -136,9 +136,7 @@ class TestInformationFirewall:
             for name, _ in inspect.getmembers(Interceptor, inspect.isfunction)
             if not name.startswith("_")
         }
-        assert methods == {
-            "intercept", "observe_announcement", "produce_guesses", "metrics",
-        }
+        assert methods == {"intercept", "observe_announcement", "produce_guesses"}
 
     def test_announcement_matches_true_choices(self):
         recorder = _RecordingInterceptor()

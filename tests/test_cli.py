@@ -265,6 +265,9 @@ INVALID_INPUTS = {
     # one past MAX_SCREENING, whose angles are built before the first round
     "n-over-cap": (None, ["--N", "1048577"]),
     "sweep-n-over-cap": (None, ["--sweep-N", "2,1048577"]),
+    # seeds outside [0, 2^64 - 1], which the generator would alias
+    "seed-negative": (None, ["--seed", "-5"]),
+    "seed-over-cap": (None, ["--seed", "18446744073709551616"]),
 }
 # Cases run without --outdir; no case sees $SCREENQKD_OUTDIR.
 NO_OUTDIR = {"transcript-without-outdir"}

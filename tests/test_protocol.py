@@ -95,12 +95,13 @@ class TestParams:
             dict(transmission="0.9"), dict(seed=1.5), dict(mean_photons=101),
             dict(digest="shake_128"), dict(rounds=2**31), dict(n_screening=2**20 + 1),
             dict(loss=1.5), dict(loss=-0.1), dict(loss=float("nan")), dict(loss="0.1"),
-            dict(loss=True),
+            dict(loss=True), dict(seed=-1), dict(seed=2**64),
         ):
             with pytest.raises(ConfigError):
                 ProtocolParams(**bad)
         assert ProtocolParams(rounds=2**31 - 1).rounds == 2**31 - 1
         assert ProtocolParams(n_screening=2**20).n_screening == 2**20
+        assert ProtocolParams(seed=2**64 - 1).seed == 2**64 - 1
 
     def test_screening_angles_computed_once(self, monkeypatch):
         calls = []
