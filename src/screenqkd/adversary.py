@@ -38,25 +38,6 @@ from .photonics import PI, Origin, Pulse, beam_split, measure, single_photon_pul
 from .protocol import Announcement, ProtocolParams, MODE_PULSE, MODE_SINGLE
 
 STRATEGY_NONE = "none"
-STRATEGY_IMPERSONATION = "impersonation"
-STRATEGY_PULSE_BEAMSPLIT = "pulse_beamsplit"
-STRATEGY_PNS_TROJAN = "pns_trojan"
-STRATEGY_STANDARD_STATE = "standard_state"
-STRATEGY_SIMPLE_TROJAN = "simple_trojan"
-STRATEGY_PASSIVE_PNS = "passive_pns"
-
-# The strategies that inject a probe photon and try to recapture it.
-_PROBE_CAPTURE = (STRATEGY_PNS_TROJAN, STRATEGY_STANDARD_STATE, STRATEGY_SIMPLE_TROJAN)
-
-STRATEGIES = (
-    STRATEGY_NONE,
-    STRATEGY_IMPERSONATION,
-    STRATEGY_PULSE_BEAMSPLIT,
-    STRATEGY_PNS_TROJAN,
-    STRATEGY_STANDARD_STATE,
-    STRATEGY_SIMPLE_TROJAN,
-    STRATEGY_PASSIVE_PNS,
-)
 
 
 @dataclass(frozen=True)
@@ -68,10 +49,8 @@ class AttackConfig:
     polarization for the simple Trojan; ``theta_oracle`` enables the
     counterfactual estimator validation mode of the standard-state strategy, in
     which the harness feeds Eve the true theta values after the fact. A knob
-    other than its default is accepted only by the strategies that use it:
-    ``eve_tap_fraction`` by the probe-capture strategies, ``trojan_angle``
-    by ``simple_trojan``, ``theta_oracle`` by ``standard_state`` and
-    ``guess_weights`` by ``impersonation``.
+    other than its default is accepted only by the strategies whose row of
+    :data:`STRATEGY_TABLE` lists it.
     """
 
     strategy: str = STRATEGY_NONE
@@ -93,12 +72,13 @@ class AttackConfig:
             raise ConfigError(
                 f"theta_oracle: must be true or false, got {self.theta_oracle!r}"
             )
-        for name, used, strategies in (
-            ("eve_tap_fraction", self.eve_tap_fraction != 1, _PROBE_CAPTURE),
-            ("trojan_angle", self.trojan_angle != 0, (STRATEGY_SIMPLE_TROJAN,)),
-            ("theta_oracle", self.theta_oracle, (STRATEGY_STANDARD_STATE,)),
-            ("guess_weights", self.guess_weights is not None, (STRATEGY_IMPERSONATION,)),
+        for name, used in (
+            ("eve_tap_fraction", self.eve_tap_fraction != 1),
+            ("trojan_angle", self.trojan_angle != 0),
+            ("theta_oracle", self.theta_oracle),
+            ("guess_weights", self.guess_weights is not None),
         ):
+            strategies = [s for s, (_, _, knobs) in STRATEGY_TABLE.items() if name in knobs]
             if used and self.strategy not in strategies:
                 raise ConfigError(
                     f"{name}: applies only to {', '.join(strategies)}, "
@@ -122,21 +102,6 @@ class AttackConfig:
                 raise ConfigError(
                     f"guess_weights: the sum overflows, got {self.guess_weights}"
                 )
-
-
-def _normalized_guess_probs(
-    config: AttackConfig, params: ProtocolParams
-) -> Optional[tuple[float, ...]]:
-    """Validate and normalize a basis-guess distribution (None = uniform)."""
-    if config.guess_weights is None:
-        return None
-    if len(config.guess_weights) != params.n_screening:
-        raise ConfigError(
-            f"guess_weights: expected {params.n_screening} weights, "
-            f"got {len(config.guess_weights)}"
-        )
-    total = sum(config.guess_weights)
-    return tuple(w / total for w in config.guess_weights)
 
 
 class _BaseAttack(Interceptor):
@@ -219,7 +184,16 @@ class Impersonation(_BaseAttack):
 
     def __init__(self, config: AttackConfig, params: ProtocolParams) -> None:
         super().__init__(config, params)
-        self._guess_probs = _normalized_guess_probs(config, params)
+        weights = config.guess_weights
+        self._guess_probs = None  # a uniform basis guess
+        if weights is not None:
+            if len(weights) != params.n_screening:
+                raise ConfigError(
+                    f"guess_weights: expected {params.n_screening} weights, "
+                    f"got {len(weights)}"
+                )
+            total = sum(weights)
+            self._guess_probs = tuple(w / total for w in weights)
 
     def _act(self, leg: Leg, pulse: Pulse, rng: np.random.Generator) -> Pulse:
         if leg is Leg.ALICE_TO_BOB_1:
@@ -413,19 +387,19 @@ class PassivePns(_BaseAttack):
         return Guesses(rounds, bits)
 
 
-# passive_pns is not listed pulse-only: in single-photon mode it simply
-# never finds a multi-photon pulse to split and emits zero guesses.
-_SINGLE_ONLY = {STRATEGY_IMPERSONATION}
-_PULSE_ONLY = {STRATEGY_PULSE_BEAMSPLIT, STRATEGY_PNS_TROJAN}
-
-_CLASSES = {
-    STRATEGY_IMPERSONATION: Impersonation,
-    STRATEGY_PULSE_BEAMSPLIT: PulseBeamSplit,
-    STRATEGY_PNS_TROJAN: PnsTrojanComposite,
-    STRATEGY_STANDARD_STATE: SimpleTrojan,
-    STRATEGY_SIMPLE_TROJAN: SimpleTrojan,
-    STRATEGY_PASSIVE_PNS: PassivePns,
+# Every strategy: its interceptor class, the one source mode it requires
+# (None: either) and the knobs it accepts besides attack_probability.
+# passive_pns runs in either mode: with single photons it never finds a
+# multi-photon pulse to split and emits no guesses.
+STRATEGY_TABLE = {
+    "impersonation": (Impersonation, MODE_SINGLE, ("guess_weights",)),
+    "pulse_beamsplit": (PulseBeamSplit, MODE_PULSE, ()),
+    "pns_trojan": (PnsTrojanComposite, MODE_PULSE, ("eve_tap_fraction",)),
+    "standard_state": (SimpleTrojan, None, ("eve_tap_fraction", "theta_oracle")),
+    "simple_trojan": (SimpleTrojan, None, ("eve_tap_fraction", "trojan_angle")),
+    "passive_pns": (PassivePns, None, ()),
 }
+STRATEGIES = (STRATEGY_NONE, *STRATEGY_TABLE)
 
 
 def build_interceptor(
@@ -434,12 +408,10 @@ def build_interceptor(
     """Instantiate the configured strategy, validating mode compatibility."""
     if config.strategy == STRATEGY_NONE:
         return None
-    if config.strategy in _SINGLE_ONLY and params.mode != MODE_SINGLE:
+    cls, mode, _ = STRATEGY_TABLE[config.strategy]
+    if mode is not None and params.mode != mode:
+        name = "single-photon" if mode == MODE_SINGLE else mode
         raise ConfigError(
-            f"attack: {config.strategy} requires single-photon mode, got {params.mode!r}"
+            f"attack: {config.strategy} requires {name} mode, got {params.mode!r}"
         )
-    if config.strategy in _PULSE_ONLY and params.mode != MODE_PULSE:
-        raise ConfigError(
-            f"attack: {config.strategy} requires pulse mode, got {params.mode!r}"
-        )
-    return _CLASSES[config.strategy](config, params)
+    return cls(config, params)

@@ -30,6 +30,30 @@ def _params(**overrides) -> ProtocolParams:
     return ProtocolParams(**defaults)
 
 
+# The strategy policy, written out here rather than read from the package:
+# the source mode each strategy requires (None: either) and, for each knob,
+# the strategies that accept a value other than its default.
+REQUIRED_MODE = {
+    "impersonation": "single",
+    "pulse_beamsplit": "pulse",
+    "pns_trojan": "pulse",
+    "standard_state": None,
+    "simple_trojan": None,
+    "passive_pns": None,
+}
+MODE_NAMES = {"single": "single-photon", "pulse": "pulse"}
+KNOB_USERS = {
+    "eve_tap_fraction": ("pns_trojan", "standard_state", "simple_trojan"),
+    "trojan_angle": ("simple_trojan",),
+    "theta_oracle": ("standard_state",),
+    "guess_weights": ("impersonation",),
+}
+NON_DEFAULT_KNOBS = {
+    "eve_tap_fraction": 0.3, "trojan_angle": 0.7, "theta_oracle": True,
+    "guess_weights": (1.0, 1.0),
+}
+
+
 class TestConfigValidation:
     def test_unknown_strategy(self):
         with pytest.raises(ConfigError):
@@ -49,27 +73,35 @@ class TestConfigValidation:
                 AttackConfig(strategy="standard_state", **bad)
 
     def test_mode_requirements(self):
-        with pytest.raises(ConfigError):
-            build_interceptor(
-                AttackConfig(strategy="impersonation"), _params(mode="pulse")
-            )
-        with pytest.raises(ConfigError):
-            build_interceptor(AttackConfig(strategy="pns_trojan"), _params())
-        with pytest.raises(ConfigError):
-            build_interceptor(AttackConfig(strategy="pulse_beamsplit"), _params())
+        # every strategy in each mode builds, or is refused in so many words
+        for strategy, required in REQUIRED_MODE.items():
+            for mode in ("single", "pulse"):
+                config, params = AttackConfig(strategy=strategy), _params(mode=mode)
+                if required in (None, mode):
+                    assert build_interceptor(config, params) is not None
+                    continue
+                with pytest.raises(ConfigError) as refused:
+                    build_interceptor(config, params)
+                assert str(refused.value) == (
+                    f"attack: {strategy} requires {MODE_NAMES[required]} mode, got {mode!r}"
+                )
+
+    def test_knobs_apply_only_to_their_strategies(self):
         # settings a strategy would silently ignore are rejected
+        for knob, value in NON_DEFAULT_KNOBS.items():
+            for strategy in ("none", *REQUIRED_MODE):
+                config = {"strategy": strategy, knob: value}
+                if strategy in KNOB_USERS[knob]:
+                    AttackConfig(**config)  # accepted
+                    continue
+                with pytest.raises(ConfigError) as refused:
+                    AttackConfig(**config)
+                assert str(refused.value) == (
+                    f"{knob}: applies only to {', '.join(KNOB_USERS[knob])}, "
+                    f"got attack {strategy!r}"
+                )
         with pytest.raises(ConfigError):
-            AttackConfig(strategy="simple_trojan", theta_oracle=True)
-        with pytest.raises(ConfigError):
-            AttackConfig(strategy="pns_trojan", guess_weights=(1.0, 1.0))
-        for strategy, ignored in (
-            ("standard_state", dict(trojan_angle=0.7)),
-            ("impersonation", dict(eve_tap_fraction=0.3)),
-            ("passive_pns", dict(eve_tap_fraction=0.3)),
-            ("impersonation", dict(guess_weights=())),
-        ):
-            with pytest.raises(ConfigError):
-                AttackConfig(strategy=strategy, **ignored)
+            AttackConfig(strategy="impersonation", guess_weights=())
 
     def test_none_builds_nothing(self):
         assert build_interceptor(AttackConfig(), _params()) is None

@@ -368,7 +368,8 @@ def test_batch_scorer_matches_per_record_recount(tmp_path, mode, strategy):
         transmission=0.7, loss=0.2, seed=206,
     )
     knobs = {"attack_probability": 0.6} if strategy != "none" else {}
-    interceptor = build_interceptor(_attack(strategy, **knobs), params)
+    attack = _attack(strategy, **knobs)
+    interceptor = build_interceptor(attack, params)
     final_leg = []  # Eve's input on the final leg
     if interceptor is not None:
         intercept = interceptor.intercept
@@ -380,8 +381,13 @@ def test_batch_scorer_matches_per_record_recount(tmp_path, mode, strategy):
 
         interceptor.intercept = recording_intercept
     transcript = run_session(params, interceptor)
+    if attack.theta_oracle:  # as run_trial does
+        interceptor.set_counterfactual_thetas(transcript.rounds.theta)
     guesses = interceptor.produce_guesses() if interceptor else Guesses()
     counts = score_trial(transcript, guesses)
+    if strategy == "standard_state":
+        # the oracle makes the estimator exact
+        assert counts.eve_correct == counts.eve_guesses > 0
     reported = None
     if strategy == "pulse_beamsplit":
         # an active round whose final-leg pulse is not empty
