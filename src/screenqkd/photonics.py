@@ -167,6 +167,13 @@ def born_probability(state, axis):
     return np.square(p, out=p)
 
 
+def _largest(x) -> float:
+    """max |x| over a number or a nonempty array (NaN if x holds NaN)."""
+    if not np.ndim(x):
+        return abs(x)
+    return max(x.max(), -x.min())
+
+
 def measure(photons: np.ndarray, axis, rng: np.random.Generator) -> np.ndarray:
     """Projectively measure photons at polarizations `photons` on the
     analyzer with outcome axes `axis` and `axis + pi/2` (one axis for all,
@@ -175,9 +182,36 @@ def measure(photons: np.ndarray, axis, rng: np.random.Generator) -> np.ndarray:
     Bit 0 means collapse onto `axis`, bit 1 onto the orthogonal axis.
     `axis` counts modulo pi. Measured photons are consumed: callers must
     not measure them again.
+
+    Photon i gives bit 1 iff ``u[i] >= born_probability(photons, axis)[i]``
+    for one uniform draw ``u[i]`` each. The Born probability is screened in
+    float32, whose cosine is vectorised (numpy's float64 one is not
+    everywhere), and only the photons whose `u` lies within `margin` of the
+    float32 value are decided again in float64, so every bit equals the
+    float64 rule's. Rounding the photons, the axes and their difference to
+    float32 moves the angle by at most ``(|photons| + |axis|) * 2^-23``,
+    and so p by as much, since |d cos^2(x) / dx| <= 1; the float32 cosine,
+    square and ``u - p`` add a few units of 2^-24. `margin` is four times
+    that. A margin of 1/4 or more (huge or NaN angles) screens nothing,
+    so such a batch takes the float64 rule whole.
     """
-    p0 = born_probability(np.asarray(photons), axis)
-    return (rng.random(p0.shape) >= p0).view(np.int8)
+    photons = np.asarray(photons)
+    u = rng.random(photons.shape)
+    margin = math.inf  # an empty or a non-flat batch is not screened
+    if photons.ndim == 1 and photons.size:
+        margin = (_largest(photons) + _largest(axis)) * 2.0**-21 + 2.0**-19
+    if not margin < 0.25:
+        return (u >= born_probability(photons, axis)).view(np.int8)
+    p = np.subtract(photons, axis, dtype=np.float32)
+    np.cos(p, out=p)
+    np.square(p, out=p)
+    np.subtract(u, p, out=p, dtype=np.float32)
+    bits = p >= 0.0
+    close = np.flatnonzero(np.abs(p, out=p) < margin)
+    if close.size:
+        near = axis[close] if np.ndim(axis) else axis
+        bits[close] = u[close] >= born_probability(photons[close], near)
+    return bits.view(np.int8)
 
 
 def make_pulse(

@@ -308,7 +308,8 @@ def bob_decode(
     """
     received = pulse.counts
     bits = measure(pulse.rotated(-phi).photons, DIAGONAL, rng)
-    ones = np.bincount(pulse.owner, weights=bits, minlength=pulse.rounds)
+    # the owners of the 1 outcomes, counted as integers: no float weights
+    ones = np.bincount(pulse.owner.compress(bits.view(bool)), minlength=pulse.rounds)
     # Conclusive iff exactly one of "no 1 outcome" and "all 1 outcomes"
     # holds (both hold for vacuum); the outcome is then the latter.
     all_ones = ones == received

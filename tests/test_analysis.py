@@ -1,6 +1,8 @@
+import copy
 import json
 import math
 from dataclasses import fields, replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -231,6 +233,44 @@ class TestReportEmission:
         report, _ = run_experiment(_params(rounds=500), AttackConfig())
         with pytest.raises(OSError, match="blocked"):
             emit_report(report.to_dict({}), [], target)
+
+
+class TestReportWriter:
+    """report.json holds exactly json.dump(doc, indent=2, sort_keys=True) + a
+    newline, however the writer gets there, and the document is untouched."""
+
+    @staticmethod
+    def _assert_writes_json_dump(doc: dict, outdir) -> None:
+        before = copy.deepcopy(doc)
+        paths = emit_report(doc, [], outdir)
+        expected = json.dumps(before, indent=2, sort_keys=True) + "\n"
+        assert paths["report"].read_bytes() == expected.encode()
+        assert doc == before
+
+    @pytest.mark.parametrize("argv", [
+        ["--mode", "pulse", "--mean-photons", "2.0", "--attack", "pns_trojan",
+         "--rounds", "400", "--trials", "2", "--seed", "14"],
+        # "10" sorts before "2" and "3" in the document's sorted keys
+        ["--sweep-N", "2,3,10", "--rounds", "400", "--trials", "2", "--seed", "15"],
+    ])
+    def test_cli_documents(self, tmp_path, argv):
+        with mock.patch("screenqkd.cli.emit_report", wraps=emit_report) as spy:
+            assert main([*argv, "--outdir", str(tmp_path / "cli")]) == 0
+        (doc, _, _), = [call.args for call in spy.call_args_list]
+        self._assert_writes_json_dump(doc, tmp_path / "again")
+
+    @pytest.mark.parametrize("doc", [
+        {"schema_version": "3", "sessions": [], "config": {"n": 2}},
+        {"schema_version": "3", "sweep": {}, "curve": []},
+        {"sweep": {"2": {"sessions": [], "seed": 1}}},
+    ])
+    def test_documents_without_sessions(self, tmp_path, doc):
+        self._assert_writes_json_dump(doc, tmp_path)
+
+    def test_other_strings_that_look_like_placeholders(self, tmp_path):
+        report, _ = run_experiment(_params(rounds=300), AttackConfig(), trials=2)
+        doc = report.to_dict({"note": "\x000", "tail": 'x"\x001'})
+        self._assert_writes_json_dump(doc, tmp_path)
 
 
 class TestSecurityCurve:

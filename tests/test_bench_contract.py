@@ -1,12 +1,14 @@
 """The benchmark's contract with the package, checked at a small scale.
 
 perfbench/tracer.py rebinds and wraps the functions through which each
-layer of the simulator is called, and perfbench/run.py counts an
-invocation as failed when it crashes, writes a different report when
-traced, or loses track of its own wall time. This test runs every
-workload of BENCHMARK.json once untraced and once traced, in fresh
-interpreters, and applies those checks except the span-coverage gate:
-at 2000 rounds per session fixed costs dominate the traced time.
+layer of the simulator is called, and perfbench/child.py's tracemalloc
+mode wraps `run_session` to measure its peak memory. perfbench/run.py
+counts an invocation as failed when it crashes, writes a different report
+when traced, or loses track of its own wall time. This test runs every
+workload of BENCHMARK.json once untraced, once traced and once under
+tracemalloc, in fresh interpreters, and applies those checks except the
+span-coverage gate: at 2000 rounds per session fixed costs dominate the
+traced time.
 """
 
 import importlib.util
@@ -58,3 +60,6 @@ def test_traced_run_keeps_the_benchmark_contract(tmp_path, name):
     assert workload.failures(json.loads(report)) == []
     wall = traced["total_s"][tracer.ROOT]
     assert sum(traced["self_s"].values()) == pytest.approx(wall, rel=1e-6, abs=0)
+    measured = _child("tracemalloc", workload, tmp_path / "tracemalloc")
+    assert (tmp_path / "tracemalloc" / "report.json").read_bytes() == report
+    assert measured["transcript_bytes_per_round"] > 0

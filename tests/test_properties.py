@@ -6,9 +6,10 @@ to the honest one. Every report passes its own consistency check, its
 totals do not depend on the order of the trials, and any JSON config
 either loads or is rejected with a ``ConfigError``. The pulse kernels
 (``take``, ``split``, ``merged``, ``rotated``, ``attenuated``, ``leading``
-and the adversary's split-off partition), ``canon``, Bob's decode and
-Alice's encode equal a plain reference on generated input. The examples
-are derandomized, so every run checks the same inputs.
+and the adversary's split-off partition), ``canon``, the float32-screened
+``measure``, Bob's decode and Alice's encode equal a plain reference on
+generated input. The examples are derandomized, so every run checks the
+same inputs.
 """
 
 import json
@@ -29,6 +30,7 @@ from screenqkd.photonics import (
     Origin,
     Pulse,
     attenuated,
+    born_probability,
     canon,
     measure,
     single_photon_pulse,
@@ -298,6 +300,49 @@ def test_canon_is_bitwise_remainder(values):
     assert reduced.dtype == np.float64 and reduced.shape == radians.shape
     # the bit patterns, so a -0.0 that leaks through differs from +0.0
     assert reduced.view(np.uint64).tolist() == reference.view(np.uint64).tolist()
+
+
+class _Uniforms:
+    """A generator stand-in whose ``random`` returns chosen uniforms."""
+
+    def __init__(self, u: np.ndarray) -> None:
+        self.u = u
+
+    def random(self, shape) -> np.ndarray:
+        assert shape == self.u.shape
+        return self.u.copy()
+
+
+screen_angles = st.one_of(
+    st.sampled_from((0.0, -0.0, PI / 4, PI / 2, 3 * PI / 4)),
+    st.floats(-4 * PI, 4 * PI),
+)
+
+
+@GENERATED
+@given(data=st.data(), size=st.integers(0, 40), per_photon=st.booleans(),
+       huge=st.sampled_from((None, 1e6, -1e6)), seed=st.integers(0, 2**32 - 1))
+def test_measure_decides_like_the_float64_born_rule(data, size, per_photon, huge, seed):
+    photons = np.array(data.draw(st.lists(screen_angles, min_size=size, max_size=size)))
+    if huge is not None and size:
+        photons[data.draw(st.integers(0, size - 1))] = huge  # the float64 path
+    if per_photon:
+        axis = np.array(data.draw(st.lists(screen_angles, min_size=size, max_size=size)))
+    else:
+        axis = data.draw(screen_angles)
+    p64 = born_probability(photons, axis)
+    # u on the float64 probability, one step either side of it, at the ends
+    # of [0, 1) or uniform: the first three are where a screen could err
+    choices = np.stack((
+        p64, np.nextafter(p64, 0.0), np.nextafter(p64, 1.0),
+        np.zeros(size), np.full(size, 1 - 2.0**-53),
+        np.random.default_rng(seed).random(size),
+    ))
+    pick = data.draw(st.lists(st.integers(0, len(choices) - 1), min_size=size, max_size=size))
+    u = np.minimum(choices[pick, np.arange(size)], 1 - 2.0**-53)
+    bits = measure(photons, axis, _Uniforms(u))
+    assert bits.dtype == np.int8
+    assert bits.tolist() == (u >= p64).astype(np.int8).tolist()
 
 
 @GENERATED
