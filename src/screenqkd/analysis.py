@@ -5,6 +5,12 @@ independent of trial completion order. Reports are fully deterministic:
 identical (config, seed) produce byte-identical output files, which is
 why they carry no timestamps.
 
+``report.json`` describes the experiment. Each session's per-round and
+per-bit data (the public announcement and the sifted keys) goes to its
+own binary audit file beside it, ``audit_N{n}_{trial:03d}.npz``; the
+report names each file with its byte length and SHA-256, so the report's
+bytes pin every audit byte.
+
 Two AD violation rates are reported. ``ad_violation_rate`` is the
 statistic the parties themselves can compute: violating outcomes over all
 AD outcomes on matched analyzing rounds. ``ad_violation_rate_injected``
@@ -23,11 +29,13 @@ from __future__ import annotations
 
 import csv
 import functools
+import hashlib
+import io
 import json
 import math
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -44,7 +52,7 @@ from .protocol import (
     screening_angles,
 )
 
-SCHEMA_VERSION = "3"
+SCHEMA_VERSION = "4"
 
 FLAT_COLUMNS = (
     "trial",
@@ -115,7 +123,7 @@ def ie_sum(n: int) -> float:
     """
     if n < 1:
         raise ConfigError(f"n must be >= 1, got {n}")
-    return sum(math.sin(a) ** 2 for a in screening_angles(n) - PI / 2)
+    return math.fsum(np.sin(screening_angles(n) - PI / 2) ** 2)
 
 
 @dataclass
@@ -149,53 +157,50 @@ def _ratio(num: int, den: int) -> Optional[float]:
     return num / den if den else None
 
 
-def _bits_hex(bits) -> str:
-    return pack_key_bits(bits).hex()
-
-
-def _indices_hex(indices: np.ndarray, n: int) -> str:
-    """Screening indices in 1..n as big-endian unsigned hex, one entry per
-    round in the smallest of 1, 2 or 4 bytes that holds n."""
-    width = next(w for w in (1, 2, 4) if n < 256**w)
-    return indices.astype(f">u{width}").tobytes().hex()
+def _packed(bits) -> np.ndarray:
+    return np.frombuffer(pack_key_bits(bits), np.uint8)
 
 
 @dataclass(frozen=True, eq=False)
 class SessionSummary:
-    """Auditable per-session record carried inside the structured report.
+    """Auditable per-session record: the verdict, the key length and
+    digests, and ``audit``, the bytes of the session's audit file.
 
-    Keys and flag sequences are big-endian bit-packed hex;
-    ``phi_star_flags`` has a set bit where the analyzing angle was pi/2
-    and is only meaningful where ``analyzing_flags`` is set. The index
-    arrays have one entry per round; the report stores them as hex too.
+    The audit file is an uncompressed ``.npz`` of six arrays.
+    ``a_indices`` and ``b_indices`` hold one screening index per round in
+    the engine's index dtype. ``analyzing_flags``, ``phi_star_flags``,
+    ``alice_key`` and ``bob_key`` are bit strings packed MSB-first into
+    uint8, the tail zero-padded; ``phi_star_flags`` has a set bit where
+    the analyzing angle was pi/2 and is only meaningful where
+    ``analyzing_flags`` is set.
     """
 
     verdict: str
     key_bits: int
-    alice_key: str
-    bob_key: str
     alice_hash: str
     bob_hash: str
-    a_indices: np.ndarray
-    b_indices: np.ndarray
-    analyzing_flags: str
-    phi_star_flags: str
+    audit: bytes
 
     @classmethod
     def from_transcript(cls, transcript: SessionTranscript) -> "SessionSummary":
         ann = transcript.announcement
+        audit = io.BytesIO()
+        np.savez(
+            audit,
+            a_indices=ann.a_indices,
+            b_indices=ann.b_indices,
+            analyzing_flags=_packed(ann.analyzing_flags),
+            # NaN, the value on rounds that were not analyzing, compares False
+            phi_star_flags=_packed(ann.phi_star_values > PI / 4),
+            alice_key=_packed(transcript.alice_key),
+            bob_key=_packed(transcript.bob_key),
+        )
         return cls(
             verdict=transcript.verdict.value,
             key_bits=len(transcript.alice_key),
-            alice_key=_bits_hex(transcript.alice_key),
-            bob_key=_bits_hex(transcript.bob_key),
             alice_hash=transcript.alice_hash.hex(),
             bob_hash=transcript.bob_hash.hex(),
-            a_indices=ann.a_indices,
-            b_indices=ann.b_indices,
-            analyzing_flags=_bits_hex(ann.analyzing_flags),
-            # NaN, the value on rounds that were not analyzing, compares False
-            phi_star_flags=_bits_hex(ann.phi_star_values > PI / 4),
+            audit=audit.getvalue(),
         )
 
 
@@ -246,6 +251,14 @@ class ExperimentReport:
     params: ProtocolParams
     per_trial: list[TrialCounts]
     sessions: list[SessionSummary]
+
+    @property
+    def audits(self) -> dict[str, bytes]:
+        """Each session's audit file name, in trial order, and its bytes."""
+        n = self.params.n_screening
+        return {
+            f"audit_N{n}_{trial:03d}.npz": s.audit for trial, s in enumerate(self.sessions)
+        }
 
     @functools.cached_property
     def totals(self) -> TrialCounts:
@@ -328,12 +341,13 @@ class ExperimentReport:
             "rounds_per_trial": self.params.rounds,
             "totals": asdict(self.totals),
             "per_trial": [asdict(c) for c in self.per_trial],
-            # vars, not asdict: asdict would deep-copy the M-long index
-            # arrays that the hex strings below replace.
             "sessions": [
-                {**vars(s), "a_indices": _indices_hex(s.a_indices, n),
-                 "b_indices": _indices_hex(s.b_indices, n)}
-                for s in self.sessions
+                {**vars(s), "audit": {
+                    "file": name,
+                    "bytes": len(s.audit),
+                    "sha256": hashlib.sha256(s.audit).hexdigest(),
+                }}
+                for name, s in zip(self.audits, self.sessions)
             ],
             "verdicts": self.verdicts,
             "theory": {
@@ -469,54 +483,11 @@ def write_flat_table(columns: Sequence[str], rows: Sequence[dict], path: Path) -
             writer.writerow([_csv_cell(row[col]) for col in columns])
 
 
-# The fields of a report's session block that hold hex digits only.
-_HEX_FIELDS = (
-    "a_indices", "b_indices", "alice_key", "bob_key", "alice_hash", "bob_hash",
-    "analyzing_flags", "phi_star_flags",
-)
-
-
-def _report_json(doc: dict) -> str:
-    """``json.dumps(doc, indent=2, sort_keys=True)``, with each session's
-    hex strings (`_HEX_FIELDS`) pasted in as they are rather than through
-    json's escaper, which costs a few ns per character. `doc` is not
-    modified.
-
-    The sessions are dumped with a placeholder for each hex string: NUL
-    followed by the string's number, which json writes as ``"\\u0000<n>"``.
-    """
-    pasted: list[str] = []
-
-    def stubbed(sessions: list[dict]) -> list[dict]:
-        stubs = []
-        for session in sessions:
-            stub = dict(session)
-            for key in _HEX_FIELDS:
-                stub[key] = f"\x00{len(pasted)}"
-                pasted.append(session[key])
-            stubs.append(stub)
-        return stubs
-
-    stubs = dict(doc)
-    if "sessions" in doc:
-        stubs["sessions"] = stubbed(doc["sessions"])
-    if "sweep" in doc:
-        stubs["sweep"] = {
-            n: {**point, "sessions": stubbed(point["sessions"])}
-            for n, point in doc["sweep"].items()
-        }
-    head, *tails = json.dumps(stubs, indent=2, sort_keys=True).split('"\\u0000')
-    if len(tails) != len(pasted):  # some other string of `doc` starts with NUL
-        return json.dumps(doc, indent=2, sort_keys=True)
-    parts = [head]
-    for tail in tails:
-        number, rest = tail.split('"', 1)
-        parts += ('"', pasted[int(number)], '"', rest)
-    return "".join(parts)
-
-
-def emit_report(report_doc: dict, rows: Sequence[dict], outdir: Path) -> dict[str, Path]:
-    """Write the structured report and the flat per-trial table.
+def emit_report(
+    report_doc: dict, rows: Sequence[dict], outdir: Path, audits: Mapping[str, bytes]
+) -> dict[str, Path]:
+    """Write the structured report, each audit file (name -> bytes) beside
+    it, and the flat per-trial table.
 
     Output is byte-identical for identical (config, seed).
     """
@@ -524,8 +495,9 @@ def emit_report(report_doc: dict, rows: Sequence[dict], outdir: Path) -> dict[st
     try:
         outdir.mkdir(parents=True, exist_ok=True)
         report_path = outdir / "report.json"
-        with open(report_path, "w") as handle:
-            handle.write(_report_json(report_doc) + "\n")
+        report_path.write_text(json.dumps(report_doc, indent=2, sort_keys=True) + "\n")
+        for name, audit in audits.items():
+            (outdir / name).write_bytes(audit)
         table_path = outdir / "trials.csv"
         write_flat_table(FLAT_COLUMNS, rows, table_path)
     except OSError as exc:

@@ -291,6 +291,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         if config.sweep_n:
             rows = []
+            audits: dict[str, bytes] = {}
             report_doc: dict = {"sweep": {}}
             try:
                 curve, reports = security_curve(
@@ -307,13 +308,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 _print_summary(f"N={n}", report)
                 report_doc["sweep"][str(n)] = report.to_dict({**config.echo(), "n": n})
                 rows.extend(flat_rows(report, attack.strategy))
+                audits.update(report.audits)
                 if attack.strategy == STRATEGY_NONE:
                     failures += [f"N={n}: {f}" for f in _honest_assertions(report)]
             report_doc["schema_version"] = SCHEMA_VERSION
             report_doc["config"] = config.echo()
             report_doc["curve"] = curve
             if outdir is not None:
-                paths = emit_report(report_doc, rows, outdir)
+                paths = emit_report(report_doc, rows, outdir, audits)
                 write_flat_table(CURVE_COLUMNS, curve, Path(outdir) / "curve.csv")
                 print(f"wrote {paths['report']} and {paths['table']}")
         else:
@@ -324,7 +326,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             _print_summary(f"N={params.n_screening} attack={attack.strategy}", report)
             if outdir is not None:
                 rows = flat_rows(report, attack.strategy)
-                paths = emit_report(report.to_dict(config.echo()), rows, outdir)
+                paths = emit_report(
+                    report.to_dict(config.echo()), rows, outdir, report.audits
+                )
                 if config.emit_transcript:
                     write_transcripts(transcripts, outdir)
                 print(f"wrote {paths['report']} and {paths['table']}")

@@ -1,7 +1,11 @@
 import copy
+import hashlib
+import io
 import json
 import math
+import time
 from dataclasses import fields, replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -30,7 +34,6 @@ from screenqkd.protocol import (
     expected_ad_bit,
     is_matched,
     run_session,
-    screening_angles,
 )
 
 from conftest import binom_sigma, transcript_records
@@ -58,13 +61,9 @@ class TestIeSum:
             assert ie_sum(n) == pytest.approx(n / 2, abs=1e-12)
             assert ie_sum(n) / n == pytest.approx(0.5, abs=1e-12)
 
-    def test_bits_equal_the_scalar_generator(self):
-        # The report's ie_sum keeps the bits of the per-scalar sum it replaced.
-        def reference(n):
-            return sum(math.sin(a - PI / 2) ** 2 for a in screening_angles(n))
-
-        for n in (*range(1, 301), 2**20):
-            assert ie_sum(n) == reference(n), n
+    def test_exact_at_the_largest_screening_set(self):
+        # One correctly rounded sum: a running float sum drifts by ~1.7e-8 here.
+        assert abs(ie_sum(2**20) - 2**19) <= 1e-9
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ConfigError):
@@ -180,49 +179,65 @@ class TestExperimentReport:
         session = report.sessions[0]
         transcript = transcripts[0]
         assert session.key_bits == len(transcript.alice_key)
-        assert session.alice_key == pack_key_bits(transcript.alice_key).hex()
-        assert session.bob_key == session.alice_key  # honest run
         assert session.alice_hash == transcript.alice_hash.hex()
-        assert np.array_equal(session.a_indices, transcript.announcement.a_indices)
-        assert np.array_equal(session.b_indices, transcript.announcement.b_indices)
-        flags = pack_key_bits(
-            [int(f) for f in transcript.announcement.analyzing_flags]
-        ).hex()
-        assert session.analyzing_flags == flags
         assert session.verdict == "accepted"
+        with np.load(io.BytesIO(session.audit)) as audit:
+            arrays = dict(audit)
+        assert arrays["alice_key"].tobytes() == pack_key_bits(transcript.alice_key)
+        assert arrays["bob_key"].tobytes() == arrays["alice_key"].tobytes()  # honest run
+        assert np.array_equal(arrays["a_indices"], transcript.announcement.a_indices)
+        assert np.array_equal(arrays["b_indices"], transcript.announcement.b_indices)
+        flags = pack_key_bits([int(f) for f in transcript.announcement.analyzing_flags])
+        assert arrays["analyzing_flags"].tobytes() == flags
+        block, = report.to_dict({})["sessions"]
+        assert block["audit"] == {
+            "file": "audit_N2_000.npz",
+            "bytes": len(session.audit),
+            "sha256": hashlib.sha256(session.audit).hexdigest(),
+        }
 
 
 class TestReportEmission:
     def test_same_seed_byte_identical(self, tmp_path):
         params = _params(rounds=2000)
-        outputs = []
-        for name in ("a", "b"):
+        real_time = time.time
+        a_year_on = real_time() + 366 * 86400
+
+        def run(name: str) -> dict[str, bytes]:
             report, transcripts = run_experiment(
                 params, AttackConfig(), trials=2, keep_transcripts=True
             )
             rows = flat_rows(report, "none")
             doc = report.to_dict({"seed": params.seed})
-            paths = emit_report(doc, rows, tmp_path / name)
-            tpaths = write_transcripts(transcripts, tmp_path / name)
-            outputs.append((paths, tpaths))
-        for key in ("report", "table"):
-            first = outputs[0][0][key].read_bytes()
-            second = outputs[1][0][key].read_bytes()
-            assert first == second
-        for p1, p2 in zip(outputs[0][1], outputs[1][1]):
-            assert p1.read_bytes() == p2.read_bytes()
+            emit_report(doc, rows, tmp_path / name, report.audits)
+            write_transcripts(transcripts, tmp_path / name)
+            return {p.name: p.read_bytes() for p in (tmp_path / name).iterdir()}
+
+        first = run("a")
+        # The second run believes the clock is a year ahead.
+        with mock.patch("time.time", lambda: a_year_on), mock.patch(
+            "time.localtime",
+            lambda secs=None: time.gmtime(a_year_on if secs is None else secs),
+        ):
+            assert time.time() - real_time() > 365 * 86400
+            second = run("b")
+        assert sorted(first) == [
+            "audit_N2_000.npz", "audit_N2_001.npz", "report.json",
+            "transcript_000.jsonl", "transcript_001.jsonl", "trials.csv",
+        ]
+        assert first == second
 
     def test_report_reloads_to_equal_document(self, tmp_path):
         report, _ = run_experiment(_params(rounds=1000), AttackConfig())
         paths = emit_report(report.to_dict({}), flat_rows(report, "none"),
-                            tmp_path)
+                            tmp_path, report.audits)
         with open(paths["report"]) as handle:
             assert json.load(handle) == report.to_dict({})
 
     def test_flat_table_schema_and_row_count(self, tmp_path):
         report, _ = run_experiment(_params(rounds=1000), AttackConfig(), trials=3)
         rows = flat_rows(report, "none")
-        paths = emit_report(report.to_dict({}), rows, tmp_path)
+        paths = emit_report(report.to_dict({}), rows, tmp_path, report.audits)
         lines = paths["table"].read_text().splitlines()
         assert lines[0] == ",".join(FLAT_COLUMNS)
         assert len(lines) == 1 + 3
@@ -232,17 +247,18 @@ class TestReportEmission:
         target.write_text("a file, not a directory")
         report, _ = run_experiment(_params(rounds=500), AttackConfig())
         with pytest.raises(OSError, match="blocked"):
-            emit_report(report.to_dict({}), [], target)
+            emit_report(report.to_dict({}), [], target, report.audits)
 
 
 class TestReportWriter:
     """report.json holds exactly json.dump(doc, indent=2, sort_keys=True) + a
-    newline, however the writer gets there, and the document is untouched."""
+    newline, the document is untouched, and each audit file holds the bytes
+    it was given."""
 
     @staticmethod
     def _assert_writes_json_dump(doc: dict, outdir) -> None:
         before = copy.deepcopy(doc)
-        paths = emit_report(doc, [], outdir)
+        paths = emit_report(doc, [], outdir, {})
         expected = json.dumps(before, indent=2, sort_keys=True) + "\n"
         assert paths["report"].read_bytes() == expected.encode()
         assert doc == before
@@ -256,21 +272,28 @@ class TestReportWriter:
     def test_cli_documents(self, tmp_path, argv):
         with mock.patch("screenqkd.cli.emit_report", wraps=emit_report) as spy:
             assert main([*argv, "--outdir", str(tmp_path / "cli")]) == 0
-        (doc, _, _), = [call.args for call in spy.call_args_list]
+        (doc, _, _, audits), = [call.args for call in spy.call_args_list]
         self._assert_writes_json_dump(doc, tmp_path / "again")
+        assert sorted(audits) == sorted(
+            p.name for p in (tmp_path / "cli").glob("audit_*.npz")
+        )
 
     @pytest.mark.parametrize("doc", [
-        {"schema_version": "3", "sessions": [], "config": {"n": 2}},
-        {"schema_version": "3", "sweep": {}, "curve": []},
+        {"schema_version": "4", "sessions": [], "config": {"n": 2}},
+        {"schema_version": "4", "sweep": {}, "curve": []},
         {"sweep": {"2": {"sessions": [], "seed": 1}}},
     ])
     def test_documents_without_sessions(self, tmp_path, doc):
         self._assert_writes_json_dump(doc, tmp_path)
 
-    def test_other_strings_that_look_like_placeholders(self, tmp_path):
-        report, _ = run_experiment(_params(rounds=300), AttackConfig(), trials=2)
-        doc = report.to_dict({"note": "\x000", "tail": 'x"\x001'})
-        self._assert_writes_json_dump(doc, tmp_path)
+    def test_writes_each_audit_file_as_given(self, tmp_path):
+        audits = {"audit_N2_000.npz": b"", "audit_N300_001.npz": bytes(range(256))}
+        paths = emit_report({"sessions": []}, [], tmp_path, audits)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "audit_N2_000.npz", "audit_N300_001.npz", "report.json", "trials.csv",
+        ]
+        for name, data in audits.items():
+            assert (paths["report"].parent / name).read_bytes() == data
 
 
 class TestSecurityCurve:
@@ -487,40 +510,56 @@ def test_transcript_lines_equal_the_columns(tmp_path):
     assert inconclusive and all(rec["bob_outcome"] is None for rec in inconclusive)
 
 
-def announcement_from_session(session: dict, rounds: int) -> Announcement:
-    """Decode one report session block back to the public announcement.
+def announcement_from_session(
+    session: dict, outdir: Path, rounds: int
+) -> tuple[Announcement, bytes, bytes]:
+    """Read one report session's audit file back to the public announcement
+    and the two sifted keys (one 0/1 byte per bit, as a transcript holds them).
 
-    Each index field holds one big-endian unsigned entry per round, so its
-    width is the hex length over 2 * rounds; flags are packed bits, and
-    phi* is 0 or pi/2 on analyzing rounds.
+    The file's length and SHA-256 must be the ones the report names. Flags
+    and keys are packed MSB-first with a zero tail; phi* is 0 or pi/2 on
+    analyzing rounds.
     """
-    def indices(field: str) -> np.ndarray:
-        raw = bytes.fromhex(field)
-        return np.frombuffer(raw, f">u{len(raw) // rounds}")
+    entry = session["audit"]
+    raw = (outdir / entry["file"]).read_bytes()
+    assert len(raw) == entry["bytes"]
+    assert hashlib.sha256(raw).hexdigest() == entry["sha256"]
+    with np.load(io.BytesIO(raw)) as audit:
+        arrays = dict(audit)
 
-    def flags(field: str) -> np.ndarray:
-        bits = np.unpackbits(np.frombuffer(bytes.fromhex(field), np.uint8))
-        return bits[:rounds].astype(bool)
+    def bits(name: str, count: int) -> np.ndarray:
+        unpacked = np.unpackbits(arrays[name])
+        assert len(unpacked) == 8 * math.ceil(count / 8) and not unpacked[count:].any()
+        return unpacked[:count]
 
-    analyzing = flags(session["analyzing_flags"])
-    phi_star = np.where(flags(session["phi_star_flags"]), PI / 2, 0.0)
-    return Announcement(
-        a_indices=indices(session["a_indices"]),
-        b_indices=indices(session["b_indices"]),
+    analyzing = bits("analyzing_flags", rounds).astype(bool)
+    phi_star = np.where(bits("phi_star_flags", rounds), PI / 2, 0.0)
+    announcement = Announcement(
+        a_indices=arrays["a_indices"],
+        b_indices=arrays["b_indices"],
         analyzing_flags=analyzing,
         phi_star_values=np.where(analyzing, phi_star, np.nan),
     )
+    alice_key, bob_key = (
+        bits(name, session["key_bits"]).tobytes() for name in ("alice_key", "bob_key")
+    )
+    return announcement, alice_key, bob_key
 
 
-def _assert_decodes(doc: dict, transcripts) -> None:
+def _assert_decodes(doc: dict, transcripts, outdir: Path) -> None:
     assert len(doc["sessions"]) == len(transcripts)
     for session, transcript in zip(doc["sessions"], transcripts):
-        decoded = announcement_from_session(session, doc["rounds_per_trial"])
+        decoded, alice_key, bob_key = announcement_from_session(
+            session, outdir, doc["rounds_per_trial"]
+        )
         ann = transcript.announcement
-        assert np.array_equal(decoded.a_indices, ann.a_indices)
-        assert np.array_equal(decoded.b_indices, ann.b_indices)
+        for name in ("a_indices", "b_indices"):
+            assert getattr(decoded, name).dtype == getattr(ann, name).dtype
+            assert np.array_equal(getattr(decoded, name), getattr(ann, name))
         assert np.array_equal(decoded.analyzing_flags, ann.analyzing_flags)
         assert np.array_equal(decoded.phi_star_values, ann.phi_star_values, equal_nan=True)
+        assert alice_key == transcript.alice_key
+        assert bob_key == transcript.bob_key
 
 
 def _cli_report(argv: list[str], outdir) -> tuple[dict, list]:
@@ -545,19 +584,30 @@ def test_report_announcement_round_trips(tmp_path, capsys, mode, strategy):
         *(["--mean-photons", "2.0"] if mode == "pulse" else []),
     ]
     doc, transcripts = _cli_report(argv, tmp_path)
-    _assert_decodes(doc, transcripts[doc["config"]["n"]])
+    _assert_decodes(doc, transcripts[doc["config"]["n"]], tmp_path)
 
 
-@pytest.mark.parametrize("n,width", [(1, 1), (255, 1), (256, 2), (300, 2), (65_536, 4)])
-def test_index_width_is_smallest_that_holds_n(n, width):
+def _index_width(session: dict, outdir: Path) -> int:
+    """Bytes per screening index in a session's audit file."""
+    with np.load(outdir / session["audit"]["file"]) as audit:
+        widths = {audit[name].dtype.itemsize for name in ("a_indices", "b_indices")}
+    width, = widths
+    return width
+
+
+# The audit file keeps the engine's index dtype: the smallest unsigned type
+# that holds 2N, the largest sum `is_matched` forms (uint8 up to N = 127).
+@pytest.mark.parametrize("n,width", [(1, 1), (255, 2), (256, 2), (300, 2), (65_536, 4)])
+def test_index_width_is_smallest_that_holds_n(tmp_path, n, width):
     params = _params(n_screening=n, rounds=37, p_analyzing=0.5)
     report, transcripts = run_experiment(
         params, AttackConfig(), trials=2, keep_transcripts=True
     )
     doc = report.to_dict({})
-    for session in doc["sessions"]:
-        assert len(session["a_indices"]) == len(session["b_indices"]) == 2 * 37 * width
-    _assert_decodes(doc, transcripts)
+    emit_report(doc, [], tmp_path, report.audits)
+    assert np.min_scalar_type(2 * n).itemsize == width
+    assert [_index_width(s, tmp_path) for s in doc["sessions"]] == [width, width]
+    _assert_decodes(doc, transcripts, tmp_path)
 
 
 def test_sweep_report_encodes_every_n(tmp_path, capsys):
@@ -565,22 +615,35 @@ def test_sweep_report_encodes_every_n(tmp_path, capsys):
     doc, transcripts = _cli_report(argv, tmp_path)
     for n, width in ((2, 1), (300, 2)):
         point = doc["sweep"][str(n)]
-        assert {len(s["a_indices"]) for s in point["sessions"]} == {2 * 600 * width}
-        _assert_decodes(point, transcripts[n])
+        assert [s["audit"]["file"] for s in point["sessions"]] == [
+            f"audit_N{n}_000.npz", f"audit_N{n}_001.npz"
+        ]
+        assert {_index_width(s, tmp_path) for s in point["sessions"]} == {width}
+        _assert_decodes(point, transcripts[n], tmp_path)
 
 
-def _longest_list(node) -> int:
-    """Length of the longest list anywhere in a JSON document."""
+def _longest(node, kind: type) -> int:
+    """Length of the longest list or string (`kind`) anywhere in a JSON
+    document; a string search includes the dictionary keys."""
+    children = []
     if isinstance(node, dict):
-        return max(map(_longest_list, node.values()), default=0)
-    if isinstance(node, list):
-        return max([len(node), *map(_longest_list, node)])
-    return 0
+        children = [*node, *node.values()] if kind is str else list(node.values())
+    elif isinstance(node, list):
+        children = node
+    own = len(node) if isinstance(node, kind) else 0
+    return max([own, *(_longest(child, kind) for child in children)])
 
 
 def test_report_holds_no_per_round_list(tmp_path, capsys):
     report, _ = run_experiment(_params(rounds=5000), AttackConfig(), trials=3)
-    assert _longest_list(report.to_dict({})) <= 3
+    assert _longest(report.to_dict({}), list) <= 3
     argv = ["--sweep-N", "2,3", "--rounds", "5000", "--trials", "3", "--seed", "13"]
-    assert main([*argv, "--outdir", str(tmp_path)]) == 0
-    assert _longest_list(json.loads((tmp_path / "report.json").read_text())) <= 3
+    assert main([*argv, "--outdir", str(tmp_path / "sha256")]) == 0
+    doc = json.loads((tmp_path / "sha256" / "report.json").read_text())
+    assert _longest(doc, list) <= 3
+    # The longest strings are the SHA-256 hex digests: the key hashes and
+    # the audit files'.
+    assert _longest(doc, str) == 64
+    assert main([*argv, "--digest", "sha512", "--outdir", str(tmp_path / "sha512")]) == 0
+    doc = json.loads((tmp_path / "sha512" / "report.json").read_text())
+    assert _longest(doc, str) == 128

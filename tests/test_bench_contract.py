@@ -8,9 +8,11 @@ when traced, or loses track of its own wall time. This test runs every
 workload of BENCHMARK.json once untraced, once traced and once under
 tracemalloc, in fresh interpreters, and applies those checks except the
 span-coverage gate: at 2000 rounds per session fixed costs dominate the
-traced time.
+traced time. It also checks that the three write the same audit files,
+each with the SHA-256 its report names.
 """
 
+import hashlib
 import importlib.util
 import json
 import subprocess
@@ -50,6 +52,10 @@ def _child(mode: str, workload, outdir: Path) -> dict:
     return result
 
 
+def _audits(outdir: Path) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in sorted(outdir.glob("audit_*.npz"))}
+
+
 @pytest.mark.parametrize("name", [w["name"] for w in BENCHMARK["workloads"]])
 def test_traced_run_keeps_the_benchmark_contract(tmp_path, name):
     workload = workloads.WORKLOADS[name]
@@ -58,8 +64,13 @@ def test_traced_run_keeps_the_benchmark_contract(tmp_path, name):
     report = (tmp_path / "run" / "report.json").read_bytes()
     assert (tmp_path / "trace" / "report.json").read_bytes() == report
     assert workload.failures(json.loads(report)) == []
+    audits = _audits(tmp_path / "run")
+    named = {s["audit"]["file"]: s["audit"]["sha256"] for s in json.loads(report)["sessions"]}
+    assert {name: hashlib.sha256(data).hexdigest() for name, data in audits.items()} == named
+    assert _audits(tmp_path / "trace") == audits
     wall = traced["total_s"][tracer.ROOT]
     assert sum(traced["self_s"].values()) == pytest.approx(wall, rel=1e-6, abs=0)
     measured = _child("tracemalloc", workload, tmp_path / "tracemalloc")
     assert (tmp_path / "tracemalloc" / "report.json").read_bytes() == report
+    assert _audits(tmp_path / "tracemalloc") == audits
     assert measured["transcript_bytes_per_round"] > 0
