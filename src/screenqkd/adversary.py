@@ -379,9 +379,7 @@ class PassivePns(_BaseAttack):
         )
         # On analyzing rounds the state phi* + (-1)^k pi/4 + alpha_a + alpha_b
         # has every term except k public: the readout is deterministic in k.
-        phi_star = np.where(
-            announcement.analyzing_flags[stored], announcement.phi_star_values[stored], 0.0
-        )
+        phi_star = np.where(announcement.phi_star_flags[stored], PI / 2, 0.0)
         final = np.searchsorted(local, self.storage.owner)  # stored rounds within local
         bits[final] = measure(self.storage.photons, phi_star + alpha_sum + PI / 4, self._rng)
         return Guesses(rounds, bits)

@@ -171,8 +171,7 @@ class SessionSummary:
     the engine's index dtype. ``analyzing_flags``, ``phi_star_flags``,
     ``alice_key`` and ``bob_key`` are bit strings packed MSB-first into
     uint8, the tail zero-padded; ``phi_star_flags`` has a set bit where
-    the analyzing angle was pi/2 and is only meaningful where
-    ``analyzing_flags`` is set.
+    the round was analyzing and phi* = pi/2.
     """
 
     verdict: str
@@ -190,8 +189,7 @@ class SessionSummary:
             a_indices=ann.a_indices,
             b_indices=ann.b_indices,
             analyzing_flags=_packed(ann.analyzing_flags),
-            # NaN, the value on rounds that were not analyzing, compares False
-            phi_star_flags=_packed(ann.phi_star_values > PI / 4),
+            phi_star_flags=_packed(ann.phi_star_flags),
             alice_key=_packed(transcript.alice_key),
             bob_key=_packed(transcript.bob_key),
         )

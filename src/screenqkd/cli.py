@@ -89,10 +89,18 @@ class ExperimentConfig:
             raise ConfigError("emit-transcript: single-point runs only, not with sweep-N")
         if self.outdir is not None and not isinstance(self.outdir, str):
             raise ConfigError(f"outdir: must be a path string, got {self.outdir!r}")
-        if self.emit_transcript and self.resolve_outdir() is None:
+        outdir = self.resolve_outdir()
+        if self.emit_transcript and outdir is None:
             raise ConfigError(
                 f"emit-transcript: needs an output directory (--outdir or ${OUTDIR_ENV})"
             )
+        if outdir is not None:
+            if "\0" in str(outdir):
+                raise ConfigError("outdir: must not contain a NUL byte")
+            # the nearest existing ancestor must be a directory to create it in
+            ancestor = next(p for p in (outdir, *outdir.parents) if os.path.exists(p))
+            if not os.path.isdir(ancestor):
+                raise ConfigError(f"outdir: {ancestor} exists and is not a directory")
         for n in self.sweep_n or [self.params.n_screening]:
             build_interceptor(self.attack, replace(self.params, n_screening=n))
 

@@ -160,15 +160,15 @@ class Rounds:
 class Announcement:
     """The public end-of-session disclosure; readable by the adversary.
 
-    One entry per round; ``phi_star_values`` is NaN on rounds that were
-    not analyzing. Every array is read-only: the adversary reads the
-    announcement but cannot forge it.
+    One entry per round; ``phi_star_flags`` is set where the round was
+    analyzing and phi* = pi/2. Every array is read-only: the adversary
+    reads the announcement but cannot forge it.
     """
 
     a_indices: np.ndarray
     b_indices: np.ndarray
     analyzing_flags: np.ndarray
-    phi_star_values: np.ndarray
+    phi_star_flags: np.ndarray
 
     def __post_init__(self) -> None:
         for f in fields(self):
@@ -180,7 +180,7 @@ class Announcement:
             a_indices=rounds.a_index,
             b_indices=rounds.b_index,
             analyzing_flags=rounds.is_analyzing,
-            phi_star_values=np.where(rounds.is_analyzing, rounds.phi, np.nan),
+            phi_star_flags=rounds.is_analyzing & (rounds.phi > PI / 4),
         )
 
 
@@ -287,9 +287,12 @@ def alice_encode(
         raise ConfigError(
             f"a_index must be in [1, {params.n_screening}], got {np.unique(a_index)}"
         )
-    # (-1)^k pi/4 - theta + alpha_a; numpy sums in place into the first temporary
+    # (-1)^k pi/4 = (1/2 - k) pi/2, exact for any integer or bool k (1 - 2k
+    # wraps for unsigned k); the explicit dtype keeps numpy 1.x from
+    # narrowing 1/2 - k to float16. The sum runs in place in that temporary.
     rotated = pulse.rotated(
-        np.where(k == 1, -PI / 4, PI / 4) - theta + params.angles[a_index - 1]
+        np.subtract(0.5, k, dtype=np.float64) * (PI / 2) - theta
+        + params.angles[a_index - 1]
     )
     tapped, to_bob = beam_split(rotated, 1.0 - params.transmission, rng)
     return to_bob, measure(tapped.photons, DIAGONAL, rng), tapped
@@ -351,7 +354,7 @@ def sift_and_verify(
         ("a_indices", announcement.a_indices),
         ("b_indices", announcement.b_indices),
         ("analyzing_flags", announcement.analyzing_flags),
-        ("phi_star_values", announcement.phi_star_values),
+        ("phi_star_flags", announcement.phi_star_flags),
     ):
         if len(values) != m:
             raise ConfigError(

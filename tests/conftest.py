@@ -23,6 +23,18 @@ def binom_sigma(p: float, n: int) -> float:
     return math.sqrt(p * (1.0 - p) / n)
 
 
+def z_score(hits: int, total: int, p: float) -> float:
+    """Binomial z-score of the rate hits/total against probability p; NaN,
+    which fails every bound, when there were no trials."""
+    if not total:
+        return math.nan
+    deviation = hits / total - p
+    sigma = binom_sigma(p, total)
+    if sigma == 0:  # p is 0 or 1: only the exact rate is consistent
+        return 0.0 if deviation == 0 else math.inf
+    return deviation / sigma
+
+
 def pass_fail(ok: bool, label: str, detail: str) -> None:
     """Print one [PASS]/[FAIL] line for a check, then assert it."""
     print(f"[{'PASS' if ok else 'FAIL'}] {label}: {detail}")

@@ -34,6 +34,11 @@ def matched_pairs(n: int) -> list[tuple[float, float]]:
     return [(angles[i], angles[n - 1 - i]) for i in range(n)]
 
 
+def matched_fraction(n: int) -> float:
+    """Chance that two uniform screening indices form a matched pair."""
+    return len(matched_pairs(n)) / n**2
+
+
 def impersonation_qber(n: int) -> float:
     """Exact sifted-bit error rate of the three-leg intercept-resend.
 

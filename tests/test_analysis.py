@@ -532,13 +532,11 @@ def announcement_from_session(
         assert len(unpacked) == 8 * math.ceil(count / 8) and not unpacked[count:].any()
         return unpacked[:count]
 
-    analyzing = bits("analyzing_flags", rounds).astype(bool)
-    phi_star = np.where(bits("phi_star_flags", rounds), PI / 2, 0.0)
     announcement = Announcement(
         a_indices=arrays["a_indices"],
         b_indices=arrays["b_indices"],
-        analyzing_flags=analyzing,
-        phi_star_values=np.where(analyzing, phi_star, np.nan),
+        analyzing_flags=bits("analyzing_flags", rounds).astype(bool),
+        phi_star_flags=bits("phi_star_flags", rounds).astype(bool),
     )
     alice_key, bob_key = (
         bits(name, session["key_bits"]).tobytes() for name in ("alice_key", "bob_key")
@@ -557,7 +555,7 @@ def _assert_decodes(doc: dict, transcripts, outdir: Path) -> None:
             assert getattr(decoded, name).dtype == getattr(ann, name).dtype
             assert np.array_equal(getattr(decoded, name), getattr(ann, name))
         assert np.array_equal(decoded.analyzing_flags, ann.analyzing_flags)
-        assert np.array_equal(decoded.phi_star_values, ann.phi_star_values, equal_nan=True)
+        assert np.array_equal(decoded.phi_star_flags, ann.phi_star_flags)
         assert alice_key == transcript.alice_key
         assert bob_key == transcript.bob_key
 

@@ -148,8 +148,9 @@ class TestInformationFirewall:
         assert ann.b_indices.tolist() == choices["b_index"].tolist()
         assert ann.analyzing_flags.tolist() == choices["is_analyzing"].tolist()
         analyzing = choices["is_analyzing"]
-        assert ann.phi_star_values[analyzing].tolist() == choices["phi"][analyzing].tolist()
-        assert np.isnan(ann.phi_star_values[~analyzing]).all()
+        assert ann.phi_star_flags.dtype == bool
+        phi_star_flags = analyzing & (choices["phi"] == PI / 2)
+        assert ann.phi_star_flags.tolist() == phi_star_flags.tolist()
 
     def test_leg1_write_cannot_rewrite_alices_theta(self):
         # In single-photon mode the leg-1 photons are the prepared angles;

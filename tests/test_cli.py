@@ -268,9 +268,11 @@ INVALID_INPUTS = {
     # seeds outside [0, 2^64 - 1], which the generator would alias
     "seed-negative": (None, ["--seed", "-5"]),
     "seed-over-cap": (None, ["--seed", "18446744073709551616"]),
+    # a path the operating system cannot take; only a config file can hold it
+    "outdir-nul-byte": ({"outdir": "out\u0000dir"}, []),
 }
 # Cases run without --outdir; no case sees $SCREENQKD_OUTDIR.
-NO_OUTDIR = {"transcript-without-outdir"}
+NO_OUTDIR = {"transcript-without-outdir", "outdir-nul-byte"}
 
 
 @pytest.mark.parametrize("case", INVALID_INPUTS)
@@ -297,3 +299,27 @@ def test_invalid_input_exits_two_without_traceback(tmp_path, case):
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error:") and len(proc.stderr.splitlines()) == 1
     assert not outdir.exists()
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["file", "path_under_file"])
+def test_outdir_that_cannot_be_a_directory_exits_two_before_any_session(
+    tmp_path, monkeypatch, capsys, under
+):
+    sessions = []
+    real_run_session = analysis.run_session
+
+    def counting_run_session(*args, **kwargs):
+        sessions.append(args)
+        return real_run_session(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "run_session", counting_run_session)
+    blocker = tmp_path / "F"
+    blocker.write_text("not a directory")
+    outdir = blocker / "sub" / "dir" if under else blocker
+    code = main(["--rounds", "100", "--outdir", str(outdir)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert sessions == []
+    assert err == f"error: outdir: {blocker} exists and is not a directory\n"
+    assert blocker.read_text() == "not a directory"
+    assert sorted(tmp_path.iterdir()) == [blocker]

@@ -371,8 +371,11 @@ def test_alice_encode_rejects_exactly_invalid_input(data, n, size):
     theta = np.array(data.draw(st.lists(st.floats(0.0, PI, exclude_max=True),
                                         min_size=size, max_size=size)))
     params = ProtocolParams(n_screening=n, transmission=1.0)
-    invalid = any(b not in (0, 1) for b in k) or any(not 1 <= a <= n for a in a_index)
-    k, a_index = np.array(k), np.array(a_index, dtype=np.intp)
+    bad_k = any(b not in (0, 1) for b in k)
+    invalid = bad_k or any(not 1 <= a <= n for a in a_index)
+    # valid key bits as the engine's int8 and as every other dtype a caller may pass
+    dtype = None if bad_k else data.draw(st.sampled_from((None, np.int8, np.uint8, bool)))
+    k, a_index = np.array(k, dtype=dtype), np.array(a_index, dtype=np.intp)
     pulse = single_photon_pulse(theta)
     try:
         to_bob, ad_bits, _ = alice_encode(

@@ -155,7 +155,7 @@ class TestBobTransform:
         transcript = run_session(ProtocolParams(p_analyzing=1.0, rounds=500, seed=5))
         rounds = transcript.rounds
         assert rounds.is_analyzing.all()
-        assert np.array_equal(transcript.announcement.phi_star_values, rounds.phi)
+        assert np.array_equal(transcript.announcement.phi_star_flags, rounds.phi == PI / 2)
         assert set(rounds.phi.tolist()) == {0.0, PI / 2}
 
 
@@ -309,10 +309,12 @@ class TestHonestSession:
     def test_analyzing_phi_equals_phi_star(self):
         transcript = _honest_session(seed=45, p_analyzing=0.5)
         analyzing = transcript.rounds.is_analyzing
-        phi_star = transcript.announcement.phi_star_values
+        phi = transcript.rounds.phi
         assert 0 < np.count_nonzero(analyzing) < len(analyzing)
-        assert np.array_equal(np.isnan(phi_star), ~analyzing)
-        assert np.array_equal(phi_star[analyzing], transcript.rounds.phi[analyzing])
+        assert set(phi[analyzing].tolist()) == {0.0, PI / 2}
+        assert np.array_equal(
+            transcript.announcement.phi_star_flags, analyzing & (phi == PI / 2)
+        )
 
     def test_bob_outcome_present_iff_detected(self):
         rounds = _honest_session(seed=46).rounds
@@ -427,7 +429,7 @@ class TestSiftAndVerify:
             a_indices=transcript.announcement.a_indices[:-1],
             b_indices=transcript.announcement.b_indices,
             analyzing_flags=transcript.announcement.analyzing_flags,
-            phi_star_values=transcript.announcement.phi_star_values,
+            phi_star_flags=transcript.announcement.phi_star_flags,
         )
         with pytest.raises(ConfigError, match="a_indices has length 99"):
             sift_and_verify(transcript.params, transcript.rounds, bad)
