@@ -250,6 +250,26 @@ class TestPulseBeamSplit:
         assert counts.eve_guesses > 50
         assert counts.eve_correct == counts.eve_guesses
 
+    @pytest.mark.parametrize(
+        "n, mu, loss, transmission, attack_probability",
+        [(2, 10.0, 0.0, 1.0, 1.0), (3, 10.0, 0.1, 0.9, 0.6), (5, 20.0, 0.0, 1.0, 1.0)],
+    )
+    def test_every_conclusive_guess_is_right(
+        self, n, mu, loss, transmission, attack_probability
+    ):
+        # A readout with one hypothesis left names (alpha_a, k) exactly, so
+        # a single wrong guess means the exclusion rule is biased.
+        params = _params(
+            n_screening=n, mode="pulse", mean_photons=mu, loss=loss,
+            transmission=transmission, rounds=3000, seed=11,
+        )
+        config = AttackConfig(
+            strategy="pulse_beamsplit", attack_probability=attack_probability
+        )
+        counts, _, _ = run_trial(params, config, 0)
+        assert counts.eve_guesses > 0
+        assert counts.eve_correct == counts.eve_guesses
+
 
 class TestPnsTrojanComposite:
     def test_captured_probe_reads_key_exactly(self):

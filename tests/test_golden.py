@@ -1,9 +1,10 @@
 """Golden byte-identity check of every file the CLI writes.
 
-Eight in-process runs of `cli.main` at 2000 rounds cover every strategy
+Ten in-process runs of `cli.main` at 2000 rounds cover every strategy
 in a mode it accepts, channel loss, several trials, impersonation guess
-weights, a config file that sets ``theta_oracle``, two N sweeps and
-per-round transcripts. The SHA-256 of each file written (``report.json``,
+weights, a config file that sets ``theta_oracle``, two N sweeps,
+per-round transcripts and two pulse-mode attacks at a mean photon number
+of 20. The SHA-256 of each file written (``report.json``,
 ``trials.csv``, ``curve.csv``, ``transcript_*.jsonl`` and each session's
 ``audit_N{n}_{trial:03d}.npz``) is pinned below, so a change that moves
 any draw, any count or any byte of the format fails here.
@@ -59,6 +60,17 @@ CASES = {
     "passive_pns_sweep": [
         "--sweep-N", "2,3", "--mode", "pulse", "--mean-photons", "3.0",
         "--p-analyzing", "0.3", "--attack", "passive_pns", "--trials", "2",
+    ],
+    # High mu: pulses where a probe travels beside several legitimate
+    # photons, and enough photons for conclusive N = 3 readouts.
+    "pns_trojan_high_mu": [
+        "--attack", "pns_trojan", "--mode", "pulse", "--mean-photons", "20",
+        "--loss", "0.1", "--attack-probability", "0.6", "--emit-transcript",
+    ],
+    "pulse_beamsplit_high_mu": [
+        "--attack", "pulse_beamsplit", "--N", "3", "--mode", "pulse",
+        "--mean-photons", "20", "--loss", "0.1", "--transmission", "0.9",
+        "--attack-probability", "0.6",
     ],
 }
 
@@ -117,6 +129,17 @@ GOLDEN = {
         "curve.csv": "f2d1796190adc30a9d325d8f2b8adfdbe2042a80baf8546334548359abc76eec",
         "report.json": "b5fc8ccd8a674b81499964ed1109cb75acbc6ab9218daceebb9027767b84edbe",
         "trials.csv": "1320e059a9126885b48a5d37e19c04698342da948cfed1e368f193414928beb1",
+    },
+    "pns_trojan_high_mu": {
+        "audit_N2_000.npz": "a67a18da81881569f8376bde21959f897afc9862b3190cd6ae5dacd7e7cc5c25",
+        "report.json": "f0a15a30e907ee3781bcb914112148a9ed896630f9179a1791b78390845776f9",
+        "transcript_000.jsonl": "3ce85e18521ed871c4e7d9c20420330820d174587817445d472981bddfe037aa",
+        "trials.csv": "7b6926d4e439797d20ea643400ba7efa98a833783af491a9f7a14f35b3467403",
+    },
+    "pulse_beamsplit_high_mu": {
+        "audit_N3_000.npz": "d4332ac0f7975789fac3e3d5828d5542d3ddb7669e69ab7413aab7722de93250",
+        "report.json": "e4a52f80913dab729454eb0f2bdce09a500f26817b58baa41b45a1e453949927",
+        "trials.csv": "3b16c5785110012e7e35ff4f7dc8f4956af48d98068f861639bfe109a7fb92a8",
     },
 }
 
