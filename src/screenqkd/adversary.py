@@ -199,9 +199,7 @@ class Impersonation(_BaseAttack):
         if leg is Leg.ALICE_TO_BOB_1:
             self._original, rest = pulse.split(self._acting(pulse))
             self._theta_prime = rng.random(pulse.rounds) * PI
-            substitutes = replace(
-                self._original, photons=self._theta_prime[self._original.owner]
-            )
+            substitutes = replace(self._original, angles=(self._theta_prime, None, None))
             return rest.merged(substitutes.tagged(Origin.EVE_REPLAYED))
         if leg is Leg.BOB_TO_ALICE:
             reply, rest = pulse.split(self._acting(pulse))

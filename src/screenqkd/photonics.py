@@ -15,10 +15,15 @@ with probability cos^2(s - a) (outcome bit 0) and onto the orthogonal
 axis a + pi/2 otherwise (outcome bit 1).
 
 A :class:`Pulse` holds one pulse per round for a batch of rounds, as flat
-photon columns. Multi-photon pulses are products of identical independent
-photons; photon number is Poissonian with configurable mean. Batches are
-never modified after construction. Random number generators are
-single-owner and must be passed in explicitly.
+photon rows (round and origin). Multi-photon pulses are products of
+identical independent photons; photon number is Poissonian with
+configurable mean. Rotations act per round, and photons that enter a
+round come as a group under their own origin code, so all photons of one
+origin in one round share one angle. A batch stores that angle once, in a
+per-round table for the origin: a rotation is one add per round and
+origin, and moving photons moves 5 bytes each.
+Batches are never modified after construction. Random number generators
+are single-owner and must be passed in explicitly.
 """
 
 from __future__ import annotations
@@ -70,41 +75,72 @@ class Origin(enum.IntEnum):
     EVE_REPLAYED = 2
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class Pulse:
-    """One pulse per round for `rounds` rounds, as flat photon columns.
+def _read_only(table: np.ndarray) -> np.ndarray:
+    """`table`, or a read-only view of it when it is writeable."""
+    if table.flags.writeable:
+        table = table.view()
+        table.setflags(write=False)
+    return table
 
-    Photon i has the polarization ``photons[i]`` (a raw angle, meaningful
-    modulo pi: see the module docstring), the origin code
-    ``origin[i]`` (int8, see :class:`Origin`) and belongs to round
-    ``owner[i]`` (int32, so a batch holds at most `MAX_ROUNDS` rounds).
-    Photons are sorted by round, so each pulse is a contiguous run that
-    keeps its order through every operation here. A round without photons
-    is vacuum (or lost).
+
+# Not slotted: a frozen slotted dataclass answers an assignment to the
+# `photons` property with a TypeError instead of an AttributeError.
+@dataclass(frozen=True, eq=False)
+class Pulse:
+    """One pulse per round for `rounds` rounds, as flat photon rows.
+
+    Photon i belongs to round ``owner[i]`` (int32, so a batch holds at most
+    `MAX_ROUNDS` rounds) and has the origin code ``origin[i]`` (int8, see
+    :class:`Origin`). Photons are sorted by round, so each pulse is a
+    contiguous run that keeps its order through every operation here. A
+    round without photons is vacuum (or lost).
+
+    The photons of one round and one origin are identical copies, so their
+    polarization is stored once: ``angles`` holds, per `Origin` code, None
+    or a read-only float64 array over the rounds (a raw angle, meaningful
+    modulo pi: see the module docstring), and photon i is at
+    ``angles[origin[i]][owner[i]]``. A table's entries for rounds without
+    photons of its origin mean nothing, and a table may outlive its
+    origin's last photon. :meth:`merged` and :meth:`tagged` refuse input
+    that would put two angles under one (round, origin).
     """
 
-    photons: np.ndarray
-    origin: np.ndarray
     owner: np.ndarray
+    origin: np.ndarray
+    angles: tuple[np.ndarray | None, ...]
     rounds: int
 
     @classmethod
     def vacuum(cls, rounds: int) -> Pulse:
-        return cls(np.empty(0), np.empty(0, np.int8), np.empty(0, np.int32), rounds)
+        return cls(
+            np.empty(0, np.int32), np.empty(0, np.int8), (None,) * len(Origin), rounds
+        )
 
     @property
     def count(self) -> int:
         """Photons in the batch."""
-        return len(self.photons)
+        return len(self.owner)
 
     @property
     def is_empty(self) -> bool:
-        return not len(self.photons)
+        return not len(self.owner)
 
     @property
     def counts(self) -> np.ndarray:
         """Photon number of each round's pulse."""
         return np.bincount(self.owner, minlength=self.rounds)
+
+    @property
+    def photons(self) -> np.ndarray:
+        """Each photon's polarization, gathered from its origin's table."""
+        codes = [code for code, table in enumerate(self.angles) if table is not None]
+        if not codes:
+            return np.empty(0)
+        photons = self.angles[codes[0]][self.owner]
+        for code in codes[1:]:
+            index = np.flatnonzero(self.origin == code)
+            photons[index] = self.angles[code][self.owner.take(index)]
+        return photons
 
     def leading(self) -> np.ndarray:
         """Mask of the first photon of every nonempty pulse."""
@@ -115,43 +151,89 @@ class Pulse:
     def take(self, index: np.ndarray) -> Pulse:
         """The photons selected by a mask (or ascending indices)."""
         if index.dtype == bool:
-            index = np.flatnonzero(index)  # one mask scan for all three gathers
+            index = np.flatnonzero(index)  # one mask scan for both gathers
         return Pulse(
-            self.photons.take(index), self.origin.take(index), self.owner.take(index),
-            self.rounds,
+            self.owner.take(index), self.origin.take(index), self.angles, self.rounds
         )
 
     def split(self, mask: np.ndarray) -> tuple[Pulse, Pulse]:
         """(the photons selected by `mask`, the rest), both in order."""
         return self.take(mask), self.take(~mask)
 
-    def tagged(self, origin: Origin) -> Pulse:
-        """The same photons, all with origin code `origin`."""
-        return replace(self, origin=np.full(self.count, origin, dtype=np.int8))
+    def _rounds_of(self, code: int) -> np.ndarray:
+        """The owners of this batch's photons of origin `code`."""
+        return self.owner[self.origin == code]
 
-    def merged(self, other: Pulse) -> Pulse:
-        """Both batches' photons; within a round this batch's come first."""
-        owner = np.concatenate((self.owner, other.owner))
-        order = np.argsort(owner, kind="stable")
-        # The sorted owners first, so the unsorted ones are freed before
-        # the photon columns are concatenated.
-        owner = owner.take(order)
+    def _live(self) -> list[int]:
+        """The codes of the tables in use: the one table, or of several,
+        those of the origins that have photons here."""
+        codes = [code for code, table in enumerate(self.angles) if table is not None]
+        if len(codes) > 1:
+            codes = [code for code in codes if (self.origin == code).any()]
+        return codes
+
+    def tagged(self, origin: Origin) -> Pulse:
+        """The same photons, all with origin code `origin`; they must share
+        one origin, so that each round keeps one angle."""
+        codes = self._live()
+        if len(codes) > 1:
+            raise ValueError(f"tagged: photons of several origins {codes}")
+        angles = [None] * len(Origin)
+        if codes:
+            angles[origin] = _read_only(self.angles[codes[0]])
         return Pulse(
-            np.concatenate((self.photons, other.photons)).take(order),
-            np.concatenate((self.origin, other.origin)).take(order),
-            owner,
+            self.owner, np.full(self.count, origin, dtype=np.int8), tuple(angles),
             self.rounds,
         )
+
+    def merged(self, other: Pulse) -> Pulse:
+        """Both batches' photons; within a round this batch's come first.
+
+        Where both hold a table for one origin, their photons of that
+        origin must lie in disjoint rounds: the result's table is this
+        batch's with the other's entries for its rounds scattered in."""
+        owner = np.concatenate((self.owner, other.owner))
+        order = np.argsort(owner, kind="stable")
+        angles = tuple(
+            self._merged_table(other, code) for code in range(len(self.angles))
+        )
+        return Pulse(
+            owner.take(order), np.concatenate((self.origin, other.origin)).take(order),
+            angles, self.rounds,
+        )
+
+    def _merged_table(self, other: Pulse, code: int) -> np.ndarray | None:
+        mine, theirs = self.angles[code], other.angles[code]
+        if mine is None or theirs is None:
+            return theirs if mine is None else mine
+        rounds, mine_rounds = other._rounds_of(code), self._rounds_of(code)
+        if not rounds.size or not mine_rounds.size:
+            return mine if mine_rounds.size else theirs
+        taken = np.zeros(self.rounds, bool)
+        taken[mine_rounds] = True
+        if taken[rounds].any():
+            raise ValueError(
+                f"merged: both batches hold photons of origin {code} in one round"
+            )
+        table = mine.copy()
+        table[rounds] = theirs[rounds]
+        return _read_only(table)
 
     def rotated(self, delta) -> Pulse:
         """Rotate round j's pulse by ``delta[j]``, or every photon by a number.
 
-        One add, not reduced modulo pi (see the module docstring), made
-        into the gathered per-photon delta when there is one."""
-        if not np.ndim(delta):
-            return replace(self, photons=self.photons + delta)
-        moved = np.asarray(delta, dtype=np.float64)[self.owner]
-        return replace(self, photons=np.add(self.photons, moved, out=moved))
+        One add into each table, not reduced modulo pi (see the module
+        docstring); every photon of a table has seen the same adds in the
+        same order, so the sums are those of a per-photon add. Of several
+        tables, those of origins without photons are dropped, not rotated."""
+        if np.ndim(delta):
+            delta = np.asarray(delta, dtype=np.float64)
+        live = self._live()
+        angles = tuple(
+            _read_only(table + delta) if code in live else None
+            for code, table in enumerate(self.angles)
+        )
+        return replace(self, angles=angles)
 
 
 # Axis of the (+pi/4, -pi/4) analyzer used by Bob's detector pair and Alice's AD.
@@ -225,18 +307,19 @@ def make_pulse(
         )
     rounds = len(polarization)
     owner = np.repeat(np.arange(rounds, dtype=np.int32), rng.poisson(mean_photons, rounds))
-    return Pulse(
-        canon(polarization)[owner], np.zeros(len(owner), np.int8), owner, rounds
-    )
+    return _legitimate(polarization, owner)
 
 
 def single_photon_pulse(polarization: np.ndarray) -> Pulse:
     """One single-photon pulse per entry of `polarization`."""
-    rounds = len(polarization)
-    return Pulse(
-        canon(polarization), np.zeros(rounds, np.int8), np.arange(rounds, dtype=np.int32),
-        rounds,
-    )
+    return _legitimate(polarization, np.arange(len(polarization), dtype=np.int32))
+
+
+def _legitimate(polarization: np.ndarray, owner: np.ndarray) -> Pulse:
+    """Legitimate photons of the rounds `owner`, each round's at its entry
+    of `polarization`, which is reduced once and becomes their table."""
+    angles = (_read_only(canon(polarization)), None, None)  # Origin.LEGITIMATE's
+    return Pulse(owner, np.zeros(len(owner), np.int8), angles, len(polarization))
 
 
 def _split_trivially(pulse: Pulse, tap_fraction: float):

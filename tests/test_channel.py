@@ -8,7 +8,7 @@ import pytest
 from screenqkd import channel
 from screenqkd.channel import Interceptor, Leg, transmit
 from screenqkd.errors import ConfigError
-from screenqkd.photonics import PI, Pulse, beam_split
+from screenqkd.photonics import PI, Origin, Pulse, beam_split
 from screenqkd.protocol import MODE_SINGLE, ProtocolParams, Verdict, derive_rng, run_session
 
 from conftest import binom_sigma
@@ -18,7 +18,8 @@ ROUND = np.arange(1)
 
 def _pulse(n: int) -> Pulse:
     """A batch of one round whose pulse holds n photons at 0.3."""
-    return Pulse(np.full(n, 0.3), np.zeros(n, np.int8), np.zeros(n, np.intp), 1)
+    angles = (np.full(1, 0.3), None, None)
+    return Pulse(np.zeros(n, np.int32), np.zeros(n, np.int8), angles, 1)
 
 
 class TestTransmit:
@@ -45,10 +46,10 @@ class TestTransmit:
     def test_survivors_are_beam_splits_passed_output(self, loss, photons):
         # loss gathers only the survivors, from the draw the AD tap makes
         counts = np.random.default_rng(5).poisson(photons / 50, 50)
-        owner = np.repeat(np.arange(50), counts)
+        owner = np.repeat(np.arange(50, dtype=np.int32), counts)
         pulse = Pulse(
-            np.random.default_rng(6).random(len(owner)), np.ones(len(owner), np.int8),
-            owner, 50,
+            owner, np.ones(len(owner), np.int8),
+            (None, np.random.default_rng(6).random(50), None), 50,
         )
         rng_loss, rng_split = np.random.default_rng(7), np.random.default_rng(7)
         out = transmit(pulse, Leg.ALICE_TO_BOB_2, np.arange(50), loss=loss,
@@ -122,9 +123,9 @@ class TestInformationFirewall:
             assert isinstance(pulse, Pulse)
             assert pulse.rounds == 50
             assert isinstance(rng, np.random.Generator)
-            # a batch holds its photon columns, nothing else
+            # a batch holds its photon rows and angle tables, nothing else
             fields = {f.name for f in dataclasses.fields(pulse)}
-            assert fields == {"photons", "origin", "owner", "rounds"}
+            assert fields == {"owner", "origin", "angles", "rounds"}
         # the observer runs exactly once, with the published announcement
         assert len(recorder.announcements) == 1
         assert recorder.announcements[0] is transcript.announcement
@@ -153,10 +154,10 @@ class TestInformationFirewall:
         assert ann.phi_star_flags.tolist() == phi_star_flags.tolist()
 
     def test_leg1_write_cannot_rewrite_alices_theta(self):
-        # In single-photon mode the leg-1 photons are the prepared angles;
-        # a write into them must not reach Alice's record.
+        # In single-photon mode the leg-1 table is the prepared angles;
+        # a write into it must not reach Alice's record.
         params = ProtocolParams(n_screening=2, rounds=2000, seed=3, mode=MODE_SINGLE)
-        scribbler = _Scribbler("photons")
+        scribbler = _Scribbler("angles")
         transcript = run_session(params, scribbler)
         assert transcript.rounds.theta.tolist() == _drawn_choices(params)["theta"].tolist()
         assert scribbler.refused == 1
@@ -191,8 +192,8 @@ def _drawn_choices(params: ProtocolParams, trial: int = 0) -> dict[str, np.ndarr
 
 
 class _Scribbler(Interceptor):
-    """Writes into what it is handed: 0.5 into every leg-1 photon
-    (``target="photons"``) or 1 into every announced b index
+    """Writes into what it is handed: 0.5 into the leg-1 table of legitimate
+    angles (``target="angles"``) or 1 into every announced b index
     (``target="b_indices"``); counts the writes that are refused."""
 
     def __init__(self, target: str):
@@ -206,8 +207,8 @@ class _Scribbler(Interceptor):
             self.refused += 1
 
     def intercept(self, leg, pulse, round_ids, rng):
-        if leg is Leg.ALICE_TO_BOB_1 and self.target == "photons":
-            self._write(pulse.photons, 0.5)
+        if leg is Leg.ALICE_TO_BOB_1 and self.target == "angles":
+            self._write(pulse.angles[Origin.LEGITIMATE], 0.5)
         return pulse
 
     def observe_announcement(self, announcement):

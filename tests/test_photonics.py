@@ -46,10 +46,13 @@ class TestCanonialization:
 
 
 def _pulse(polarizations, origins=None) -> Pulse:
-    """A batch of one round whose pulse holds the given photons."""
+    """A batch of single-photon rounds: round i holds one photon at
+    ``polarizations[i]`` with origin ``origins[i]`` (legitimate by default)."""
     n = len(polarizations)
     origins = np.zeros(n, np.int8) if origins is None else np.asarray(origins, np.int8)
-    return Pulse(np.asarray(polarizations, float), origins, np.zeros(n, np.intp), 1)
+    table = np.asarray(polarizations, float)
+    angles = tuple(table if (origins == code).any() else None for code in Origin)
+    return Pulse(np.arange(n, dtype=np.int32), origins, angles, n)
 
 
 def rotate(state: float, delta: float) -> float:
@@ -269,16 +272,47 @@ class TestBatch:
             assert photon == pytest.approx(expected[owner])
 
     def test_merged_keeps_rounds_contiguous_and_in_order(self):
-        first = Pulse(np.array([0.1, 0.2, 0.3]), np.zeros(3, np.int8), np.array([0, 0, 2]), 3)
+        first = Pulse(
+            np.array([0, 0, 2], np.int32), np.zeros(3, np.int8),
+            (np.array([0.1, 0.2, 0.3]), None, None), 3,
+        )
         second = single_photon_pulse(np.array([1.0, 1.1, 1.2])).tagged(
             Origin.TROJAN_INJECTED
         )
         merged = first.merged(second)
         assert merged.owner.tolist() == [0, 0, 0, 1, 2, 2]
-        assert merged.photons.tolist() == pytest.approx([0.1, 0.2, 1.0, 1.1, 0.3, 1.2])
+        assert merged.photons.tolist() == pytest.approx([0.1, 0.1, 1.0, 1.1, 0.3, 1.2])
         assert merged.origin.tolist() == [0, 0, 1, 1, 0, 1]
         assert merged.counts.tolist() == [3, 1, 2]
         assert merged.leading().tolist() == [True, False, False, True, True, False]
+
+    def test_merged_scatters_one_origin_on_disjoint_rounds(self):
+        source = single_photon_pulse(np.array([0.1, 0.2, 0.3]))
+        resent = single_photon_pulse(np.array([1.0, 1.1, 1.2])).rotated(0.5)
+        merged = source.take(np.array([0, 2])).merged(resent.take(np.array([1])))
+        assert merged.owner.tolist() == [0, 1, 2]
+        assert merged.photons.tolist() == pytest.approx([0.1, 1.6, 0.3])
+        assert merged.origin.tolist() == [0, 0, 0]
+        assert not merged.angles[Origin.LEGITIMATE].flags.writeable
+
+    def test_merged_refuses_two_angles_for_one_round_and_origin(self):
+        pulse = single_photon_pulse(np.array([0.1, 0.2]))
+        other = single_photon_pulse(np.array([0.3, 0.4])).take(np.array([1]))
+        with pytest.raises(ValueError, match="origin 0 in one round"):
+            pulse.merged(other)
+        # other origins in the same rounds merge
+        probes = other.tagged(Origin.TROJAN_INJECTED)
+        assert pulse.merged(probes).photons.tolist() == pytest.approx([0.1, 0.2, 0.4])
+
+    def test_tagged_refuses_two_origins(self):
+        probes = single_photon_pulse(np.array([0.3, 0.4])).tagged(Origin.TROJAN_INJECTED)
+        pulse = single_photon_pulse(np.array([0.1, 0.2])).merged(probes)
+        with pytest.raises(ValueError, match="several origins"):
+            pulse.tagged(Origin.EVE_REPLAYED)
+        # a batch that still carries both tables, but photons of one origin
+        legit = pulse.take(pulse.origin == Origin.LEGITIMATE).tagged(Origin.EVE_REPLAYED)
+        assert legit.origin.tolist() == [Origin.EVE_REPLAYED] * 2
+        assert legit.photons.tolist() == pytest.approx([0.1, 0.2])
 
     def test_make_pulse_sorts_photons_by_round(self):
         pulse = make_pulse(np.linspace(0.0, 3.0, 1000), 2.0, np.random.default_rng(23))

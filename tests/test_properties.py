@@ -5,8 +5,8 @@ never acts (``attack_probability = 0``) leaves the session bit-identical
 to the honest one. Every report passes its own consistency check, its
 totals do not depend on the order of the trials, and any JSON config
 either loads or is rejected with a ``ConfigError``. The pulse kernels
-(``take``, ``split``, ``merged``, ``rotated``, ``attenuated``, ``leading``
-and the adversary's split-off partition), ``canon``, the float32-screened
+(``take``, ``split``, ``merged``, ``tagged``, ``rotated``, ``attenuated``,
+``leading`` and the adversary's split-off partition), ``canon``, the float32-screened
 ``measure``, Bob's decode and Alice's encode equal a plain reference on
 generated input. The examples are derandomized, so every run checks the
 same inputs.
@@ -17,6 +17,7 @@ from collections import Counter
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -185,19 +186,34 @@ def test_any_json_config_loads_or_raises_config_error(doc, tmp_path_factory):
 
 
 @st.composite
-def pulses(draw, rounds: int) -> Pulse:
+def pulses(draw, rounds: int, taken=frozenset()) -> Pulse:
     """A batch over `rounds` rounds with 0-3 photons each, so vacuum rounds
-    and photon-free batches occur; owners come out sorted. Its columns are
-    read-only, so a kernel that writes into its input raises."""
+    and photon-free batches occur; owners come out sorted. One angle is
+    drawn per (origin, round), which all photons of that pair share; a
+    (round, origin) pair in `taken` gets no photon, and an origin without
+    photons may still carry a table. Its arrays are read-only, so a kernel
+    that writes into its input raises."""
     counts = draw(st.lists(st.integers(0, 3), min_size=rounds, max_size=rounds))
     owner = [j for j, c in enumerate(counts) for _ in range(c)]
     n = len(owner)
-    photons = draw(st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n))
     origin = draw(st.lists(st.sampled_from(list(Origin)), min_size=n, max_size=n))
+    kept = [(j, int(o)) for j, o in zip(owner, origin) if (j, o) not in taken]
+    present = {o for _, o in kept}
+    angles = []
+    for code in Origin:
+        table = draw(st.lists(st.floats(-10.0, 10.0), min_size=rounds, max_size=rounds))
+        spare = draw(st.booleans())
+        used = code in present or spare
+        angles.append(_read_only(np.array(table, float)) if used else None)
     return Pulse(
-        _read_only(np.array(photons, float)), _read_only(np.array(origin, np.int8)),
-        _read_only(np.array(owner, np.int32)), rounds,
+        _read_only(np.array([j for j, _ in kept], np.int32)),
+        _read_only(np.array([o for _, o in kept], np.int8)), tuple(angles), rounds,
     )
+
+
+def _cells(pulse: Pulse) -> frozenset:
+    """The (round, origin) pairs that hold photons."""
+    return frozenset(zip(pulse.owner.tolist(), pulse.origin.tolist()))
 
 
 def _read_only(values: np.ndarray) -> np.ndarray:
@@ -214,7 +230,10 @@ def _rows(pulse: Pulse) -> list[tuple]:
 @given(data=st.data(), rounds=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
 def test_pulse_kernels_match_reference(data, rounds, seed):
     pulse = data.draw(pulses(rounds))
-    other = data.draw(pulses(rounds))
+    # Either a batch clear of the first one's (round, origin) pairs, which
+    # `merged` accepts, or one drawn freely, which it refuses on a clash.
+    clash = data.draw(st.booleans())
+    other = data.draw(pulses(rounds, taken=frozenset() if clash else _cells(pulse)))
     rows = _rows(pulse)
     mask = _read_only(np.array(
         data.draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows))), bool
@@ -233,11 +252,22 @@ def test_pulse_kernels_match_reference(data, rounds, seed):
     assert [checked(half) for half in pulse.split(mask)] == [kept, rest]
 
     other_rows = _rows(other)
-    assert checked(pulse.merged(other)) == [
-        r
-        for j in range(rounds)
-        for r in [r for r in rows if r[2] == j] + [r for r in other_rows if r[2] == j]
-    ]
+    if _cells(pulse) & _cells(other):
+        with pytest.raises(ValueError):
+            pulse.merged(other)
+    else:
+        assert checked(pulse.merged(other)) == [
+            r
+            for j in range(rounds)
+            for r in [r for r in rows if r[2] == j] + [r for r in other_rows if r[2] == j]
+        ]
+
+    code = data.draw(st.sampled_from(list(Origin)))
+    if len({o for _, o, _ in rows}) > 1:
+        with pytest.raises(ValueError):
+            pulse.tagged(code)
+    else:
+        assert checked(pulse.tagged(code)) == [(p, code, j) for p, _, j in rows]
 
     delta = data.draw(st.lists(st.floats(-10.0, 10.0), min_size=rounds, max_size=rounds))
     assert checked(pulse.rotated(_read_only(np.array(delta)))) == [

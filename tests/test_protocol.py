@@ -231,7 +231,8 @@ class TestBobDecode:
         rng = np.random.default_rng(12)
         phi = 0.2
         state = phi + PI / 4 + PI / 2  # k = 0 on a matched round
-        pulse = Pulse(np.full(4, state), np.zeros(4, np.int8), np.zeros(4, np.intp), 1)
+        angles = (np.full(1, state), None, None)
+        pulse = Pulse(np.zeros(4, np.int32), np.zeros(4, np.int8), angles, 1)
         outcome, received = bob_decode(pulse, _one(phi), rng)
         assert received[0] == 4 and outcome[0] == 1
 
@@ -239,7 +240,8 @@ class TestBobDecode:
         # 20 photons halfway between the analyzer axes: all 20 outcomes
         # agree with probability 2^-19, else the round has no outcome
         rng = np.random.default_rng(13)
-        pulse = Pulse(np.zeros(20), np.zeros(20, np.int8), np.zeros(20, np.intp), 2)
+        angles = (np.zeros(2), None, None)
+        pulse = Pulse(np.zeros(20, np.int32), np.zeros(20, np.int8), angles, 2)
         outcome, received = bob_decode(pulse, np.zeros(2), rng)
         assert received.tolist() == [20, 0] and outcome.tolist() == [-1, -1]
 
