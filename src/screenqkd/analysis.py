@@ -72,38 +72,31 @@ FLAT_COLUMNS = (
     "verdict",
 )
 
-# The rates of a report's "metrics" block: ExperimentReport properties,
-# each in [0, 1] or None.
-METRICS = (
-    "sift_rate",
-    "qber",
-    "ad_violation_rate",
-    "ad_violation_rate_injected",
-    "eve_accuracy",
-    "eve_key_accuracy",
-    "eve_accuracy_analyzing",
-    "eve_accuracy_non_analyzing",
-    "conclusive_rate",
-)
+# The rates of a report's "metrics" block, in its order: each is
+# part/whole of two TrialCounts counters, or None when the whole is 0.
+RATES = {
+    "sift_rate": ("matched", "rounds"),
+    "qber": ("qber_errors", "sifted_bits"),
+    "ad_violation_rate": ("ad_violations", "ad_clicks"),
+    "ad_violation_rate_injected": ("ad_injected_violations", "ad_injected_clicks"),
+    "eve_accuracy": ("eve_correct", "eve_guesses"),
+    "eve_key_accuracy": ("eve_key_correct", "eve_key_guesses"),
+    "eve_accuracy_analyzing": ("eve_analyzing_correct", "eve_analyzing_guesses"),
+    "eve_accuracy_non_analyzing": ("eve_non_analyzing_correct", "eve_non_analyzing_guesses"),
+    "conclusive_rate": ("beamsplit_conclusive", "beamsplit_reported"),
+}
 
-# (part, whole): TrialCounts fields where every counted event of the part
-# is also one of the whole.
+# (part, whole): TrialCounts counters where every counted event of the part
+# is also one of the whole. Every rate is such a pair.
 PART_OF = (
-    ("matched", "rounds"),
     ("sifted_bits", "matched"),
-    ("qber_errors", "sifted_bits"),
-    ("ad_violations", "ad_clicks"),
     ("ad_injected_clicks", "ad_clicks"),
-    ("ad_injected_violations", "ad_injected_clicks"),
     ("ad_injected_violations", "ad_violations"),
-    ("eve_correct", "eve_guesses"),
     ("eve_key_guesses", "eve_guesses"),
-    ("eve_key_correct", "eve_key_guesses"),
     ("eve_key_correct", "eve_correct"),
     ("eve_analyzing_guesses", "eve_guesses"),
-    ("eve_analyzing_correct", "eve_analyzing_guesses"),
     ("eve_analyzing_correct", "eve_correct"),
-    ("beamsplit_conclusive", "beamsplit_reported"),
+    *RATES.values(),
 )
 
 CURVE_COLUMNS = (
@@ -128,7 +121,11 @@ def ie_sum(n: int) -> float:
 
 @dataclass
 class TrialCounts:
-    """Order-independent counters extracted from one session transcript."""
+    """Order-independent counters extracted from one session transcript.
+
+    The two ``eve_non_analyzing_*`` counters are derived from the fields,
+    so ``asdict`` leaves them out of the report.
+    """
 
     rounds: int = 0
     matched: int = 0
@@ -148,6 +145,14 @@ class TrialCounts:
     beamsplit_conclusive: int = 0
     verdict: str = Verdict.ACCEPTED.value
 
+    @property
+    def eve_non_analyzing_guesses(self) -> int:
+        return self.eve_guesses - self.eve_analyzing_guesses
+
+    @property
+    def eve_non_analyzing_correct(self) -> int:
+        return self.eve_correct - self.eve_analyzing_correct
+
 
 def _count(mask: np.ndarray) -> int:
     return int(np.count_nonzero(mask))
@@ -155,6 +160,14 @@ def _count(mask: np.ndarray) -> int:
 
 def _ratio(num: int, den: int) -> Optional[float]:
     return num / den if den else None
+
+
+def rates(counts: TrialCounts) -> dict[str, Optional[float]]:
+    """Each rate of `RATES` over `counts`, in its order."""
+    return {
+        name: _ratio(getattr(counts, part), getattr(counts, whole))
+        for name, (part, whole) in RATES.items()
+    }
 
 
 def _packed(bits) -> np.ndarray:
@@ -275,50 +288,13 @@ class ExperimentReport:
         return {v.value: sum(c.verdict == v.value for c in self.per_trial) for v in Verdict}
 
     @property
-    def sift_rate(self) -> float:
-        """Matched-round fraction; the key-rate law says this is ~ 1/N."""
-        return self.totals.matched / self.totals.rounds
-
-    @property
-    def qber(self) -> Optional[float]:
-        return _ratio(self.totals.qber_errors, self.totals.sifted_bits)
-
-    @property
-    def ad_violation_rate(self) -> Optional[float]:
-        return _ratio(self.totals.ad_violations, self.totals.ad_clicks)
-
-    @property
-    def ad_violation_rate_injected(self) -> Optional[float]:
-        return _ratio(self.totals.ad_injected_violations, self.totals.ad_injected_clicks)
-
-    @property
-    def eve_accuracy(self) -> Optional[float]:
-        return _ratio(self.totals.eve_correct, self.totals.eve_guesses)
-
-    @property
-    def eve_key_accuracy(self) -> Optional[float]:
-        return _ratio(self.totals.eve_key_correct, self.totals.eve_key_guesses)
-
-    @property
-    def eve_accuracy_analyzing(self) -> Optional[float]:
-        return _ratio(self.totals.eve_analyzing_correct, self.totals.eve_analyzing_guesses)
-
-    @property
-    def eve_accuracy_non_analyzing(self) -> Optional[float]:
-        guesses = self.totals.eve_guesses - self.totals.eve_analyzing_guesses
-        correct = self.totals.eve_correct - self.totals.eve_analyzing_correct
-        return _ratio(correct, guesses)
-
-    @property
-    def conclusive_rate(self) -> Optional[float]:
-        return _ratio(self.totals.beamsplit_conclusive, self.totals.beamsplit_reported)
+    def metrics(self) -> dict[str, Optional[float]]:
+        """The rates of `RATES` over the totals."""
+        return rates(self.totals)
 
     def validate(self) -> None:
-        """Check every rate lies in [0, 1] and every part <= whole count."""
-        for name in METRICS:
-            rate = getattr(self, name)
-            if rate is not None and not 0.0 <= rate <= 1.0:
-                raise ValueError(f"rate out of [0, 1]: {name} = {rate}")
+        """Check every part <= whole count of `PART_OF`, which bounds every
+        rate to [0, 1]."""
         t = self.totals
         for part, whole in PART_OF:
             num, den = getattr(t, part), getattr(t, whole)
@@ -351,7 +327,7 @@ class ExperimentReport:
             "theory": {
                 "matching_prob": 1.0 / n, "ie_sum": ie_total, "ie_mean": ie_total / n
             },
-            "metrics": {name: getattr(self, name) for name in METRICS},
+            "metrics": self.metrics,
         }
 
 
@@ -417,7 +393,8 @@ def security_curve(
         eps = rate_law_epsilon
         if eps is None:
             eps = 3.0 * math.sqrt(max(n - 1, 1) / total_rounds)
-        scaled = report.sift_rate * n
+        metrics = report.metrics
+        scaled = metrics["sift_rate"] * n
         if abs(scaled - 1.0) > eps:
             raise ValueError(
                 f"key-rate law violated at N={n}: sift_rate*N={scaled:.4f} "
@@ -426,10 +403,10 @@ def security_curve(
         curve.append(
             {
                 "N": n,
-                "sift_rate": report.sift_rate,
-                "qber_under_attack": report.qber,
-                "conclusive_rate": report.conclusive_rate,
-                "ad_violation_rate": report.ad_violation_rate,
+                "sift_rate": metrics["sift_rate"],
+                "qber_under_attack": metrics["qber"],
+                "conclusive_rate": metrics["conclusive_rate"],
+                "ad_violation_rate": metrics["ad_violation_rate"],
             }
         )
         reports[n] = report
@@ -449,7 +426,7 @@ def flat_rows(report: ExperimentReport, attack: str) -> list[dict]:
     trial alone."""
     rows = []
     for i, c in enumerate(report.per_trial):
-        trial = ExperimentReport(report.params, [c], [])
+        trial = rates(c)
         rows.append(
             {
                 "trial": i,
@@ -458,14 +435,14 @@ def flat_rows(report: ExperimentReport, attack: str) -> list[dict]:
                 "attack": attack,
                 "rounds": c.rounds,
                 "sifted_bits": c.sifted_bits,
-                "matched_rate": trial.sift_rate,
-                "qber": trial.qber,
+                "matched_rate": trial["sift_rate"],
+                "qber": trial["qber"],
                 "ad_clicks": c.ad_clicks,
                 "ad_violations": c.ad_violations,
-                "ad_violation_rate": trial.ad_violation_rate,
+                "ad_violation_rate": trial["ad_violation_rate"],
                 "eve_guesses": c.eve_guesses,
                 "eve_correct": c.eve_correct,
-                "eve_accuracy": trial.eve_accuracy,
+                "eve_accuracy": trial["eve_accuracy"],
                 "verdict": c.verdict,
             }
         )

@@ -252,28 +252,30 @@ def _print_summary(label: str, report: ExperimentReport) -> None:
     def fmt(x: Optional[float]) -> str:
         return "absent" if x is None else f"{x:.6f}"
 
+    m = report.metrics
     print(f"[{label}] rounds={report.totals.rounds} trials={len(report.per_trial)}")
-    print(f"  sift_rate={report.sift_rate:.6f}  sifted_bits={report.totals.sifted_bits}")
-    print(f"  qber={fmt(report.qber)}")
+    print(f"  sift_rate={m['sift_rate']:.6f}  sifted_bits={report.totals.sifted_bits}")
+    print(f"  qber={fmt(m['qber'])}")
     print(
         f"  ad_clicks={report.totals.ad_clicks}"
-        f"  ad_violation_rate={fmt(report.ad_violation_rate)}"
-        f"  injected={fmt(report.ad_violation_rate_injected)}"
+        f"  ad_violation_rate={fmt(m['ad_violation_rate'])}"
+        f"  injected={fmt(m['ad_violation_rate_injected'])}"
     )
     print(
         f"  eve_guesses={report.totals.eve_guesses}"
-        f"  eve_accuracy={fmt(report.eve_accuracy)}"
-        f"  key_accuracy={fmt(report.eve_key_accuracy)}"
+        f"  eve_accuracy={fmt(m['eve_accuracy'])}"
+        f"  key_accuracy={fmt(m['eve_key_accuracy'])}"
     )
-    if report.conclusive_rate is not None:
-        print(f"  conclusive_rate={report.conclusive_rate:.6f}")
+    if m["conclusive_rate"] is not None:
+        print(f"  conclusive_rate={m['conclusive_rate']:.6f}")
     print(f"  verdicts={report.verdicts}")
 
 
 def _honest_assertions(report: ExperimentReport) -> list[str]:
     failures = []
-    if report.qber not in (None, 0.0):
-        failures.append(f"honest run produced nonzero QBER: {report.qber}")
+    qber = report.metrics["qber"]
+    if qber not in (None, 0.0):
+        failures.append(f"honest run produced nonzero QBER: {qber}")
     if report.totals.ad_violations:
         failures.append(
             f"honest run produced {report.totals.ad_violations} AD integrity violations"

@@ -1,7 +1,7 @@
 """The paper's claims, one row each: its text (from PAPER.md or the README
 attack table), its (ProtocolParams, AttackConfig) points with their
-acceptance seeds, and its statistics, each a rate hits/total of two report
-counters with its oracle and bound (criteria 1 and 8 are exact predicates).
+acceptance seeds, and its statistics, each a rate of analysis.RATES with its
+oracle and bound (criteria 1 and 8 are exact predicates).
 tests/test_acceptance.py checks each row at its acceptance seeds and
 tests/test_signatures.py at its `pooled` and `per_case` seeds. A new claim
 is a new row. To print one reproduction line per claim:
@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple, Optional
 
 from screenqkd.adversary import AttackConfig
-from screenqkd.analysis import ie_sum, run_experiment
+from screenqkd.analysis import RATES, ie_sum, run_experiment
 from screenqkd.cli import main as cli_main
 from screenqkd.protocol import ProtocolParams, Verdict, expected_ad_bit
 from screenqkd.protocol import is_matched, run_session
@@ -33,12 +33,12 @@ SPOT = oracles.replayed_photon_violation(0, 0, math.pi / 6)  # cos^2(pi/6)
 
 
 class Stat(NamedTuple):
-    """hits/total of two TrialCounts fields. It holds when the total is
-    positive and the rate is within `bound` of the oracle (in binomial
-    standard errors if `sigmas`); without an oracle only `also` checks it."""
+    """A rate of analysis.RATES, hits/total of two TrialCounts counters. It
+    holds when the total is positive and the rate is within `bound` of the
+    oracle (in binomial standard errors if `sigmas`); without an oracle only
+    `also` checks it."""
 
-    hits: str
-    total: str
+    rate: str
     oracle: Optional[Callable[[ProtocolParams, AttackConfig], float]] = None
     bound: float = 0.0
     sigmas: bool = False
@@ -55,7 +55,7 @@ class Rate(NamedTuple):
 
 
 def _rate(params: ProtocolParams, attack: AttackConfig, stat: Stat, totals) -> Rate:
-    hits, total = getattr(totals, stat.hits), getattr(totals, stat.total)
+    hits, total = (getattr(totals, name) for name in RATES[stat.rate])
     value = hits / total if total else math.nan
     oracle = stat.oracle(params, attack) if stat.oracle else None
     if not total or oracle is None:
@@ -77,7 +77,7 @@ class Claim:
     detail: Callable[[list[Rate]], str] = lambda rates: ""
     exact: Optional[Callable[["Claim", Path], tuple[bool, str]]] = None
     trials: int = 1
-    pooled: tuple = ()  # (name, label, seeds) of the pooled check of stats[0]
+    pooled: tuple = ()  # (name, label, seeds) of the pooled check of the stats
     per_case: tuple = ()  # (label, seeds) of the per-case probe AD check
 
 
@@ -96,7 +96,7 @@ def check(claim: Claim, tmp: Path, reproduce: bool = False) -> tuple[bool, str, 
     if not reproduce:
         return ok, label, claim.detail(rates)
     return ok, label, "; ".join(
-        f"N={r.params.n_screening} seed={r.params.seed}: {r.stat.hits}/{r.stat.total}"
+        f"N={r.params.n_screening} seed={r.params.seed}: {'/'.join(RATES[r.stat.rate])}"
         f" = {r.hits}/{r.total} = {r.value:.4f}" + ("" if r.oracle is None else
         f" vs oracle {r.oracle:.4f}, z={z_score(r.hits, r.total, r.oracle):+.2f}")
         for r in rates
@@ -162,7 +162,7 @@ CLAIMS = (
         2, "key_rate_law", "key-rate law 1/N",
         "A fraction 1/N of rounds match, so the key rate scales as 1/N.",
         points=tuple((_params(n), AttackConfig()) for n in (1, 2, 3, 5, 10)),
-        stats=(Stat("matched", "rounds",
+        stats=(Stat("sift_rate",
                     lambda p, a: oracles.matched_fraction(p.n_screening), 3, True),),
         also=lambda rs: abs(rs[1].value - 0.5) <= 0.005,  # at N = 2
         detail=lambda rs: "; ".join(f"N={r.params.n_screening}: {r.value:.4f} "
@@ -173,8 +173,7 @@ CLAIMS = (
         3, "impersonation_detectability", "impersonation QBER",
         "impersonation (full three-leg intercept-resend): QBER >= 0.5 on sifted bits.",
         points=((_params(transmission=1.0), AttackConfig(strategy="impersonation")),),
-        stats=(Stat("qber_errors", "sifted_bits",
-                    lambda p, a: oracles.impersonation_qber(p.n_screening), 0.01),),
+        stats=(Stat("qber", lambda p, a: oracles.impersonation_qber(p.n_screening), 0.01),),
         also=lambda rs: rs[0].value >= 0.5 - 0.01 and abs(ie_sum(2) - 1.0) <= 1e-12
             and all(abs(ie_sum(n) - n / 2) <= 1e-12 for n in range(1, 65)),
         detail=lambda rs: f"qber={rs[0].value:.4f} vs oracle={rs[0].oracle:.4f} on "
@@ -188,10 +187,10 @@ CLAIMS = (
         points=((_params(p_analyzing=0.5, mode="pulse", mean_photons=2.0),
                  AttackConfig(strategy="pns_trojan", eve_tap_fraction=1.0)),),
         stats=(
-            Stat("ad_injected_violations", "ad_injected_clicks",
+            Stat("ad_violation_rate_injected",
                  lambda p, a: oracles.composite_ad_violation(p.n_screening), 0.01),
-            Stat("qber_errors", "sifted_bits", lambda p, a: 0.0),
-            Stat("eve_correct", "eve_guesses", lambda p, a: 1.0),
+            Stat("qber", lambda p, a: 0.0),
+            Stat("eve_accuracy", lambda p, a: 1.0),
         ),
         also=lambda rs: rs[0].value > 0.3 and abs(SPOT - 0.75) <= 1e-12,
         detail=lambda rs: f"qber={rs[1].value} exactly, probe ad_violation_rate="
@@ -199,7 +198,7 @@ CLAIMS = (
             f"clicks (spot case cos^2(pi/6)={SPOT:.2f}), eve_accuracy={rs[2].value} on "
             f"{rs[2].total} captured rounds",
         trials=3,
-        pooled=("probe_ad_violation", "probe AD violation rate", range(40)),
+        pooled=("probe_ad_violation", "probe AD violation rate, QBER and accuracy", range(40)),
         per_case=("probe AD violation", range(80)),
     ),
     Claim(
@@ -209,14 +208,15 @@ CLAIMS = (
         points=((_params(p_analyzing=0.5, transmission=0.3),
                  AttackConfig(strategy="standard_state", eve_tap_fraction=1.0)),),
         stats=(
-            Stat("ad_injected_violations", "ad_injected_clicks",
+            Stat("ad_violation_rate_injected",
                  lambda p, a: oracles.standard_state_ad_violation(p.n_screening), 0.01),
-            Stat("eve_correct", "eve_guesses",
+            Stat("eve_accuracy",
                  lambda p, a: oracles.probe_guess_accuracy(p.n_screening), 0.01),
         ),
         detail=lambda rs: (
             f"probe ad_violation_rate={rs[0].value:.4f} over {rs[0].total} probe "
             f"clicks, eve_accuracy={rs[1].value:.4f} over {rs[1].total} guesses"),
+        pooled=("standard_state", "probe AD violation rate and accuracy", range(10)),
     ),
     Claim(
         6, "simple_trojan_futility", "simple Trojan futility",
@@ -224,17 +224,18 @@ CLAIMS = (
         points=tuple((_params(rounds=50_000, seed=SEED + i), AttackConfig(
             strategy="simple_trojan", trojan_angle=i * math.pi / 8, eve_tap_fraction=1.0,
         )) for i in range(8)),
-        stats=(Stat("eve_correct", "eve_guesses", lambda p, a:
+        stats=(Stat("eve_accuracy", lambda p, a:
                     oracles.probe_guess_accuracy(p.n_screening, a.trojan_angle), 0.01),),
         detail=lambda rs: "eve_accuracy over 8 probe angles: " + ", ".join(
             f"{r.value:.4f}" for r in rs),
+        pooled=("simple_trojan", "accuracy at 8 probe angles", range(10)),
     ),
     Claim(
         7, "pulse_split_suppression_trend", "conclusive-rate suppression in N",
         "pulse_beamsplit: the conclusive rate falls with N.",
         points=tuple((_params(n, transmission=1.0, mode="pulse", mean_photons=2.0),
                       AttackConfig(strategy="pulse_beamsplit")) for n in (2, 3, 5)),
-        stats=(Stat("beamsplit_conclusive", "beamsplit_reported"),),
+        stats=(Stat("conclusive_rate"),),
         also=_falls_with_n,
         detail=lambda rs: "; ".join(
             f"N={r.params.n_screening}: {r.value:.5f}" for r in rs),

@@ -146,7 +146,7 @@ class TestImpersonation:
         # N = 1: the guess is always right, so Eve's accuracy is perfect
         params = _params(n_screening=1, transmission=1.0, rounds=4000, seed=101)
         report, _ = run_experiment(params, AttackConfig(strategy="impersonation"))
-        assert report.eve_accuracy == 1.0
+        assert report.metrics["eve_accuracy"] == 1.0
         assert report.totals.eve_guesses == 4000
 
     def test_qber_matches_enumeration_oracle(self):
@@ -154,8 +154,8 @@ class TestImpersonation:
         report, _ = run_experiment(params, AttackConfig(strategy="impersonation"))
         oracle = oracles.impersonation_qber(2)
         sigma = binom_sigma(oracle, report.totals.sifted_bits)
-        assert report.qber >= 0.5 - 4 * sigma
-        assert abs(report.qber - oracle) <= 4 * sigma
+        assert report.metrics["qber"] >= 0.5 - 4 * sigma
+        assert abs(report.metrics["qber"] - oracle) <= 4 * sigma
 
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_qber_oracle_at_least_ie_mean(self, n):
@@ -168,12 +168,12 @@ class TestImpersonation:
         assert report.totals.ad_violations > 0
         oracle = oracles.impersonation_ad_violation(2)
         sigma = binom_sigma(oracle, report.totals.ad_clicks)
-        assert abs(report.ad_violation_rate - oracle) <= 4 * sigma
+        assert abs(report.metrics["ad_violation_rate"] - oracle) <= 4 * sigma
 
     def test_detected_one_way_or_another(self):
         params = _params(transmission=0.8, p_analyzing=0.4, rounds=20_000, seed=104)
         report, _ = run_experiment(params, AttackConfig(strategy="impersonation"))
-        assert report.qber > 0
+        assert report.metrics["qber"] > 0
         assert report.verdicts["accepted"] == 0
 
     def test_guess_weights_steer_the_basis_choice(self):
@@ -226,7 +226,7 @@ class TestPulseBeamSplit:
                 transmission=1.0, p_analyzing=0.0, rounds=30_000, seed=105,
             )
             report, _ = run_experiment(params, AttackConfig(strategy="pulse_beamsplit"))
-            rates.append(report.conclusive_rate)
+            rates.append(report.metrics["conclusive_rate"])
         assert rates[0] > rates[1] > rates[2]
 
     def test_inconclusive_relays_induce_errors(self):
@@ -235,8 +235,8 @@ class TestPulseBeamSplit:
             p_analyzing=0.0, rounds=20_000, seed=106,
         )
         report, _ = run_experiment(params, AttackConfig(strategy="pulse_beamsplit"))
-        assert report.conclusive_rate < 1.0
-        assert report.qber > 0
+        assert report.metrics["conclusive_rate"] < 1.0
+        assert report.metrics["qber"] > 0
 
     def test_conclusive_identification_is_sound(self):
         # whenever Eve declares a readout conclusive her guess is correct
@@ -281,7 +281,7 @@ class TestPnsTrojanComposite:
             params, AttackConfig(strategy="pns_trojan", eve_tap_fraction=1.0)
         )
         assert report.totals.eve_guesses > 5000
-        assert report.eve_accuracy == 1.0
+        assert report.metrics["eve_accuracy"] == 1.0
 
     def test_qber_exactly_zero(self):
         params = _params(
@@ -292,7 +292,7 @@ class TestPnsTrojanComposite:
             params, AttackConfig(strategy="pns_trojan", eve_tap_fraction=0.5)
         )
         assert report.totals.sifted_bits > 1000
-        assert report.qber == 0.0
+        assert report.metrics["qber"] == 0.0
 
     def test_spot_case_violation_probability(self):
         # tapped probe at k=0, phi*=0, alpha_a=pi/6 violates with cos^2(pi/6)
@@ -310,10 +310,10 @@ class TestPnsTrojanComposite:
         )
         injected_oracle = oracles.composite_ad_violation(2)
         sigma = binom_sigma(injected_oracle, report.totals.ad_injected_clicks)
-        assert abs(report.ad_violation_rate_injected - injected_oracle) <= 4 * sigma
+        assert abs(report.metrics["ad_violation_rate_injected"] - injected_oracle) <= 4 * sigma
         pooled_oracle = oracles.composite_pooled_ad_violation(2, 2.0)
         sigma_pooled = binom_sigma(pooled_oracle, report.totals.ad_clicks)
-        assert abs(report.ad_violation_rate - pooled_oracle) <= 5 * sigma_pooled
+        assert abs(report.metrics["ad_violation_rate"] - pooled_oracle) <= 5 * sigma_pooled
 
     def test_detector_off_maximal_tap(self):
         # AD off and full recapture: Eve reads every injected round's key bit
@@ -325,7 +325,7 @@ class TestPnsTrojanComposite:
             params, AttackConfig(strategy="pns_trojan", eve_tap_fraction=1.0)
         )
         assert report.totals.ad_clicks == 0
-        assert report.eve_accuracy == 1.0
+        assert report.metrics["eve_accuracy"] == 1.0
         expected_injections = 1 - math.exp(-2.0) * 3.0  # P(Poisson(2) >= 2)
         assert report.totals.eve_guesses / 10_000 == pytest.approx(
             expected_injections, abs=4 * binom_sigma(expected_injections, 10_000)
@@ -366,7 +366,7 @@ class TestStandardStateProbe:
         )
         oracle = oracles.probe_guess_accuracy(2)
         sigma = binom_sigma(0.5, report.totals.eve_guesses)
-        assert abs(report.eve_accuracy - oracle) <= 4 * sigma
+        assert abs(report.metrics["eve_accuracy"] - oracle) <= 4 * sigma
 
     def test_ad_violation_half(self):
         params = _params(p_analyzing=0.5, transmission=0.3, rounds=40_000, seed=113)
@@ -375,8 +375,8 @@ class TestStandardStateProbe:
         )
         oracle = oracles.standard_state_ad_violation(2)
         sigma = binom_sigma(oracle, report.totals.ad_injected_clicks)
-        assert abs(report.ad_violation_rate_injected - oracle) <= 4 * sigma
-        assert report.qber == 0.0
+        assert abs(report.metrics["ad_violation_rate_injected"] - oracle) <= 4 * sigma
+        assert report.metrics["qber"] == 0.0
 
     def test_theta_oracle_validates_estimator(self):
         params = _params(transmission=0.5, rounds=5000, seed=114)
@@ -385,7 +385,7 @@ class TestStandardStateProbe:
             AttackConfig(strategy="standard_state", eve_tap_fraction=1.0, theta_oracle=True),
         )
         assert report.totals.eve_guesses > 1000
-        assert report.eve_accuracy == 1.0
+        assert report.metrics["eve_accuracy"] == 1.0
 
 
 class TestSimpleTrojan:
@@ -398,7 +398,7 @@ class TestSimpleTrojan:
             AttackConfig(strategy="simple_trojan", trojan_angle=eta, eve_tap_fraction=1.0),
         )
         sigma = binom_sigma(0.5, report.totals.eve_guesses)
-        assert abs(report.eve_accuracy - 0.5) <= 4 * sigma
+        assert abs(report.metrics["eve_accuracy"] - 0.5) <= 4 * sigma
 
     def test_no_tap_no_guesses(self):
         params = _params(rounds=2000, seed=123)
@@ -412,7 +412,7 @@ class TestSimpleTrojan:
         report, _ = run_experiment(
             params, AttackConfig(strategy="simple_trojan", eve_tap_fraction=1.0)
         )
-        assert report.qber == 0.0
+        assert report.metrics["qber"] == 0.0
         assert report.verdicts["hash_mismatch"] == 0
 
     @pytest.mark.parametrize("eta", HUGE_ANGLES)
@@ -447,7 +447,7 @@ class TestPassivePns:
         report, _ = run_experiment(params, AttackConfig(strategy="passive_pns"))
         guesses = report.totals.eve_guesses - report.totals.eve_analyzing_guesses
         sigma = binom_sigma(0.5, guesses)
-        assert abs(report.eve_accuracy_non_analyzing - 0.5) <= 4 * sigma
+        assert abs(report.metrics["eve_accuracy_non_analyzing"] - 0.5) <= 4 * sigma
 
     def test_analyzing_rounds_with_stored_final_photon_read_key(self):
         # phi = phi* is public there; with a stored final-leg photon the
@@ -473,7 +473,7 @@ class TestPassivePns:
             rounds=20_000, seed=128,
         )
         report, _ = run_experiment(params, AttackConfig(strategy="passive_pns"))
-        assert report.qber == 0.0
+        assert report.metrics["qber"] == 0.0
         assert report.totals.ad_violations == 0
         assert report.verdicts["accepted"] == len(report.per_trial)
 
@@ -484,7 +484,7 @@ class TestPassivePns:
         )
         report, _ = run_experiment(params, AttackConfig(strategy="passive_pns"))
         sigma = binom_sigma(0.5, report.totals.eve_key_guesses)
-        assert report.eve_key_accuracy <= 0.5 + 3 * sigma
+        assert report.metrics["eve_key_accuracy"] <= 0.5 + 3 * sigma
 
 
 def test_relaying_attacks_always_leave_a_trace():

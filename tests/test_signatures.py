@@ -2,22 +2,22 @@
 
 An acceptance test checks its claim at one seed, so a correct engine whose
 draw order changes can fail it by chance. For each row of tests/claims.py
-with `pooled` seeds, the counts of its first statistic are pooled over those
-seeds and checked against its oracle at |z| <= 5, which tells a biased
-engine from an unlucky seed; `per_case` seeds check each (alpha_a, k, phi*)
-case of the probe AD violations. Each prints one pass/fail line with every
-z-score, and none replaces an acceptance test:
+with `pooled` seeds, the counts of each statistic with an oracle are pooled
+over those seeds and checked against the oracle at |z| <= 5, which tells a
+biased engine from an unlucky seed; `per_case` seeds check each
+(alpha_a, k, phi*) case of the probe AD violations. Each prints one
+pass/fail line with every z-score, and none replaces an acceptance test:
 
     pytest tests/test_signatures.py -v -s
 """
 
 import functools
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 from scipy.stats import chi2
 
-from screenqkd.analysis import run_experiment
+from screenqkd.analysis import RATES, run_experiment
 from screenqkd.photonics import PI, Origin
 
 import oracles
@@ -49,18 +49,28 @@ def _session(params, attack):
     )
 
 
+def _point_names(points):
+    """Name each point by the fields, seed aside, in which the row's points
+    differ; a one-point row's point is unnamed."""
+    values = [asdict(params) | asdict(attack) for params, attack in points]
+    keys = [k for k in values[0]
+            if k != "seed" and any(v[k] != values[0][k] for v in values)]
+    return [", ".join(f"{k}={v[k]:.4g}" for k in keys) for v in values]
+
+
 def _pooled(claim):
     _, label, seeds = claim.pooled
-    stat, z_scores, parts = claim.stats[0], [], []
-    for params, attack in claim.points:
+    stats = [stat for stat in claim.stats if stat.oracle]
+    z_scores, parts = [], []
+    for (params, attack), name in zip(claim.points, _point_names(claim.points)):
         totals = [_session(replace(params, seed=s), attack)[0] for s in seeds]
-        hits, total = (sum(getattr(t, name) for t in totals) for name in stat[:2])
-        oracle = stat.oracle(params, attack)
-        z_scores.append(z_score(hits, total, oracle))
-        parts.append(f"N={params.n_screening}: z={z_scores[-1]:+.2f}"
-                     if len(claim.points) > 1 else
-                     f"{hits}/{total} = {hits / total:.4f} vs oracle={oracle:.4f}, "
-                     f"z={z_scores[-1]:+.2f}")
+        for stat in stats:
+            hits, total = (sum(getattr(t, field) for t in totals)
+                           for field in RATES[stat.rate])
+            oracle = stat.oracle(params, attack)
+            z_scores.append(z_score(hits, total, oracle))
+            parts.append(f"{name + ': ' if name else ''}{stat.rate} {hits}/{total} = "
+                         f"{hits / total:.4f} vs oracle={oracle:.4f}, z={z_scores[-1]:+.2f}")
     pass_fail(
         all(abs(z) <= Z_MAX for z in z_scores),
         f"criterion {claim.criterion} pooled ({label}, seeds {seeds[0]}-{seeds[-1]})",
