@@ -113,6 +113,23 @@ class TestExperimentReport:
                 assert 0.0 <= value <= 1.0
 
     @pytest.mark.parametrize(
+        "name,doctored",
+        [
+            # 5 correct of 3 analyzing guesses: accuracy 5/3
+            ("eve_accuracy_analyzing", {"eve_correct": 5, "eve_analyzing_correct": 5}),
+            # 3 analyzing rounds correct of 2 overall: accuracy (2 - 3)/(10 - 3)
+            ("eve_accuracy_non_analyzing", {"eve_correct": 2, "eve_analyzing_correct": 3}),
+        ],
+    )
+    def test_validate_rejects_doctored_eve_accuracy(self, name, doctored):
+        counts = TrialCounts(rounds=100, eve_guesses=10, eve_analyzing_guesses=3, **doctored)
+        report = ExperimentReport(_params(), [counts], [])
+        assert not 0.0 <= report.metrics[name] <= 1.0
+        # the rate is out of range only because some part exceeds its whole
+        with pytest.raises(ValueError, match=r"0 <= \w+ <= \w+ fails"):
+            report.validate()
+
+    @pytest.mark.parametrize(
         "part,whole,doctored",
         [
             ("sifted_bits", "matched", dict(matched=5, sifted_bits=6)),
