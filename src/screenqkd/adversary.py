@@ -48,7 +48,7 @@ class AttackConfig:
     her own probe photon on the final leg; ``trojan_angle`` is the probe
     polarization for the simple Trojan; ``theta_oracle`` enables the
     counterfactual estimator validation mode of the standard-state strategy, in
-    which the harness feeds Eve the true theta values after the fact. A knob
+    which Eve reads the true theta values (see :class:`SimpleTrojan`). A knob
     other than its default is accepted only by the strategies whose row of
     :data:`STRATEGY_TABLE` lists it.
     """
@@ -284,16 +284,6 @@ class _ProbeCaptureAttack(_BaseAttack):
         self.storage = beam_split(probes, self.config.eve_tap_fraction, rng)[0]
         return rest
 
-    def set_counterfactual_thetas(self, thetas: np.ndarray) -> None:
-        """Counterfactual validation hook; only used when theta_oracle is set.
-
-        Shifts each stored probe by its round's true theta (``thetas`` is
-        indexed by round id), which cancels the -theta that Alice's unitary
-        imprinted on it.
-        """
-        if self.storage is not None:
-            self.storage = self.storage.rotated(np.asarray(thetas)[self._round_ids])
-
     def _read_storage(self, announcement: Announcement) -> Guesses:
         """Measure each recaptured probe in (alpha_a + pi/4, alpha_a - pi/4)."""
         rounds = self._round_ids[self.storage.owner]
@@ -331,18 +321,29 @@ class SimpleTrojan(_ProbeCaptureAttack):
     information for every eta. ``standard_state`` is the case eta = 0
     (`AttackConfig` holds ``trojan_angle`` at 0 for it): a fixed standard
     state instead of a split photon, whose post-announcement estimate of
-    k is a coin flip. With ``theta_oracle`` the harness hands Eve the true
-    theta values afterwards, which degenerates the estimator to a perfect
-    one and validates its implementation.
+    k is a coin flip. With ``theta_oracle`` Eve keeps the leg-1 table of
+    the legitimate photons' angles, which is Alice's theta array itself,
+    and rotates each stored probe by its round's theta before reading it.
+    That cancels the -theta Alice's unitary imprinted, degenerates the
+    estimator to a perfect one and so validates its implementation.
     """
 
+    _thetas: Optional[np.ndarray] = None  # kept on leg 1 with theta_oracle
+
     def _act(self, leg: Leg, pulse: Pulse, rng: np.random.Generator) -> Pulse:
+        if leg is Leg.ALICE_TO_BOB_1:
+            if self.config.theta_oracle:
+                self._thetas = pulse.angles[Origin.LEGITIMATE]
+            return pulse
         if leg is Leg.BOB_TO_ALICE:
             probes = single_photon_pulse(np.full(pulse.rounds, self.config.trojan_angle))
             return pulse.merged(probes.take(self._active).tagged(Origin.TROJAN_INJECTED))
-        if leg is Leg.ALICE_TO_BOB_2:
-            return self._capture_probe(pulse, rng)
-        return pulse
+        return self._capture_probe(pulse, rng)
+
+    def _read_storage(self, announcement: Announcement) -> Guesses:
+        if self._thetas is not None:
+            self.storage = self.storage.rotated(self._thetas)
+        return super()._read_storage(announcement)
 
 
 class PassivePns(_BaseAttack):

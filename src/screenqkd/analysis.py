@@ -35,7 +35,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -53,24 +53,6 @@ from .protocol import (
 )
 
 SCHEMA_VERSION = "4"
-
-FLAT_COLUMNS = (
-    "trial",
-    "N",
-    "mode",
-    "attack",
-    "rounds",
-    "sifted_bits",
-    "matched_rate",
-    "qber",
-    "ad_clicks",
-    "ad_violations",
-    "ad_violation_rate",
-    "eve_guesses",
-    "eve_correct",
-    "eve_accuracy",
-    "verdict",
-)
 
 # The rates of a report's "metrics" block, in its order: each is
 # part/whole of two TrialCounts counters, or None when the whole is 0.
@@ -97,14 +79,6 @@ PART_OF = (
     ("eve_analyzing_guesses", "eve_guesses"),
     ("eve_analyzing_correct", "eve_correct"),
     *RATES.values(),
-)
-
-CURVE_COLUMNS = (
-    "N",
-    "sift_rate",
-    "qber_under_attack",
-    "conclusive_rate",
-    "ad_violation_rate",
 )
 
 
@@ -340,11 +314,7 @@ def run_trial(
     """Run one session; reduce it to counters plus an audit summary."""
     interceptor = build_interceptor(attack, params)
     transcript = run_session(params, interceptor, trial=trial)
-    guesses = Guesses()
-    if interceptor is not None:
-        if attack.theta_oracle:
-            interceptor.set_counterfactual_thetas(transcript.rounds.theta)
-        guesses = interceptor.produce_guesses()
+    guesses = Guesses() if interceptor is None else interceptor.produce_guesses()
     counts = score_trial(transcript, guesses)
     summary = SessionSummary.from_transcript(transcript)
     return counts, summary, (transcript if keep_transcript else None)
@@ -376,8 +346,8 @@ def security_curve(
 ) -> tuple[list[dict], dict[int, ExperimentReport]]:
     """Run the experiment for each screening-set size N.
 
-    Returns one point per N (the rate/security trade-off, in `CURVE_COLUMNS`)
-    and the report behind each point.
+    Returns one point per N (the rate/security trade-off, a ``curve.csv``
+    row) and the report behind each point.
 
     Checks sift_rate * N = 1 within `rate_law_epsilon` (default: 3-sigma
     binomial for the realized round count); a breach raises ValueError.
@@ -422,8 +392,8 @@ def _csv_cell(value) -> str:
 
 
 def flat_rows(report: ExperimentReport, attack: str) -> list[dict]:
-    """One stable-schema row per trial, with the report's rates over that
-    trial alone."""
+    """One ``trials.csv`` row per trial, with the report's rates over that
+    trial alone; the keys, in order, are the table's columns."""
     rows = []
     for i, c in enumerate(report.per_trial):
         trial = rates(c)
@@ -449,41 +419,27 @@ def flat_rows(report: ExperimentReport, attack: str) -> list[dict]:
     return rows
 
 
-def write_flat_table(columns: Sequence[str], rows: Sequence[dict], path: Path) -> None:
-    """Write `rows` as CSV under the header `columns`; absent values are empty."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_csv_cell(row[col]) for col in columns])
+def report_json(doc: dict) -> Iterator[bytes]:
+    """`doc` as ``report.json``: indented JSON under sorted keys, one newline."""
+    yield (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
 
 
-def emit_report(
-    report_doc: dict, rows: Sequence[dict], outdir: Path, audits: Mapping[str, bytes]
-) -> dict[str, Path]:
-    """Write the structured report, each audit file (name -> bytes) beside
-    it, and the flat per-trial table.
-
-    Output is byte-identical for identical (config, seed).
-    """
-    outdir = Path(outdir)
-    try:
-        outdir.mkdir(parents=True, exist_ok=True)
-        report_path = outdir / "report.json"
-        report_path.write_text(json.dumps(report_doc, indent=2, sort_keys=True) + "\n")
-        for name, audit in audits.items():
-            (outdir / name).write_bytes(audit)
-        table_path = outdir / "trials.csv"
-        write_flat_table(FLAT_COLUMNS, rows, table_path)
-    except OSError as exc:
-        raise OSError(f"failed writing report under {outdir}: {exc}") from exc
-    return {"report": report_path, "table": table_path}
+def csv_table(rows: Sequence[dict]) -> Iterator[bytes]:
+    """`rows` as CSV under a header of the first row's keys; an absent
+    value (None) is an empty cell. No rows make an empty file."""
+    if not rows:
+        return
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    columns = list(rows[0])
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow([_csv_cell(row[col]) for col in columns])
+    yield buffer.getvalue().encode()
 
 
-def write_transcripts(
-    transcripts: Sequence[SessionTranscript], outdir: Path
-) -> list[Path]:
-    """Dump each session transcript as line-delimited JSON, one round per line.
+def transcript_lines(transcript: SessionTranscript) -> Iterator[bytes]:
+    """A session transcript as line-delimited JSON, one round per line.
 
     Each line holds a round's columns under sorted keys. ``phi_star`` is
     phi on analyzing rounds and null otherwise; ``ad_outcomes`` and
@@ -491,42 +447,50 @@ def write_transcripts(
     ``bob_outcome`` is null, and ``bob_conclusive`` false, where Bob has no
     outcome (vacuum or an inconclusive multi-photon round).
     """
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     names = {o.value: o.name.lower() for o in Origin}
-    paths = []
-    for i, transcript in enumerate(transcripts):
-        r = transcript.rounds
-        bounds = np.searchsorted(r.ad_owner, np.arange(len(r) + 1)).tolist()
-        ad_bits = r.ad_bits.tolist()
-        ad_origins = [names[code] for code in r.ad_origin.tolist()]
-        columns = zip(
-            r.theta.tolist(), r.phi.tolist(), r.is_analyzing.tolist(),
-            r.a_index.tolist(), r.b_index.tolist(), r.k.tolist(),
-            r.bob_outcome.tolist(), r.bob_received.tolist(),
-        )
-        path = outdir / f"transcript_{i:03d}.jsonl"
-        with open(path, "w") as handle:
-            for j, row in enumerate(columns):
-                theta, phi, analyzing, a, b, k, outcome, received = row
-                lo, hi = bounds[j], bounds[j + 1]
-                conclusive = outcome >= 0
-                record = {
-                    "round_id": j,
-                    "theta": theta,
-                    "phi": phi,
-                    "is_analyzing": analyzing,
-                    "phi_star": phi if analyzing else None,
-                    "a_index": a,
-                    "b_index": b,
-                    "k": k,
-                    "ad_outcomes": ad_bits[lo:hi],
-                    "ad_origins": ad_origins[lo:hi],
-                    "bob_outcome": outcome if conclusive else None,
-                    "bob_conclusive": conclusive,
-                    "bob_received_photons": received,
-                }
-                handle.write(json.dumps(record, sort_keys=True))
-                handle.write("\n")
-        paths.append(path)
-    return paths
+    r = transcript.rounds
+    bounds = np.searchsorted(r.ad_owner, np.arange(len(r) + 1)).tolist()
+    ad_bits = r.ad_bits.tolist()
+    ad_origins = [names[code] for code in r.ad_origin.tolist()]
+    columns = zip(
+        r.theta.tolist(), r.phi.tolist(), r.is_analyzing.tolist(),
+        r.a_index.tolist(), r.b_index.tolist(), r.k.tolist(),
+        r.bob_outcome.tolist(), r.bob_received.tolist(),
+    )
+    for j, (theta, phi, analyzing, a, b, k, outcome, received) in enumerate(columns):
+        lo, hi = bounds[j], bounds[j + 1]
+        conclusive = outcome >= 0
+        record = {
+            "round_id": j,
+            "theta": theta,
+            "phi": phi,
+            "is_analyzing": analyzing,
+            "phi_star": phi if analyzing else None,
+            "a_index": a,
+            "b_index": b,
+            "k": k,
+            "ad_outcomes": ad_bits[lo:hi],
+            "ad_origins": ad_origins[lo:hi],
+            "bob_outcome": outcome if conclusive else None,
+            "bob_conclusive": conclusive,
+            "bob_received_photons": received,
+        }
+        yield (json.dumps(record, sort_keys=True) + "\n").encode()
+
+
+def emit_report(outdir: Path, files: Mapping[str, Iterable[bytes]]) -> None:
+    """Write each file of `files` (name -> its bytes, in chunks) under
+    `outdir`, in order; the one writer of a run's output files.
+
+    The chunks may come from a generator (`report_json`, `csv_table`,
+    `transcript_lines`), which is then formatted as it is written.
+    Output is byte-identical for identical (config, seed).
+    """
+    outdir = Path(outdir)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+        for name, chunks in files.items():
+            with open(outdir / name, "wb") as handle:
+                handle.writelines(chunks)
+    except OSError as exc:
+        raise OSError(f"failed writing report under {outdir}: {exc}") from exc

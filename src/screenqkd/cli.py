@@ -20,15 +20,15 @@ from typing import Optional, Sequence
 
 from .adversary import STRATEGIES, STRATEGY_NONE, AttackConfig, build_interceptor
 from .analysis import (
-    CURVE_COLUMNS,
     SCHEMA_VERSION,
     ExperimentReport,
+    csv_table,
     emit_report,
     flat_rows,
+    report_json,
     run_experiment,
     security_curve,
-    write_flat_table,
-    write_transcripts,
+    transcript_lines,
 )
 from .errors import ConfigError, check_int, check_real
 from .protocol import MAX_SCREENING, MODE_PULSE, MODE_SINGLE, ProtocolParams
@@ -297,12 +297,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     outdir = config.resolve_outdir()
     params, attack = config.params, config.attack
-    failures: list[str] = []
+    curve: Optional[list[dict]] = None
+    transcripts: list = []
     try:
         if config.sweep_n:
-            rows = []
-            audits: dict[str, bytes] = {}
-            report_doc: dict = {"sweep": {}}
             try:
                 curve, reports = security_curve(
                     params, attack, config.sweep_n,
@@ -313,37 +311,47 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             except ValueError as exc:
                 print(f"assertion failed: {exc}", file=sys.stderr)
                 return 1
-            for n in config.sweep_n:
-                report = reports[n]
-                _print_summary(f"N={n}", report)
-                report_doc["sweep"][str(n)] = report.to_dict({**config.echo(), "n": n})
-                rows.extend(flat_rows(report, attack.strategy))
-                audits.update(report.audits)
-                if attack.strategy == STRATEGY_NONE:
-                    failures += [f"N={n}: {f}" for f in _honest_assertions(report)]
-            report_doc["schema_version"] = SCHEMA_VERSION
-            report_doc["config"] = config.echo()
-            report_doc["curve"] = curve
-            if outdir is not None:
-                paths = emit_report(report_doc, rows, outdir, audits)
-                write_flat_table(CURVE_COLUMNS, curve, Path(outdir) / "curve.csv")
-                print(f"wrote {paths['report']} and {paths['table']}")
+            points = {f"N={n}": reports[n] for n in config.sweep_n}
         else:
             report, transcripts = run_experiment(
                 params, attack,
                 trials=config.trials, keep_transcripts=config.emit_transcript,
             )
-            _print_summary(f"N={params.n_screening} attack={attack.strategy}", report)
-            if outdir is not None:
-                rows = flat_rows(report, attack.strategy)
-                paths = emit_report(
-                    report.to_dict(config.echo()), rows, outdir, report.audits
-                )
-                if config.emit_transcript:
-                    write_transcripts(transcripts, outdir)
-                print(f"wrote {paths['report']} and {paths['table']}")
+            points = {f"N={params.n_screening} attack={attack.strategy}": report}
+        rows: list[dict] = []
+        audits: dict[str, bytes] = {}
+        failures: list[str] = []
+        for label, report in points.items():
+            _print_summary(label, report)
+            rows += flat_rows(report, attack.strategy)
+            audits.update(report.audits)
             if attack.strategy == STRATEGY_NONE:
-                failures = _honest_assertions(report)
+                prefix = f"{label}: " if curve is not None else ""
+                failures += [prefix + f for f in _honest_assertions(report)]
+        if outdir is not None:
+            if curve is None:
+                doc = report.to_dict(config.echo())
+            else:
+                doc = {
+                    "schema_version": SCHEMA_VERSION,
+                    "config": config.echo(),
+                    "curve": curve,
+                    "sweep": {
+                        str(n): reports[n].to_dict({**config.echo(), "n": n})
+                        for n in config.sweep_n
+                    },
+                }
+            files = {
+                "report.json": report_json(doc),
+                **{name: [audit] for name, audit in audits.items()},
+                "trials.csv": csv_table(rows),
+            }
+            if curve is not None:
+                files["curve.csv"] = csv_table(curve)
+            for i, transcript in enumerate(transcripts):
+                files[f"transcript_{i:03d}.jsonl"] = transcript_lines(transcript)
+            emit_report(outdir, files)
+            print(f"wrote {outdir / 'report.json'} and {outdir / 'trials.csv'}")
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -270,7 +270,7 @@ def alice_encode(
     a_index: np.ndarray,
     params: ProtocolParams,
     rng: np.random.Generator,
-) -> tuple[Pulse, np.ndarray, Pulse]:
+) -> tuple[Pulse, np.ndarray, np.ndarray, np.ndarray]:
     """Alice's encode step: rotation, AD tap, AD measurement.
 
     Every photon in round j's received pulse (including any
@@ -279,7 +279,8 @@ def alice_encode(
     (1 - transmission) is then tapped into the AD and measured in the
     diagonal basis; the remainder continues to Bob.
 
-    Returns (pulses to Bob, AD outcome bits, tapped photons).
+    Returns (pulses to Bob, AD outcome bits, and each AD photon's round
+    and origin code): the AD columns of `Rounds`.
     """
     if not ((k == 0) | (k == 1)).all():
         raise ConfigError(f"key bits must be 0 or 1, got {np.unique(k)}")
@@ -295,7 +296,7 @@ def alice_encode(
         + params.angles[a_index - 1]
     )
     tapped, to_bob = beam_split(rotated, 1.0 - params.transmission, rng)
-    return to_bob, measure(tapped.photons, DIAGONAL, rng), tapped
+    return to_bob, measure(tapped.photons, DIAGONAL, rng), tapped.owner, tapped.origin
 
 
 def bob_decode(
@@ -442,7 +443,9 @@ def run_session(
 
     pulse = bob_transform(pulse, phi, b_index, params)
     pulse = transmit(pulse, Leg.BOB_TO_ALICE, *channel)
-    pulse, ad_bits, tapped = alice_encode(pulse, theta, k, a_index, params, rng_alice)
+    pulse, ad_bits, ad_owner, ad_origin = alice_encode(
+        pulse, theta, k, a_index, params, rng_alice
+    )
     pulse = transmit(pulse, Leg.ALICE_TO_BOB_2, *channel)
     bob_outcome, received = bob_decode(pulse, phi, rng_bob)
 
@@ -454,8 +457,8 @@ def run_session(
         b_index=b_index,
         k=k,
         ad_bits=ad_bits,
-        ad_origin=tapped.origin,
-        ad_owner=tapped.owner,
+        ad_origin=ad_origin,
+        ad_owner=ad_owner,
         bob_outcome=bob_outcome,
         bob_received=received,
     )

@@ -5,7 +5,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from screenqkd.analysis import write_transcripts  # noqa: E402
+from screenqkd.analysis import transcript_lines  # noqa: E402
 from screenqkd.photonics import PI, canon  # noqa: E402
 
 # Absolute tolerance for angle comparisons modulo pi.
@@ -41,9 +41,7 @@ def pass_fail(ok: bool, label: str, detail: str) -> None:
     assert ok, f"{label}: {detail}"
 
 
-def transcript_records(transcript, outdir: Path) -> list[dict]:
+def transcript_records(transcript) -> list[dict]:
     """The session's rounds as ``--emit-transcript`` writes them, read back:
     one dict per round, independent of how the columns are laid out."""
-    [path] = write_transcripts([transcript], outdir)
-    with open(path) as handle:
-        return [json.loads(line) for line in handle]
+    return [json.loads(line) for line in transcript_lines(transcript)]

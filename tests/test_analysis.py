@@ -13,16 +13,17 @@ import pytest
 
 from screenqkd.adversary import AttackConfig, build_interceptor
 from screenqkd.analysis import (
-    FLAT_COLUMNS,
     ExperimentReport,
     TrialCounts,
+    csv_table,
     emit_report,
     flat_rows,
     ie_sum,
+    report_json,
     run_experiment,
     score_trial,
     security_curve,
-    write_transcripts,
+    transcript_lines,
 )
 from screenqkd.channel import Guesses, Leg
 from screenqkd.cli import build_parser, load_config, main
@@ -219,10 +220,13 @@ class TestReportEmission:
             report, transcripts = run_experiment(
                 params, AttackConfig(), trials=2, keep_transcripts=True
             )
-            rows = flat_rows(report, "none")
-            doc = report.to_dict({"seed": params.seed})
-            emit_report(doc, rows, tmp_path / name, report.audits)
-            write_transcripts(transcripts, tmp_path / name)
+            emit_report(tmp_path / name, {
+                "report.json": report_json(report.to_dict({"seed": params.seed})),
+                **{file: [audit] for file, audit in report.audits.items()},
+                "trials.csv": csv_table(flat_rows(report, "none")),
+                **{f"transcript_{i:03d}.jsonl": transcript_lines(t)
+                   for i, t in enumerate(transcripts)},
+            })
             return {p.name: p.read_bytes() for p in (tmp_path / name).iterdir()}
 
         first = run("a")
@@ -241,25 +245,26 @@ class TestReportEmission:
 
     def test_report_reloads_to_equal_document(self, tmp_path):
         report, _ = run_experiment(_params(rounds=1000), AttackConfig())
-        paths = emit_report(report.to_dict({}), flat_rows(report, "none"),
-                            tmp_path, report.audits)
-        with open(paths["report"]) as handle:
+        emit_report(tmp_path, {"report.json": report_json(report.to_dict({}))})
+        with open(tmp_path / "report.json") as handle:
             assert json.load(handle) == report.to_dict({})
 
     def test_flat_table_schema_and_row_count(self, tmp_path):
         report, _ = run_experiment(_params(rounds=1000), AttackConfig(), trials=3)
-        rows = flat_rows(report, "none")
-        paths = emit_report(report.to_dict({}), rows, tmp_path, report.audits)
-        lines = paths["table"].read_text().splitlines()
-        assert lines[0] == ",".join(FLAT_COLUMNS)
+        emit_report(tmp_path, {"trials.csv": csv_table(flat_rows(report, "none"))})
+        lines = (tmp_path / "trials.csv").read_text().splitlines()
+        assert lines[0] == (
+            "trial,N,mode,attack,rounds,sifted_bits,matched_rate,qber,ad_clicks,"
+            "ad_violations,ad_violation_rate,eve_guesses,eve_correct,eve_accuracy,verdict"
+        )
         assert len(lines) == 1 + 3
 
     def test_unwritable_path_reports_context(self, tmp_path):
         target = tmp_path / "blocked"
         target.write_text("a file, not a directory")
         report, _ = run_experiment(_params(rounds=500), AttackConfig())
-        with pytest.raises(OSError, match="blocked"):
-            emit_report(report.to_dict({}), [], target, report.audits)
+        with pytest.raises(OSError, match="failed writing report under .*blocked"):
+            emit_report(target, {"report.json": report_json(report.to_dict({}))})
 
 
 class TestReportWriter:
@@ -270,9 +275,9 @@ class TestReportWriter:
     @staticmethod
     def _assert_writes_json_dump(doc: dict, outdir) -> None:
         before = copy.deepcopy(doc)
-        paths = emit_report(doc, [], outdir, {})
+        emit_report(outdir, {"report.json": report_json(doc)})
         expected = json.dumps(before, indent=2, sort_keys=True) + "\n"
-        assert paths["report"].read_bytes() == expected.encode()
+        assert (outdir / "report.json").read_bytes() == expected.encode()
         assert doc == before
 
     @pytest.mark.parametrize("argv", [
@@ -282,11 +287,16 @@ class TestReportWriter:
         ["--sweep-N", "2,3,10", "--rounds", "400", "--trials", "2", "--seed", "15"],
     ])
     def test_cli_documents(self, tmp_path, argv):
-        with mock.patch("screenqkd.cli.emit_report", wraps=emit_report) as spy:
+        with mock.patch("screenqkd.cli.report_json", wraps=report_json) as spy:
             assert main([*argv, "--outdir", str(tmp_path / "cli")]) == 0
-        (doc, _, _, audits), = [call.args for call in spy.call_args_list]
+        (doc,), = [call.args for call in spy.call_args_list]
         self._assert_writes_json_dump(doc, tmp_path / "again")
-        assert sorted(audits) == sorted(
+        assert (tmp_path / "again" / "report.json").read_bytes() == (
+            tmp_path / "cli" / "report.json"
+        ).read_bytes()
+        points = doc["sweep"].values() if "sweep" in doc else [doc]
+        files = [s["audit"]["file"] for point in points for s in point["sessions"]]
+        assert sorted(files) == sorted(
             p.name for p in (tmp_path / "cli").glob("audit_*.npz")
         )
 
@@ -300,12 +310,17 @@ class TestReportWriter:
 
     def test_writes_each_audit_file_as_given(self, tmp_path):
         audits = {"audit_N2_000.npz": b"", "audit_N300_001.npz": bytes(range(256))}
-        paths = emit_report({"sessions": []}, [], tmp_path, audits)
+        emit_report(tmp_path, {
+            "report.json": report_json({"sessions": []}),
+            **{name: [data] for name, data in audits.items()},
+            "chunked.bin": (bytes([i]) for i in range(3)),
+        })
         assert sorted(p.name for p in tmp_path.iterdir()) == [
-            "audit_N2_000.npz", "audit_N300_001.npz", "report.json", "trials.csv",
+            "audit_N2_000.npz", "audit_N300_001.npz", "chunked.bin", "report.json",
         ]
         for name, data in audits.items():
-            assert (paths["report"].parent / name).read_bytes() == data
+            assert (tmp_path / name).read_bytes() == data
+        assert (tmp_path / "chunked.bin").read_bytes() == bytes([0, 1, 2])
 
 
 class TestSecurityCurve:
@@ -437,7 +452,7 @@ def _recount(transcript, guesses, records, beamsplit_reported=None) -> dict:
 
 
 @pytest.mark.parametrize("mode,strategy", STRATEGY_CASES)
-def test_batch_scorer_matches_per_record_recount(tmp_path, mode, strategy):
+def test_batch_scorer_matches_per_record_recount(mode, strategy):
     params = _params(
         rounds=3000, mode=mode, mean_photons=3.0, p_analyzing=0.4,
         transmission=0.7, loss=0.2, seed=206,
@@ -456,8 +471,6 @@ def test_batch_scorer_matches_per_record_recount(tmp_path, mode, strategy):
 
         interceptor.intercept = recording_intercept
     transcript = run_session(params, interceptor)
-    if attack.theta_oracle:  # as run_trial does
-        interceptor.set_counterfactual_thetas(transcript.rounds.theta)
     guesses = interceptor.produce_guesses() if interceptor else Guesses()
     counts = score_trial(transcript, guesses)
     if strategy == "standard_state":
@@ -470,13 +483,13 @@ def test_batch_scorer_matches_per_record_recount(tmp_path, mode, strategy):
         reported = np.count_nonzero(interceptor._active & (pulse.counts > 0))
         assert 0 < counts.beamsplit_conclusive < reported
     expected = _recount(
-        transcript, guesses, transcript_records(transcript, tmp_path), reported
+        transcript, guesses, transcript_records(transcript), reported
     )
     assert {name: getattr(counts, name) for name in expected} == expected
     assert counts.rounds == 3000 and counts.matched > 0
 
 
-def test_transcript_lines_equal_the_columns(tmp_path):
+def test_transcript_lines_equal_the_columns():
     # Lossy pulse-mode pns_trojan: rounds with 0, 1 and several AD photons
     # of both origins, vacuum rounds and inconclusive (double-click) rounds.
     params = _params(
@@ -485,7 +498,7 @@ def test_transcript_lines_equal_the_columns(tmp_path):
     )
     interceptor = build_interceptor(AttackConfig(strategy="pns_trojan"), params)
     transcript = run_session(params, interceptor)
-    records = transcript_records(transcript, tmp_path)
+    records = transcript_records(transcript)
     r = transcript.rounds
     assert len(records) == len(r)
     ad_counts = np.bincount(r.ad_owner, minlength=len(r))
@@ -614,7 +627,7 @@ def test_index_width_is_smallest_that_holds_n(tmp_path, n, width):
         params, AttackConfig(), trials=2, keep_transcripts=True
     )
     doc = report.to_dict({})
-    emit_report(doc, [], tmp_path, report.audits)
+    emit_report(tmp_path, {name: [audit] for name, audit in report.audits.items()})
     assert np.min_scalar_type(2 * n).itemsize == width
     assert [_index_width(s, tmp_path) for s in doc["sessions"]] == [width, width]
     _assert_decodes(doc, transcripts, tmp_path)

@@ -323,3 +323,19 @@ def test_outdir_that_cannot_be_a_directory_exits_two_before_any_session(
     assert err == f"error: outdir: {blocker} exists and is not a directory\n"
     assert blocker.read_text() == "not a directory"
     assert sorted(tmp_path.iterdir()) == [blocker]
+
+
+@pytest.mark.parametrize("blocked,argv", [
+    ("transcript_000.jsonl", ["--emit-transcript"]),
+    ("curve.csv", ["--sweep-N", "2,3"]),
+])
+def test_every_failed_write_reports_the_outdir(tmp_path, capsys, blocked, argv):
+    # A directory where the run would write a file: the write fails late,
+    # after report.json, and is still reported with the report's context.
+    outdir = tmp_path / "out"
+    (outdir / blocked).mkdir(parents=True)
+    assert main(BASE + argv + ["--outdir", str(outdir)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"error: failed writing report under {outdir}: ")
+    assert blocked in err[0]

@@ -408,7 +408,7 @@ def test_alice_encode_rejects_exactly_invalid_input(data, n, size):
     k, a_index = np.array(k, dtype=dtype), np.array(a_index, dtype=np.intp)
     pulse = single_photon_pulse(theta)
     try:
-        to_bob, ad_bits, _ = alice_encode(
+        to_bob, ad_bits, _, _ = alice_encode(
             pulse, theta, k, a_index, params, np.random.default_rng(0)
         )
     except ConfigError:

@@ -1,6 +1,7 @@
 """The README's examples run as written: its "Library use" python block,
 and each command of its "CLI" block at 2000 rounds into a temporary
-directory, so the docs cannot drift from the code unnoticed."""
+directory; and its `trials.csv` and `curve.csv` column lists are the
+headers the CLI writes. So the docs cannot drift from the code unnoticed."""
 
 import re
 import shlex
@@ -35,3 +36,22 @@ def test_cli_example_runs(command, tmp_path):
     assert command[0] == "screenqkd"
     assert main(command[1:] + ["--rounds", "2000", "--outdir", str(tmp_path)]) == 0
     assert (tmp_path / "report.json").is_file()
+
+
+def _readme_columns(pattern: str) -> list[str]:
+    """The comma-separated column names the README pattern's group holds."""
+    text = re.search(pattern, README.read_text(), re.S).group(1)
+    return [name.strip() for name in text.split(",")]
+
+
+def test_table_columns_match_written_headers(tmp_path):
+    argv = ["--sweep-N", "2,3", "--rounds", "200", "--outdir", str(tmp_path)]
+    assert main(argv) == 0
+    headers = {
+        name: (tmp_path / name).read_text().splitlines()[0].split(",")
+        for name in ("trials.csv", "curve.csv")
+    }
+    assert headers == {
+        "trials.csv": _readme_columns(r"`trials\.csv` is a flat table.*?```\n(.*?)```"),
+        "curve.csv": _readme_columns(r"`curve\.csv` with .*?the columns\s+`([^`]*)`"),
+    }
