@@ -122,17 +122,15 @@ class _BaseAttack(Interceptor):
         self.storage: Optional[Pulse] = None
         self.guesses = Guesses()
         self.announcement: Optional[Announcement] = None
-        self._round_ids = np.empty(0, np.intp)
         self._active = np.zeros(0, bool)
         self._rng: Optional[np.random.Generator] = None
 
     def intercept(
-        self, leg: Leg, pulse: Pulse, round_ids: np.ndarray, rng: np.random.Generator
+        self, leg: Leg, pulse: Pulse, round_ids: None, rng: np.random.Generator
     ) -> Pulse:
         self._rng = rng
         if leg is Leg.ALICE_TO_BOB_1:
             # Activation is drawn once per round, on its first leg.
-            self._round_ids = round_ids
             self._active = rng.random(pulse.rounds) < self.config.attack_probability
         if not self._active.any():
             return pulse
@@ -224,7 +222,7 @@ class Impersonation(_BaseAttack):
         rounds = active.owner[read]
         guess = rng.choice(self.params.n_screening, len(rounds), p=self._guess_probs)
         readout = measure(active.photons[read], self.params.angles[guess] + PI / 4, rng)
-        self.guesses = Guesses(self._round_ids[rounds], readout)
+        self.guesses = Guesses(rounds, readout)
         delta = np.zeros(active.rounds)
         delta[rounds] = (1 - 2 * readout) * (PI / 4)
         return delta
@@ -262,7 +260,7 @@ class PulseBeamSplit(Impersonation):
         hypothesis = np.argmin(excluded[conclusive], axis=1)
         rounds = candidates[conclusive]
         k_hat = hypothesis % 2
-        self.guesses = Guesses(self._round_ids[rounds], k_hat, reported=len(reported))
+        self.guesses = Guesses(rounds, k_hat, reported=len(reported))
         delta = np.zeros(active.rounds)
         delta[rounds] = (1 - 2 * k_hat) * (PI / 4) + angles[hypothesis // 2]
         return delta
@@ -286,7 +284,7 @@ class _ProbeCaptureAttack(_BaseAttack):
 
     def _read_storage(self, announcement: Announcement) -> Guesses:
         """Measure each recaptured probe in (alpha_a + pi/4, alpha_a - pi/4)."""
-        rounds = self._round_ids[self.storage.owner]
+        rounds = self.storage.owner
         alpha_a = self.params.angles[announcement.a_indices[rounds] - 1]
         return Guesses(rounds, measure(self.storage.photons, alpha_a + PI / 4, self._rng))
 
@@ -367,11 +365,10 @@ class PassivePns(_BaseAttack):
         return rest
 
     def _read_storage(self, announcement: Announcement) -> Guesses:
-        local = np.flatnonzero(self._removed)
-        rounds = self._round_ids[local]
+        rounds = np.flatnonzero(self._removed)
         # A coin flip for rounds without a stored final-leg photon.
-        bits = self._rng.integers(0, 2, len(local), dtype=np.int8)
-        stored = self._round_ids[self.storage.owner]
+        bits = self._rng.integers(0, 2, len(rounds), dtype=np.int8)
+        stored = self.storage.owner
         alpha_sum = (
             self.params.angles[announcement.a_indices[stored] - 1]
             + self.params.angles[announcement.b_indices[stored] - 1]
@@ -379,7 +376,7 @@ class PassivePns(_BaseAttack):
         # On analyzing rounds the state phi* + (-1)^k pi/4 + alpha_a + alpha_b
         # has every term except k public: the readout is deterministic in k.
         phi_star = np.where(announcement.phi_star_flags[stored], PI / 2, 0.0)
-        final = np.searchsorted(local, self.storage.owner)  # stored rounds within local
+        final = np.searchsorted(rounds, stored)  # each stored photon's place in rounds
         bits[final] = measure(self.storage.photons, phi_star + alpha_sum + PI / 4, self._rng)
         return Guesses(rounds, bits)
 

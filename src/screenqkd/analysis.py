@@ -9,7 +9,9 @@ why they carry no timestamps.
 per-bit data (the public announcement and the sifted keys) goes to its
 own binary audit file beside it, ``audit_N{n}_{trial:03d}.npz``; the
 report names each file with its byte length and SHA-256, so the report's
-bytes pin every audit byte.
+bytes pin every audit byte. On request each session's transcript, its
+`Rounds` columns, goes to ``transcript_{trial:03d}.npz``; the report does
+not describe transcripts.
 
 Two AD violation rates are reported. ``ad_violation_rate`` is the
 statistic the parties themselves can compute: violating outcomes over all
@@ -33,6 +35,7 @@ import hashlib
 import io
 import json
 import math
+import re
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
@@ -53,6 +56,10 @@ from .protocol import (
 )
 
 SCHEMA_VERSION = "4"
+
+# The names of a run's per-session files: the audits, the transcripts and
+# the line-delimited transcripts that earlier versions wrote.
+SESSION_FILE = re.compile(r"audit_N\d+_\d{3,}\.npz|transcript_\d{3,}\.(?:npz|jsonl)")
 
 # The rates of a report's "metrics" block, in its order: each is
 # part/whole of two TrialCounts counters, or None when the whole is 0.
@@ -148,6 +155,13 @@ def _packed(bits) -> np.ndarray:
     return np.frombuffer(pack_key_bits(bits), np.uint8)
 
 
+def npz_bytes(arrays: Mapping[str, np.ndarray]) -> bytes:
+    """`arrays` as the bytes of an uncompressed ``.npz``, each under its key."""
+    buffer = io.BytesIO()
+    np.savez(buffer, **arrays)
+    return buffer.getvalue()
+
+
 @dataclass(frozen=True, eq=False)
 class SessionSummary:
     """Auditable per-session record: the verdict, the key length and
@@ -170,22 +184,20 @@ class SessionSummary:
     @classmethod
     def from_transcript(cls, transcript: SessionTranscript) -> "SessionSummary":
         ann = transcript.announcement
-        audit = io.BytesIO()
-        np.savez(
-            audit,
-            a_indices=ann.a_indices,
-            b_indices=ann.b_indices,
-            analyzing_flags=_packed(ann.analyzing_flags),
-            phi_star_flags=_packed(ann.phi_star_flags),
-            alice_key=_packed(transcript.alice_key),
-            bob_key=_packed(transcript.bob_key),
-        )
+        audit = npz_bytes({
+            "a_indices": ann.a_indices,
+            "b_indices": ann.b_indices,
+            "analyzing_flags": _packed(ann.analyzing_flags),
+            "phi_star_flags": _packed(ann.phi_star_flags),
+            "alice_key": _packed(transcript.alice_key),
+            "bob_key": _packed(transcript.bob_key),
+        })
         return cls(
             verdict=transcript.verdict.value,
             key_bits=len(transcript.alice_key),
             alice_hash=transcript.alice_hash.hex(),
             bob_hash=transcript.bob_hash.hex(),
-            audit=audit.getvalue(),
+            audit=audit,
         )
 
 
@@ -438,44 +450,11 @@ def csv_table(rows: Sequence[dict]) -> Iterator[bytes]:
     yield buffer.getvalue().encode()
 
 
-def transcript_lines(transcript: SessionTranscript) -> Iterator[bytes]:
-    """A session transcript as line-delimited JSON, one round per line.
-
-    Each line holds a round's columns under sorted keys. ``phi_star`` is
-    phi on analyzing rounds and null otherwise; ``ad_outcomes`` and
-    ``ad_origins`` list the round's AD photons in column order.
-    ``bob_outcome`` is null, and ``bob_conclusive`` false, where Bob has no
-    outcome (vacuum or an inconclusive multi-photon round).
-    """
-    names = {o.value: o.name.lower() for o in Origin}
-    r = transcript.rounds
-    bounds = np.searchsorted(r.ad_owner, np.arange(len(r) + 1)).tolist()
-    ad_bits = r.ad_bits.tolist()
-    ad_origins = [names[code] for code in r.ad_origin.tolist()]
-    columns = zip(
-        r.theta.tolist(), r.phi.tolist(), r.is_analyzing.tolist(),
-        r.a_index.tolist(), r.b_index.tolist(), r.k.tolist(),
-        r.bob_outcome.tolist(), r.bob_received.tolist(),
-    )
-    for j, (theta, phi, analyzing, a, b, k, outcome, received) in enumerate(columns):
-        lo, hi = bounds[j], bounds[j + 1]
-        conclusive = outcome >= 0
-        record = {
-            "round_id": j,
-            "theta": theta,
-            "phi": phi,
-            "is_analyzing": analyzing,
-            "phi_star": phi if analyzing else None,
-            "a_index": a,
-            "b_index": b,
-            "k": k,
-            "ad_outcomes": ad_bits[lo:hi],
-            "ad_origins": ad_origins[lo:hi],
-            "bob_outcome": outcome if conclusive else None,
-            "bob_conclusive": conclusive,
-            "bob_received_photons": received,
-        }
-        yield (json.dumps(record, sort_keys=True) + "\n").encode()
+def transcript_npz(transcript: SessionTranscript) -> Iterator[bytes]:
+    """A session's `Rounds` columns as an uncompressed ``.npz``, each under
+    its field name and in its engine dtype."""
+    rounds = transcript.rounds
+    yield npz_bytes({f.name: getattr(rounds, f.name) for f in fields(rounds)})
 
 
 def emit_report(outdir: Path, files: Mapping[str, Iterable[bytes]]) -> None:
@@ -483,12 +462,19 @@ def emit_report(outdir: Path, files: Mapping[str, Iterable[bytes]]) -> None:
     `outdir`, in order; the one writer of a run's output files.
 
     The chunks may come from a generator (`report_json`, `csv_table`,
-    `transcript_lines`), which is then formatted as it is written.
+    `transcript_npz`), which is then formatted as it is written.
     Output is byte-identical for identical (config, seed).
+
+    A directory reused from an earlier run may hold per-session files
+    (`SESSION_FILE`) that `files` does not name; they are removed first,
+    so the directory never mixes two runs' sessions.
     """
     outdir = Path(outdir)
     try:
         outdir.mkdir(parents=True, exist_ok=True)
+        for path in outdir.iterdir():
+            if path.name not in files and SESSION_FILE.fullmatch(path.name):
+                path.unlink()
         for name, chunks in files.items():
             with open(outdir / name, "wb") as handle:
                 handle.writelines(chunks)

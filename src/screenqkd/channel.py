@@ -4,8 +4,10 @@ A round crosses the channel three times (Alice -> Bob -> Alice -> Bob).
 A session runs leg-major: each leg carries one batch holding the pulse of
 every round. An adversary is modeled as an :class:`Interceptor` that may
 transform the batch on each leg. The hook receives only physically
-available data: the pulses themselves, which leg they are on, their round
-ids, and (after the session) the public announcement. Round secrets
+available data: the pulses themselves, which leg they are on, and (after
+the session) the public announcement. Round ids are batch-local: pulse j
+of a batch belongs to round j, which is also entry j of every
+announcement column. Round secrets
 (theta, phi, k, screening indices) are never handed to it.
 
 The classical channel is public and authentic: the adversary can read the
@@ -53,8 +55,9 @@ class Interceptor:
     """Base adversary: passes every batch through untouched.
 
     Subclasses override :meth:`intercept`, which sees each leg once with
-    the pulses of all rounds: pulse j of the batch belongs to session round
-    ``round_ids[j]``, and the legs arrive in order. They may observe the
+    the pulses of all rounds: pulse j of the batch belongs to round j, and
+    the legs arrive in order. ``round_ids`` is always None; the slot stays
+    until the signature drops it. They may observe the
     public announcement once the session is over, and may emit per-round
     key-bit guesses afterwards; those guesses are all it reports. ``rng``
     is the adversary's own generator, handed in by the channel on every
@@ -62,7 +65,7 @@ class Interceptor:
     """
 
     def intercept(
-        self, leg: Leg, pulse: Pulse, round_ids: np.ndarray, rng: np.random.Generator
+        self, leg: Leg, pulse: Pulse, round_ids: None, rng: np.random.Generator
     ) -> Pulse:
         return pulse
 
@@ -77,7 +80,7 @@ class Interceptor:
 def transmit(
     pulse: Pulse,
     leg: Leg,
-    round_ids: Optional[np.ndarray],
+    round_ids: None,
     interceptor: Optional[Interceptor] = None,
     loss: float = 0.0,
     rng_channel: Optional[np.random.Generator] = None,
@@ -85,8 +88,8 @@ def transmit(
 ) -> Pulse:
     """Carry a batch of pulses across one leg: interception hook first, then loss.
 
-    `round_ids` is handed only to the interceptor; it may be None when
-    there is none.
+    `round_ids` is handed to the interceptor as it is; the engine passes
+    None, since the batch's rounds are batch-local.
 
     Each photon is dropped independently with probability `loss`: loss is
     a beam splitter whose tapped output is discarded, so only the

@@ -28,7 +28,7 @@ from .analysis import (
     report_json,
     run_experiment,
     security_curve,
-    transcript_lines,
+    transcript_npz,
 )
 from .errors import ConfigError, check_int, check_real
 from .protocol import MAX_SCREENING, MODE_PULSE, MODE_SINGLE, ProtocolParams
@@ -209,8 +209,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--outdir", type=str,
                         help=f"report directory (default: ${OUTDIR_ENV} if set)")
     parser.add_argument("--emit-transcript", action="store_true", default=None,
-                        help="also write per-round transcripts (JSONL; "
-                             "single-point runs only)")
+                        help="also write each session's per-round columns "
+                             "(one .npz per session; single-point runs only)")
     parser.add_argument("--rate-law-epsilon", dest="rate_law_epsilon", type=float,
                         help="tolerance override for the sweep sift-rate check")
     return parser
@@ -349,7 +349,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             if curve is not None:
                 files["curve.csv"] = csv_table(curve)
             for i, transcript in enumerate(transcripts):
-                files[f"transcript_{i:03d}.jsonl"] = transcript_lines(transcript)
+                files[f"transcript_{i:03d}.npz"] = transcript_npz(transcript)
             emit_report(outdir, files)
             print(f"wrote {outdir / 'report.json'} and {outdir / 'trials.csv'}")
     except ConfigError as exc:

@@ -129,9 +129,10 @@ class Rounds:
     ``bob_outcome`` is -1 where Bob has no outcome (vacuum or an
     inconclusive multi-photon round). The screening indices are held in
     the smallest unsigned type that holds 2N, so their sum cannot
-    overflow. In a session's record the parties' choices (``theta``,
-    ``phi``, ``is_analyzing``, ``a_index``, ``b_index``, ``k``) are
-    read-only.
+    overflow; ``bob_received`` in the smallest one that holds its largest
+    count, so no integer column is wider than 4 bytes. In a session's
+    record the parties' choices (``theta``, ``phi``, ``is_analyzing``,
+    ``a_index``, ``b_index``, ``k``) are read-only.
     """
 
     theta: np.ndarray
@@ -308,9 +309,12 @@ def bob_decode(
     outcome is -1 for a vacuum pulse, and for an inconclusive one whose
     photon outcomes disagree (double click); on honest matched rounds the
     state is exactly aligned with an analyzer axis, so all photons agree
-    deterministically.
+    deterministically. The counts are held in the smallest unsigned type
+    that holds the largest of them.
     """
     received = pulse.counts
+    # narrowed first: the wide counts are freed before the measurement
+    received = received.astype(np.min_scalar_type(received.max(initial=0)))
     bits = measure(pulse.rotated(-phi).photons, DIAGONAL, rng)
     # the owners of the 1 outcomes, counted as integers: no float weights
     ones = np.bincount(pulse.owner.compress(bits.view(bool)), minlength=pulse.rounds)
@@ -409,8 +413,8 @@ def run_session(
     generator derived from (seed, trial, actor), so a run is
     bit-reproducible, when an actor draws does not change what it draws,
     and an adversary that draws from its own stream never perturbs the
-    honest parties' randomness. The round ids are handed only to an
-    interceptor, and exist only when there is one.
+    honest parties' randomness. An interceptor sees each leg as one
+    batch, and pulse j of it is session round j.
     """
     rng_alice = derive_rng(params.seed, trial, 0)
     rng_bob = derive_rng(params.seed, trial, 1)
@@ -419,8 +423,7 @@ def run_session(
     m, n = params.rounds, params.n_screening
     # The smallest unsigned type that holds 2N: is_matched's sum fits.
     index_dtype = np.min_scalar_type(2 * n)
-    round_ids = None if interceptor is None else np.arange(m)
-    channel = (round_ids, interceptor, params.loss, rng_channel, rng_eve)
+    channel = (None, interceptor, params.loss, rng_channel, rng_eve)
 
     # Alice: theta uniform on [0, pi), key bit k, screening index a.
     theta = _sealed(rng_alice.random(m) * PI)

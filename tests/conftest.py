@@ -1,11 +1,13 @@
-import json
+import io
 import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 sys.path.insert(0, str(Path(__file__).parent))
 
-from screenqkd.analysis import transcript_lines  # noqa: E402
+from screenqkd.analysis import transcript_npz  # noqa: E402
 from screenqkd.photonics import PI, canon  # noqa: E402
 
 # Absolute tolerance for angle comparisons modulo pi.
@@ -43,5 +45,15 @@ def pass_fail(ok: bool, label: str, detail: str) -> None:
 
 def transcript_records(transcript) -> list[dict]:
     """The session's rounds as ``--emit-transcript`` writes them, read back:
-    one dict per round, independent of how the columns are laid out."""
-    return [json.loads(line) for line in transcript_lines(transcript)]
+    one dict per round of its per-round columns' values, where ``ad_bits``
+    and ``ad_origin`` list the round's AD photons in column order."""
+    with np.load(io.BytesIO(b"".join(transcript_npz(transcript)))) as npz:
+        columns = {name: npz[name].tolist() for name in npz.files}
+    ad_owner = columns.pop("ad_owner")
+    ad = {name: columns.pop(name) for name in ("ad_bits", "ad_origin")}
+    bounds = np.searchsorted(ad_owner, np.arange(len(columns["theta"]) + 1)).tolist()
+    return [
+        {**{name: values[j] for name, values in columns.items()},
+         **{name: photons[bounds[j]:bounds[j + 1]] for name, photons in ad.items()}}
+        for j in range(len(bounds) - 1)
+    ]

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import time
+import zipfile
 from dataclasses import fields, replace
 from pathlib import Path
 from unittest import mock
@@ -23,7 +24,7 @@ from screenqkd.analysis import (
     run_experiment,
     score_trial,
     security_curve,
-    transcript_lines,
+    transcript_npz,
 )
 from screenqkd.channel import Guesses, Leg
 from screenqkd.cli import build_parser, load_config, main
@@ -224,7 +225,7 @@ class TestReportEmission:
                 "report.json": report_json(report.to_dict({"seed": params.seed})),
                 **{file: [audit] for file, audit in report.audits.items()},
                 "trials.csv": csv_table(flat_rows(report, "none")),
-                **{f"transcript_{i:03d}.jsonl": transcript_lines(t)
+                **{f"transcript_{i:03d}.npz": transcript_npz(t)
                    for i, t in enumerate(transcripts)},
             })
             return {p.name: p.read_bytes() for p in (tmp_path / name).iterdir()}
@@ -239,7 +240,7 @@ class TestReportEmission:
             second = run("b")
         assert sorted(first) == [
             "audit_N2_000.npz", "audit_N2_001.npz", "report.json",
-            "transcript_000.jsonl", "transcript_001.jsonl", "trials.csv",
+            "transcript_000.npz", "transcript_001.npz", "trials.csv",
         ]
         assert first == second
 
@@ -406,7 +407,7 @@ def _attack(strategy: str, **knobs) -> AttackConfig:
 def _recount(transcript, guesses, records, beamsplit_reported=None) -> dict:
     """The per-record scorer the batch one replaced, kept as its reference.
 
-    `records` are the session's rounds read back from its JSONL transcript.
+    `records` are the session's rounds read back from its transcript file.
     `beamsplit_reported` is the number of final-leg pulses a beam-split
     attack read, or None for any other strategy.
     """
@@ -414,22 +415,23 @@ def _recount(transcript, guesses, records, beamsplit_reported=None) -> dict:
     c = {f.name: 0 for f in fields(TrialCounts) if f.name != "verdict"}
     guess_of = dict(zip(guesses.rounds.tolist(), guesses.bits.tolist()))
     alice_key, bob_key = [], []
-    for rec in records:
+    for round_id, rec in enumerate(records):
         c["rounds"] += 1
         matched = is_matched(rec["a_index"], rec["b_index"], n)
+        detected = rec["bob_outcome"] >= 0
         c["matched"] += matched
         if matched and rec["is_analyzing"]:
-            expected = expected_ad_bit(rec["k"], rec["phi_star"])
-            for bit, origin in zip(rec["ad_outcomes"], rec["ad_origins"]):
+            expected = expected_ad_bit(rec["k"], rec["phi"])  # phi is phi* here
+            for bit, origin in zip(rec["ad_bits"], rec["ad_origin"]):
                 c["ad_clicks"] += 1
                 c["ad_violations"] += bit != expected
-                if origin != "legitimate":
+                if origin != Origin.LEGITIMATE:
                     c["ad_injected_clicks"] += 1
                     c["ad_injected_violations"] += bit != expected
-        elif matched and rec["bob_outcome"] is not None:
+        elif matched and detected:
             alice_key.append(rec["k"])
             bob_key.append(rec["bob_outcome"] ^ 1)
-        guess = guess_of.get(rec["round_id"])
+        guess = guess_of.get(round_id)
         if guess is not None:
             correct = guess == rec["k"]
             c["eve_guesses"] += 1
@@ -437,7 +439,7 @@ def _recount(transcript, guesses, records, beamsplit_reported=None) -> dict:
             if rec["is_analyzing"]:
                 c["eve_analyzing_guesses"] += 1
                 c["eve_analyzing_correct"] += correct
-            if matched and not rec["is_analyzing"] and rec["bob_outcome"] is not None:
+            if matched and not rec["is_analyzing"] and detected:
                 c["eve_key_guesses"] += 1
                 c["eve_key_correct"] += correct
     c["sifted_bits"] = len(alice_key)
@@ -489,7 +491,7 @@ def test_batch_scorer_matches_per_record_recount(mode, strategy):
     assert counts.rounds == 3000 and counts.matched > 0
 
 
-def test_transcript_lines_equal_the_columns():
+def test_transcript_file_equals_the_columns():
     # Lossy pulse-mode pns_trojan: rounds with 0, 1 and several AD photons
     # of both origins, vacuum rounds and inconclusive (double-click) rounds.
     params = _params(
@@ -498,41 +500,22 @@ def test_transcript_lines_equal_the_columns():
     )
     interceptor = build_interceptor(AttackConfig(strategy="pns_trojan"), params)
     transcript = run_session(params, interceptor)
-    records = transcript_records(transcript)
     r = transcript.rounds
-    assert len(records) == len(r)
+    data = io.BytesIO(b"".join(transcript_npz(transcript)))
+    with zipfile.ZipFile(data) as archive:
+        assert {i.compress_type for i in archive.infolist()} == {zipfile.ZIP_STORED}
+    with np.load(data) as npz:
+        assert npz.files == [f.name for f in fields(r)]
+        for name in npz.files:
+            column = getattr(r, name)
+            assert npz[name].dtype == column.dtype, name
+            assert np.array_equal(npz[name], column), name
     ad_counts = np.bincount(r.ad_owner, minlength=len(r))
-    ad_end = np.cumsum(ad_counts)
-    for i, rec in enumerate(records):
-        assert list(rec) == sorted(rec)
-        ad = slice(ad_end[i] - ad_counts[i], ad_end[i])
-        outcome = int(r.bob_outcome[i])
-        assert rec == {
-            "round_id": i,
-            "theta": float(r.theta[i]),
-            "phi": float(r.phi[i]),
-            "is_analyzing": bool(r.is_analyzing[i]),
-            "phi_star": float(r.phi[i]) if r.is_analyzing[i] else None,
-            "a_index": int(r.a_index[i]),
-            "b_index": int(r.b_index[i]),
-            "k": int(r.k[i]),
-            "ad_outcomes": [int(b) for b in r.ad_bits[ad]],
-            "ad_origins": [Origin(o).name.lower() for o in r.ad_origin[ad]],
-            "bob_outcome": outcome if outcome >= 0 else None,
-            "bob_conclusive": outcome >= 0,
-            "bob_received_photons": int(r.bob_received[i]),
-        }, i
     assert {0, 1} <= set(ad_counts.tolist()) and ad_counts.max() >= 2
-    assert {o for rec in records for o in rec["ad_origins"]} == {
-        "legitimate", "trojan_injected",
-    }
-    vacuum = [rec for rec in records if rec["bob_received_photons"] == 0]
-    inconclusive = [
-        rec for rec in records
-        if rec["bob_received_photons"] > 0 and not rec["bob_conclusive"]
-    ]
-    assert vacuum and all(rec["bob_outcome"] is None for rec in vacuum)
-    assert inconclusive and all(rec["bob_outcome"] is None for rec in inconclusive)
+    assert set(r.ad_origin.tolist()) == {Origin.LEGITIMATE, Origin.TROJAN_INJECTED}
+    vacuum = r.bob_received == 0
+    assert vacuum.any() and (r.bob_outcome[vacuum] == -1).all()
+    assert ((r.bob_received > 0) & (r.bob_outcome == -1)).any()  # inconclusive
 
 
 def announcement_from_session(

@@ -325,8 +325,26 @@ def test_outdir_that_cannot_be_a_directory_exits_two_before_any_session(
     assert sorted(tmp_path.iterdir()) == [blocker]
 
 
+def test_reused_outdir_keeps_only_this_runs_session_files(tmp_path, capsys):
+    # A larger run's audits and transcripts, and a transcript of the old
+    # line-delimited format, are removed; other files are left alone.
+    outdir = tmp_path / "out"
+    argv = BASE + ["--emit-transcript", "--outdir", str(outdir)]
+    assert main(argv + ["--trials", "3"]) == 0
+    (outdir / "transcript_004.jsonl").write_text("{}\n")
+    (outdir / "notes.txt").write_text("kept")
+    assert main(argv + ["--trials", "1"]) == 0
+    assert sorted(p.name for p in outdir.iterdir()) == [
+        "audit_N2_000.npz", "notes.txt", "report.json", "transcript_000.npz", "trials.csv",
+    ]
+    fresh = tmp_path / "fresh"
+    assert main(BASE + ["--emit-transcript", "--outdir", str(fresh), "--trials", "1"]) == 0
+    for path in fresh.iterdir():
+        assert (outdir / path.name).read_bytes() == path.read_bytes(), path.name
+
+
 @pytest.mark.parametrize("blocked,argv", [
-    ("transcript_000.jsonl", ["--emit-transcript"]),
+    ("transcript_000.npz", ["--emit-transcript"]),
     ("curve.csv", ["--sweep-N", "2,3"]),
 ])
 def test_every_failed_write_reports_the_outdir(tmp_path, capsys, blocked, argv):

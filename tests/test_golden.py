@@ -5,7 +5,7 @@ in a mode it accepts, channel loss, several trials, impersonation guess
 weights, a config file that sets ``theta_oracle``, two N sweeps,
 per-round transcripts and two pulse-mode attacks at a mean photon number
 of 20. The SHA-256 of each file written (``report.json``,
-``trials.csv``, ``curve.csv``, ``transcript_*.jsonl`` and each session's
+``trials.csv``, ``curve.csv``, ``transcript_*.npz`` and each session's
 ``audit_N{n}_{trial:03d}.npz``) is pinned below, so a change that moves
 any draw, any count or any byte of the format fails here.
 
@@ -81,7 +81,7 @@ GOLDEN = {
     "honest_transcript": {
         "audit_N2_000.npz": "c270cd6f8e31355e68c406d578dc055eb32e24b1bda5dd9d72ecdfaeff2c0ce5",
         "report.json": "a242ed8ad954a1825dc21f20856d13bba40a1b63dfcc2b84557b2b57264438e5",
-        "transcript_000.jsonl": "d5526f1cd2f2ec9f0b3eaf1335ed700951eb22af395dbad65e75ef7cc7cf4ce8",
+        "transcript_000.npz": "77c0d62e89c3bd7be3d143987338d7f1b02b3659cb7fb6b5d2e84491bc8a0d18",
         "trials.csv": "409c09f48656b38bb8ccc7f9b140528482829363cc2e56863064ea2644912818",
     },
     "honest_pulse_lossy": {
@@ -108,7 +108,7 @@ GOLDEN = {
     "pns_trojan_transcript": {
         "audit_N2_000.npz": "ab66f8e54ec6e30ec6d38fb650cfd38e76363edd1e04c7a9ecc2de9a0ad4a111",
         "report.json": "6ecf0d3f64c767ef85ff2c5263fabec7a611c1e43dd36d374f0ad8537a1cb3cb",
-        "transcript_000.jsonl": "507fe724f88c7914ced7956dc4d12b1394d04bea40f33b71937353e394af7871",
+        "transcript_000.npz": "8708513d21a1b9ae02873a945800183471759f5d893127e13ac51d9076d74a0a",
         "trials.csv": "4c7d39fd03d0fb24c475927ad2f52373b50acb8ee2db4cb5abb50d452d80c251",
     },
     "standard_state_oracle": {
@@ -133,7 +133,7 @@ GOLDEN = {
     "pns_trojan_high_mu": {
         "audit_N2_000.npz": "a67a18da81881569f8376bde21959f897afc9862b3190cd6ae5dacd7e7cc5c25",
         "report.json": "f0a15a30e907ee3781bcb914112148a9ed896630f9179a1791b78390845776f9",
-        "transcript_000.jsonl": "3ce85e18521ed871c4e7d9c20420330820d174587817445d472981bddfe037aa",
+        "transcript_000.npz": "3dcbd7a8ad978362c9f9290eec59c1c53fd0662bd5c35e23e106cea62e70970c",
         "trials.csv": "7b6926d4e439797d20ea643400ba7efa98a833783af491a9f7a14f35b3467403",
     },
     "pulse_beamsplit_high_mu": {

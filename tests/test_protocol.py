@@ -245,6 +245,15 @@ class TestBobDecode:
         outcome, received = bob_decode(pulse, np.zeros(2), rng)
         assert received.tolist() == [20, 0] and outcome.tolist() == [-1, -1]
 
+    def test_counts_narrow_to_the_largest(self):
+        # 300 photons in one round do not fit a byte: the counts are uint16
+        rng = np.random.default_rng(14)
+        owner = np.repeat(np.arange(3, dtype=np.int32), [0, 300, 2])
+        pulse = Pulse(owner, np.zeros(302, np.int8), (np.zeros(3), None, None), 3)
+        _, received = bob_decode(pulse, np.zeros(3), rng)
+        assert received.dtype == np.uint16
+        assert np.array_equal(received, pulse.counts)
+
 
 class TestKeyDigest:
     def test_big_endian_packing(self):
@@ -297,13 +306,14 @@ class TestHonestSession:
         assert np.count_nonzero(checked) > 1000
 
     def test_integrity_condition_exact(self):
-        # per round, over the records read back from the JSONL transcript
+        # per round, over the records read back from the transcript file;
+        # phi is phi* on analyzing rounds
         transcript = _honest_session(seed=44, p_analyzing=0.5, transmission=0.5)
         checked = 0
         for rec in transcript_records(transcript):
             if is_matched(rec["a_index"], rec["b_index"], 2) and rec["is_analyzing"]:
-                expected = expected_ad_bit(rec["k"], rec["phi_star"])
-                for bit in rec["ad_outcomes"]:
+                expected = expected_ad_bit(rec["k"], rec["phi"])
+                for bit in rec["ad_bits"]:
                     assert bit == expected
                     checked += 1
         assert checked > 100
@@ -317,6 +327,21 @@ class TestHonestSession:
         assert np.array_equal(
             transcript.announcement.phi_star_flags, analyzing & (phi == PI / 2)
         )
+
+    @pytest.mark.parametrize("strategy,overrides", [
+        ("none", {}),
+        ("pns_trojan", dict(mode="pulse", mean_photons=20.0, loss=0.1)),
+        ("impersonation", dict(n_screening=300)),
+    ])
+    def test_integer_columns_are_at_most_four_bytes(self, strategy, overrides):
+        params = ProtocolParams(rounds=2000, seed=48, **overrides)
+        rounds = run_session(
+            params, build_interceptor(AttackConfig(strategy=strategy), params)
+        ).rounds
+        for field in dataclasses.fields(rounds):
+            column = getattr(rounds, field.name)
+            if column.dtype.kind in "biu":
+                assert column.dtype.itemsize <= 4, field.name
 
     def test_bob_outcome_present_iff_detected(self):
         rounds = _honest_session(seed=46).rounds
