@@ -46,18 +46,15 @@ class AttackConfig:
 
     ``eve_tap_fraction`` is the per-round probability that Eve recovers
     her own probe photon on the final leg; ``trojan_angle`` is the probe
-    polarization for the simple Trojan; ``theta_oracle`` enables the
-    counterfactual estimator validation mode of the standard-state strategy, in
-    which Eve reads the true theta values (see :class:`SimpleTrojan`). A knob
-    other than its default is accepted only by the strategies whose row of
-    :data:`STRATEGY_TABLE` lists it.
+    polarization for the simple Trojan. A knob other than its default is
+    accepted only by the strategies whose row of :data:`STRATEGY_TABLE`
+    lists it.
     """
 
     strategy: str = STRATEGY_NONE
     eve_tap_fraction: float = 1.0
     trojan_angle: float = 0.0
     attack_probability: float = 1.0
-    theta_oracle: bool = False
     # Impersonation basis-guess distribution over the screening set;
     # None means uniform. Length must equal the screening-set size.
     guess_weights: Optional[tuple[float, ...]] = None
@@ -68,14 +65,9 @@ class AttackConfig:
         check_real("eve_tap_fraction", self.eve_tap_fraction, 0, 1)
         check_real("trojan_angle", self.trojan_angle)
         check_real("attack_probability", self.attack_probability, 0, 1)
-        if not isinstance(self.theta_oracle, bool):
-            raise ConfigError(
-                f"theta_oracle: must be true or false, got {self.theta_oracle!r}"
-            )
         for name, used in (
             ("eve_tap_fraction", self.eve_tap_fraction != 1),
             ("trojan_angle", self.trojan_angle != 0),
-            ("theta_oracle", self.theta_oracle),
             ("guess_weights", self.guess_weights is not None),
         ):
             strategies = [s for s, (_, _, knobs) in STRATEGY_TABLE.items() if name in knobs]
@@ -319,29 +311,16 @@ class SimpleTrojan(_ProbeCaptureAttack):
     information for every eta. ``standard_state`` is the case eta = 0
     (`AttackConfig` holds ``trojan_angle`` at 0 for it): a fixed standard
     state instead of a split photon, whose post-announcement estimate of
-    k is a coin flip. With ``theta_oracle`` Eve keeps the leg-1 table of
-    the legitimate photons' angles, which is Alice's theta array itself,
-    and rotates each stored probe by its round's theta before reading it.
-    That cancels the -theta Alice's unitary imprinted, degenerates the
-    estimator to a perfect one and so validates its implementation.
+    k is a coin flip.
     """
-
-    _thetas: Optional[np.ndarray] = None  # kept on leg 1 with theta_oracle
 
     def _act(self, leg: Leg, pulse: Pulse, rng: np.random.Generator) -> Pulse:
         if leg is Leg.ALICE_TO_BOB_1:
-            if self.config.theta_oracle:
-                self._thetas = pulse.angles[Origin.LEGITIMATE]
             return pulse
         if leg is Leg.BOB_TO_ALICE:
             probes = single_photon_pulse(np.full(pulse.rounds, self.config.trojan_angle))
             return pulse.merged(probes.take(self._active).tagged(Origin.TROJAN_INJECTED))
         return self._capture_probe(pulse, rng)
-
-    def _read_storage(self, announcement: Announcement) -> Guesses:
-        if self._thetas is not None:
-            self.storage = self.storage.rotated(self._thetas)
-        return super()._read_storage(announcement)
 
 
 class PassivePns(_BaseAttack):
@@ -389,7 +368,7 @@ STRATEGY_TABLE = {
     "impersonation": (Impersonation, MODE_SINGLE, ("guess_weights",)),
     "pulse_beamsplit": (PulseBeamSplit, MODE_PULSE, ()),
     "pns_trojan": (PnsTrojanComposite, MODE_PULSE, ("eve_tap_fraction",)),
-    "standard_state": (SimpleTrojan, None, ("eve_tap_fraction", "theta_oracle")),
+    "standard_state": (SimpleTrojan, None, ("eve_tap_fraction",)),
     "simple_trojan": (SimpleTrojan, None, ("eve_tap_fraction", "trojan_angle")),
     "passive_pns": (PassivePns, None, ()),
 }

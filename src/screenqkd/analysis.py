@@ -55,7 +55,7 @@ from .protocol import (
     screening_angles,
 )
 
-SCHEMA_VERSION = "4"
+SCHEMA_VERSION = "5"
 
 # The names of a run's per-session files: the audits, the transcripts and
 # the line-delimited transcripts that earlier versions wrote.
@@ -354,15 +354,14 @@ def security_curve(
     attack: AttackConfig,
     n_values: Sequence[int],
     trials: int = 1,
-    rate_law_epsilon: Optional[float] = None,
 ) -> tuple[list[dict], dict[int, ExperimentReport]]:
     """Run the experiment for each screening-set size N.
 
     Returns one point per N (the rate/security trade-off, a ``curve.csv``
     row) and the report behind each point.
 
-    Checks sift_rate * N = 1 within `rate_law_epsilon` (default: 3-sigma
-    binomial for the realized round count); a breach raises ValueError.
+    Checks sift_rate * N = 1 within the 3-sigma binomial bound for the
+    realized round count; a breach raises ValueError.
     """
     if sorted(set(n_values)) != list(n_values):
         raise ConfigError(f"n_values must be strictly increasing, got {n_values}")
@@ -372,9 +371,7 @@ def security_curve(
         params = replace(base_params, n_screening=n)
         report, _ = run_experiment(params, attack, trials)
         total_rounds = report.totals.rounds
-        eps = rate_law_epsilon
-        if eps is None:
-            eps = 3.0 * math.sqrt(max(n - 1, 1) / total_rounds)
+        eps = 3.0 * math.sqrt(max(n - 1, 1) / total_rounds)
         metrics = report.metrics
         scaled = metrics["sift_rate"] * n
         if abs(scaled - 1.0) > eps:

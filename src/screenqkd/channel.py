@@ -57,7 +57,7 @@ class Interceptor:
     Subclasses override :meth:`intercept`, which sees each leg once with
     the pulses of all rounds: pulse j of the batch belongs to round j, and
     the legs arrive in order. ``round_ids`` is always None; the slot stays
-    until the signature drops it. They may observe the
+    because perfbench's tracer wraps this signature. They may observe the
     public announcement once the session is over, and may emit per-round
     key-bit guesses afterwards; those guesses are all it reports. ``rng``
     is the adversary's own generator, handed in by the channel on every
@@ -80,16 +80,12 @@ class Interceptor:
 def transmit(
     pulse: Pulse,
     leg: Leg,
-    round_ids: None,
     interceptor: Optional[Interceptor] = None,
     loss: float = 0.0,
     rng_channel: Optional[np.random.Generator] = None,
     rng_eve: Optional[np.random.Generator] = None,
 ) -> Pulse:
     """Carry a batch of pulses across one leg: interception hook first, then loss.
-
-    `round_ids` is handed to the interceptor as it is; the engine passes
-    None, since the batch's rounds are batch-local.
 
     Each photon is dropped independently with probability `loss`: loss is
     a beam splitter whose tapped output is discarded, so only the
@@ -99,7 +95,7 @@ def transmit(
     if not 0.0 <= loss <= 1.0:
         raise ConfigError(f"loss must be in [0, 1], got {loss}")
     if interceptor is not None:
-        pulse = interceptor.intercept(leg, pulse, round_ids, rng_eve)
+        pulse = interceptor.intercept(leg, pulse, None, rng_eve)
     if loss == 0.0:
         return pulse
     return attenuated(pulse, loss, rng_channel)

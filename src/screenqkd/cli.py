@@ -30,7 +30,7 @@ from .analysis import (
     security_curve,
     transcript_npz,
 )
-from .errors import ConfigError, check_int, check_real
+from .errors import ConfigError, check_int
 from .protocol import MAX_SCREENING, MODE_PULSE, MODE_SINGLE, ProtocolParams
 
 OUTDIR_ENV = "SCREENQKD_OUTDIR"
@@ -60,7 +60,6 @@ class ExperimentConfig:
     trials: int = 1
     outdir: Optional[str] = None
     emit_transcript: bool = False
-    rate_law_epsilon: Optional[float] = None
 
     def validate(self) -> None:
         """Check the fields only the runner uses, then build the strategy for
@@ -77,10 +76,6 @@ class ExperimentConfig:
                     f"sweep-N: must be strictly increasing, got {self.sweep_n}"
                 )
         check_int("trials", self.trials, 1)
-        if self.rate_law_epsilon is not None:
-            check_real("rate-law-epsilon", self.rate_law_epsilon, 0)
-            if not self.sweep_n:
-                raise ConfigError("rate-law-epsilon: sweep-N runs only, not a single N")
         if not isinstance(self.emit_transcript, bool):
             raise ConfigError(
                 f"emit-transcript: must be true or false, got {self.emit_transcript!r}"
@@ -205,14 +200,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--guess-weights", dest="guess_weights", type=_parse_float_list,
                         help="impersonation basis-guess weights over the screening set "
                              "(comma-separated; default uniform)")
-    parser.add_argument("--digest", type=str, help="key digest algorithm")
     parser.add_argument("--outdir", type=str,
                         help=f"report directory (default: ${OUTDIR_ENV} if set)")
     parser.add_argument("--emit-transcript", action="store_true", default=None,
                         help="also write each session's per-round columns "
                              "(one .npz per session; single-point runs only)")
-    parser.add_argument("--rate-law-epsilon", dest="rate_law_epsilon", type=float,
-                        help="tolerance override for the sweep sift-rate check")
     return parser
 
 
@@ -303,8 +295,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if config.sweep_n:
             try:
                 curve, reports = security_curve(
-                    params, attack, config.sweep_n,
-                    trials=config.trials, rate_law_epsilon=config.rate_law_epsilon,
+                    params, attack, config.sweep_n, trials=config.trials
                 )
             except ConfigError:
                 raise  # invalid input, not a failed check: exits 2 below

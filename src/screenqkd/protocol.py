@@ -89,7 +89,6 @@ class ProtocolParams:
     mode: str = MODE_SINGLE
     mean_photons: float = 1.0
     seed: int = 1
-    digest: str = "sha256"
 
     def __post_init__(self) -> None:
         check_int("n_screening (N)", self.n_screening, 1, MAX_SCREENING)
@@ -101,15 +100,6 @@ class ProtocolParams:
             raise ConfigError(f"mode must be 'single' or 'pulse', got {self.mode!r}")
         check_real("mean_photons", self.mean_photons, 0, MAX_MEAN_PHOTONS)
         check_int("seed", self.seed, 0, 2**64 - 1)
-        try:
-            digest_size = hashlib.new(self.digest).digest_size
-        except (ValueError, TypeError):
-            raise ConfigError(f"unknown digest algorithm {self.digest!r}") from None
-        if digest_size == 0:
-            # shake_* digests take a length argument that key_digest never passes
-            raise ConfigError(
-                f"digest: {self.digest!r} has no fixed length; choose e.g. 'sha256'"
-            )
 
     @functools.cached_property
     def angles(self) -> np.ndarray:
@@ -336,8 +326,9 @@ def pack_key_bits(bits) -> bytes:
     return np.packbits(np.asarray(bits, dtype=bool)).tobytes()
 
 
-def key_digest(bits, algorithm: str = "sha256") -> bytes:
-    return hashlib.new(algorithm, pack_key_bits(bits)).digest()
+def key_digest(bits) -> bytes:
+    """The SHA-256 digest of the packed key bits."""
+    return hashlib.sha256(pack_key_bits(bits)).digest()
 
 
 def sift_and_verify(
@@ -374,8 +365,8 @@ def sift_and_verify(
     checked = (matched & rounds.is_analyzing)[owner]
     expected = expected_ad_bit(rounds.k[owner], rounds.phi[owner])
     violated = checked & (rounds.ad_bits != expected)
-    alice_hash = key_digest(alice_key, params.digest)
-    bob_hash = key_digest(bob_key, params.digest)
+    alice_hash = key_digest(alice_key)
+    bob_hash = key_digest(bob_key)
     if violated.any():
         verdict = Verdict.INTEGRITY_VIOLATION
     elif alice_hash != bob_hash:
@@ -423,7 +414,7 @@ def run_session(
     m, n = params.rounds, params.n_screening
     # The smallest unsigned type that holds 2N: is_matched's sum fits.
     index_dtype = np.min_scalar_type(2 * n)
-    channel = (None, interceptor, params.loss, rng_channel, rng_eve)
+    channel = (interceptor, params.loss, rng_channel, rng_eve)
 
     # Alice: theta uniform on [0, pi), key bit k, screening index a.
     theta = _sealed(rng_alice.random(m) * PI)

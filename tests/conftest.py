@@ -7,8 +7,10 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from screenqkd.adversary import SimpleTrojan  # noqa: E402
 from screenqkd.analysis import transcript_npz  # noqa: E402
-from screenqkd.photonics import PI, canon  # noqa: E402
+from screenqkd.channel import Leg  # noqa: E402
+from screenqkd.photonics import PI, Origin, canon  # noqa: E402
 
 # Absolute tolerance for angle comparisons modulo pi.
 ANGLE_TOL = 1e-9
@@ -57,3 +59,25 @@ def transcript_records(transcript) -> list[dict]:
          **{name: photons[bounds[j]:bounds[j + 1]] for name, photons in ad.items()}}
         for j in range(len(bounds) - 1)
     ]
+
+
+class ThetaOracleTrojan(SimpleTrojan):
+    """The ``standard_state`` probe with an oracle for Alice's theta, built
+    directly (no strategy name selects it) to validate the estimator.
+
+    It keeps the leg-1 table of the legitimate photons' angles, which is
+    Alice's theta array itself, and rotates each stored probe by its
+    round's theta before reading it. That cancels the -theta Alice's
+    unitary imprinted, so the post-announcement estimate of k is exact.
+    Eve in the paper's model learns a state only by measuring it, so no
+    strategy of the package reads that table.
+    """
+
+    def _act(self, leg, pulse, rng):
+        if leg is Leg.ALICE_TO_BOB_1:
+            self._thetas = pulse.angles[Origin.LEGITIMATE]
+        return super()._act(leg, pulse, rng)
+
+    def _read_storage(self, announcement):
+        self.storage = self.storage.rotated(self._thetas)
+        return super()._read_storage(announcement)

@@ -3,17 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from screenqkd.adversary import AttackConfig, PulseBeamSplit, build_interceptor
-from screenqkd.analysis import run_experiment, run_trial
+from screenqkd.adversary import (
+    STRATEGY_NONE, STRATEGY_TABLE, AttackConfig, PulseBeamSplit, build_interceptor,
+)
+from screenqkd.analysis import run_experiment, run_trial, score_trial
 from screenqkd.channel import Leg
 from screenqkd.errors import ConfigError
 from screenqkd.photonics import (
     PI, Origin, Pulse, beam_split, canon, make_pulse, measure, single_photon_pulse,
 )
-from screenqkd.protocol import ProtocolParams, run_session, screening_angles
+from screenqkd.protocol import ProtocolParams, Verdict, run_session, screening_angles
 
 import oracles
-from conftest import binom_sigma
+from conftest import ThetaOracleTrojan, binom_sigma
 
 
 # Probe angles far outside [0, pi), where a raw angle loses the rotations
@@ -45,12 +47,10 @@ MODE_NAMES = {"single": "single-photon", "pulse": "pulse"}
 KNOB_USERS = {
     "eve_tap_fraction": ("pns_trojan", "standard_state", "simple_trojan"),
     "trojan_angle": ("simple_trojan",),
-    "theta_oracle": ("standard_state",),
     "guess_weights": ("impersonation",),
 }
 NON_DEFAULT_KNOBS = {
-    "eve_tap_fraction": 0.3, "trojan_angle": 0.7, "theta_oracle": True,
-    "guess_weights": (1.0, 1.0),
+    "eve_tap_fraction": 0.3, "trojan_angle": 0.7, "guess_weights": (1.0, 1.0),
 }
 
 
@@ -67,7 +67,6 @@ class TestConfigValidation:
         for bad in (
             dict(eve_tap_fraction=float("nan")), dict(attack_probability="1"),
             dict(trojan_angle=float("nan")), dict(trojan_angle=float("inf")),
-            dict(theta_oracle="yes"),
         ):
             with pytest.raises(ConfigError):
                 AttackConfig(strategy="standard_state", **bad)
@@ -380,12 +379,11 @@ class TestStandardStateProbe:
 
     def test_theta_oracle_validates_estimator(self):
         params = _params(transmission=0.5, rounds=5000, seed=114)
-        report, _ = run_experiment(
-            params,
-            AttackConfig(strategy="standard_state", eve_tap_fraction=1.0, theta_oracle=True),
-        )
-        assert report.totals.eve_guesses > 1000
-        assert report.metrics["eve_accuracy"] == 1.0
+        config = AttackConfig(strategy="standard_state", eve_tap_fraction=1.0)
+        oracle = ThetaOracleTrojan(config, params)
+        counts = score_trial(run_session(params, oracle), oracle.produce_guesses())
+        assert counts.eve_guesses > 1000
+        assert counts.eve_correct == counts.eve_guesses
 
 
 class TestSimpleTrojan:
@@ -502,3 +500,30 @@ def test_relaying_attacks_always_leave_a_trace():
         report, _ = run_experiment(params, AttackConfig(strategy=strategy))
         qber_count = report.totals.qber_errors
         assert qber_count > 0 or report.totals.ad_violations > 0, strategy
+
+
+def test_verdict_follows_violations_then_hashes():
+    # An AD violation rejects a session whatever the keys; otherwise the
+    # hashes decide. With no analyzing rounds only the hashes can reject.
+    seen, wrong = set(), []
+    for p_analyzing in (0.5, 0.0):
+        for strategy in (STRATEGY_NONE, *STRATEGY_TABLE):
+            required = STRATEGY_TABLE[strategy][1] if strategy in STRATEGY_TABLE else None
+            for mode in (required,) if required else ("single", "pulse"):
+                params = _params(
+                    rounds=2000, seed=3, p_analyzing=p_analyzing, mode=mode,
+                    mean_photons=2.0,
+                )
+                interceptor = build_interceptor(AttackConfig(strategy=strategy), params)
+                t = run_session(params, interceptor)
+                if t.ad_violations > 0:
+                    expected = Verdict.INTEGRITY_VIOLATION
+                elif t.alice_hash != t.bob_hash:
+                    expected = Verdict.HASH_MISMATCH
+                else:
+                    expected = Verdict.ACCEPTED
+                seen.add(expected)
+                if t.verdict is not expected:
+                    wrong.append((strategy, mode, p_analyzing, t.verdict, expected))
+    assert wrong == []
+    assert seen == set(Verdict)

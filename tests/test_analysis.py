@@ -12,6 +12,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
+from screenqkd import analysis
 from screenqkd.adversary import AttackConfig, build_interceptor
 from screenqkd.analysis import (
     ExperimentReport,
@@ -38,7 +39,7 @@ from screenqkd.protocol import (
     run_session,
 )
 
-from conftest import binom_sigma, transcript_records
+from conftest import ThetaOracleTrojan, binom_sigma, transcript_records
 
 
 def _params(**overrides) -> ProtocolParams:
@@ -351,10 +352,13 @@ class TestSecurityCurve:
         rates = [p["conclusive_rate"] for p in curve]
         assert rates[0] > rates[1]
 
-    def test_breached_tolerance_raises(self):
+    def test_breached_tolerance_raises(self, monkeypatch):
         base = _params(rounds=5000, seed=204)
+        # every N breaches the law when the sift rate reads 0
+        rates = analysis.rates
+        monkeypatch.setattr(analysis, "rates", lambda c: {**rates(c), "sift_rate": 0.0})
         with pytest.raises(ValueError, match="key-rate law"):
-            security_curve(base, AttackConfig(), [2], rate_law_epsilon=1e-9)
+            security_curve(base, AttackConfig(), [2])
 
     def test_rejects_unsorted_n(self):
         with pytest.raises(ConfigError):
@@ -396,12 +400,6 @@ STRATEGY_CASES = [
     ("pulse", "pulse_beamsplit"),
     ("pulse", "pns_trojan"),
 ]
-
-
-def _attack(strategy: str, **knobs) -> AttackConfig:
-    # The theta oracle is the one report path that reads a round column.
-    oracle = {"theta_oracle": True} if strategy == "standard_state" else {}
-    return AttackConfig(strategy=strategy, **oracle, **knobs)
 
 
 def _recount(transcript, guesses, records, beamsplit_reported=None) -> dict:
@@ -460,8 +458,12 @@ def test_batch_scorer_matches_per_record_recount(mode, strategy):
         transmission=0.7, loss=0.2, seed=206,
     )
     knobs = {"attack_probability": 0.6} if strategy != "none" else {}
-    attack = _attack(strategy, **knobs)
-    interceptor = build_interceptor(attack, params)
+    attack = AttackConfig(strategy=strategy, **knobs)
+    if strategy == "standard_state":
+        # The theta oracle is the one report path that reads a round column.
+        interceptor = ThetaOracleTrojan(attack, params)
+    else:
+        interceptor = build_interceptor(attack, params)
     final_leg = []  # Eve's input on the final leg
     if interceptor is not None:
         intercept = interceptor.intercept
@@ -650,6 +652,3 @@ def test_report_holds_no_per_round_list(tmp_path, capsys):
     # The longest strings are the SHA-256 hex digests: the key hashes and
     # the audit files'.
     assert _longest(doc, str) == 64
-    assert main([*argv, "--digest", "sha512", "--outdir", str(tmp_path / "sha512")]) == 0
-    doc = json.loads((tmp_path / "sha512" / "report.json").read_text())
-    assert _longest(doc, str) == 128

@@ -13,8 +13,6 @@ from screenqkd.protocol import MODE_SINGLE, ProtocolParams, Verdict, derive_rng,
 
 from conftest import binom_sigma
 
-ROUND = np.arange(1)
-
 
 def _pulse(n: int) -> Pulse:
     """A batch of one round whose pulse holds n photons at 0.3."""
@@ -25,7 +23,7 @@ def _pulse(n: int) -> Pulse:
 class TestTransmit:
     def test_lossless_identity(self):
         pulse = _pulse(5)
-        out = transmit(pulse, Leg.ALICE_TO_BOB_1, ROUND)
+        out = transmit(pulse, Leg.ALICE_TO_BOB_1)
         assert np.array_equal(out.photons, pulse.photons)
 
     def test_loss_free_leg_does_no_work(self, monkeypatch):
@@ -37,7 +35,7 @@ class TestTransmit:
         pulse = _pulse(5)
         rng = np.random.default_rng(0)
         before = rng.bit_generator.state
-        out = transmit(pulse, Leg.BOB_TO_ALICE, ROUND, loss=0.0, rng_channel=rng)
+        out = transmit(pulse, Leg.BOB_TO_ALICE, loss=0.0, rng_channel=rng)
         assert out is pulse
         assert rng.bit_generator.state == before
 
@@ -52,8 +50,7 @@ class TestTransmit:
             (None, np.random.default_rng(6).random(50), None), 50,
         )
         rng_loss, rng_split = np.random.default_rng(7), np.random.default_rng(7)
-        out = transmit(pulse, Leg.ALICE_TO_BOB_2, np.arange(50), loss=loss,
-                       rng_channel=rng_loss)
+        out = transmit(pulse, Leg.ALICE_TO_BOB_2, loss=loss, rng_channel=rng_loss)
         passed = beam_split(pulse, loss, rng_split)[1]
         for column in ("photons", "origin", "owner"):
             assert np.array_equal(getattr(out, column), getattr(passed, column))
@@ -62,12 +59,12 @@ class TestTransmit:
 
     def test_full_loss(self):
         rng = np.random.default_rng(0)
-        out = transmit(_pulse(5), Leg.ALICE_TO_BOB_1, ROUND, loss=1.0, rng_channel=rng)
+        out = transmit(_pulse(5), Leg.ALICE_TO_BOB_1, loss=1.0, rng_channel=rng)
         assert out.is_empty
 
     def test_invalid_loss(self):
         with pytest.raises(ConfigError):
-            transmit(_pulse(1), Leg.ALICE_TO_BOB_1, ROUND, loss=1.5)
+            transmit(_pulse(1), Leg.ALICE_TO_BOB_1, loss=1.5)
 
     def test_identity_interceptor_equivalent_to_none(self):
         params = ProtocolParams(n_screening=2, rounds=2000, seed=60)
@@ -85,10 +82,10 @@ class TestTransmit:
         combined = 1 - (1 - a) * (1 - b)
         n = 40_000
         pulse = _pulse(n)
-        mid = transmit(pulse, Leg.ALICE_TO_BOB_1, ROUND, loss=a, rng_channel=rng1)
-        two_step = transmit(mid, Leg.BOB_TO_ALICE, ROUND, loss=b, rng_channel=rng1).count
+        mid = transmit(pulse, Leg.ALICE_TO_BOB_1, loss=a, rng_channel=rng1)
+        two_step = transmit(mid, Leg.BOB_TO_ALICE, loss=b, rng_channel=rng1).count
         one_step = transmit(
-            pulse, Leg.ALICE_TO_BOB_1, ROUND, loss=combined, rng_channel=rng2
+            pulse, Leg.ALICE_TO_BOB_1, loss=combined, rng_channel=rng2
         ).count
         survive = 1 - combined
         tol = 4 * math.sqrt(2) * binom_sigma(survive, n) * n

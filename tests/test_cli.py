@@ -118,11 +118,11 @@ def test_sweep_checks_every_n_before_any_session(monkeypatch, capsys):
     assert "guess_weights: expected 3 weights, got 2" in capsys.readouterr().err
 
 
-def test_sweep_rate_law_breach_exits_one(capsys):
-    code = main(
-        ["--sweep-N", "2", "--rounds", "3000", "--seed", "9",
-         "--rate-law-epsilon", "1e-9"]
-    )
+def test_sweep_rate_law_breach_exits_one(monkeypatch, capsys):
+    # every N breaches the law when the sift rate reads 0
+    rates = analysis.rates
+    monkeypatch.setattr(analysis, "rates", lambda c: {**rates(c), "sift_rate": 0.0})
+    code = main(["--sweep-N", "2", "--rounds", "3000", "--seed", "9"])
     assert code == 1
     assert "key-rate law" in capsys.readouterr().err
 
@@ -201,8 +201,7 @@ def test_load_config_validates():
     for field in (
         "n", "sweep_n", "rounds", "p_analyzing", "transmission", "mode",
         "mean_photons", "loss", "trials", "seed", "attack", "eve_tap_fraction",
-        "trojan_angle", "attack_probability", "theta_oracle", "digest",
-        "outdir", "emit_transcript", "rate_law_epsilon",
+        "trojan_angle", "attack_probability", "outdir", "emit_transcript",
     ):
         setattr(args, field, None)
     args.trials = 0
@@ -225,7 +224,6 @@ INVALID_INPUTS = {
     "config-not-object": ([2, 3], []),
     "mean-photons-inf": (None, ["--mode", "pulse", "--mean-photons", "inf"]),
     "mean-photons-huge": (None, ["--mode", "pulse", "--mean-photons", "1e19"]),
-    "digest-variable-length": (None, ["--digest", "shake_128"]),
     "trojan-angle-nan": (None, ["--attack", "simple_trojan", "--trojan-angle", "nan"]),
     # negative numbers that argparse alone would read as options
     "trojan-angle-minus-inf": (None, ["--attack", "simple_trojan", "--trojan-angle", "-inf"]),
@@ -236,7 +234,6 @@ INVALID_INPUTS = {
     "sweep-negative-n": (None, ["--sweep-N", "-1,2"]),
     "guess-weights-negative-exponent": (None, ["--attack", "impersonation",
                                                "--guess-weights", "-1e-3,1"]),
-    "theta-oracle-other-strategy": ({"theta_oracle": True}, ["--attack", "simple_trojan"]),
     "sweep-with-transcript": (None, ["--sweep-N", "2,3", "--emit-transcript"]),
     "transcript-without-outdir": (None, ["--emit-transcript"]),
     "sweep-mode-mismatch": (None, ["--sweep-N", "2,3", "--attack", "impersonation",
@@ -246,7 +243,12 @@ INVALID_INPUTS = {
     "guess-weights-sum-overflow": (None, ["--attack", "impersonation",
                                           "--guess-weights", "1e308,1e308"]),
     "guess-weights-empty": (None, ["--attack", "impersonation", "--guess-weights", ""]),
-    "rate-law-epsilon-single-point": (None, ["--rate-law-epsilon", "0.1"]),
+    # the options of earlier versions, in a config file and as flags
+    "digest-config-key": ({"digest": "sha256"}, []),
+    "theta-oracle-config-key": ({"theta_oracle": True}, []),
+    "rate-law-epsilon-config-key": ({"rate_law_epsilon": 0.1}, []),
+    "digest-flag": (None, ["--digest", "sha256"]),
+    "rate-law-epsilon-flag": (None, ["--rate-law-epsilon", "0.1"]),
     "trojan-angle-other-strategy": (None, ["--attack", "standard_state",
                                            "--trojan-angle", "0.7"]),
     "eve-tap-fraction-other-strategy": (None, ["--attack", "impersonation",

@@ -147,12 +147,9 @@ TYPICAL = {
     "eve_tap_fraction": unit,
     "trojan_angle": st.floats(-4.0, 4.0),
     "attack_probability": unit,
-    "theta_oracle": st.booleans(),
     "guess_weights": st.lists(st.floats(0.0, 2.0), max_size=6),
-    "digest": st.sampled_from(("sha256", "md5", "shake_128")),
     "outdir": st.text(max_size=6),
     "emit_transcript": st.booleans(),
-    "rate_law_epsilon": unit,
 }
 CONFIG_KEYS = {**cli.PARAM_KEYS, **cli.ATTACK_KEYS, **cli.RUN_KEYS}
 config_docs = st.fixed_dictionaries(

@@ -86,14 +86,12 @@ class TestParams:
             ProtocolParams(mode="coherent")
         with pytest.raises(ConfigError):
             ProtocolParams(mean_photons=-1.0)
-        with pytest.raises(ConfigError):
-            ProtocolParams(digest="not-a-hash")
         for bad in (
             dict(n_screening=2.0), dict(rounds="100"), dict(rounds=10.5),
             dict(rounds=True), dict(p_analyzing=float("nan")),
             dict(mean_photons=float("inf")), dict(mean_photons=float("nan")),
             dict(transmission="0.9"), dict(seed=1.5), dict(mean_photons=101),
-            dict(digest="shake_128"), dict(rounds=2**31), dict(n_screening=2**20 + 1),
+            dict(rounds=2**31), dict(n_screening=2**20 + 1),
             dict(loss=1.5), dict(loss=-0.1), dict(loss=float("nan")), dict(loss="0.1"),
             dict(loss=True), dict(seed=-1), dict(seed=2**64),
         ):
