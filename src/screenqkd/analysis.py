@@ -44,7 +44,7 @@ import numpy as np
 
 from .adversary import AttackConfig, build_interceptor
 from .channel import Guesses
-from .errors import ConfigError
+from .errors import ConfigError, check_int
 from .photonics import PI, Origin
 from .protocol import (
     ProtocolParams,
@@ -55,7 +55,7 @@ from .protocol import (
     screening_angles,
 )
 
-SCHEMA_VERSION = "5"
+SCHEMA_VERSION = "6"
 
 # The names of a run's per-session files: the audits, the transcripts and
 # the line-delimited transcripts that earlier versions wrote.
@@ -102,7 +102,8 @@ def ie_sum(n: int) -> float:
 
 @dataclass
 class TrialCounts:
-    """Order-independent counters extracted from one session transcript.
+    """Order-independent integer counters extracted from one session
+    transcript.
 
     The two ``eve_non_analyzing_*`` counters are derived from the fields,
     so ``asdict`` leaves them out of the report.
@@ -124,7 +125,6 @@ class TrialCounts:
     eve_analyzing_correct: int = 0
     beamsplit_reported: int = 0
     beamsplit_conclusive: int = 0
-    verdict: str = Verdict.ACCEPTED.value
 
     @property
     def eve_non_analyzing_guesses(self) -> int:
@@ -164,8 +164,9 @@ def npz_bytes(arrays: Mapping[str, np.ndarray]) -> bytes:
 
 @dataclass(frozen=True, eq=False)
 class SessionSummary:
-    """Auditable per-session record: the verdict, the key length and
-    digests, and ``audit``, the bytes of the session's audit file.
+    """One session's record: its counters, its verdict, its key digests,
+    ``audit``, the bytes of its audit file, and ``transcript``, kept only
+    on request.
 
     The audit file is an uncompressed ``.npz`` of six arrays.
     ``a_indices`` and ``b_indices`` hold one screening index per round in
@@ -175,14 +176,17 @@ class SessionSummary:
     the round was analyzing and phi* = pi/2.
     """
 
+    counts: TrialCounts
     verdict: str
-    key_bits: int
     alice_hash: str
     bob_hash: str
     audit: bytes
+    transcript: Optional[SessionTranscript] = None
 
     @classmethod
-    def from_transcript(cls, transcript: SessionTranscript) -> "SessionSummary":
+    def from_transcript(
+        cls, transcript: SessionTranscript, counts: TrialCounts
+    ) -> "SessionSummary":
         ann = transcript.announcement
         audit = npz_bytes({
             "a_indices": ann.a_indices,
@@ -193,8 +197,8 @@ class SessionSummary:
             "bob_key": _packed(transcript.bob_key),
         })
         return cls(
+            counts=counts,
             verdict=transcript.verdict.value,
-            key_bits=len(transcript.alice_key),
             alice_hash=transcript.alice_hash.hex(),
             bob_hash=transcript.bob_hash.hex(),
             audit=audit,
@@ -233,7 +237,6 @@ def score_trial(transcript: SessionTranscript, guesses: Guesses) -> TrialCounts:
         eve_analyzing_correct=_count(correct & analyzing),
         beamsplit_reported=guesses.reported,
         beamsplit_conclusive=len(guesses) if guesses.reported else 0,
-        verdict=transcript.verdict.value,
     )
 
 
@@ -242,11 +245,10 @@ class ExperimentReport:
     """Aggregated result of one session per trial at one parameter point.
 
     Holds only what it cannot derive; the totals, the verdict histogram
-    and the theory block follow from `params` and `per_trial`.
+    and the theory block follow from `params` and `sessions`.
     """
 
     params: ProtocolParams
-    per_trial: list[TrialCounts]
     sessions: list[SessionSummary]
 
     @property
@@ -259,19 +261,15 @@ class ExperimentReport:
 
     @functools.cached_property
     def totals(self) -> TrialCounts:
-        """Field-wise sum of the per-trial counters, folded once."""
-        return TrialCounts(
-            **{
-                f.name: sum(getattr(c, f.name) for c in self.per_trial)
-                for f in fields(TrialCounts)
-                if f.name != "verdict"
-            },
-            verdict="",  # not meaningful on the aggregate
-        )
+        """Field-wise sum of the sessions' counters, folded once."""
+        return TrialCounts(**{
+            f.name: sum(getattr(s.counts, f.name) for s in self.sessions)
+            for f in fields(TrialCounts)
+        })
 
     @property
     def verdicts(self) -> dict[str, int]:
-        return {v.value: sum(c.verdict == v.value for c in self.per_trial) for v in Verdict}
+        return {v.value: sum(s.verdict == v.value for s in self.sessions) for v in Verdict}
 
     @property
     def metrics(self) -> dict[str, Optional[float]]:
@@ -297,12 +295,12 @@ class ExperimentReport:
             "schema_version": SCHEMA_VERSION,
             "config": config,
             "seed": self.params.seed,
-            "trials": len(self.per_trial),
+            "trials": len(self.sessions),
             "rounds_per_trial": self.params.rounds,
             "totals": asdict(self.totals),
-            "per_trial": [asdict(c) for c in self.per_trial],
             "sessions": [
-                {**vars(s), "audit": {
+                {**asdict(s.counts), "verdict": s.verdict, "alice_hash": s.alice_hash,
+                 "bob_hash": s.bob_hash, "audit": {
                     "file": name,
                     "bytes": len(s.audit),
                     "sha256": hashlib.sha256(s.audit).hexdigest(),
@@ -322,14 +320,14 @@ def run_trial(
     attack: AttackConfig,
     trial: int,
     keep_transcript: bool = False,
-) -> tuple[TrialCounts, SessionSummary, Optional[SessionTranscript]]:
-    """Run one session; reduce it to counters plus an audit summary."""
+) -> SessionSummary:
+    """Run one session and reduce it to its record."""
     interceptor = build_interceptor(attack, params)
     transcript = run_session(params, interceptor, trial=trial)
     guesses = Guesses() if interceptor is None else interceptor.produce_guesses()
     counts = score_trial(transcript, guesses)
-    summary = SessionSummary.from_transcript(transcript)
-    return counts, summary, (transcript if keep_transcript else None)
+    summary = SessionSummary.from_transcript(transcript, counts)
+    return replace(summary, transcript=transcript) if keep_transcript else summary
 
 
 def run_experiment(
@@ -337,16 +335,14 @@ def run_experiment(
     attack: AttackConfig,
     trials: int = 1,
     keep_transcripts: bool = False,
-) -> tuple[ExperimentReport, list[SessionTranscript]]:
+) -> ExperimentReport:
     """Run `trials` independent sessions and aggregate them into a report."""
-    if trials < 1:
-        raise ConfigError(f"trials must be >= 1, got {trials}")
-    per_trial, sessions, transcripts = zip(
-        *(run_trial(params, attack, trial, keep_transcripts) for trial in range(trials))
+    check_int("trials", trials, 1)
+    report = ExperimentReport(
+        params, [run_trial(params, attack, trial, keep_transcripts) for trial in range(trials)]
     )
-    report = ExperimentReport(params, list(per_trial), list(sessions))
     report.validate()
-    return report, [t for t in transcripts if t is not None]
+    return report
 
 
 def security_curve(
@@ -354,42 +350,27 @@ def security_curve(
     attack: AttackConfig,
     n_values: Sequence[int],
     trials: int = 1,
-) -> tuple[list[dict], dict[int, ExperimentReport]]:
-    """Run the experiment for each screening-set size N.
-
-    Returns one point per N (the rate/security trade-off, a ``curve.csv``
-    row) and the report behind each point.
+) -> dict[int, ExperimentReport]:
+    """Run the experiment for each screening-set size N; the report for
+    each N, in order. A ``curve.csv`` row is ``{"N": n, **report.metrics}``.
 
     Checks sift_rate * N = 1 within the 3-sigma binomial bound for the
     realized round count; a breach raises ValueError.
     """
     if sorted(set(n_values)) != list(n_values):
         raise ConfigError(f"n_values must be strictly increasing, got {n_values}")
-    curve: list[dict] = []
     reports: dict[int, ExperimentReport] = {}
     for n in n_values:
-        params = replace(base_params, n_screening=n)
-        report, _ = run_experiment(params, attack, trials)
-        total_rounds = report.totals.rounds
-        eps = 3.0 * math.sqrt(max(n - 1, 1) / total_rounds)
-        metrics = report.metrics
-        scaled = metrics["sift_rate"] * n
+        report = run_experiment(replace(base_params, n_screening=n), attack, trials)
+        eps = 3.0 * math.sqrt(max(n - 1, 1) / report.totals.rounds)
+        scaled = report.metrics["sift_rate"] * n
         if abs(scaled - 1.0) > eps:
             raise ValueError(
                 f"key-rate law violated at N={n}: sift_rate*N={scaled:.4f} "
                 f"outside 1 +/- {eps:.4f}"
             )
-        curve.append(
-            {
-                "N": n,
-                "sift_rate": metrics["sift_rate"],
-                "qber_under_attack": metrics["qber"],
-                "conclusive_rate": metrics["conclusive_rate"],
-                "ad_violation_rate": metrics["ad_violation_rate"],
-            }
-        )
         reports[n] = report
-    return curve, reports
+    return reports
 
 
 def _csv_cell(value) -> str:
@@ -401,31 +382,15 @@ def _csv_cell(value) -> str:
 
 
 def flat_rows(report: ExperimentReport, attack: str) -> list[dict]:
-    """One ``trials.csv`` row per trial, with the report's rates over that
-    trial alone; the keys, in order, are the table's columns."""
-    rows = []
-    for i, c in enumerate(report.per_trial):
-        trial = rates(c)
-        rows.append(
-            {
-                "trial": i,
-                "N": report.params.n_screening,
-                "mode": report.params.mode,
-                "attack": attack,
-                "rounds": c.rounds,
-                "sifted_bits": c.sifted_bits,
-                "matched_rate": trial["sift_rate"],
-                "qber": trial["qber"],
-                "ad_clicks": c.ad_clicks,
-                "ad_violations": c.ad_violations,
-                "ad_violation_rate": trial["ad_violation_rate"],
-                "eve_guesses": c.eve_guesses,
-                "eve_correct": c.eve_correct,
-                "eve_accuracy": trial["eve_accuracy"],
-                "verdict": c.verdict,
-            }
-        )
-    return rows
+    """One ``trials.csv`` row per trial: its point, its counters and
+    verdict, and the rates of `RATES` over that trial alone; the keys, in
+    order, are the table's columns."""
+    p = report.params
+    return [
+        {"trial": i, "N": p.n_screening, "mode": p.mode, "attack": attack,
+         **asdict(s.counts), "verdict": s.verdict, **rates(s.counts)}
+        for i, s in enumerate(report.sessions)
+    ]
 
 
 def report_json(doc: dict) -> Iterator[bytes]:

@@ -245,7 +245,7 @@ def _print_summary(label: str, report: ExperimentReport) -> None:
         return "absent" if x is None else f"{x:.6f}"
 
     m = report.metrics
-    print(f"[{label}] rounds={report.totals.rounds} trials={len(report.per_trial)}")
+    print(f"[{label}] rounds={report.totals.rounds} trials={len(report.sessions)}")
     print(f"  sift_rate={m['sift_rate']:.6f}  sifted_bits={report.totals.sifted_bits}")
     print(f"  qber={fmt(m['qber'])}")
     print(
@@ -288,23 +288,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
 
     outdir = config.resolve_outdir()
-    params, attack = config.params, config.attack
-    curve: Optional[list[dict]] = None
-    transcripts: list = []
+    params, attack, sweep = config.params, config.attack, config.sweep_n
     try:
-        if config.sweep_n:
+        if sweep:
             try:
-                curve, reports = security_curve(
-                    params, attack, config.sweep_n, trials=config.trials
-                )
+                reports = security_curve(params, attack, sweep, trials=config.trials)
             except ConfigError:
                 raise  # invalid input, not a failed check: exits 2 below
             except ValueError as exc:
                 print(f"assertion failed: {exc}", file=sys.stderr)
                 return 1
-            points = {f"N={n}": reports[n] for n in config.sweep_n}
+            points = {f"N={n}": r for n, r in reports.items()}
         else:
-            report, transcripts = run_experiment(
+            report = run_experiment(
                 params, attack,
                 trials=config.trials, keep_transcripts=config.emit_transcript,
             )
@@ -317,30 +313,33 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             rows += flat_rows(report, attack.strategy)
             audits.update(report.audits)
             if attack.strategy == STRATEGY_NONE:
-                prefix = f"{label}: " if curve is not None else ""
+                prefix = f"{label}: " if sweep else ""
                 failures += [prefix + f for f in _honest_assertions(report)]
         if outdir is not None:
-            if curve is None:
-                doc = report.to_dict(config.echo())
-            else:
+            if sweep:
                 doc = {
                     "schema_version": SCHEMA_VERSION,
                     "config": config.echo(),
-                    "curve": curve,
                     "sweep": {
-                        str(n): reports[n].to_dict({**config.echo(), "n": n})
-                        for n in config.sweep_n
+                        str(n): r.to_dict({**config.echo(), "n": n})
+                        for n, r in reports.items()
                     },
+                }
+                curve = [{"N": n, **r.metrics} for n, r in reports.items()]
+                tail = {"curve.csv": csv_table(curve)}
+            else:
+                doc = report.to_dict(config.echo())
+                tail = {
+                    f"transcript_{i:03d}.npz": transcript_npz(s.transcript)
+                    for i, s in enumerate(report.sessions)
+                    if s.transcript is not None
                 }
             files = {
                 "report.json": report_json(doc),
                 **{name: [audit] for name, audit in audits.items()},
                 "trials.csv": csv_table(rows),
+                **tail,
             }
-            if curve is not None:
-                files["curve.csv"] = csv_table(curve)
-            for i, transcript in enumerate(transcripts):
-                files[f"transcript_{i:03d}.npz"] = transcript_npz(transcript)
             emit_report(outdir, files)
             print(f"wrote {outdir / 'report.json'} and {outdir / 'trials.csv'}")
     except ConfigError as exc:

@@ -90,7 +90,7 @@ def check(claim: Claim, tmp: Path, reproduce: bool = False) -> tuple[bool, str, 
         return ok, label, detail
     rates = []
     for params, attack in claim.points:
-        totals = run_experiment(params, attack, trials=claim.trials)[0].totals
+        totals = run_experiment(params, attack, trials=claim.trials).totals
         rates += [_rate(params, attack, stat, totals) for stat in claim.stats]
     ok = all(r.ok for r in rates) and claim.also(rates)
     if not reproduce:

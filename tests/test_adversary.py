@@ -144,13 +144,13 @@ class TestImpersonation:
     def test_single_screening_angle_reads_everything(self):
         # N = 1: the guess is always right, so Eve's accuracy is perfect
         params = _params(n_screening=1, transmission=1.0, rounds=4000, seed=101)
-        report, _ = run_experiment(params, AttackConfig(strategy="impersonation"))
+        report = run_experiment(params, AttackConfig(strategy="impersonation"))
         assert report.metrics["eve_accuracy"] == 1.0
         assert report.totals.eve_guesses == 4000
 
     def test_qber_matches_enumeration_oracle(self):
         params = _params(transmission=1.0, rounds=40_000, seed=102)
-        report, _ = run_experiment(params, AttackConfig(strategy="impersonation"))
+        report = run_experiment(params, AttackConfig(strategy="impersonation"))
         oracle = oracles.impersonation_qber(2)
         sigma = binom_sigma(oracle, report.totals.sifted_bits)
         assert report.metrics["qber"] >= 0.5 - 4 * sigma
@@ -163,7 +163,7 @@ class TestImpersonation:
 
     def test_ad_violations_with_detector_on(self):
         params = _params(transmission=0.8, p_analyzing=0.4, rounds=40_000, seed=103)
-        report, _ = run_experiment(params, AttackConfig(strategy="impersonation"))
+        report = run_experiment(params, AttackConfig(strategy="impersonation"))
         assert report.totals.ad_violations > 0
         oracle = oracles.impersonation_ad_violation(2)
         sigma = binom_sigma(oracle, report.totals.ad_clicks)
@@ -171,7 +171,7 @@ class TestImpersonation:
 
     def test_detected_one_way_or_another(self):
         params = _params(transmission=0.8, p_analyzing=0.4, rounds=20_000, seed=104)
-        report, _ = run_experiment(params, AttackConfig(strategy="impersonation"))
+        report = run_experiment(params, AttackConfig(strategy="impersonation"))
         assert report.metrics["qber"] > 0
         assert report.verdicts["accepted"] == 0
 
@@ -224,7 +224,7 @@ class TestPulseBeamSplit:
                 n_screening=n, mode="pulse", mean_photons=2.0,
                 transmission=1.0, p_analyzing=0.0, rounds=30_000, seed=105,
             )
-            report, _ = run_experiment(params, AttackConfig(strategy="pulse_beamsplit"))
+            report = run_experiment(params, AttackConfig(strategy="pulse_beamsplit"))
             rates.append(report.metrics["conclusive_rate"])
         assert rates[0] > rates[1] > rates[2]
 
@@ -233,7 +233,7 @@ class TestPulseBeamSplit:
             mode="pulse", mean_photons=2.0, transmission=1.0,
             p_analyzing=0.0, rounds=20_000, seed=106,
         )
-        report, _ = run_experiment(params, AttackConfig(strategy="pulse_beamsplit"))
+        report = run_experiment(params, AttackConfig(strategy="pulse_beamsplit"))
         assert report.metrics["conclusive_rate"] < 1.0
         assert report.metrics["qber"] > 0
 
@@ -243,9 +243,7 @@ class TestPulseBeamSplit:
             mode="pulse", mean_photons=4.0, transmission=1.0,
             p_analyzing=0.0, rounds=5000, seed=107,
         )
-        counts, _, transcript = run_trial(
-            params, AttackConfig(strategy="pulse_beamsplit"), 0, keep_transcript=True
-        )
+        counts = run_trial(params, AttackConfig(strategy="pulse_beamsplit"), 0).counts
         assert counts.eve_guesses > 50
         assert counts.eve_correct == counts.eve_guesses
 
@@ -265,7 +263,7 @@ class TestPulseBeamSplit:
         config = AttackConfig(
             strategy="pulse_beamsplit", attack_probability=attack_probability
         )
-        counts, _, _ = run_trial(params, config, 0)
+        counts = run_trial(params, config, 0).counts
         assert counts.eve_guesses > 0
         assert counts.eve_correct == counts.eve_guesses
 
@@ -276,7 +274,7 @@ class TestPnsTrojanComposite:
             mode="pulse", mean_photons=2.0, p_analyzing=0.5,
             transmission=0.9, rounds=20_000, seed=108,
         )
-        report, _ = run_experiment(
+        report = run_experiment(
             params, AttackConfig(strategy="pns_trojan", eve_tap_fraction=1.0)
         )
         assert report.totals.eve_guesses > 5000
@@ -287,7 +285,7 @@ class TestPnsTrojanComposite:
             mode="pulse", mean_photons=2.0, p_analyzing=0.2,
             transmission=0.9, rounds=20_000, seed=109,
         )
-        report, _ = run_experiment(
+        report = run_experiment(
             params, AttackConfig(strategy="pns_trojan", eve_tap_fraction=0.5)
         )
         assert report.totals.sifted_bits > 1000
@@ -304,7 +302,7 @@ class TestPnsTrojanComposite:
             mode="pulse", mean_photons=2.0, p_analyzing=0.5,
             transmission=0.7, rounds=60_000, seed=110,
         )
-        report, _ = run_experiment(
+        report = run_experiment(
             params, AttackConfig(strategy="pns_trojan", eve_tap_fraction=1.0)
         )
         injected_oracle = oracles.composite_ad_violation(2)
@@ -320,7 +318,7 @@ class TestPnsTrojanComposite:
             mode="pulse", mean_photons=2.0, p_analyzing=0.2,
             transmission=1.0, rounds=10_000, seed=111,
         )
-        report, _ = run_experiment(
+        report = run_experiment(
             params, AttackConfig(strategy="pns_trojan", eve_tap_fraction=1.0)
         )
         assert report.totals.ad_clicks == 0
@@ -360,7 +358,7 @@ class TestProbeRecapture:
 class TestStandardStateProbe:
     def test_accuracy_is_coinflip(self):
         params = _params(p_analyzing=0.2, transmission=0.5, rounds=40_000, seed=112)
-        report, _ = run_experiment(
+        report = run_experiment(
             params, AttackConfig(strategy="standard_state", eve_tap_fraction=1.0)
         )
         oracle = oracles.probe_guess_accuracy(2)
@@ -369,7 +367,7 @@ class TestStandardStateProbe:
 
     def test_ad_violation_half(self):
         params = _params(p_analyzing=0.5, transmission=0.3, rounds=40_000, seed=113)
-        report, _ = run_experiment(
+        report = run_experiment(
             params, AttackConfig(strategy="standard_state", eve_tap_fraction=1.0)
         )
         oracle = oracles.standard_state_ad_violation(2)
@@ -391,7 +389,7 @@ class TestSimpleTrojan:
     def test_accuracy_flat_over_probe_angles(self, i):
         eta = i * PI / 8
         params = _params(transmission=0.9, rounds=10_000, seed=115 + i)
-        report, _ = run_experiment(
+        report = run_experiment(
             params,
             AttackConfig(strategy="simple_trojan", trojan_angle=eta, eve_tap_fraction=1.0),
         )
@@ -400,14 +398,14 @@ class TestSimpleTrojan:
 
     def test_no_tap_no_guesses(self):
         params = _params(rounds=2000, seed=123)
-        report, _ = run_experiment(
+        report = run_experiment(
             params, AttackConfig(strategy="simple_trojan", eve_tap_fraction=0.0)
         )
         assert report.totals.eve_guesses == 0
 
     def test_probe_never_touches_key(self):
         params = _params(rounds=10_000, seed=124)
-        report, _ = run_experiment(
+        report = run_experiment(
             params, AttackConfig(strategy="simple_trojan", eve_tap_fraction=1.0)
         )
         assert report.metrics["qber"] == 0.0
@@ -434,7 +432,7 @@ class TestSimpleTrojan:
 class TestPassivePns:
     def test_single_photon_mode_never_splits(self):
         params = _params(mode="single", rounds=2000, seed=125)
-        report, _ = run_experiment(params, AttackConfig(strategy="passive_pns"))
+        report = run_experiment(params, AttackConfig(strategy="passive_pns"))
         assert report.totals.eve_guesses == 0
 
     def test_non_analyzing_accuracy_is_coinflip(self):
@@ -442,7 +440,7 @@ class TestPassivePns:
             mode="pulse", mean_photons=3.0, p_analyzing=0.3,
             rounds=40_000, seed=126,
         )
-        report, _ = run_experiment(params, AttackConfig(strategy="passive_pns"))
+        report = run_experiment(params, AttackConfig(strategy="passive_pns"))
         guesses = report.totals.eve_guesses - report.totals.eve_analyzing_guesses
         sigma = binom_sigma(0.5, guesses)
         assert abs(report.metrics["eve_accuracy_non_analyzing"] - 0.5) <= 4 * sigma
@@ -470,17 +468,17 @@ class TestPassivePns:
             mode="pulse", mean_photons=3.0, p_analyzing=0.3,
             rounds=20_000, seed=128,
         )
-        report, _ = run_experiment(params, AttackConfig(strategy="passive_pns"))
+        report = run_experiment(params, AttackConfig(strategy="passive_pns"))
         assert report.metrics["qber"] == 0.0
         assert report.totals.ad_violations == 0
-        assert report.verdicts["accepted"] == len(report.per_trial)
+        assert report.verdicts["accepted"] == len(report.sessions)
 
     def test_key_accuracy_stays_blind(self):
         params = _params(
             mode="pulse", mean_photons=3.0, p_analyzing=0.3,
             rounds=40_000, seed=129,
         )
-        report, _ = run_experiment(params, AttackConfig(strategy="passive_pns"))
+        report = run_experiment(params, AttackConfig(strategy="passive_pns"))
         sigma = binom_sigma(0.5, report.totals.eve_key_guesses)
         assert report.metrics["eve_key_accuracy"] <= 0.5 + 3 * sigma
 
@@ -497,7 +495,7 @@ def test_relaying_attacks_always_leave_a_trace():
     ]
     for strategy, overrides in cases:
         params = _params(rounds=30_000, seed=130, **overrides)
-        report, _ = run_experiment(params, AttackConfig(strategy=strategy))
+        report = run_experiment(params, AttackConfig(strategy=strategy))
         qber_count = report.totals.qber_errors
         assert qber_count > 0 or report.totals.ad_violations > 0, strategy
 

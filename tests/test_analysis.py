@@ -15,7 +15,9 @@ import pytest
 from screenqkd import analysis
 from screenqkd.adversary import AttackConfig, build_interceptor
 from screenqkd.analysis import (
+    RATES,
     ExperimentReport,
+    SessionSummary,
     TrialCounts,
     csv_table,
     emit_report,
@@ -74,8 +76,7 @@ class TestIeSum:
 
 
 def _honest_report(**overrides):
-    report, _ = run_experiment(_params(**overrides), AttackConfig())
-    return report
+    return run_experiment(_params(**overrides), AttackConfig())
 
 
 class TestMetrics:
@@ -96,10 +97,15 @@ class TestMetrics:
         assert report.metrics["ad_violation_rate"] is None
 
 
+def _session(counts: TrialCounts) -> SessionSummary:
+    """An accepted session with these counters and no key or audit bytes."""
+    return SessionSummary(counts, "accepted", alice_hash="", bob_hash="", audit=b"")
+
+
 class TestExperimentReport:
     def test_validate_and_roundtrip(self, tmp_path):
         params = _params(rounds=3000)
-        report, _ = run_experiment(params, AttackConfig(), trials=2)
+        report = run_experiment(params, AttackConfig(), trials=2)
         report.validate()
         doc = report.to_dict({"n": 2})
         assert json.loads(json.dumps(doc)) == doc
@@ -108,7 +114,7 @@ class TestExperimentReport:
 
     def test_rates_within_bounds(self):
         params = _params(rounds=3000, mode="pulse", mean_photons=2.0)
-        report, _ = run_experiment(
+        report = run_experiment(
             params, AttackConfig(strategy="pns_trojan"), trials=1
         )
         for value in report.to_dict({})["metrics"].values():
@@ -126,7 +132,7 @@ class TestExperimentReport:
     )
     def test_validate_rejects_doctored_eve_accuracy(self, name, doctored):
         counts = TrialCounts(rounds=100, eve_guesses=10, eve_analyzing_guesses=3, **doctored)
-        report = ExperimentReport(_params(), [counts], [])
+        report = ExperimentReport(_params(), [_session(counts)])
         assert not 0.0 <= report.metrics[name] <= 1.0
         # the rate is out of range only because some part exceeds its whole
         with pytest.raises(ValueError, match=r"0 <= \w+ <= \w+ fails"):
@@ -165,35 +171,40 @@ class TestExperimentReport:
         ],
     )
     def test_validate_rejects_part_above_whole(self, part, whole, doctored):
-        report = ExperimentReport(_params(), [TrialCounts(rounds=100, **doctored)], [])
+        report = ExperimentReport(_params(), [_session(TrialCounts(rounds=100, **doctored))])
         with pytest.raises(ValueError, match=f"0 <= {part} <= {whole} fails"):
             report.validate()
 
     def test_totals_are_sums_over_trials(self):
         params = _params(rounds=1000, mode="pulse", mean_photons=2.0, p_analyzing=0.5)
-        report, _ = run_experiment(params, AttackConfig(strategy="pns_trojan"), trials=3)
+        report = run_experiment(params, AttackConfig(strategy="pns_trojan"), trials=3)
         for field in fields(TrialCounts):
             total = getattr(report.totals, field.name)
-            if isinstance(total, int):
-                assert total == sum(getattr(c, field.name) for c in report.per_trial)
+            assert total == sum(getattr(s.counts, field.name) for s in report.sessions)
         assert report.totals.rounds == 3000
         assert report.totals.ad_injected_clicks > 0
 
+    # The library checks `trials` as the CLI does: an integer >= 1, bool excluded.
+    @pytest.mark.parametrize("trials", [2.5, "2", True, 0])
+    def test_rejects_invalid_trials(self, trials):
+        with pytest.raises(ConfigError, match="trials: must be"):
+            run_experiment(_params(rounds=100), AttackConfig(), trials=trials)
+
     def test_verdict_histogram_counts_trials(self):
-        report, _ = run_experiment(_params(rounds=2000), AttackConfig(), trials=3)
+        report = run_experiment(_params(rounds=2000), AttackConfig(), trials=3)
         assert sum(report.verdicts.values()) == 3
         assert report.verdicts["accepted"] == 3
 
     def test_session_block_serializes_keys_and_announcement(self):
         from screenqkd.protocol import pack_key_bits
 
-        report, transcripts = run_experiment(
+        report = run_experiment(
             _params(rounds=1500, p_analyzing=0.4), AttackConfig(),
             trials=1, keep_transcripts=True,
         )
         session = report.sessions[0]
-        transcript = transcripts[0]
-        assert session.key_bits == len(transcript.alice_key)
+        transcript = session.transcript
+        assert session.counts.sifted_bits == len(transcript.alice_key)
         assert session.alice_hash == transcript.alice_hash.hex()
         assert session.verdict == "accepted"
         with np.load(io.BytesIO(session.audit)) as audit:
@@ -219,15 +230,13 @@ class TestReportEmission:
         a_year_on = real_time() + 366 * 86400
 
         def run(name: str) -> dict[str, bytes]:
-            report, transcripts = run_experiment(
-                params, AttackConfig(), trials=2, keep_transcripts=True
-            )
+            report = run_experiment(params, AttackConfig(), trials=2, keep_transcripts=True)
             emit_report(tmp_path / name, {
                 "report.json": report_json(report.to_dict({"seed": params.seed})),
                 **{file: [audit] for file, audit in report.audits.items()},
                 "trials.csv": csv_table(flat_rows(report, "none")),
-                **{f"transcript_{i:03d}.npz": transcript_npz(t)
-                   for i, t in enumerate(transcripts)},
+                **{f"transcript_{i:03d}.npz": transcript_npz(s.transcript)
+                   for i, s in enumerate(report.sessions)},
             })
             return {p.name: p.read_bytes() for p in (tmp_path / name).iterdir()}
 
@@ -246,25 +255,24 @@ class TestReportEmission:
         assert first == second
 
     def test_report_reloads_to_equal_document(self, tmp_path):
-        report, _ = run_experiment(_params(rounds=1000), AttackConfig())
+        report = run_experiment(_params(rounds=1000), AttackConfig())
         emit_report(tmp_path, {"report.json": report_json(report.to_dict({}))})
         with open(tmp_path / "report.json") as handle:
             assert json.load(handle) == report.to_dict({})
 
     def test_flat_table_schema_and_row_count(self, tmp_path):
-        report, _ = run_experiment(_params(rounds=1000), AttackConfig(), trials=3)
+        report = run_experiment(_params(rounds=1000), AttackConfig(), trials=3)
         emit_report(tmp_path, {"trials.csv": csv_table(flat_rows(report, "none"))})
         lines = (tmp_path / "trials.csv").read_text().splitlines()
-        assert lines[0] == (
-            "trial,N,mode,attack,rounds,sifted_bits,matched_rate,qber,ad_clicks,"
-            "ad_violations,ad_violation_rate,eve_guesses,eve_correct,eve_accuracy,verdict"
-        )
+        columns = ["trial", "N", "mode", "attack", *(f.name for f in fields(TrialCounts)),
+                   "verdict", *RATES]
+        assert lines[0] == ",".join(columns) and len(columns) == 30
         assert len(lines) == 1 + 3
 
     def test_unwritable_path_reports_context(self, tmp_path):
         target = tmp_path / "blocked"
         target.write_text("a file, not a directory")
-        report, _ = run_experiment(_params(rounds=500), AttackConfig())
+        report = run_experiment(_params(rounds=500), AttackConfig())
         with pytest.raises(OSError, match="failed writing report under .*blocked"):
             emit_report(target, {"report.json": report_json(report.to_dict({}))})
 
@@ -304,7 +312,7 @@ class TestReportWriter:
 
     @pytest.mark.parametrize("doc", [
         {"schema_version": "4", "sessions": [], "config": {"n": 2}},
-        {"schema_version": "4", "sweep": {}, "curve": []},
+        {"schema_version": "4", "sweep": {}},
         {"sweep": {"2": {"sessions": [], "seed": 1}}},
     ])
     def test_documents_without_sessions(self, tmp_path, doc):
@@ -328,16 +336,15 @@ class TestReportWriter:
 class TestSecurityCurve:
     def test_rate_law_across_n(self):
         base = _params(rounds=20_000, seed=201)
-        curve, reports = security_curve(base, AttackConfig(), [2, 3, 5, 10])
-        for point in curve:
-            n = point["N"]
+        reports = security_curve(base, AttackConfig(), [2, 3, 5, 10])
+        for n, report in reports.items():
             p = 1.0 / n
-            assert abs(point["sift_rate"] - p) <= 3 * binom_sigma(p, 20_000)
-        assert [p["N"] for p in curve] == [2, 3, 5, 10]
+            assert abs(report.metrics["sift_rate"] - p) <= 3 * binom_sigma(p, 20_000)
+        assert list(reports) == [2, 3, 5, 10]
 
     def test_rate_doubles_from_n4_to_n2(self):
         base = _params(rounds=40_000, seed=202)
-        _, reports = security_curve(base, AttackConfig(), [2, 4])
+        reports = security_curve(base, AttackConfig(), [2, 4])
         ratio = reports[2].metrics["sift_rate"] / reports[4].metrics["sift_rate"]
         assert ratio == pytest.approx(2.0, abs=0.1)
 
@@ -346,10 +353,8 @@ class TestSecurityCurve:
             rounds=15_000, mode="pulse", mean_photons=2.0,
             transmission=1.0, p_analyzing=0.0, seed=203,
         )
-        curve, _ = security_curve(
-            base, AttackConfig(strategy="pulse_beamsplit"), [2, 3]
-        )
-        rates = [p["conclusive_rate"] for p in curve]
+        reports = security_curve(base, AttackConfig(strategy="pulse_beamsplit"), [2, 3])
+        rates = [r.metrics["conclusive_rate"] for r in reports.values()]
         assert rates[0] > rates[1]
 
     def test_breached_tolerance_raises(self, monkeypatch):
@@ -381,7 +386,7 @@ def test_no_attack_gains_key_information_invisibly():
     ]
     for strategy, overrides in cases:
         params = _params(rounds=30_000, seed=205, **overrides)
-        report, _ = run_experiment(params, AttackConfig(strategy=strategy))
+        report = run_experiment(params, AttackConfig(strategy=strategy))
         visible_qber = report.totals.qber_errors > 0
         visible_ad = report.totals.ad_violations > 0
         if report.totals.eve_key_guesses:
@@ -410,7 +415,7 @@ def _recount(transcript, guesses, records, beamsplit_reported=None) -> dict:
     attack read, or None for any other strategy.
     """
     n = transcript.params.n_screening
-    c = {f.name: 0 for f in fields(TrialCounts) if f.name != "verdict"}
+    c = {f.name: 0 for f in fields(TrialCounts)}
     guess_of = dict(zip(guesses.rounds.tolist(), guesses.bits.tolist()))
     alice_key, bob_key = [], []
     for round_id, rec in enumerate(records):
@@ -549,7 +554,7 @@ def announcement_from_session(
         phi_star_flags=bits("phi_star_flags", rounds).astype(bool),
     )
     alice_key, bob_key = (
-        bits(name, session["key_bits"]).tobytes() for name in ("alice_key", "bob_key")
+        bits(name, session["sifted_bits"]).tobytes() for name in ("alice_key", "bob_key")
     )
     return announcement, alice_key, bob_key
 
@@ -577,10 +582,11 @@ def _cli_report(argv: list[str], outdir) -> tuple[dict, list]:
     config = load_config(build_parser().parse_args(argv))
     transcripts = {}
     for n in config.sweep_n or [config.params.n_screening]:
-        _, transcripts[n] = run_experiment(
+        report = run_experiment(
             replace(config.params, n_screening=n), config.attack,
             trials=config.trials, keep_transcripts=True,
         )
+        transcripts[n] = [s.transcript for s in report.sessions]
     return doc, transcripts
 
 
@@ -608,9 +614,8 @@ def _index_width(session: dict, outdir: Path) -> int:
 @pytest.mark.parametrize("n,width", [(1, 1), (255, 2), (256, 2), (300, 2), (65_536, 4)])
 def test_index_width_is_smallest_that_holds_n(tmp_path, n, width):
     params = _params(n_screening=n, rounds=37, p_analyzing=0.5)
-    report, transcripts = run_experiment(
-        params, AttackConfig(), trials=2, keep_transcripts=True
-    )
+    report = run_experiment(params, AttackConfig(), trials=2, keep_transcripts=True)
+    transcripts = [s.transcript for s in report.sessions]
     doc = report.to_dict({})
     emit_report(tmp_path, {name: [audit] for name, audit in report.audits.items()})
     assert np.min_scalar_type(2 * n).itemsize == width
@@ -643,7 +648,7 @@ def _longest(node, kind: type) -> int:
 
 
 def test_report_holds_no_per_round_list(tmp_path, capsys):
-    report, _ = run_experiment(_params(rounds=5000), AttackConfig(), trials=3)
+    report = run_experiment(_params(rounds=5000), AttackConfig(), trials=3)
     assert _longest(report.to_dict({}), list) <= 3
     argv = ["--sweep-N", "2,3", "--rounds", "5000", "--trials", "3", "--seed", "13"]
     assert main([*argv, "--outdir", str(tmp_path / "sha256")]) == 0

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ import pytest
 import screenqkd
 from screenqkd import analysis, cli
 from screenqkd.adversary import AttackConfig
-from screenqkd.analysis import run_experiment
+from screenqkd.analysis import RATES, TrialCounts, run_experiment
 from screenqkd.cli import ExperimentConfig, load_config, main
 from screenqkd.errors import ConfigError
 from screenqkd.protocol import ProtocolParams
@@ -62,7 +63,7 @@ def test_sweep_writes_curve_files(tmp_path, capsys):
     assert (tmp_path / "curve.csv").exists()
     report = json.loads((tmp_path / "report.json").read_text())
     assert set(report["sweep"].keys()) == {"2", "3"}
-    assert len(report["curve"]) == 2
+    assert "curve" not in report
     table = (tmp_path / "trials.csv").read_text().splitlines()
     assert len(table) == 1 + 2  # trials x |N values|
 
@@ -74,8 +75,9 @@ def test_honest_sweep_curve_table_matches_report(tmp_path):
     )
     assert code == 0
     lines = (tmp_path / "curve.csv").read_text().splitlines()
-    assert lines[0] == "N,sift_rate,qber_under_attack,conclusive_rate,ad_violation_rate"
-    points = json.loads((tmp_path / "report.json").read_text())["curve"]
+    assert lines[0] == ",".join(["N", *RATES])
+    sweep = json.loads((tmp_path / "report.json").read_text())["sweep"]
+    points = [{"N": int(n), **point["metrics"]} for n, point in sweep.items()]
 
     def cell(value):
         if value is None:
@@ -86,13 +88,39 @@ def test_honest_sweep_curve_table_matches_report(tmp_path):
     assert lines[1:] == [",".join(cell(p[c]) for c in columns) for p in points]
 
 
+@pytest.mark.parametrize("argv", [
+    ["--attack", "pns_trojan", "--mode", "pulse", "--trials", "2"],
+    ["--sweep-N", "2,3", "--attack", "pulse_beamsplit", "--mode", "pulse"],
+])
+def test_outputs_render_the_declarations(tmp_path, argv):
+    # Each column of trials.csv and curve.csv, and each key of a session
+    # block and of the totals, is a TrialCounts counter, a rate of RATES or
+    # a session's own field: no output declares a column of its own.
+    assert main([*BASE, *argv, "--outdir", str(tmp_path)]) == 0
+    counters = [f.name for f in dataclasses.fields(TrialCounts)]
+    table = (tmp_path / "trials.csv").read_text().splitlines()
+    assert table[0].split(",") == ["trial", "N", "mode", "attack", *counters, "verdict", *RATES]
+    doc = json.loads((tmp_path / "report.json").read_text())
+    sweep = argv[0] == "--sweep-N"
+    points = list(doc["sweep"].values()) if sweep else [doc]
+    if sweep:
+        curve = (tmp_path / "curve.csv").read_text().splitlines()
+        assert curve[0].split(",") == ["N", *RATES]
+    for document in (doc, *points):
+        assert not {"per_trial", "key_bits", "curve"} & set(document)
+    for point in points:
+        assert set(point["totals"]) == set(counters)
+        for session in point["sessions"]:
+            assert set(session) == {*counters, "verdict", "alice_hash", "bob_hash", "audit"}
+
+
 def test_honest_sweep_asserts_each_report(monkeypatch, capsys):
     real_security_curve = cli.security_curve
 
     def with_qber_error(*args, **kwargs):
-        curve, reports = real_security_curve(*args, **kwargs)
+        reports = real_security_curve(*args, **kwargs)
         reports[3].totals.qber_errors = 1
-        return curve, reports
+        return reports
 
     monkeypatch.setattr(cli, "security_curve", with_qber_error)
     code = main(["--sweep-N", "2,3", "--rounds", "2000", "--seed", "9", "--attack", "none"])
@@ -176,7 +204,7 @@ def test_cli_matches_library(tmp_path):
         n_screening=2, rounds=3000, seed=11, mode="pulse", mean_photons=2.0,
         p_analyzing=0.2, transmission=0.9,
     )
-    lib_report, _ = run_experiment(params, AttackConfig(strategy="pns_trojan"))
+    lib_report = run_experiment(params, AttackConfig(strategy="pns_trojan"))
     assert cli_report["metrics"] == json.loads(
         json.dumps(lib_report.to_dict({})["metrics"])
     )

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from screenqkd import analysis, cli, protocol
 from screenqkd.adversary import STRATEGIES, AttackConfig, build_interceptor
-from screenqkd.analysis import ExperimentReport, TrialCounts, run_experiment
+from screenqkd.analysis import ExperimentReport, SessionSummary, TrialCounts, run_experiment
 from screenqkd.errors import ConfigError
 from screenqkd.photonics import (
     DIAGONAL,
@@ -96,24 +96,27 @@ def test_idle_strategies_reproduce_honest_session(params):
 def test_every_report_validates(params, p, trials, data):
     strategy = data.draw(st.sampled_from(("none", *STRATEGIES_BY_MODE[params.mode])))
     attack = AttackConfig(strategy=strategy, attack_probability=p)
-    report, _ = run_experiment(params, attack, trials)
+    report = run_experiment(params, attack, trials)
     report.validate()
 
 
-counters = st.builds(
-    TrialCounts,
-    **{name: st.integers(0, 10**6) for name in vars(TrialCounts()) if name != "verdict"},
+sessions = st.builds(
+    SessionSummary,
+    counts=st.builds(
+        TrialCounts, **{name: st.integers(0, 10**6) for name in vars(TrialCounts())}
+    ),
     verdict=st.sampled_from([v.value for v in Verdict]),
+    alice_hash=st.just(""),
+    bob_hash=st.just(""),
+    audit=st.just(b""),
 )
 
 
 @GENERATED
-@given(per_trial=st.lists(counters, min_size=1, max_size=8), data=st.data())
-def test_totals_do_not_depend_on_trial_order(per_trial, data):
-    report = ExperimentReport(ProtocolParams(), per_trial, [])
-    shuffled = ExperimentReport(
-        ProtocolParams(), data.draw(st.permutations(per_trial)), []
-    )
+@given(drawn=st.lists(sessions, min_size=1, max_size=8), data=st.data())
+def test_totals_do_not_depend_on_trial_order(drawn, data):
+    report = ExperimentReport(ProtocolParams(), drawn)
+    shuffled = ExperimentReport(ProtocolParams(), data.draw(st.permutations(drawn)))
     assert shuffled.totals == report.totals
     assert shuffled.verdicts == report.verdicts
 

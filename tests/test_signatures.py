@@ -35,7 +35,8 @@ def _session(params, attack):
     """A one-trial session's totals, then its probe AD clicks on matched
     analyzing rounds and their integrity violations per (alpha_a, k, phi*)
     case 4 (a_index - 1) + 2 k + phi*/(pi/2), recomputed from the rounds."""
-    report, (transcript,) = run_experiment(params, attack, keep_transcripts=True)
+    report = run_experiment(params, attack, keep_transcripts=True)
+    transcript = report.sessions[0].transcript
     rounds, owner = transcript.rounds, transcript.rounds.ad_owner
     matched = rounds.a_index + rounds.b_index == params.n_screening + 1
     probe = (matched & rounds.is_analyzing)[owner] & (rounds.ad_origin != Origin.LEGITIMATE)
