@@ -34,7 +34,7 @@ import numpy as np
 
 from .channel import Guesses, Interceptor, Leg
 from .errors import ConfigError, check_real
-from .photonics import PI, Origin, Pulse, beam_split, measure, single_photon_pulse
+from .photonics import PI, Origin, Pulse, measure, single_photon_pulse
 from .protocol import Announcement, ProtocolParams, MODE_PULSE, MODE_SINGLE
 
 STRATEGY_NONE = "none"
@@ -44,15 +44,12 @@ STRATEGY_NONE = "none"
 class AttackConfig:
     """Strategy selector plus its knobs.
 
-    ``eve_tap_fraction`` is the per-round probability that Eve recovers
-    her own probe photon on the final leg; ``trojan_angle`` is the probe
-    polarization for the simple Trojan. A knob other than its default is
-    accepted only by the strategies whose row of :data:`STRATEGY_TABLE`
-    lists it.
+    ``trojan_angle`` is the probe polarization for the simple Trojan. A
+    knob other than its default is accepted only by the strategies whose
+    row of :data:`STRATEGY_TABLE` lists it.
     """
 
     strategy: str = STRATEGY_NONE
-    eve_tap_fraction: float = 1.0
     trojan_angle: float = 0.0
     attack_probability: float = 1.0
     # Impersonation basis-guess distribution over the screening set;
@@ -62,11 +59,9 @@ class AttackConfig:
     def __post_init__(self) -> None:
         if self.strategy not in STRATEGIES:
             raise ConfigError(f"attack: unknown strategy {self.strategy!r}")
-        check_real("eve_tap_fraction", self.eve_tap_fraction, 0, 1)
         check_real("trojan_angle", self.trojan_angle)
         check_real("attack_probability", self.attack_probability, 0, 1)
         for name, used in (
-            ("eve_tap_fraction", self.eve_tap_fraction != 1),
             ("trojan_angle", self.trojan_angle != 0),
             ("guess_weights", self.guess_weights is not None),
         ):
@@ -104,16 +99,14 @@ class _BaseAttack(Interceptor):
     columns over the batch's rounds, starting with ``_active``, the rounds
     it acts on; a strategy that needs the photons of those rounds asks
     :meth:`_acting` for them. What it measures after the announcement is
-    ``storage``, a batch of photons measured once, when the guesses are
-    produced.
+    ``storage``, a batch of photons measured once, when the announcement
+    arrives.
     """
 
     def __init__(self, config: AttackConfig, params: ProtocolParams) -> None:
         self.config = config
         self.params = params
         self.storage: Optional[Pulse] = None
-        self.guesses = Guesses()
-        self.announcement: Optional[Announcement] = None
         self._active = np.zeros(0, bool)
         self._rng: Optional[np.random.Generator] = None
 
@@ -146,13 +139,9 @@ class _BaseAttack(Interceptor):
         return pulse.split(np.logical_and(split, self._acting(pulse), out=split))
 
     def observe_announcement(self, announcement: Announcement) -> None:
-        self.announcement = announcement
-
-    def produce_guesses(self) -> Guesses:
-        if self.announcement is not None and self.storage is not None:
-            self.guesses = self._read_storage(self.announcement)
-            self.storage = None
-        return self.guesses
+        if self.storage is not None:
+            self.guesses = self._read_storage(announcement)
+            self.storage = None  # used up
 
     def _read_storage(self, announcement: Announcement) -> Guesses:
         """Measure the stored photons once the announcement is public."""
@@ -262,16 +251,13 @@ class _ProbeCaptureAttack(_BaseAttack):
     """Shared final-leg recapture: Eve pulls back her own probe photon.
 
     The probe is identified by its injection tag (the idealized stand-in
-    for physical marking) and always separated out of the pulse, so it
-    never reaches Bob's detectors; Eve taps it into storage on a beam
-    splitter of tap fraction ``eve_tap_fraction``, otherwise it is lost.
-    Legitimate photons pass untouched either way, which keeps these
-    strategies exactly invisible in QBER.
+    for physical marking) and separated out of the pulse into storage, so
+    it never reaches Bob's detectors. Legitimate photons pass untouched,
+    which keeps these strategies exactly invisible in QBER.
     """
 
-    def _capture_probe(self, pulse: Pulse, rng: np.random.Generator) -> Pulse:
-        probes, rest = pulse.split(pulse.origin == Origin.TROJAN_INJECTED)
-        self.storage = beam_split(probes, self.config.eve_tap_fraction, rng)[0]
+    def _capture_probe(self, pulse: Pulse) -> Pulse:
+        self.storage, rest = pulse.split(pulse.origin == Origin.TROJAN_INJECTED)
         return rest
 
     def _read_storage(self, announcement: Announcement) -> Guesses:
@@ -299,7 +285,7 @@ class PnsTrojanComposite(_ProbeCaptureAttack):
         if leg is Leg.BOB_TO_ALICE:
             split, self._split = self._split, None  # used up
             return pulse.merged(split.tagged(Origin.TROJAN_INJECTED))
-        return self._capture_probe(pulse, rng)
+        return self._capture_probe(pulse)
 
 
 class SimpleTrojan(_ProbeCaptureAttack):
@@ -320,7 +306,7 @@ class SimpleTrojan(_ProbeCaptureAttack):
         if leg is Leg.BOB_TO_ALICE:
             probes = single_photon_pulse(np.full(pulse.rounds, self.config.trojan_angle))
             return pulse.merged(probes.take(self._active).tagged(Origin.TROJAN_INJECTED))
-        return self._capture_probe(pulse, rng)
+        return self._capture_probe(pulse)
 
 
 class PassivePns(_BaseAttack):
@@ -367,20 +353,19 @@ class PassivePns(_BaseAttack):
 STRATEGY_TABLE = {
     "impersonation": (Impersonation, MODE_SINGLE, ("guess_weights",)),
     "pulse_beamsplit": (PulseBeamSplit, MODE_PULSE, ()),
-    "pns_trojan": (PnsTrojanComposite, MODE_PULSE, ("eve_tap_fraction",)),
-    "standard_state": (SimpleTrojan, None, ("eve_tap_fraction",)),
-    "simple_trojan": (SimpleTrojan, None, ("eve_tap_fraction", "trojan_angle")),
+    "pns_trojan": (PnsTrojanComposite, MODE_PULSE, ()),
+    "standard_state": (SimpleTrojan, None, ()),
+    "simple_trojan": (SimpleTrojan, None, ("trojan_angle",)),
     "passive_pns": (PassivePns, None, ()),
 }
 STRATEGIES = (STRATEGY_NONE, *STRATEGY_TABLE)
 
 
-def build_interceptor(
-    config: AttackConfig, params: ProtocolParams
-) -> Optional[Interceptor]:
-    """Instantiate the configured strategy, validating mode compatibility."""
+def build_interceptor(config: AttackConfig, params: ProtocolParams) -> Interceptor:
+    """Instantiate the configured strategy, validating mode compatibility;
+    a new identity :class:`Interceptor` for ``none``."""
     if config.strategy == STRATEGY_NONE:
-        return None
+        return Interceptor()
     cls, mode, _ = STRATEGY_TABLE[config.strategy]
     if mode is not None and params.mode != mode:
         name = "single-photon" if mode == MODE_SINGLE else mode

@@ -55,7 +55,7 @@ from .protocol import (
     screening_angles,
 )
 
-SCHEMA_VERSION = "6"
+SCHEMA_VERSION = "7"
 
 # The names of a run's per-session files: the audits, the transcripts and
 # the line-delimited transcripts that earlier versions wrote.
@@ -95,8 +95,6 @@ def ie_sum(n: int) -> float:
     Sum of sin^2(alpha_i - pi/2) for i = 1..N; equals N/2 identically
     because paired screening angles sum to pi/2.
     """
-    if n < 1:
-        raise ConfigError(f"n must be >= 1, got {n}")
     return math.fsum(np.sin(screening_angles(n) - PI / 2) ** 2)
 
 
@@ -324,8 +322,7 @@ def run_trial(
     """Run one session and reduce it to its record."""
     interceptor = build_interceptor(attack, params)
     transcript = run_session(params, interceptor, trial=trial)
-    guesses = Guesses() if interceptor is None else interceptor.produce_guesses()
-    counts = score_trial(transcript, guesses)
+    counts = score_trial(transcript, interceptor.produce_guesses())
     summary = SessionSummary.from_transcript(transcript, counts)
     return replace(summary, transcript=transcript) if keep_transcript else summary
 
@@ -357,8 +354,8 @@ def security_curve(
     Checks sift_rate * N = 1 within the 3-sigma binomial bound for the
     realized round count; a breach raises ValueError.
     """
-    if sorted(set(n_values)) != list(n_values):
-        raise ConfigError(f"n_values must be strictly increasing, got {n_values}")
+    if not n_values or sorted(set(n_values)) != list(n_values):
+        raise ConfigError(f"n_values must be nonempty and strictly increasing, got {n_values}")
     reports: dict[int, ExperimentReport] = {}
     for n in n_values:
         report = run_experiment(replace(base_params, n_screening=n), attack, trials)

@@ -52,17 +52,20 @@ class Guesses:
 
 
 class Interceptor:
-    """Base adversary: passes every batch through untouched.
+    """The identity adversary, which honest sessions run through: it passes
+    every batch through untouched and guesses nothing.
 
     Subclasses override :meth:`intercept`, which sees each leg once with
     the pulses of all rounds: pulse j of the batch belongs to round j, and
     the legs arrive in order. ``round_ids`` is always None; the slot stays
     because perfbench's tracer wraps this signature. They may observe the
-    public announcement once the session is over, and may emit per-round
-    key-bit guesses afterwards; those guesses are all it reports. ``rng``
-    is the adversary's own generator, handed in by the channel on every
-    call; it is never shared with the parties.
+    public announcement once the session is over and set ``guesses``, the
+    per-round key-bit guesses that are all it reports. ``rng`` is the
+    adversary's own generator, handed in by the channel on every call; it
+    is never shared with the parties.
     """
+
+    guesses = Guesses()  # empty until a strategy sets its own
 
     def intercept(
         self, leg: Leg, pulse: Pulse, round_ids: None, rng: np.random.Generator
@@ -74,13 +77,13 @@ class Interceptor:
 
     def produce_guesses(self) -> Guesses:
         """Per-round key-bit guesses."""
-        return Guesses()
+        return self.guesses
 
 
 def transmit(
     pulse: Pulse,
     leg: Leg,
-    interceptor: Optional[Interceptor] = None,
+    interceptor: Interceptor = Interceptor(),
     loss: float = 0.0,
     rng_channel: Optional[np.random.Generator] = None,
     rng_eve: Optional[np.random.Generator] = None,
@@ -94,8 +97,7 @@ def transmit(
     """
     if not 0.0 <= loss <= 1.0:
         raise ConfigError(f"loss must be in [0, 1], got {loss}")
-    if interceptor is not None:
-        pulse = interceptor.intercept(leg, pulse, None, rng_eve)
+    pulse = interceptor.intercept(leg, pulse, None, rng_eve)
     if loss == 0.0:
         return pulse
     return attenuated(pulse, loss, rng_channel)

@@ -191,8 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--trials", type=int, help="independent sessions to run")
     parser.add_argument("--seed", type=int, help="master seed")
     parser.add_argument("--attack", type=str, help=f"one of {', '.join(STRATEGIES)}")
-    parser.add_argument("--eve-tap-fraction", dest="eve_tap_fraction", type=float,
-                        help="Eve's probe recapture probability on the final leg")
     parser.add_argument("--trojan-angle", dest="trojan_angle", type=float,
                         help="probe polarization for the simple Trojan attack")
     parser.add_argument("--attack-probability", dest="attack_probability", type=float,

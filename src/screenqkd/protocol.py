@@ -33,7 +33,6 @@ import enum
 import functools
 import hashlib
 from dataclasses import dataclass, fields
-from typing import Optional
 
 import numpy as np
 
@@ -67,8 +66,7 @@ def screening_angles(n: int) -> np.ndarray:
     (alpha_i, alpha_{N+1-i}) always sums to pi/2. Each is the scalar
     formula's own IEEE multiply and divide, so the bits match it.
     """
-    if not 1 <= n <= MAX_SCREENING:
-        raise ConfigError(f"screening set size must be in [1, {MAX_SCREENING}], got {n}")
+    check_int("screening set size N", n, 1, MAX_SCREENING)
     return np.arange(1, n + 1) * PI / (2 * (n + 1))
 
 
@@ -391,7 +389,7 @@ def sift_and_verify(
 
 def run_session(
     params: ProtocolParams,
-    interceptor: Optional[Interceptor] = None,
+    interceptor: Interceptor = Interceptor(),
     *,
     trial: int = 0,
 ) -> SessionTranscript:
@@ -405,7 +403,8 @@ def run_session(
     bit-reproducible, when an actor draws does not change what it draws,
     and an adversary that draws from its own stream never perturbs the
     honest parties' randomness. An interceptor sees each leg as one
-    batch, and pulse j of it is session round j.
+    batch, and pulse j of it is session round j; the default, the
+    identity :class:`Interceptor`, makes an honest session.
     """
     rng_alice = derive_rng(params.seed, trial, 0)
     rng_bob = derive_rng(params.seed, trial, 1)
@@ -457,6 +456,5 @@ def run_session(
         bob_received=received,
     )
     announcement = Announcement.from_rounds(rounds)
-    if interceptor is not None:
-        interceptor.observe_announcement(announcement)
+    interceptor.observe_announcement(announcement)
     return sift_and_verify(params, rounds, announcement)

@@ -185,7 +185,7 @@ CLAIMS = (
         "pns_trojan: invisible in QBER, ~0.5 AD violation rate per tapped probe; "
         "reads k perfectly once alpha_a is public.",
         points=((_params(p_analyzing=0.5, mode="pulse", mean_photons=2.0),
-                 AttackConfig(strategy="pns_trojan", eve_tap_fraction=1.0)),),
+                 AttackConfig(strategy="pns_trojan")),),
         stats=(
             Stat("ad_violation_rate_injected",
                  lambda p, a: oracles.composite_ad_violation(p.n_screening), 0.01),
@@ -206,7 +206,7 @@ CLAIMS = (
         "standard_state: the probe is randomized by -theta: accuracy 0.5, AD "
         "violation rate 0.5.",
         points=((_params(p_analyzing=0.5, transmission=0.3),
-                 AttackConfig(strategy="standard_state", eve_tap_fraction=1.0)),),
+                 AttackConfig(strategy="standard_state")),),
         stats=(
             Stat("ad_violation_rate_injected",
                  lambda p, a: oracles.standard_state_ad_violation(p.n_screening), 0.01),
@@ -222,7 +222,7 @@ CLAIMS = (
         6, "simple_trojan_futility", "simple Trojan futility",
         "simple_trojan: zero information for every probe angle eta.",
         points=tuple((_params(rounds=50_000, seed=SEED + i), AttackConfig(
-            strategy="simple_trojan", trojan_angle=i * math.pi / 8, eve_tap_fraction=1.0,
+            strategy="simple_trojan", trojan_angle=i * math.pi / 8,
         )) for i in range(8)),
         stats=(Stat("eve_accuracy", lambda p, a:
                     oracles.probe_guess_accuracy(p.n_screening, a.trojan_angle), 0.01),),

@@ -39,31 +39,38 @@ def matched_fraction(n: int) -> float:
     return len(matched_pairs(n)) / n**2
 
 
-def impersonation_qber(n: int) -> float:
-    """Exact sifted-bit error rate of the three-leg intercept-resend.
+def impersonation_qber_by_pair(n: int) -> list[float]:
+    """Exact sifted-bit error rate of the three-leg intercept-resend, one
+    entry per matched pair, in the order of Alice's screening index.
 
-    Enumerates matched (alpha_a, alpha_b) pairs, Eve's uniform screening
-    guess, her readout of the returning state (-1)^k pi/4 + alpha_a in
-    the guessed basis, and Bob's diagonal measurement of her relayed
-    state (-1)^Oe pi/4 + alpha_b. An error occurs when Bob's outcome
-    equals k (his key bit is the outcome's complement).
+    Enumerates, for each matched (alpha_a, alpha_b) pair, the key bit,
+    Eve's uniform screening guess, her readout of the returning state
+    (-1)^k pi/4 + alpha_a in the guessed basis, and Bob's diagonal
+    measurement of her relayed state (-1)^Oe pi/4 + alpha_b. An error
+    occurs when Bob's outcome equals k (his key bit is the outcome's
+    complement).
     """
     angles = screening_set(n)
-    total = 0.0
-    count = 0
+    rates = []
     for alpha_a, alpha_b in matched_pairs(n):
+        total = 0.0
         for k in (0, 1):
             state_back = (-1) ** k * PI / 4 + alpha_a
             for alpha_g in angles:
                 p_read0 = collapse_probability(state_back, alpha_g + PI / 4)
-                p_error = 0.0
                 for readout, p_readout in ((0, p_read0), (1, 1.0 - p_read0)):
                     relayed = (-1) ** readout * PI / 4 + alpha_b
                     p_bob0 = collapse_probability(relayed, PI / 4)
-                    p_error += p_readout * (p_bob0 if k == 0 else 1.0 - p_bob0)
-                total += p_error
-                count += 1
-    return total / count
+                    total += p_readout * (p_bob0 if k == 0 else 1.0 - p_bob0)
+        rates.append(total / (2 * n))
+    return rates
+
+
+def impersonation_qber(n: int) -> float:
+    """Exact sifted-bit error rate of the three-leg intercept-resend: the
+    mean of :func:`impersonation_qber_by_pair`, each pair being equally
+    likely."""
+    return sum(impersonation_qber_by_pair(n)) / n
 
 
 def replayed_photon_violation(k: int, phi_star_index: int, alpha_a: float) -> float:
@@ -102,6 +109,25 @@ def composite_pooled_ad_violation(n: int, mu: float) -> float:
     """
     p_multi = 1.0 - math.exp(-mu) * (1.0 + mu)
     return p_multi * composite_ad_violation(n) / mu
+
+
+def pns_trojan_rejection(
+    n: int, mu: float, p_analyzing: float, transmission: float, loss: float,
+    attack_probability: float, rounds: int,
+) -> float:
+    """Chance that a pns_trojan session of `rounds` rounds is rejected.
+
+    A round rejects the session when Eve acts on it, its Poisson pulse
+    holds two or more photons (one of which she re-injects as the probe),
+    it is matched and analyzing, the probe survives the return leg's loss
+    and is tapped into the AD (1 - t), and its click violates the
+    integrity condition. Legitimate photons never violate it and the
+    QBER is zero, so the session is accepted exactly when no round does.
+    """
+    p_multi = 1.0 - math.exp(-mu) * (1.0 + mu)
+    q = (attack_probability * p_multi * matched_fraction(n) * p_analyzing
+         * (1.0 - loss) * (1.0 - transmission) * composite_ad_violation(n))
+    return 1.0 - (1.0 - q) ** rounds
 
 
 def standard_state_ad_violation(n: int) -> float:

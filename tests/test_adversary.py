@@ -7,10 +7,10 @@ from screenqkd.adversary import (
     STRATEGY_NONE, STRATEGY_TABLE, AttackConfig, PulseBeamSplit, build_interceptor,
 )
 from screenqkd.analysis import run_experiment, run_trial, score_trial
-from screenqkd.channel import Leg
+from screenqkd.channel import Interceptor, Leg
 from screenqkd.errors import ConfigError
 from screenqkd.photonics import (
-    PI, Origin, Pulse, beam_split, canon, make_pulse, measure, single_photon_pulse,
+    PI, Origin, Pulse, canon, make_pulse, measure, single_photon_pulse,
 )
 from screenqkd.protocol import ProtocolParams, Verdict, run_session, screening_angles
 
@@ -45,13 +45,10 @@ REQUIRED_MODE = {
 }
 MODE_NAMES = {"single": "single-photon", "pulse": "pulse"}
 KNOB_USERS = {
-    "eve_tap_fraction": ("pns_trojan", "standard_state", "simple_trojan"),
     "trojan_angle": ("simple_trojan",),
     "guess_weights": ("impersonation",),
 }
-NON_DEFAULT_KNOBS = {
-    "eve_tap_fraction": 0.3, "trojan_angle": 0.7, "guess_weights": (1.0, 1.0),
-}
+NON_DEFAULT_KNOBS = {"trojan_angle": 0.7, "guess_weights": (1.0, 1.0)}
 
 
 class TestConfigValidation:
@@ -61,11 +58,9 @@ class TestConfigValidation:
 
     def test_fraction_ranges(self):
         with pytest.raises(ConfigError):
-            AttackConfig(strategy="standard_state", eve_tap_fraction=1.5)
-        with pytest.raises(ConfigError):
             AttackConfig(strategy="standard_state", attack_probability=-0.2)
         for bad in (
-            dict(eve_tap_fraction=float("nan")), dict(attack_probability="1"),
+            dict(attack_probability="1"),
             dict(trojan_angle=float("nan")), dict(trojan_angle=float("inf")),
         ):
             with pytest.raises(ConfigError):
@@ -103,7 +98,11 @@ class TestConfigValidation:
             AttackConfig(strategy="impersonation", guess_weights=())
 
     def test_none_builds_nothing(self):
-        assert build_interceptor(AttackConfig(), _params()) is None
+        # the identity, new on each call, so that wrapping one run's
+        # instance leaves the next run's alone
+        first, second = (build_interceptor(AttackConfig(), _params()) for _ in range(2))
+        assert type(first) is type(second) is Interceptor
+        assert first is not second
 
 
 ALL_STRATEGIES = [
@@ -274,9 +273,7 @@ class TestPnsTrojanComposite:
             mode="pulse", mean_photons=2.0, p_analyzing=0.5,
             transmission=0.9, rounds=20_000, seed=108,
         )
-        report = run_experiment(
-            params, AttackConfig(strategy="pns_trojan", eve_tap_fraction=1.0)
-        )
+        report = run_experiment(params, AttackConfig(strategy="pns_trojan"))
         assert report.totals.eve_guesses > 5000
         assert report.metrics["eve_accuracy"] == 1.0
 
@@ -285,9 +282,7 @@ class TestPnsTrojanComposite:
             mode="pulse", mean_photons=2.0, p_analyzing=0.2,
             transmission=0.9, rounds=20_000, seed=109,
         )
-        report = run_experiment(
-            params, AttackConfig(strategy="pns_trojan", eve_tap_fraction=0.5)
-        )
+        report = run_experiment(params, AttackConfig(strategy="pns_trojan"))
         assert report.totals.sifted_bits > 1000
         assert report.metrics["qber"] == 0.0
 
@@ -302,9 +297,7 @@ class TestPnsTrojanComposite:
             mode="pulse", mean_photons=2.0, p_analyzing=0.5,
             transmission=0.7, rounds=60_000, seed=110,
         )
-        report = run_experiment(
-            params, AttackConfig(strategy="pns_trojan", eve_tap_fraction=1.0)
-        )
+        report = run_experiment(params, AttackConfig(strategy="pns_trojan"))
         injected_oracle = oracles.composite_ad_violation(2)
         sigma = binom_sigma(injected_oracle, report.totals.ad_injected_clicks)
         assert abs(report.metrics["ad_violation_rate_injected"] - injected_oracle) <= 4 * sigma
@@ -318,9 +311,7 @@ class TestPnsTrojanComposite:
             mode="pulse", mean_photons=2.0, p_analyzing=0.2,
             transmission=1.0, rounds=10_000, seed=111,
         )
-        report = run_experiment(
-            params, AttackConfig(strategy="pns_trojan", eve_tap_fraction=1.0)
-        )
+        report = run_experiment(params, AttackConfig(strategy="pns_trojan"))
         assert report.totals.ad_clicks == 0
         assert report.metrics["eve_accuracy"] == 1.0
         expected_injections = 1 - math.exp(-2.0) * 3.0  # P(Poisson(2) >= 2)
@@ -330,46 +321,39 @@ class TestPnsTrojanComposite:
 
 
 class TestProbeRecapture:
-    @pytest.mark.parametrize("tap", (0.0, 0.4, 1.0))
-    def test_recapture_is_the_beam_split_draw(self, tap):
+    def test_storage_holds_every_probe(self):
         rng = np.random.default_rng(7)
         legit = make_pulse(rng.random(300) * PI, 2.0, rng)
         probes = single_photon_pulse(rng.random(300) * PI).take(rng.random(300) < 0.5)
         probes = probes.tagged(Origin.TROJAN_INJECTED)
         attack = build_interceptor(
-            AttackConfig(strategy="pns_trojan", eve_tap_fraction=tap),
-            _params(mode="pulse", mean_photons=2.0),
+            AttackConfig(strategy="pns_trojan"), _params(mode="pulse", mean_photons=2.0)
         )
+        attack._active = np.ones(300, bool)
         eve_rng, reference_rng = np.random.default_rng(8), np.random.default_rng(8)
-        passed = attack._capture_probe(legit.merged(probes), eve_rng)
-        stored = beam_split(probes, tap, reference_rng)[0]
+        passed = attack.intercept(Leg.ALICE_TO_BOB_2, legit.merged(probes), None, eve_rng)
 
         def columns(pulse):
             return pulse.photons.tolist(), pulse.origin.tolist(), pulse.owner.tolist()
 
-        assert columns(attack.storage) == columns(stored)
+        assert 0 < probes.count
+        assert columns(attack.storage) == columns(probes)
         assert columns(passed) == columns(legit)
-        # as many draws as the beam splitter's: none at a tap fraction of 0 or 1
+        # the recapture is lossless: Eve's generator draws nothing
         assert eve_rng.random() == reference_rng.random()
-        if tap == 0.4:
-            assert 0 < stored.count < probes.count
 
 
 class TestStandardStateProbe:
     def test_accuracy_is_coinflip(self):
         params = _params(p_analyzing=0.2, transmission=0.5, rounds=40_000, seed=112)
-        report = run_experiment(
-            params, AttackConfig(strategy="standard_state", eve_tap_fraction=1.0)
-        )
+        report = run_experiment(params, AttackConfig(strategy="standard_state"))
         oracle = oracles.probe_guess_accuracy(2)
         sigma = binom_sigma(0.5, report.totals.eve_guesses)
         assert abs(report.metrics["eve_accuracy"] - oracle) <= 4 * sigma
 
     def test_ad_violation_half(self):
         params = _params(p_analyzing=0.5, transmission=0.3, rounds=40_000, seed=113)
-        report = run_experiment(
-            params, AttackConfig(strategy="standard_state", eve_tap_fraction=1.0)
-        )
+        report = run_experiment(params, AttackConfig(strategy="standard_state"))
         oracle = oracles.standard_state_ad_violation(2)
         sigma = binom_sigma(oracle, report.totals.ad_injected_clicks)
         assert abs(report.metrics["ad_violation_rate_injected"] - oracle) <= 4 * sigma
@@ -377,7 +361,7 @@ class TestStandardStateProbe:
 
     def test_theta_oracle_validates_estimator(self):
         params = _params(transmission=0.5, rounds=5000, seed=114)
-        config = AttackConfig(strategy="standard_state", eve_tap_fraction=1.0)
+        config = AttackConfig(strategy="standard_state")
         oracle = ThetaOracleTrojan(config, params)
         counts = score_trial(run_session(params, oracle), oracle.produce_guesses())
         assert counts.eve_guesses > 1000
@@ -391,23 +375,14 @@ class TestSimpleTrojan:
         params = _params(transmission=0.9, rounds=10_000, seed=115 + i)
         report = run_experiment(
             params,
-            AttackConfig(strategy="simple_trojan", trojan_angle=eta, eve_tap_fraction=1.0),
+            AttackConfig(strategy="simple_trojan", trojan_angle=eta),
         )
         sigma = binom_sigma(0.5, report.totals.eve_guesses)
         assert abs(report.metrics["eve_accuracy"] - 0.5) <= 4 * sigma
 
-    def test_no_tap_no_guesses(self):
-        params = _params(rounds=2000, seed=123)
-        report = run_experiment(
-            params, AttackConfig(strategy="simple_trojan", eve_tap_fraction=0.0)
-        )
-        assert report.totals.eve_guesses == 0
-
     def test_probe_never_touches_key(self):
         params = _params(rounds=10_000, seed=124)
-        report = run_experiment(
-            params, AttackConfig(strategy="simple_trojan", eve_tap_fraction=1.0)
-        )
+        report = run_experiment(params, AttackConfig(strategy="simple_trojan"))
         assert report.metrics["qber"] == 0.0
         assert report.verdicts["hash_mismatch"] == 0
 
@@ -453,9 +428,15 @@ class TestPassivePns:
             transmission=0.9, rounds=20_000, seed=127,
         )
         attack = build_interceptor(AttackConfig(strategy="passive_pns"), params)
-        transcript = run_session(params, attack)
         stored = np.zeros(params.rounds, bool)
-        stored[attack.storage.owner] = True  # read before the guesses use it up
+        read_storage = attack._read_storage
+
+        def read_and_record(announcement):
+            stored[attack.storage.owner] = True  # before the readout uses it up
+            return read_storage(announcement)
+
+        attack._read_storage = read_and_record
+        transcript = run_session(params, attack)
         guesses = attack.produce_guesses()
         assert oracles.passive_pns_analyzing_accuracy(2) == pytest.approx(1.0)
         rounds = guesses.rounds

@@ -29,7 +29,7 @@ from screenqkd.analysis import (
     security_curve,
     transcript_npz,
 )
-from screenqkd.channel import Guesses, Leg
+from screenqkd.channel import Leg
 from screenqkd.cli import build_parser, load_config, main
 from screenqkd.errors import ConfigError
 from screenqkd.photonics import PI, Origin
@@ -39,6 +39,7 @@ from screenqkd.protocol import (
     expected_ad_bit,
     is_matched,
     run_session,
+    screening_angles,
 )
 
 from conftest import ThetaOracleTrojan, binom_sigma, transcript_records
@@ -73,6 +74,17 @@ class TestIeSum:
     def test_rejects_nonpositive(self):
         with pytest.raises(ConfigError):
             ie_sum(0)
+
+    @pytest.mark.parametrize("function", (screening_angles, ie_sum))
+    @pytest.mark.parametrize("n", (2.5, True, "2", 0, 2**20 + 1), ids=repr)
+    def test_rejects_a_size_that_is_no_valid_integer(self, function, n):
+        # a float, a bool or a string is refused, not read as a size
+        with pytest.raises(ConfigError):
+            function(n)
+
+    def test_accepts_a_numpy_integer(self):
+        assert screening_angles(np.int64(3)).tolist() == screening_angles(3).tolist()
+        assert ie_sum(np.int64(3)) == ie_sum(3)
 
 
 def _honest_report(**overrides):
@@ -366,8 +378,9 @@ class TestSecurityCurve:
             security_curve(base, AttackConfig(), [2])
 
     def test_rejects_unsorted_n(self):
-        with pytest.raises(ConfigError):
-            security_curve(_params(), AttackConfig(), [3, 2])
+        for n_values in ([3, 2], []):  # an empty sweep has no curve to return
+            with pytest.raises(ConfigError):
+                security_curve(_params(), AttackConfig(), n_values)
 
 
 def test_no_attack_gains_key_information_invisibly():
@@ -470,17 +483,16 @@ def test_batch_scorer_matches_per_record_recount(mode, strategy):
     else:
         interceptor = build_interceptor(attack, params)
     final_leg = []  # Eve's input on the final leg
-    if interceptor is not None:
-        intercept = interceptor.intercept
+    intercept = interceptor.intercept
 
-        def recording_intercept(leg, pulse, round_ids, rng):
-            if leg is Leg.ALICE_TO_BOB_2:
-                final_leg.append(pulse)
-            return intercept(leg, pulse, round_ids, rng)
+    def recording_intercept(leg, pulse, round_ids, rng):
+        if leg is Leg.ALICE_TO_BOB_2:
+            final_leg.append(pulse)
+        return intercept(leg, pulse, round_ids, rng)
 
-        interceptor.intercept = recording_intercept
+    interceptor.intercept = recording_intercept
     transcript = run_session(params, interceptor)
-    guesses = interceptor.produce_guesses() if interceptor else Guesses()
+    guesses = interceptor.produce_guesses()
     counts = score_trial(transcript, guesses)
     if strategy == "standard_state":
         # the oracle makes the estimator exact

@@ -228,8 +228,8 @@ def test_load_config_validates():
     args = Args()
     for field in (
         "n", "sweep_n", "rounds", "p_analyzing", "transmission", "mode",
-        "mean_photons", "loss", "trials", "seed", "attack", "eve_tap_fraction",
-        "trojan_angle", "attack_probability", "outdir", "emit_transcript",
+        "mean_photons", "loss", "trials", "seed", "attack", "trojan_angle",
+        "attack_probability", "outdir", "emit_transcript",
     ):
         setattr(args, field, None)
     args.trials = 0
@@ -277,10 +277,10 @@ INVALID_INPUTS = {
     "rate-law-epsilon-config-key": ({"rate_law_epsilon": 0.1}, []),
     "digest-flag": (None, ["--digest", "sha256"]),
     "rate-law-epsilon-flag": (None, ["--rate-law-epsilon", "0.1"]),
+    "eve-tap-fraction-config-key": ({"eve_tap_fraction": 1.0}, []),
+    "eve-tap-fraction-flag": (None, ["--eve-tap-fraction", "1"]),
     "trojan-angle-other-strategy": (None, ["--attack", "standard_state",
                                            "--trojan-angle", "0.7"]),
-    "eve-tap-fraction-other-strategy": (None, ["--attack", "impersonation",
-                                               "--eve-tap-fraction", "0.3"]),
     "int-too-large-for-float": ({"attack": "simple_trojan", "trojan_angle": 10**400}, []),
     # raw config bytes that json.load rejects with a ValueError of its own
     "int-over-digit-limit": (b'{"rounds": 1' + b"0" * 5000 + b"}", []),

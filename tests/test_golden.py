@@ -48,7 +48,7 @@ CASES = {
     "pns_trojan_transcript": [
         "--mode", "pulse", "--mean-photons", "2.0", "--p-analyzing", "0.5",
         "--attack", "pns_trojan", "--attack-probability", "0.6",
-        "--eve-tap-fraction", "0.7", "--loss", "0.05", "--emit-transcript",
+        "--loss", "0.05", "--emit-transcript",
     ],
     "standard_state": ["--attack", "standard_state"],
     "simple_trojan": [
@@ -78,21 +78,21 @@ CONFIG_FILES = {"standard_state": {"p_analyzing": 0.5, "transmission": 0.3}}
 GOLDEN = {
     "honest_transcript": {
         "audit_N2_000.npz": "c270cd6f8e31355e68c406d578dc055eb32e24b1bda5dd9d72ecdfaeff2c0ce5",
-        "report.json": "d6bec9f28cbf370239527c849b44941f5086ec235a71f61a15c6cc306e2de8a4",
+        "report.json": "f0164d7a2a153383b81f725256a003b51dade1de979748245bc5099fa585ec49",
         "transcript_000.npz": "77c0d62e89c3bd7be3d143987338d7f1b02b3659cb7fb6b5d2e84491bc8a0d18",
         "trials.csv": "eba6aa4adf2581e2e8f8248f34b0080d6f52a5a6c9a04674750fba6bfb2a316c",
     },
     "honest_pulse_lossy": {
         "audit_N5_000.npz": "bce78e5839b06aeade86a9895bdbbae15c33fe6e8b0d3082ee9cfa9f6d066bb8",
         "audit_N5_001.npz": "13db5bbb05f76634d6081dc25786ac5a838d247d718107338e6a7a75f3c932f3",
-        "report.json": "8ad4376e5d9c58643baadcb99b5f4c9b44d9331d3662f9b8572734d3ba98fff7",
+        "report.json": "fd403617177556424777034986d1aa77666bddaf2e95561e56e59c927da012cb",
         "trials.csv": "433cb39dfadf61ff0c4553d31579778e1ec76305148909e739b1cffd6f72281b",
     },
     "impersonation_weights": {
         "audit_N3_000.npz": "f454a25a8a2d8fee7d3b5e0610d74bf6380b9db640cd19fdd5c68602b42532c7",
         "audit_N3_001.npz": "4d79b1b9842e885a225ebcfa59e942f038283b4f5572168d9723c8091dcf5e94",
         "audit_N3_002.npz": "de3b8bc5bc78a0afa7388c8150282ff021db80e0476517b04eb4291dc34d923c",
-        "report.json": "04134ae2dc37518c612592aac27f335f7aa1f895a9d3b92807249eb9c7d052ca",
+        "report.json": "0a42f4a0c278b143925349ef98ae8ec6f6c658eca9a117d95760fd8255e9466a",
         "trials.csv": "7409a702ab969d04ddc84d5d7da5de67a8e10bcaf275493ba517615fe8548a6b",
     },
     "pulse_beamsplit_sweep": {
@@ -100,23 +100,23 @@ GOLDEN = {
         "audit_N3_000.npz": "fe670a85d94ed207b57c126264d4a439df475ed525e15a99772b5b6937c83ade",
         "audit_N5_000.npz": "c8d18634de5f3b757d817570cf196981a2dd79d29bc598e514065b3e76520b05",
         "curve.csv": "a54bd344997d71b2f93f95d1e6f4eabbf969e7fa648b8a17bff36ef166ffb857",
-        "report.json": "46315de13de30197a5c0aa8d5b24806db2c32e043d74f317d0e43b7ad889f930",
+        "report.json": "23c278d958556f58e3ac936f65a5b4120777e94199073110882b182ea11b8450",
         "trials.csv": "30080deed9899bdb48948365c568c0c00ea1cde2fc867ea2813393dd0a114428",
     },
     "pns_trojan_transcript": {
         "audit_N2_000.npz": "ab66f8e54ec6e30ec6d38fb650cfd38e76363edd1e04c7a9ecc2de9a0ad4a111",
-        "report.json": "72d002b0f429f650f92544d2335e9822e9f0226806a24946c997e29c0cd0bf9c",
+        "report.json": "6d0c2d44452e92bb22170349b33ac043c154cb41fe53bd9416c4059c301623b0",
         "transcript_000.npz": "8708513d21a1b9ae02873a945800183471759f5d893127e13ac51d9076d74a0a",
-        "trials.csv": "0605df678d12bd936fca9f6302ac62b528eb208f1bc3d12c4b5be62767fac857",
+        "trials.csv": "45e225ed9e54d4764e2a372087818792e3020aca27ad92b78c141fb0b4e2c37b",
     },
     "standard_state": {
         "audit_N2_000.npz": "9df4100e5d5ce944167fe850ac9245d97e0523ba562fe32c7982b87ec11de7fb",
-        "report.json": "3b23c0ed0d85bdd1991e133dbe539a7c62354f0b02955c63fd4f80e34ee672f8",
+        "report.json": "a973c92fe868d1a811a612c8792a99c9605c58b1b781d65c2ea9597e1a816e15",
         "trials.csv": "8e99a97113e5e41001a0dc4c9f01e6f3c5eb477022ba20cf80aa0511849faee8",
     },
     "simple_trojan": {
         "audit_N2_000.npz": "f0cfa1601055d6b4a3b829399c3dae410ec1af7fd1d64577a257d64dbd139b1f",
-        "report.json": "fc09d9aed014e39059b60bec2ce7521aaad1613114ed165d90750a10fbb55e27",
+        "report.json": "2ccb9623f4abeda9a62148e78d20d55d67ad7ded0b1dbf1291c5ed0d41cbd7ea",
         "trials.csv": "e82659f77fbe5ac4a56077845b041fc71847e52b971f3391169482413c660d19",
     },
     "passive_pns_sweep": {
@@ -125,18 +125,18 @@ GOLDEN = {
         "audit_N3_000.npz": "a90f67e12f4b1ce3c25ece11bca2a4db6549cf61cbe9de1aed0ed04e8830c38d",
         "audit_N3_001.npz": "364394b3235de0c484670a02300fc6a6413eacda65746854f07ed0e4c4b98542",
         "curve.csv": "b00c733c8234ab9532af4f66d38aa3d502e7cff37029fe089e33e425fd27c795",
-        "report.json": "db5ee4a0290804bfa581e8e6ef9524f943cd1f5ce37d82a2377624fb60bc65f1",
+        "report.json": "fad3dfd36f3957d3fa29607e20fb6458405f2a56b23dd3185067fc480186e736",
         "trials.csv": "617aa09331e84b7e1f409885875203c3dceb06d5c7708473bd1c7cf8af99fcc8",
     },
     "pns_trojan_high_mu": {
         "audit_N2_000.npz": "a67a18da81881569f8376bde21959f897afc9862b3190cd6ae5dacd7e7cc5c25",
-        "report.json": "be47a24dc4364e60351fc8f06d7348265b174dd86514801320f06e2be8cc05e5",
+        "report.json": "563c4771b7f4a78bb28e168598609ea5538d924871a4465ce2e7debb3bdaec1a",
         "transcript_000.npz": "3dcbd7a8ad978362c9f9290eec59c1c53fd0662bd5c35e23e106cea62e70970c",
         "trials.csv": "011a4326380e362b0a34e051d299d1ee7fae179b7b5b5efc178a85459bb12f62",
     },
     "pulse_beamsplit_high_mu": {
         "audit_N3_000.npz": "d4332ac0f7975789fac3e3d5828d5542d3ddb7669e69ab7413aab7722de93250",
-        "report.json": "258034ec1d8075a1144b83bf5e7c2cb60676da125982c4b0d35f80d96ca6b862",
+        "report.json": "66d4838a8ae6ec599711011c16adc6989515d57839371f3a0988a2064cf226af",
         "trials.csv": "e2e334516f0daafab8d09b1c8ad8544462c5a0cf041372f2eb382d69f23d409d",
     },
 }

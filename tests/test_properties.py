@@ -147,7 +147,6 @@ TYPICAL = {
     "trials": st.integers(1, 3),
     "seed": st.integers(),
     "attack": st.sampled_from(STRATEGIES),
-    "eve_tap_fraction": unit,
     "trojan_angle": st.floats(-4.0, 4.0),
     "attack_probability": unit,
     "guess_weights": st.lists(st.floats(0.0, 2.0), max_size=6),

@@ -5,8 +5,10 @@ draw order changes can fail it by chance. For each row of tests/claims.py
 with `pooled` seeds, the counts of each statistic with an oracle are pooled
 over those seeds and checked against the oracle at |z| <= 5, which tells a
 biased engine from an unlucky seed; `per_case` seeds check each
-(alpha_a, k, phi*) case of the probe AD violations. Each prints one
-pass/fail line with every z-score, and none replaces an acceptance test:
+(alpha_a, k, phi*) case of the probe AD violations. Two more checks hold
+criterion 3's QBER per matched pair and criterion 4's share of rejected
+sessions to closed forms of their own. Each prints one pass/fail line with
+every z-score, and none replaces an acceptance test:
 
     pytest tests/test_signatures.py -v -s
 """
@@ -17,8 +19,10 @@ from dataclasses import asdict, replace
 import numpy as np
 from scipy.stats import chi2
 
+from screenqkd.adversary import AttackConfig, build_interceptor
 from screenqkd.analysis import RATES, run_experiment
 from screenqkd.photonics import PI, Origin
+from screenqkd.protocol import ProtocolParams, run_session
 
 import oracles
 from claims import CLAIMS
@@ -109,3 +113,60 @@ for _claim in (claim for claim in CLAIMS if claim.pooled):
     globals()[f"{_name}_pooled"] = lambda claim=_claim: _pooled(claim)
     if _claim.per_case:
         globals()[f"{_name}_per_case"] = lambda claim=_claim: _per_case(claim)
+
+
+def test_criterion_3_impersonation_qber_per_pair():
+    # The pooled QBER is the mean of per-pair rates that lie symmetric about
+    # 1/2 (0.3125 and 0.6875 at N = 2), so a relay that re-encodes Eve's
+    # readout with the wrong sign swaps them and leaves the pooled rate, and
+    # criterion 3, unchanged. Each pair, by Alice's screening index, is
+    # checked against its own closed form.
+    [(params, attack)] = next(claim for claim in CLAIMS if claim.criterion == 3).points  # t = 1
+    z_scores, parts = [], []
+    for n in (2, 3):
+        errors = sifted = 0
+        for seed in range(1, 3):
+            point = replace(params, n_screening=n, rounds=200_000, seed=seed)
+            t = run_session(point, build_interceptor(attack, point))
+            a_index = t.rounds.a_index[t.sifted].astype(int) - 1
+            wrong = np.frombuffer(t.alice_key, np.uint8) != np.frombuffer(t.bob_key, np.uint8)
+            errors += np.bincount(a_index[wrong], minlength=n)
+            sifted += np.bincount(a_index, minlength=n)
+        for a, oracle in enumerate(oracles.impersonation_qber_by_pair(n)):
+            z_scores.append(z_score(int(errors[a]), int(sifted[a]), oracle))
+            parts.append(f"N={n} a={a + 1}: {errors[a]}/{sifted[a]} = "
+                         f"{errors[a] / sifted[a]:.4f} vs {oracle:.4f}, z={z_scores[-1]:+.2f}")
+    pass_fail(
+        all(abs(z) <= Z_MAX for z in z_scores),
+        "criterion 3 per pair (impersonation QBER by Alice's screening index, seeds 1-2)",
+        "; ".join(parts),
+    )
+
+
+def test_criterion_4_pns_trojan_session_rejection():
+    # The parties notice Eve: a session is rejected when any probe's AD click
+    # on a matched analyzing round violates the integrity condition, so the
+    # share of rejected sessions follows from the per-round probability of
+    # such a click.
+    z_scores, parts = [], []
+    for n, probability, loss in ((2, 0.01, 0.0), (2, 0.05, 0.2), (3, 0.03, 0.1)):
+        params = ProtocolParams(n_screening=n, rounds=2000, p_analyzing=0.5, transmission=0.9,
+                                loss=loss, mode="pulse", mean_photons=2.0, seed=11)
+        report = run_experiment(
+            params, AttackConfig(strategy="pns_trojan", attack_probability=probability),
+            trials=400,
+        )
+        rejected = len(report.sessions) - report.verdicts["accepted"]
+        oracle = oracles.pns_trojan_rejection(
+            n, params.mean_photons, params.p_analyzing, params.transmission, loss,
+            probability, params.rounds,
+        )
+        z_scores.append(z_score(rejected, len(report.sessions), oracle))
+        parts.append(f"N={n} a={probability} loss={loss}: {rejected}/{len(report.sessions)} "
+                     f"= {rejected / len(report.sessions):.4f} vs {oracle:.4f}, "
+                     f"z={z_scores[-1]:+.2f}")
+    pass_fail(
+        all(abs(z) <= Z_MAX for z in z_scores),
+        "criterion 4 session rejection (pns_trojan, 400 sessions of 2000 rounds, seed 11)",
+        "; ".join(parts),
+    )
