@@ -10,7 +10,7 @@ from screenqkd.analysis import run_experiment, run_trial, score_trial
 from screenqkd.channel import Interceptor, Leg
 from screenqkd.errors import ConfigError
 from screenqkd.photonics import (
-    PI, Origin, Pulse, canon, make_pulse, measure, single_photon_pulse,
+    PI, Origin, Pulse, beam_split, canon, make_pulse, measure, single_photon_pulse,
 )
 from screenqkd.protocol import ProtocolParams, Verdict, run_session, screening_angles
 
@@ -321,10 +321,13 @@ class TestPnsTrojanComposite:
 
 
 class TestProbeRecapture:
-    def test_storage_holds_every_probe(self):
+    @pytest.mark.parametrize("probe_share", (0.0, 0.4, 1.0))
+    def test_recapture_is_the_beam_split_draw(self, probe_share):
+        # the recapture is a beam splitter at full tap: storage holds every
+        # probe whatever share of the rounds carries one
         rng = np.random.default_rng(7)
         legit = make_pulse(rng.random(300) * PI, 2.0, rng)
-        probes = single_photon_pulse(rng.random(300) * PI).take(rng.random(300) < 0.5)
+        probes = single_photon_pulse(rng.random(300) * PI).take(rng.random(300) < probe_share)
         probes = probes.tagged(Origin.TROJAN_INJECTED)
         attack = build_interceptor(
             AttackConfig(strategy="pns_trojan"), _params(mode="pulse", mean_photons=2.0)
@@ -332,15 +335,17 @@ class TestProbeRecapture:
         attack._active = np.ones(300, bool)
         eve_rng, reference_rng = np.random.default_rng(8), np.random.default_rng(8)
         passed = attack.intercept(Leg.ALICE_TO_BOB_2, legit.merged(probes), None, eve_rng)
+        stored = beam_split(probes, 1.0, reference_rng)[0]
 
         def columns(pulse):
             return pulse.photons.tolist(), pulse.origin.tolist(), pulse.owner.tolist()
 
-        assert 0 < probes.count
-        assert columns(attack.storage) == columns(probes)
+        assert columns(attack.storage) == columns(stored) == columns(probes)
         assert columns(passed) == columns(legit)
-        # the recapture is lossless: Eve's generator draws nothing
+        # as many draws as the beam splitter's at full tap: none
         assert eve_rng.random() == reference_rng.random()
+        if probe_share == 0.4:
+            assert 0 < stored.count < 300
 
 
 class TestStandardStateProbe:
