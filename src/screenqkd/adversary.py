@@ -34,7 +34,7 @@ import numpy as np
 
 from .channel import Guesses, Interceptor, Leg
 from .errors import ConfigError, check_real
-from .photonics import PI, Origin, Pulse, measure, single_photon_pulse
+from .photonics import PI, Origin, Pulse, measure, single_photon_pulse, uniform_mask
 from .protocol import Announcement, ProtocolParams, MODE_PULSE, MODE_SINGLE
 
 STRATEGY_NONE = "none"
@@ -116,7 +116,7 @@ class _BaseAttack(Interceptor):
         self._rng = rng
         if leg is Leg.ALICE_TO_BOB_1:
             # Activation is drawn once per round, on its first leg.
-            self._active = rng.random(pulse.rounds) < self.config.attack_probability
+            self._active = uniform_mask(rng, pulse.rounds, self.config.attack_probability)
         if not self._active.any():
             return pulse
         return self._act(leg, pulse, rng)
@@ -202,7 +202,7 @@ class Impersonation(_BaseAttack):
         read = active.leading()
         rounds = active.owner[read]
         guess = rng.choice(self.params.n_screening, len(rounds), p=self._guess_probs)
-        readout = measure(active.photons[read], self.params.angles[guess] + PI / 4, rng)
+        readout = measure(active.take(read), self.params.angles[guess] + PI / 4, rng)
         self.guesses = Guesses(rounds, readout)
         delta = np.zeros(active.rounds)
         delta[rounds] = (1 - 2 * readout) * (PI / 4)
@@ -226,7 +226,7 @@ class PulseBeamSplit(Impersonation):
         reported = active.owner[active.leading()]
         owner = active.owner
         basis = rng.integers(0, n, len(owner))
-        bits = measure(active.photons, angles[basis] + PI / 4, rng)
+        bits = measure(active, angles[basis] + PI / 4, rng)
         # Hypothesis (alpha_i, k) is number 2i + k. Outcome bit b in basis i
         # has zero Born probability only under (alpha_i, 1 - b), which it
         # therefore excludes; ruling out all but one of the 2N hypotheses
@@ -264,7 +264,7 @@ class _ProbeCaptureAttack(_BaseAttack):
         """Measure each recaptured probe in (alpha_a + pi/4, alpha_a - pi/4)."""
         rounds = self.storage.owner
         alpha_a = self.params.angles[announcement.a_indices[rounds] - 1]
-        return Guesses(rounds, measure(self.storage.photons, alpha_a + PI / 4, self._rng))
+        return Guesses(rounds, measure(self.storage, alpha_a + PI / 4, self._rng))
 
 
 class PnsTrojanComposite(_ProbeCaptureAttack):
@@ -342,7 +342,7 @@ class PassivePns(_BaseAttack):
         # has every term except k public: the readout is deterministic in k.
         phi_star = np.where(announcement.phi_star_flags[stored], PI / 2, 0.0)
         final = np.searchsorted(rounds, stored)  # each stored photon's place in rounds
-        bits[final] = measure(self.storage.photons, phi_star + alpha_sum + PI / 4, self._rng)
+        bits[final] = measure(self.storage, phi_star + alpha_sum + PI / 4, self._rng)
         return Guesses(rounds, bits)
 
 

@@ -4,7 +4,8 @@ A thin shell over the library: every run reachable here is reachable via
 :func:`screenqkd.analysis.run_experiment` with identical results for
 identical seeds. Configuration comes from an optional JSON file plus
 flags; flags always win. Exit codes: 0 run complete and all enabled
-assertions passed, 1 assertion failure, 2 configuration/usage error.
+assertions passed, 1 assertion failure, a failed write or a run out of
+memory, 2 configuration/usage error.
 """
 
 from __future__ import annotations
@@ -345,6 +346,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print(
+            f"error: out of memory running {params.rounds} rounds per session "
+            f"in {params.mode} mode",
+            file=sys.stderr,
+        )
         return 1
 
     for failure in failures:

@@ -24,6 +24,13 @@ per-round table for the origin: a rotation is one add per round and
 origin, and moving photons moves 5 bytes each.
 Batches are never modified after construction. Random number generators
 are single-owner and must be passed in explicitly.
+
+The kernels that would otherwise build a full-length temporary only to
+reduce it (a uniform draw to a mask, a gather to a measurement, a count
+to a narrow column) run over consecutive blocks of at most `BLOCK`
+rounds or photons. Consecutive calls on one generator continue one
+stream, so a blocked draw takes exactly the values, and leaves the
+generator in exactly the state, of one whole call.
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
+from typing import Iterator
 
 import numpy as np
 
@@ -45,6 +53,25 @@ MAX_MEAN_PHOTONS = 100
 
 # Largest accepted batch: a photon's round, `Pulse.owner`, is an int32.
 MAX_ROUNDS = 2**31 - 1
+
+# Rounds or photons per block of a blocked kernel: a float64 block is
+# 128 KiB, glibc's initial mmap threshold.
+BLOCK = 2**14
+
+
+def blocks(size: int) -> Iterator[slice]:
+    """Consecutive slices of at most `BLOCK` items that cover ``range(size)``."""
+    return (slice(start, min(start + BLOCK, size)) for start in range(0, size, BLOCK))
+
+
+def uniform_mask(rng: np.random.Generator, size: int, p: float) -> np.ndarray:
+    """``rng.random(size) < p``, drawn a block at a time: the same uniforms,
+    without a full-length float64 array."""
+    mask = np.empty(size, bool)
+    u = np.empty(min(size, BLOCK))
+    for block in blocks(size):
+        np.less(rng.random(out=u[: block.stop - block.start]), p, out=mask[block])
+    return mask
 
 
 def canon(radians):
@@ -127,20 +154,46 @@ class Pulse:
 
     @property
     def counts(self) -> np.ndarray:
-        """Photon number of each round's pulse."""
-        return np.bincount(self.owner, minlength=self.rounds)
+        """Photon number of each round's pulse, counted a block of rounds at
+        a time: a whole `bincount` would first copy every owner to intp."""
+        counts = np.empty(self.rounds, np.intp)
+        for rounds, photons in self.round_blocks():
+            counts[rounds] = np.bincount(
+                self.owner[photons] - rounds.start, minlength=rounds.stop - rounds.start
+            )
+        return counts
+
+    def round_blocks(self) -> Iterator[tuple[slice, slice]]:
+        """(rounds, photons): each block of rounds of :func:`blocks` and the
+        run of photons that belong to it."""
+        for rounds in blocks(self.rounds):
+            # int32 bounds: other keys would make searchsorted copy `owner`
+            bounds = np.array((rounds.start, rounds.stop), np.int32)
+            yield rounds, slice(*self.owner.searchsorted(bounds).tolist())
 
     @property
     def photons(self) -> np.ndarray:
         """Each photon's polarization, gathered from its origin's table."""
-        codes = [code for code, table in enumerate(self.angles) if table is not None]
-        if not codes:
+        if all(table is None for table in self.angles):
             return np.empty(0)
-        photons = self.angles[codes[0]][self.owner]
-        for code in codes[1:]:
-            index = np.flatnonzero(self.origin == code)
-            photons[index] = self.angles[code][self.owner.take(index)]
+        photons = np.empty(self.count)
+        for block in blocks(self.count):
+            self.gather(block, photons[block])
         return photons
+
+    def gather(self, photons: slice, out: np.ndarray) -> np.ndarray:
+        """The polarizations of the photons in the slice `photons`, written
+        into `out` (as long as the slice) and returned. `take` by an int32
+        index first copies it to intp, which pays off only a block at a
+        time; every owner is a round of the batch, so "clip" clips nothing
+        and spares the copy of `out` that "raise" makes."""
+        owner = self.owner[photons]
+        codes = [code for code, table in enumerate(self.angles) if table is not None]
+        np.take(self.angles[codes[0]], owner, out=out, mode="clip")
+        for code in codes[1:]:
+            index = np.flatnonzero(self.origin[photons] == code)
+            out[index] = self.angles[code][owner.take(index)]
+        return out
 
     def leading(self) -> np.ndarray:
         """Mask of the first photon of every nonempty pulse."""
@@ -149,12 +202,24 @@ class Pulse:
         return first
 
     def take(self, index: np.ndarray) -> Pulse:
-        """The photons selected by a mask (or ascending indices)."""
-        if index.dtype == bool:
-            index = np.flatnonzero(index)  # one mask scan for both gathers
-        return Pulse(
-            self.owner.take(index), self.origin.take(index), self.angles, self.rounds
-        )
+        """The photons selected by a mask (or ascending indices).
+
+        A mask is turned into indices a block at a time, so no index array
+        as long as the batch is made."""
+        if index.dtype != bool:
+            return Pulse(
+                self.owner.take(index), self.origin.take(index), self.angles, self.rounds
+            )
+        kept = np.count_nonzero(index)
+        owner, origin = np.empty(kept, np.int32), np.empty(kept, np.int8)
+        end = 0
+        for block in blocks(len(index)):
+            rows = np.flatnonzero(index[block])  # one mask scan for both gathers
+            start, end = end, end + len(rows)
+            # rows index the block, so "clip" clips nothing (see `gather`)
+            np.take(self.owner[block], rows, out=owner[start:end], mode="clip")
+            np.take(self.origin[block], rows, out=origin[start:end], mode="clip")
+        return Pulse(owner, origin, self.angles, self.rounds)
 
     def split(self, mask: np.ndarray) -> tuple[Pulse, Pulse]:
         """(the photons selected by `mask`, the rest), both in order."""
@@ -225,15 +290,28 @@ class Pulse:
         One add into each table, not reduced modulo pi (see the module
         docstring); every photon of a table has seen the same adds in the
         same order, so the sums are those of a per-photon add. Of several
-        tables, those of origins without photons are dropped, not rotated."""
+        tables, those of origins without photons are dropped, not rotated.
+
+        An array `delta` is handed over: when it is a writeable float64
+        array with one entry per round that shares no memory with a table,
+        the last rotated table is summed into it in place (``delta +
+        table`` is the IEEE sum ``table + delta``) and becomes that table.
+        A caller that still needs its `delta` passes a copy."""
         if np.ndim(delta):
             delta = np.asarray(delta, dtype=np.float64)
         live = self._live()
-        angles = tuple(
-            _read_only(table + delta) if code in live else None
-            for code, table in enumerate(self.angles)
-        )
-        return replace(self, angles=angles)
+        angles = [None] * len(self.angles)
+        for code in live:
+            table = self.angles[code]
+            out = None
+            if (
+                code == live[-1] and np.ndim(delta) and delta.flags.writeable
+                and delta.shape == table.shape
+                and not any(np.may_share_memory(delta, self.angles[c]) for c in live)
+            ):
+                out = delta
+            angles[code] = _read_only(np.add(table, delta, out=out))
+        return replace(self, angles=tuple(angles))
 
 
 # Axis of the (+pi/4, -pi/4) analyzer used by Bob's detector pair and Alice's AD.
@@ -256,17 +334,20 @@ def _largest(x) -> float:
     return max(x.max(), -x.min())
 
 
-def measure(photons: np.ndarray, axis, rng: np.random.Generator) -> np.ndarray:
-    """Projectively measure photons at polarizations `photons` on the
-    analyzer with outcome axes `axis` and `axis + pi/2` (one axis for all,
-    or one per photon); returns one int8 outcome bit per photon.
+def measure(photons, axis, rng: np.random.Generator) -> np.ndarray:
+    """Projectively measure `photons` on the analyzer with outcome axes
+    `axis` and `axis + pi/2` (one axis for all, or one per photon);
+    returns one int8 outcome bit per photon.
 
-    Bit 0 means collapse onto `axis`, bit 1 onto the orthogonal axis.
-    `axis` counts modulo pi. Measured photons are consumed: callers must
-    not measure them again.
+    `photons` is a :class:`Pulse`, whose polarizations are gathered from
+    its tables a block at a time, or a flat array of polarizations. Bit 0
+    means collapse onto `axis`, bit 1 onto the orthogonal axis. `axis`
+    counts modulo pi. Measured photons are consumed: callers must not
+    measure them again.
 
     Photon i gives bit 1 iff ``u[i] >= born_probability(photons, axis)[i]``
-    for one uniform draw ``u[i]`` each. The Born probability is screened in
+    for one uniform draw ``u[i]`` each, drawn a block at a time (the
+    uniforms of one whole draw). The Born probability is screened in
     float32, whose cosine is vectorised (numpy's float64 one is not
     everywhere), and only the photons whose `u` lies within `margin` of the
     float32 value are decided again in float64, so every bit equals the
@@ -274,16 +355,33 @@ def measure(photons: np.ndarray, axis, rng: np.random.Generator) -> np.ndarray:
     float32 moves the angle by at most ``(|photons| + |axis|) * 2^-23``,
     and so p by as much, since |d cos^2(x) / dx| <= 1; the float32 cosine,
     square and ``u - p`` add a few units of 2^-24. `margin` is four times
-    that. A margin of 1/4 or more (huge or NaN angles) screens nothing,
-    so such a batch takes the float64 rule whole.
+    that, over the photons of one block. A margin of 1/4 or more (huge or
+    NaN angles) screens nothing, so such a block takes the float64 rule
+    whole.
     """
-    photons = np.asarray(photons)
-    u = rng.random(photons.shape)
-    margin = math.inf  # an empty or a non-flat batch is not screened
-    if photons.ndim == 1 and photons.size:
-        margin = (_largest(photons) + _largest(axis)) * 2.0**-21 + 2.0**-19
+    if isinstance(photons, Pulse):
+        count, gather = photons.count, photons.gather
+    else:
+        array = np.asarray(photons)
+        count, gather = len(array), lambda block, out: array[block]
+    bits = np.empty(count, bool)
+    u, angles = np.empty(min(count, BLOCK)), np.empty(min(count, BLOCK))
+    for block in blocks(count):
+        size = block.stop - block.start
+        bits[block] = _decide(
+            gather(block, angles[:size]),
+            axis[block] if np.ndim(axis) else axis,
+            rng.random(out=u[:size]),
+        )
+    return bits.view(np.int8)
+
+
+def _decide(photons: np.ndarray, axis, u: np.ndarray) -> np.ndarray:
+    """``u >= born_probability(photons, axis)`` for a nonempty block,
+    screened in float32 (see :func:`measure`)."""
+    margin = (_largest(photons) + _largest(axis)) * 2.0**-21 + 2.0**-19
     if not margin < 0.25:
-        return (u >= born_probability(photons, axis)).view(np.int8)
+        return u >= born_probability(photons, axis)
     p = np.subtract(photons, axis, dtype=np.float32)
     np.cos(p, out=p)
     np.square(p, out=p)
@@ -293,7 +391,7 @@ def measure(photons: np.ndarray, axis, rng: np.random.Generator) -> np.ndarray:
     if close.size:
         near = axis[close] if np.ndim(axis) else axis
         bits[close] = u[close] >= born_probability(photons[close], near)
-    return bits.view(np.int8)
+    return bits
 
 
 def make_pulse(
@@ -306,7 +404,18 @@ def make_pulse(
             f"mean_photons must be in [0, {MAX_MEAN_PHOTONS}], got {mean_photons}"
         )
     rounds = len(polarization)
-    owner = np.repeat(np.arange(rounds, dtype=np.int32), rng.poisson(mean_photons, rounds))
+    # The photon numbers are drawn a block at a time and each block is kept
+    # in the narrowest type that holds it, then repeated into the owners.
+    counts = []
+    for block in blocks(rounds):
+        drawn = rng.poisson(mean_photons, block.stop - block.start)
+        counts.append(drawn.astype(np.min_scalar_type(drawn.max())))
+    owner = np.empty(sum(int(c.sum()) for c in counts), np.int32)
+    end = 0
+    for block, count in zip(blocks(rounds), counts):
+        start, end = end, end + int(count.sum())
+        rounds_of_block = np.arange(block.start, block.stop, dtype=np.int32)
+        owner[start:end] = np.repeat(rounds_of_block, count)
     return _legitimate(polarization, owner)
 
 
@@ -349,7 +458,7 @@ def beam_split(
         return Pulse.vacuum(pulse.rounds), pulse
     if trivial is True:
         return pulse, Pulse.vacuum(pulse.rounds)
-    return pulse.split(rng.random(pulse.count) < tap_fraction)
+    return pulse.split(uniform_mask(rng, pulse.count, tap_fraction))
 
 
 def attenuated(pulse: Pulse, loss: float, rng: np.random.Generator) -> Pulse:
@@ -360,4 +469,5 @@ def attenuated(pulse: Pulse, loss: float, rng: np.random.Generator) -> Pulse:
         return pulse
     if trivial is True:
         return Pulse.vacuum(pulse.rounds)
-    return pulse.take(rng.random(pulse.count) >= loss)
+    kept = uniform_mask(rng, pulse.count, loss)
+    return pulse.take(np.logical_not(kept, out=kept))  # u >= loss

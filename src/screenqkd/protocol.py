@@ -45,9 +45,11 @@ from .photonics import (
     PI,
     Pulse,
     beam_split,
+    blocks,
     make_pulse,
     measure,
     single_photon_pulse,
+    uniform_mask,
 )
 
 MODE_SINGLE = "single"
@@ -236,6 +238,16 @@ def is_matched(a_index, b_index, n: int):
     return a_index + b_index == n + 1
 
 
+def _screening_indices(rng: np.random.Generator, n: int, size: int) -> np.ndarray:
+    """``rng.integers(1, n + 1, size)`` in the smallest unsigned type that
+    holds 2N (so is_matched's sum fits), drawn a block at a time: int64
+    draws continue one stream across calls, as the uniforms do."""
+    indices = np.empty(size, np.min_scalar_type(2 * n))
+    for block in blocks(size):
+        indices[block] = rng.integers(1, n + 1, block.stop - block.start)
+    return indices
+
+
 def alice_prepare(
     theta: np.ndarray, params: ProtocolParams, rng: np.random.Generator
 ) -> Pulse:
@@ -249,7 +261,10 @@ def bob_transform(
     pulse: Pulse, phi: np.ndarray, b_index: np.ndarray, params: ProtocolParams
 ) -> Pulse:
     """Bob's rotation step: rotate each round's pulse by phi + alpha_b."""
-    return pulse.rotated(phi + params.angles[b_index - 1])
+    delta = np.empty(len(phi))
+    for block in blocks(len(phi)):
+        np.add(phi[block], params.angles.take(b_index[block] - 1), out=delta[block])
+    return pulse.rotated(delta)  # `delta` becomes the rotated table
 
 
 def alice_encode(
@@ -271,7 +286,7 @@ def alice_encode(
     Returns (pulses to Bob, AD outcome bits, and each AD photon's round
     and origin code): the AD columns of `Rounds`.
     """
-    if not ((k == 0) | (k == 1)).all():
+    if not all(((k[block] == 0) | (k[block] == 1)).all() for block in blocks(len(k))):
         raise ConfigError(f"key bits must be 0 or 1, got {np.unique(k)}")
     if len(a_index) and not (1 <= a_index.min() and a_index.max() <= params.n_screening):
         raise ConfigError(
@@ -279,13 +294,18 @@ def alice_encode(
         )
     # (-1)^k pi/4 = (1/2 - k) pi/2, exact for any integer or bool k (1 - 2k
     # wraps for unsigned k); the explicit dtype keeps numpy 1.x from
-    # narrowing 1/2 - k to float16. The sum runs in place in that temporary.
-    rotated = pulse.rotated(
-        np.subtract(0.5, k, dtype=np.float64) * (PI / 2) - theta
-        + params.angles[a_index - 1]
-    )
-    tapped, to_bob = beam_split(rotated, 1.0 - params.transmission, rng)
-    return to_bob, measure(tapped.photons, DIAGONAL, rng), tapped.owner, tapped.origin
+    # narrowing 1/2 - k to float16. The sum runs in place, a block at a time.
+    delta = np.empty(len(k))
+    for block in blocks(len(k)):
+        step = np.subtract(0.5, k[block], out=delta[block], dtype=np.float64)
+        step *= PI / 2
+        step -= theta[block]
+        step += params.angles.take(a_index[block] - 1)
+    # `delta` becomes the rotated table; rebinding `pulse` frees the received
+    # table when the caller holds no other reference to the batch.
+    pulse = pulse.rotated(delta)
+    tapped, pulse = beam_split(pulse, 1.0 - params.transmission, rng)
+    return pulse, measure(tapped, DIAGONAL, rng), tapped.owner, tapped.origin
 
 
 def bob_decode(
@@ -300,17 +320,31 @@ def bob_decode(
     deterministically. The counts are held in the smallest unsigned type
     that holds the largest of them.
     """
-    received = pulse.counts
-    # narrowed first: the wide counts are freed before the measurement
-    received = received.astype(np.min_scalar_type(received.max(initial=0)))
-    bits = measure(pulse.rotated(-phi).photons, DIAGONAL, rng)
-    # the owners of the 1 outcomes, counted as integers: no float weights
-    ones = np.bincount(pulse.owner.compress(bits.view(bool)), minlength=pulse.rounds)
-    # Conclusive iff exactly one of "no 1 outcome" and "all 1 outcomes"
-    # holds (both hold for vacuum); the outcome is then the latter.
-    all_ones = ones == received
-    conclusive = (ones == 0) != all_ones
-    return np.where(conclusive, all_ones.view(np.int8), np.int8(-1)), received
+    # -phi becomes the rotated table; photons are gathered and measured a
+    # block at a time, and counted per block of rounds.
+    pulse = pulse.rotated(np.negative(phi))
+    bits = measure(pulse, DIAGONAL, rng).view(bool)
+    outcome = np.empty(pulse.rounds, np.int8)
+    received = np.zeros(pulse.rounds, np.min_scalar_type(0))
+    for rounds, photons in pulse.round_blocks():
+        # one count per (round, outcome bit): 0 outcomes at 2j, 1s at 2j + 1
+        key = pulse.owner[photons] - rounds.start
+        key *= 2
+        key += bits[photons]
+        counts = np.bincount(key, minlength=2 * (rounds.stop - rounds.start))
+        zeros, ones = counts[0::2], counts[1::2]
+        # Conclusive iff exactly one outcome bit occurs (vacuum has none);
+        # the outcome is then 1 iff no 0 occurs.
+        all_ones = zeros == 0
+        conclusive = (ones == 0) != all_ones
+        outcome[rounds] = np.where(conclusive, all_ones.view(np.int8), np.int8(-1))
+        counts = np.add(zeros, ones, out=zeros)
+        # widened as needed, so it ends in the type of the largest count
+        most = counts.max(initial=0)
+        if most > np.iinfo(received.dtype).max:
+            received = received.astype(np.min_scalar_type(most))
+        received[rounds] = counts
+    return outcome, received
 
 
 def pack_key_bits(bits) -> bytes:
@@ -411,36 +445,44 @@ def run_session(
     rng_channel = derive_rng(params.seed, trial, 2)
     rng_eve = derive_rng(params.seed, trial, 3)
     m, n = params.rounds, params.n_screening
-    # The smallest unsigned type that holds 2N: is_matched's sum fits.
-    index_dtype = np.min_scalar_type(2 * n)
     channel = (interceptor, params.loss, rng_channel, rng_eve)
 
     # Alice: theta uniform on [0, pi), key bit k, screening index a.
-    theta = _sealed(rng_alice.random(m) * PI)
+    theta = rng_alice.random(m)
+    theta *= PI
+    theta = _sealed(theta)
     k = _sealed(rng_alice.integers(0, 2, m, dtype=np.int8))
-    a_index = _sealed(rng_alice.integers(1, n + 1, m).astype(index_dtype))
+    a_index = _sealed(_screening_indices(rng_alice, n, m))
 
     pulse = alice_prepare(theta, params, rng_alice)
     pulse = transmit(pulse, Leg.ALICE_TO_BOB_1, *channel)
 
     # Bob: phi uniform on [0, pi), or with probability p_analyzing an
     # analyzing angle phi* in {0, pi/2}; screening index b.
-    is_analyzing = _sealed(rng_bob.random(m) < params.p_analyzing)
-    phi = rng_bob.random(m) * PI
+    is_analyzing = _sealed(uniform_mask(rng_bob, m, params.p_analyzing))
+    phi = rng_bob.random(m)
+    phi *= PI
     phi.put(
         np.flatnonzero(is_analyzing),
         rng_bob.integers(0, 2, np.count_nonzero(is_analyzing)) * (PI / 2),
     )
     phi = _sealed(phi)
-    b_index = _sealed(rng_bob.integers(1, n + 1, m).astype(index_dtype))
+    b_index = _sealed(_screening_indices(rng_bob, n, m))
 
-    pulse = bob_transform(pulse, phi, b_index, params)
-    pulse = transmit(pulse, Leg.BOB_TO_ALICE, *channel)
+    # Alice's encode and Bob's decode take their batch out of a one-item
+    # list, so no name here holds it while they run: each step rebinds its
+    # pulse to the rotated one, which frees the batch it was handed and
+    # that batch's angle table.
+    to_alice = [
+        transmit(bob_transform(pulse, phi, b_index, params), Leg.BOB_TO_ALICE, *channel)
+    ]
+    del pulse
     pulse, ad_bits, ad_owner, ad_origin = alice_encode(
-        pulse, theta, k, a_index, params, rng_alice
+        to_alice.pop(), theta, k, a_index, params, rng_alice
     )
-    pulse = transmit(pulse, Leg.ALICE_TO_BOB_2, *channel)
-    bob_outcome, received = bob_decode(pulse, phi, rng_bob)
+    to_bob = [transmit(pulse, Leg.ALICE_TO_BOB_2, *channel)]
+    del pulse
+    bob_outcome, received = bob_decode(to_bob.pop(), phi, rng_bob)
 
     rounds = Rounds(
         theta=theta,

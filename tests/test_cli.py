@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import screenqkd
-from screenqkd import analysis, cli
+from screenqkd import analysis, cli, protocol
 from screenqkd.adversary import AttackConfig
 from screenqkd.analysis import RATES, TrialCounts, run_experiment
 from screenqkd.cli import ExperimentConfig, load_config, main
@@ -305,8 +305,9 @@ INVALID_INPUTS = {
 NO_OUTDIR = {"transcript-without-outdir", "outdir-nul-byte"}
 
 
-@pytest.mark.parametrize("case", INVALID_INPUTS)
-def test_invalid_input_exits_two_without_traceback(tmp_path, case):
+def _invalid_argv(case: str, tmp_path: Path) -> tuple[list[str], Path]:
+    """The flags of an `INVALID_INPUTS` case (its config file written under
+    `tmp_path`), and the outdir the run must not create."""
     config, argv = INVALID_INPUTS[case]
     if config is None:
         argv = ["--rounds", "200", *argv]
@@ -318,6 +319,35 @@ def test_invalid_input_exits_two_without_traceback(tmp_path, case):
     outdir = tmp_path / "out"
     if case not in NO_OUTDIR:
         argv = [*argv, "--outdir", str(outdir)]
+    return argv, outdir
+
+
+def _assert_rejected(code: int, stderr: str, outdir: Path) -> None:
+    assert code == 2, stderr
+    assert "Traceback" not in stderr
+    assert stderr.startswith("error:") and len(stderr.splitlines()) == 1
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize("case", INVALID_INPUTS)
+def test_invalid_input_exits_two_without_traceback(tmp_path, monkeypatch, capsys, case):
+    # In process: argparse's SystemExit is the exit code, and any other
+    # exception escaping main fails the test, as a traceback would.
+    argv, outdir = _invalid_argv(case, tmp_path)
+    monkeypatch.delenv(cli.OUTDIR_ENV, raising=False)
+    monkeypatch.chdir(tmp_path)
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    _assert_rejected(code, capsys.readouterr().err, outdir)
+
+
+@pytest.mark.parametrize("case", ["unknown-flag", "rounds-string"])
+def test_invalid_input_exits_two_from_the_interpreter(tmp_path, case):
+    # `python -m screenqkd.cli`, so the interpreter's own exit path is
+    # covered too: an argparse error and a configuration error.
+    argv, outdir = _invalid_argv(case, tmp_path)
     src = str(Path(screenqkd.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     env.pop(cli.OUTDIR_ENV, None)
@@ -325,9 +355,25 @@ def test_invalid_input_exits_two_without_traceback(tmp_path, case):
         [sys.executable, "-m", "screenqkd.cli", *argv],
         capture_output=True, text=True, timeout=120, env=env, cwd=tmp_path,
     )
-    assert proc.returncode == 2, proc.stderr
-    assert "Traceback" not in proc.stderr
-    assert proc.stderr.startswith("error:") and len(proc.stderr.splitlines()) == 1
+    _assert_rejected(proc.returncode, proc.stderr, outdir)
+
+
+@pytest.mark.parametrize("argv,mode", [
+    ([], "single"),
+    (["--mode", "pulse", "--mean-photons", "2"], "pulse"),
+    (["--sweep-N", "2,3"], "single"),
+])
+def test_out_of_memory_exits_one_in_one_line(tmp_path, monkeypatch, capsys, argv, mode):
+    # A kernel that runs out of memory, simulated: nothing is allocated.
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(protocol, "measure", exhausted)
+    outdir = tmp_path / "out"
+    assert main(["--rounds", "300", *argv, "--outdir", str(outdir)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: out of memory running 300 rounds per session in {mode} mode\n"
+    )
     assert not outdir.exists()
 
 

@@ -80,7 +80,8 @@ class TestRotate:
             assert len(calls) == 1 and np.array_equal(calls[0], polarization)
             assert np.array_equal(pulse.photons, real_canon(polarization)[pulse.owner])
             calls.clear()
-            pulse.rotated(0.5).rotated(polarization)
+            # a copy: `rotated` takes over a writeable array delta
+            pulse.rotated(0.5).rotated(polarization.copy())
             assert not calls
 
     @pytest.mark.parametrize("x", (1e20, -1e20, 1e6 * PI + 0.7))

@@ -26,6 +26,7 @@ from screenqkd.adversary import STRATEGIES, AttackConfig, build_interceptor
 from screenqkd.analysis import ExperimentReport, SessionSummary, TrialCounts, run_experiment
 from screenqkd.errors import ConfigError
 from screenqkd.photonics import (
+    BLOCK,
     DIAGONAL,
     PI,
     Origin,
@@ -33,14 +34,17 @@ from screenqkd.photonics import (
     attenuated,
     born_probability,
     canon,
+    make_pulse,
     measure,
     single_photon_pulse,
+    uniform_mask,
 )
 from screenqkd.protocol import (
     MODE_PULSE,
     MODE_SINGLE,
     ProtocolParams,
     Verdict,
+    _screening_indices,
     alice_encode,
     bob_decode,
     run_session,
@@ -332,14 +336,19 @@ def test_canon_is_bitwise_remainder(values):
 
 
 class _Uniforms:
-    """A generator stand-in whose ``random`` returns chosen uniforms."""
+    """A generator stand-in whose ``random`` serves chosen uniforms, in
+    order, into the blocks `measure` asks for; ``used`` counts them."""
 
     def __init__(self, u: np.ndarray) -> None:
         self.u = u
+        self.used = 0
 
-    def random(self, shape) -> np.ndarray:
-        assert shape == self.u.shape
-        return self.u.copy()
+    def random(self, size=None, out=None) -> np.ndarray:
+        assert size is None and out is not None
+        assert self.used + len(out) <= len(self.u)
+        out[:] = self.u[self.used:self.used + len(out)]
+        self.used += len(out)
+        return out
 
 
 screen_angles = st.one_of(
@@ -369,9 +378,59 @@ def test_measure_decides_like_the_float64_born_rule(data, size, per_photon, huge
     ))
     pick = data.draw(st.lists(st.integers(0, len(choices) - 1), min_size=size, max_size=size))
     u = np.minimum(choices[pick, np.arange(size)], 1 - 2.0**-53)
-    bits = measure(photons, axis, _Uniforms(u))
+    uniforms = _Uniforms(u)
+    bits = measure(photons, axis, uniforms)
+    assert uniforms.used == size  # every chosen uniform, each once
     assert bits.dtype == np.int8
     assert bits.tolist() == (u >= p64).astype(np.int8).tolist()
+
+
+# Batch sizes at the block boundaries of the blocked kernels.
+BLOCK_EDGES = (0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7)
+
+
+@GENERATED
+@example(size=0, seed=0, p=0.5, mean=2.0)
+@example(size=1, seed=1, p=0.5, mean=2.0)
+@example(size=BLOCK - 1, seed=2, p=0.3, mean=1.5)
+@example(size=BLOCK, seed=3, p=0.9, mean=0.5)
+@example(size=BLOCK + 1, seed=4, p=0.1, mean=3.0)
+@example(size=3 * BLOCK + 7, seed=5, p=0.5, mean=2.0)
+@given(size=st.sampled_from(BLOCK_EDGES) | st.integers(0, 3 * BLOCK + 7),
+       seed=st.integers(0, 2**32 - 1), p=unit, mean=st.floats(0.0, 5.0))
+def test_blocked_kernels_draw_like_one_whole_call(size, seed, p, mean):
+    # Each kernel that draws a block at a time takes the values of the one
+    # whole-array call and leaves the generator in the same state.
+    def drawn(blocked, whole):
+        rngs = np.random.default_rng(seed), np.random.default_rng(seed)
+        got, expected = blocked(rngs[0]), whole(rngs[1])
+        assert got.dtype == expected.dtype and np.array_equal(got, expected)
+        assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+
+    drawn(lambda rng: uniform_mask(rng, size, p), lambda rng: rng.random(size) < p)
+    for n in (2, 200):  # indices held in uint8 and in uint16
+        drawn(lambda rng: _screening_indices(rng, n, size),
+              lambda rng: rng.integers(1, n + 1, size).astype(np.min_scalar_type(2 * n)))
+    drawn(lambda rng: make_pulse(np.full(size, 0.5), mean, rng).owner,
+          lambda rng: np.repeat(np.arange(size, dtype=np.int32), rng.poisson(mean, size)))
+
+    # measure, on an array and on a batch of three origins' photons, by one
+    # axis or one per photon; the batch's mask and per-round counts too
+    shapes = np.random.default_rng(seed + 1)
+    owner = np.sort(shapes.integers(0, max(size, 1), size)).astype(np.int32)
+    origin = shapes.integers(0, len(Origin), size).astype(np.int8)
+    tables = shapes.uniform(-PI, PI, (len(Origin), max(size, 1)))
+    pulse = Pulse(owner, origin, tuple(tables), max(size, 1))
+    angles = tables[origin, owner]
+    axes = shapes.uniform(-PI, PI, size)
+    for photons, axis in ((angles, DIAGONAL), (pulse, axes)):
+        drawn(lambda rng: measure(photons, axis, rng),
+              lambda rng: (rng.random(size) >= born_probability(angles, axis)).view(np.int8))
+    mask = shapes.random(size) < p
+    assert pulse.take(mask).owner.tolist() == owner[mask].tolist()
+    assert pulse.take(mask).origin.tolist() == origin[mask].tolist()
+    assert pulse.counts.tolist() == np.bincount(owner, minlength=pulse.rounds).tolist()
+    assert pulse.photons.tolist() == angles.tolist()
 
 
 @GENERATED

@@ -13,7 +13,7 @@ from scipy.stats import kstest
 
 from screenqkd.adversary import AttackConfig, build_interceptor
 from screenqkd.errors import ConfigError
-from screenqkd.photonics import PI, Pulse, canon, single_photon_pulse
+from screenqkd.photonics import BLOCK, PI, Pulse, canon, single_photon_pulse
 from screenqkd.protocol import (
     Announcement,
     ProtocolParams,
@@ -251,6 +251,22 @@ class TestBobDecode:
         _, received = bob_decode(pulse, np.zeros(3), rng)
         assert received.dtype == np.uint16
         assert np.array_equal(received, pulse.counts)
+        # Counted a block of rounds at a time: a large pulse in the last
+        # block widens the counts the earlier blocks wrote as bytes.
+        rounds = 2 * BLOCK + 3
+        for largest, dtype in ((300, np.uint16), (70_000, np.uint32)):
+            counts = np.ones(rounds, np.intp)
+            counts[-2] = largest
+            owner = np.repeat(np.arange(rounds, dtype=np.int32), counts)
+            angles = (np.zeros(rounds), None, None)
+            pulse = Pulse(owner, np.zeros(len(owner), np.int8), angles, rounds)
+            outcome, received = bob_decode(pulse, np.zeros(rounds), rng)
+            assert received.dtype == dtype
+            assert np.array_equal(received, counts)
+            # one photon at 0 measured at pi/4 is a coin flip; the large
+            # pulse almost surely double-clicks
+            assert set(np.delete(outcome, -2).tolist()) == {0, 1}
+            assert outcome[-2] == -1
 
 
 class TestKeyDigest:
@@ -497,16 +513,16 @@ def test_session_hot_path_avoids_remainder_and_isin(monkeypatch):
 
 
 # Peak bytes allocated per round by one session at M = 10^5, and the bound
-# on each: below the 150 and 92 B/round that 8-byte screening-index and
-# photon-owner columns take, above the 107 and 65 B/round measured with
-# the narrow ones.
+# on each: below the 75.5 and 54.6 B/round that full-length temporaries
+# (whole uniform draws, gathers and index arrays) take, above the 72.3 and
+# 44.7 B/round measured with the blocked kernels.
 SESSION_MEMORY = {
     "pns_trojan_lossy": (
         ProtocolParams(rounds=100_000, seed=1, mode="pulse", mean_photons=2.0,
                        p_analyzing=0.5, loss=0.1),
-        "pns_trojan", 125,
+        "pns_trojan", 74,
     ),
-    "honest_single": (ProtocolParams(rounds=100_000, seed=1), "none", 78),
+    "honest_single": (ProtocolParams(rounds=100_000, seed=1), "none", 48),
 }
 
 
