@@ -27,10 +27,10 @@ are single-owner and must be passed in explicitly.
 
 The kernels that would otherwise build a full-length temporary only to
 reduce it (a uniform draw to a mask, a gather to a measurement, a count
-to a narrow column) run over consecutive blocks of at most `BLOCK`
-rounds or photons. Consecutive calls on one generator continue one
-stream, so a blocked draw takes exactly the values, and leaves the
-generator in exactly the state, of one whole call.
+to a narrow column, a sort order to a merge) run over consecutive blocks
+of at most `BLOCK` rounds or photons. Consecutive calls on one generator
+continue one stream, so a blocked draw takes exactly the values, and
+leaves the generator in exactly the state, of one whole call.
 """
 
 from __future__ import annotations
@@ -127,8 +127,9 @@ class Pulse:
     or a read-only float64 array over the rounds (a raw angle, meaningful
     modulo pi: see the module docstring), and photon i is at
     ``angles[origin[i]][owner[i]]``. A table's entries for rounds without
-    photons of its origin mean nothing, and a table may outlive its
-    origin's last photon. :meth:`merged` and :meth:`tagged` refuse input
+    photons of its origin mean nothing; :meth:`take` and :meth:`split`
+    keep only the tables of the origins they hold, but other batches may
+    carry a table that outlives its origin's last photon. :meth:`merged` and :meth:`tagged` refuse input
     that would put two angles under one (round, origin).
     """
 
@@ -183,10 +184,12 @@ class Pulse:
 
     def gather(self, photons: slice, out: np.ndarray) -> np.ndarray:
         """The polarizations of the photons in the slice `photons`, written
-        into `out` (as long as the slice) and returned. `take` by an int32
-        index first copies it to intp, which pays off only a block at a
-        time; every owner is a round of the batch, so "clip" clips nothing
-        and spares the copy of `out` that "raise" makes."""
+        into `out` (as long as the slice) and returned: what :func:`measure`
+        reads a block at a time (and :class:`Unrotated` less a per-round
+        angle). `take` by an int32 index first copies it to intp, which
+        pays off only a block at a time; every owner is a round of the
+        batch, so "clip" clips nothing and spares the copy of `out` that
+        "raise" makes."""
         owner = self.owner[photons]
         codes = [code for code, table in enumerate(self.angles) if table is not None]
         np.take(self.angles[codes[0]], owner, out=out, mode="clip")
@@ -202,40 +205,74 @@ class Pulse:
         return first
 
     def take(self, index: np.ndarray) -> Pulse:
-        """The photons selected by a mask (or ascending indices).
+        """The photons selected by a mask (or ascending indices), holding
+        only the tables of their origins.
 
         A mask is turned into indices a block at a time, so no index array
         as long as the batch is made."""
         if index.dtype != bool:
-            return Pulse(
-                self.owner.take(index), self.origin.take(index), self.angles, self.rounds
-            )
-        kept = np.count_nonzero(index)
-        owner, origin = np.empty(kept, np.int32), np.empty(kept, np.int8)
-        end = 0
-        for block in blocks(len(index)):
-            rows = np.flatnonzero(index[block])  # one mask scan for both gathers
-            start, end = end, end + len(rows)
-            # rows index the block, so "clip" clips nothing (see `gather`)
-            np.take(self.owner[block], rows, out=owner[start:end], mode="clip")
-            np.take(self.origin[block], rows, out=origin[start:end], mode="clip")
-        return Pulse(owner, origin, self.angles, self.rounds)
+            return self._holding(self.owner.take(index), self.origin.take(index))
+        return self._masked(index, rest=False)[0]
 
     def split(self, mask: np.ndarray) -> tuple[Pulse, Pulse]:
-        """(the photons selected by `mask`, the rest), both in order."""
-        return self.take(mask), self.take(~mask)
+        """(the photons selected by `mask`, the rest), both in order, each
+        holding only the tables of its origins."""
+        return self._masked(mask, rest=True)
+
+    def _masked(self, mask: np.ndarray, rest: bool) -> list[Pulse]:
+        """The photons `mask` selects and, with `rest`, those it leaves, both
+        filled in one pass over the blocks: the rest is read from a
+        block-sized complement of the mask, and each block's selection is
+        scanned once for both of its gathers."""
+        kept = int(np.count_nonzero(mask))
+        sizes = (kept, self.count - kept) if rest else (kept,)
+        halves = [(np.empty(size, np.int32), np.empty(size, np.int8)) for size in sizes]
+        starts = [0] * len(halves)
+        flipped = np.empty(min(len(mask), BLOCK), bool)
+        for block in blocks(len(mask)):
+            selected = mask[block]
+            for i, (owner, origin) in enumerate(halves):
+                if i:
+                    selected = np.logical_not(selected, out=flipped[: len(selected)])
+                rows = np.flatnonzero(selected)
+                out = slice(starts[i], starts[i] + len(rows))
+                starts[i] = out.stop
+                # rows index the block, so "clip" clips nothing (see `gather`)
+                np.take(self.owner[block], rows, out=owner[out], mode="clip")
+                np.take(self.origin[block], rows, out=origin[out], mode="clip")
+        return [self._holding(owner, origin) for owner, origin in halves]
+
+    def _holding(self, owner: np.ndarray, origin: np.ndarray) -> Pulse:
+        """A batch of the photons `owner`, `origin` taken from this one,
+        holding only the tables of their origins: a table no photon needs
+        any more is not kept alive by the batch."""
+        pulse = Pulse(owner, origin, self.angles, self.rounds)
+        live = pulse._live()
+        angles = tuple(t if code in live else None for code, t in enumerate(self.angles))
+        return replace(pulse, angles=angles)
 
     def _rounds_of(self, code: int) -> np.ndarray:
         """The owners of this batch's photons of origin `code`."""
         return self.owner[self.origin == code]
 
     def _live(self) -> list[int]:
-        """The codes of the tables in use: the one table, or of several,
-        those of the origins that have photons here."""
+        """The codes of the origins that have photons here. Every photon's
+        origin has a table, so a nonempty batch with one table uses it, and
+        of several the smallest and the largest origin code tell which hold
+        photons; only a code between them is looked for, a block at a
+        time."""
         codes = [code for code, table in enumerate(self.angles) if table is not None]
-        if len(codes) > 1:
-            codes = [code for code in codes if (self.origin == code).any()]
-        return codes
+        if not self.count:
+            return []
+        if len(codes) == 1:
+            return codes
+        low, high = int(self.origin.min()), int(self.origin.max())
+        return [
+            code for code in codes
+            if code in (low, high) or low < code < high and any(
+                (self.origin[block] == code).any() for block in blocks(self.count)
+            )
+        ]
 
     def tagged(self, origin: Origin) -> Pulse:
         """The same photons, all with origin code `origin`; they must share
@@ -254,18 +291,28 @@ class Pulse:
     def merged(self, other: Pulse) -> Pulse:
         """Both batches' photons; within a round this batch's come first.
 
-        Where both hold a table for one origin, their photons of that
-        origin must lie in disjoint rounds: the result's table is this
-        batch's with the other's entries for its rounds scattered in."""
-        owner = np.concatenate((self.owner, other.owner))
-        order = np.argsort(owner, kind="stable")
+        Both are sorted by round, so the result is filled a block of rounds
+        at a time, each block's photons stably sorted into place: no sort
+        order or concatenated copy as long as the result is made (on
+        `pns_trojan`'s leg-2 merge those would take 18 B per photon, the
+        peak of the session). Where both hold a table for one origin, their
+        photons of that origin must lie in disjoint rounds: the result's
+        table is this batch's with the other's entries for its rounds
+        scattered in."""
+        count = self.count + other.count
+        owner, origin = np.empty(count, np.int32), np.empty(count, np.int8)
+        for (_, mine), (_, theirs) in zip(self.round_blocks(), other.round_blocks()):
+            out = slice(mine.start + theirs.start, mine.stop + theirs.stop)
+            block = np.concatenate((self.owner[mine], other.owner[theirs]))
+            order = np.argsort(block, kind="stable")
+            # order indexes the block, so "clip" clips nothing (see `gather`)
+            np.take(block, order, out=owner[out], mode="clip")
+            block = np.concatenate((self.origin[mine], other.origin[theirs]))
+            np.take(block, order, out=origin[out], mode="clip")
         angles = tuple(
             self._merged_table(other, code) for code in range(len(self.angles))
         )
-        return Pulse(
-            owner.take(order), np.concatenate((self.origin, other.origin)).take(order),
-            angles, self.rounds,
-        )
+        return Pulse(owner, origin, angles, self.rounds)
 
     def _merged_table(self, other: Pulse, code: int) -> np.ndarray | None:
         mine, theirs = self.angles[code], other.angles[code]
@@ -296,7 +343,9 @@ class Pulse:
         array with one entry per round that shares no memory with a table,
         the last rotated table is summed into it in place (``delta +
         table`` is the IEEE sum ``table + delta``) and becomes that table.
-        A caller that still needs its `delta` passes a copy."""
+        A caller that still needs its `delta` passes a copy. A session
+        builds two such tables, in Bob's transform and Alice's encode; Bob's
+        decode measures an :class:`Unrotated` batch instead."""
         if np.ndim(delta):
             delta = np.asarray(delta, dtype=np.float64)
         live = self._live()
@@ -312,6 +361,28 @@ class Pulse:
                 out = delta
             angles[code] = _read_only(np.add(table, delta, out=out))
         return replace(self, angles=tuple(angles))
+
+
+@dataclass(frozen=True, eq=False)
+class Unrotated:
+    """`pulse` with round j's pulse rotated back by ``phi[j]``, as
+    :func:`measure` reads it: each photon's polarization is gathered from
+    its table less its round's `phi`, a block at a time. IEEE ``a - b`` is
+    exactly ``a + (-b)``, so these are the polarizations of
+    ``pulse.rotated(-phi)``, without the table that rotation would build."""
+
+    pulse: Pulse
+    phi: np.ndarray
+
+    @property
+    def count(self) -> int:
+        return self.pulse.count
+
+    def gather(self, photons: slice, out: np.ndarray) -> np.ndarray:
+        """As :meth:`Pulse.gather`, less each photon's round's `phi`."""
+        self.pulse.gather(photons, out)
+        phi = self.phi.take(self.pulse.owner[photons], mode="clip")
+        return np.subtract(out, phi, out=out)
 
 
 # Axis of the (+pi/4, -pi/4) analyzer used by Bob's detector pair and Alice's AD.
@@ -340,10 +411,11 @@ def measure(photons, axis, rng: np.random.Generator) -> np.ndarray:
     returns one int8 outcome bit per photon.
 
     `photons` is a :class:`Pulse`, whose polarizations are gathered from
-    its tables a block at a time, or a flat array of polarizations. Bit 0
-    means collapse onto `axis`, bit 1 onto the orthogonal axis. `axis`
-    counts modulo pi. Measured photons are consumed: callers must not
-    measure them again.
+    its tables a block at a time, an :class:`Unrotated` batch (the same,
+    less each photon's round's angle: Bob's decode), or a flat array of
+    polarizations. Bit 0 means collapse onto `axis`, bit 1 onto the
+    orthogonal axis. `axis` counts modulo pi. Measured photons are
+    consumed: callers must not measure them again.
 
     Photon i gives bit 1 iff ``u[i] >= born_probability(photons, axis)[i]``
     for one uniform draw ``u[i]`` each, drawn a block at a time (the
@@ -359,7 +431,7 @@ def measure(photons, axis, rng: np.random.Generator) -> np.ndarray:
     NaN angles) screens nothing, so such a block takes the float64 rule
     whole.
     """
-    if isinstance(photons, Pulse):
+    if isinstance(photons, (Pulse, Unrotated)):
         count, gather = photons.count, photons.gather
     else:
         array = np.asarray(photons)

@@ -44,6 +44,7 @@ from .photonics import (
     MAX_ROUNDS,
     PI,
     Pulse,
+    Unrotated,
     beam_split,
     blocks,
     make_pulse,
@@ -320,10 +321,11 @@ def bob_decode(
     deterministically. The counts are held in the smallest unsigned type
     that holds the largest of them.
     """
-    # -phi becomes the rotated table; photons are gathered and measured a
-    # block at a time, and counted per block of rounds.
-    pulse = pulse.rotated(np.negative(phi))
-    bits = measure(pulse, DIAGONAL, rng).view(bool)
+    # phi is undone as the photons are gathered from Alice's table, a block
+    # at a time, so no rotated table is built; they are counted per block
+    # of rounds.
+    phi = np.asarray(phi, np.float64)
+    bits = measure(Unrotated(pulse, phi), DIAGONAL, rng).view(bool)
     outcome = np.empty(pulse.rounds, np.int8)
     received = np.zeros(pulse.rounds, np.min_scalar_type(0))
     for rounds, photons in pulse.round_blocks():
@@ -469,10 +471,10 @@ def run_session(
     phi = _sealed(phi)
     b_index = _sealed(_screening_indices(rng_bob, n, m))
 
-    # Alice's encode and Bob's decode take their batch out of a one-item
-    # list, so no name here holds it while they run: each step rebinds its
-    # pulse to the rotated one, which frees the batch it was handed and
-    # that batch's angle table.
+    # Alice's encode takes its batch out of a one-item list, so no name
+    # here holds it while it runs: it rebinds its pulse to the rotated one,
+    # which frees the batch it was handed and that batch's angle table.
+    # Bob's decode builds no table; it reads Alice's.
     to_alice = [
         transmit(bob_transform(pulse, phi, b_index, params), Leg.BOB_TO_ALICE, *channel)
     ]
@@ -480,9 +482,9 @@ def run_session(
     pulse, ad_bits, ad_owner, ad_origin = alice_encode(
         to_alice.pop(), theta, k, a_index, params, rng_alice
     )
-    to_bob = [transmit(pulse, Leg.ALICE_TO_BOB_2, *channel)]
+    pulse = transmit(pulse, Leg.ALICE_TO_BOB_2, *channel)
+    bob_outcome, received = bob_decode(pulse, phi, rng_bob)
     del pulse
-    bob_outcome, received = bob_decode(to_bob.pop(), phi, rng_bob)
 
     rounds = Rounds(
         theta=theta,

@@ -310,8 +310,10 @@ class TestBatch:
         pulse = single_photon_pulse(np.array([0.1, 0.2])).merged(probes)
         with pytest.raises(ValueError, match="several origins"):
             pulse.tagged(Origin.EVE_REPLAYED)
-        # a batch that still carries both tables, but photons of one origin
-        legit = pulse.take(pulse.origin == Origin.LEGITIMATE).tagged(Origin.EVE_REPLAYED)
+        # a batch that carries both tables, but photons of one origin
+        rows = pulse.origin == Origin.LEGITIMATE
+        legit = Pulse(pulse.owner[rows], pulse.origin[rows], pulse.angles, pulse.rounds)
+        legit = legit.tagged(Origin.EVE_REPLAYED)
         assert legit.origin.tolist() == [Origin.EVE_REPLAYED] * 2
         assert legit.photons.tolist() == pytest.approx([0.1, 0.2])
 

@@ -415,7 +415,8 @@ def test_blocked_kernels_draw_like_one_whole_call(size, seed, p, mean):
           lambda rng: np.repeat(np.arange(size, dtype=np.int32), rng.poisson(mean, size)))
 
     # measure, on an array and on a batch of three origins' photons, by one
-    # axis or one per photon; the batch's mask and per-round counts too
+    # axis or one per photon; the batch's mask, split, merge and per-round
+    # counts too, and Bob's decode of it
     shapes = np.random.default_rng(seed + 1)
     owner = np.sort(shapes.integers(0, max(size, 1), size)).astype(np.int32)
     origin = shapes.integers(0, len(Origin), size).astype(np.int8)
@@ -429,8 +430,44 @@ def test_blocked_kernels_draw_like_one_whole_call(size, seed, p, mean):
     mask = shapes.random(size) < p
     assert pulse.take(mask).owner.tolist() == owner[mask].tolist()
     assert pulse.take(mask).origin.tolist() == origin[mask].tolist()
+    for half, rows in zip(pulse.split(mask), (mask, ~mask)):
+        assert half.owner.tolist() == owner[rows].tolist()
+        assert half.origin.tolist() == origin[rows].tolist()
     assert pulse.counts.tolist() == np.bincount(owner, minlength=pulse.rounds).tolist()
     assert pulse.photons.tolist() == angles.tolist()
+
+    # a split by origin leaves each side the tables of its own origins alone
+    for half in pulse.split(origin == Origin.LEGITIMATE):
+        assert [table is not None for table in half.angles] == [
+            code in half.origin for code in Origin
+        ]
+
+    # merged, against concatenating and stably sorting by round: photons of
+    # two origins, and of one origin from two tables over disjoint rounds
+    legit = Pulse(owner, np.zeros(size, np.int8), (tables[0], None, None), pulse.rounds)
+    resent = Pulse(legit.owner, legit.origin, (tables[1], None, None), pulse.rounds)
+    odd = owner % 2 == 1
+    for first, second in (
+        (pulse.take(origin == Origin.LEGITIMATE), pulse.take(origin == Origin.EVE_REPLAYED)),
+        (legit.take(~odd), resent.take(odd)),
+    ):
+        merged = first.merged(second)
+        order = np.argsort(np.concatenate((first.owner, second.owner)), kind="stable")
+        for column in ("owner", "origin", "photons"):
+            expected = np.concatenate((getattr(first, column), getattr(second, column)))
+            assert getattr(merged, column).tolist() == expected[order].tolist()
+
+    # Bob's decode, against measuring each photon less its round's phi
+    phi = shapes.uniform(0.0, PI, pulse.rounds)
+
+    def decoded(rng):
+        bits = measure(angles - phi[owner], DIAGONAL, rng)
+        ones = np.bincount(owner, bits, minlength=pulse.rounds)
+        zeros = np.bincount(owner, 1 - bits, minlength=pulse.rounds)
+        one_outcome = (ones == 0) != (zeros == 0)
+        return np.where(one_outcome, (zeros == 0).view(np.int8), np.int8(-1))
+
+    drawn(lambda rng: bob_decode(pulse, phi, rng)[0], decoded)
 
 
 @GENERATED
