@@ -57,9 +57,10 @@ from .protocol import (
 
 SCHEMA_VERSION = "7"
 
-# The names of a run's per-session files: the audits, the transcripts and
-# the line-delimited transcripts that earlier versions wrote.
-SESSION_FILE = re.compile(r"audit_N\d+_\d{3,}\.npz|transcript_\d{3,}\.(?:npz|jsonl)")
+# The names of the files a run writes only sometimes: a sweep's curve, the
+# audits, the transcripts and the line-delimited transcripts that earlier
+# versions wrote. A run removes those of them it does not write.
+STALE_FILE = re.compile(r"curve\.csv|audit_N\d+_\d{3,}\.npz|transcript_\d{3,}\.(npz|jsonl)")
 
 # The rates of a report's "metrics" block, in its order: each is
 # part/whole of two TrialCounts counters, or None when the whole is 0.
@@ -349,13 +350,16 @@ def security_curve(
     trials: int = 1,
 ) -> dict[int, ExperimentReport]:
     """Run the experiment for each screening-set size N; the report for
-    each N, in order. A ``curve.csv`` row is ``{"N": n, **report.metrics}``.
+    each N, in order. Every N's parameters and strategy are built first,
+    so an invalid point raises ConfigError before any session runs.
 
     Checks sift_rate * N = 1 within the 3-sigma binomial bound for the
     realized round count; a breach raises ValueError.
     """
     if not n_values or sorted(set(n_values)) != list(n_values):
         raise ConfigError(f"n_values must be nonempty and strictly increasing, got {n_values}")
+    for n in n_values:
+        build_interceptor(attack, replace(base_params, n_screening=n))
     reports: dict[int, ExperimentReport] = {}
     for n in n_values:
         report = run_experiment(replace(base_params, n_screening=n), attack, trials)
@@ -416,6 +420,31 @@ def transcript_npz(transcript: SessionTranscript) -> Iterator[bytes]:
     yield npz_bytes({f.name: getattr(rounds, f.name) for f in fields(rounds)})
 
 
+def output_files(
+    config: dict, attack: str, reports: Mapping[int, ExperimentReport], sweep: bool
+) -> dict[str, Iterable[bytes]]:
+    """Each file of a run for `emit_report`, in writing order: ``report.json``,
+    the audits, ``trials.csv``, then a sweep's ``curve.csv`` or a single
+    point's kept transcripts. `reports` maps each N to its report, and
+    `config` is the run's echo, whose ``"n"`` each sweep point overrides."""
+    if sweep:
+        doc = {"schema_version": SCHEMA_VERSION, "config": config, "sweep": {
+            str(n): r.to_dict({**config, "n": n}) for n, r in reports.items()
+        }}
+        tail = {"curve.csv": csv_table([{"N": n, **r.metrics} for n, r in reports.items()])}
+    else:
+        (report,) = reports.values()
+        doc = report.to_dict(config)
+        tail = {f"transcript_{i:03d}.npz": transcript_npz(s.transcript)
+                for i, s in enumerate(report.sessions) if s.transcript is not None}
+    return {
+        "report.json": report_json(doc),
+        **{name: [audit] for r in reports.values() for name, audit in r.audits.items()},
+        "trials.csv": csv_table([x for r in reports.values() for x in flat_rows(r, attack)]),
+        **tail,
+    }
+
+
 def emit_report(outdir: Path, files: Mapping[str, Iterable[bytes]]) -> None:
     """Write each file of `files` (name -> its bytes, in chunks) under
     `outdir`, in order; the one writer of a run's output files.
@@ -424,15 +453,15 @@ def emit_report(outdir: Path, files: Mapping[str, Iterable[bytes]]) -> None:
     `transcript_npz`), which is then formatted as it is written.
     Output is byte-identical for identical (config, seed).
 
-    A directory reused from an earlier run may hold per-session files
-    (`SESSION_FILE`) that `files` does not name; they are removed first,
-    so the directory never mixes two runs' sessions.
+    A directory reused from an earlier run may hold files of the program
+    (`STALE_FILE`) that `files` does not name; they are removed first, so
+    the directory never mixes two runs' outputs.
     """
     outdir = Path(outdir)
     try:
         outdir.mkdir(parents=True, exist_ok=True)
         for path in outdir.iterdir():
-            if path.name not in files and SESSION_FILE.fullmatch(path.name):
+            if path.name not in files and STALE_FILE.fullmatch(path.name):
                 path.unlink()
         for name, chunks in files.items():
             with open(outdir / name, "wb") as handle:

@@ -21,15 +21,11 @@ from typing import Optional, Sequence
 
 from .adversary import STRATEGIES, STRATEGY_NONE, AttackConfig, build_interceptor
 from .analysis import (
-    SCHEMA_VERSION,
     ExperimentReport,
-    csv_table,
     emit_report,
-    flat_rows,
-    report_json,
+    output_files,
     run_experiment,
     security_curve,
-    transcript_npz,
 )
 from .errors import ConfigError, check_int
 from .protocol import MAX_SCREENING, MODE_PULSE, MODE_SINGLE, ProtocolParams
@@ -297,49 +293,22 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             except ValueError as exc:
                 print(f"assertion failed: {exc}", file=sys.stderr)
                 return 1
-            points = {f"N={n}": r for n, r in reports.items()}
         else:
-            report = run_experiment(
+            reports = {params.n_screening: run_experiment(
                 params, attack,
                 trials=config.trials, keep_transcripts=config.emit_transcript,
-            )
-            points = {f"N={params.n_screening} attack={attack.strategy}": report}
-        rows: list[dict] = []
-        audits: dict[str, bytes] = {}
+            )}
         failures: list[str] = []
-        for label, report in points.items():
+        for n, report in reports.items():
+            label = f"N={n}" if sweep else f"N={n} attack={attack.strategy}"
             _print_summary(label, report)
-            rows += flat_rows(report, attack.strategy)
-            audits.update(report.audits)
             if attack.strategy == STRATEGY_NONE:
                 prefix = f"{label}: " if sweep else ""
                 failures += [prefix + f for f in _honest_assertions(report)]
         if outdir is not None:
-            if sweep:
-                doc = {
-                    "schema_version": SCHEMA_VERSION,
-                    "config": config.echo(),
-                    "sweep": {
-                        str(n): r.to_dict({**config.echo(), "n": n})
-                        for n, r in reports.items()
-                    },
-                }
-                curve = [{"N": n, **r.metrics} for n, r in reports.items()]
-                tail = {"curve.csv": csv_table(curve)}
-            else:
-                doc = report.to_dict(config.echo())
-                tail = {
-                    f"transcript_{i:03d}.npz": transcript_npz(s.transcript)
-                    for i, s in enumerate(report.sessions)
-                    if s.transcript is not None
-                }
-            files = {
-                "report.json": report_json(doc),
-                **{name: [audit] for name, audit in audits.items()},
-                "trials.csv": csv_table(rows),
-                **tail,
-            }
-            emit_report(outdir, files)
+            emit_report(
+                outdir, output_files(config.echo(), attack.strategy, reports, bool(sweep))
+            )
             print(f"wrote {outdir / 'report.json'} and {outdir / 'trials.csv'}")
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -309,7 +309,7 @@ class TestReportWriter:
         ["--sweep-N", "2,3,10", "--rounds", "400", "--trials", "2", "--seed", "15"],
     ])
     def test_cli_documents(self, tmp_path, argv):
-        with mock.patch("screenqkd.cli.report_json", wraps=report_json) as spy:
+        with mock.patch("screenqkd.analysis.report_json", wraps=report_json) as spy:
             assert main([*argv, "--outdir", str(tmp_path / "cli")]) == 0
         (doc,), = [call.args for call in spy.call_args_list]
         self._assert_writes_json_dump(doc, tmp_path / "again")
@@ -377,10 +377,22 @@ class TestSecurityCurve:
         with pytest.raises(ValueError, match="key-rate law"):
             security_curve(base, AttackConfig(), [2])
 
-    def test_rejects_unsorted_n(self):
-        for n_values in ([3, 2], []):  # an empty sweep has no curve to return
-            with pytest.raises(ConfigError):
-                security_curve(_params(), AttackConfig(), n_values)
+    def test_rejects_unsorted_n(self, monkeypatch):
+        # Every point is checked before the first session: an N above the
+        # largest screening set, or guess weights that fit only some N.
+        def no_session(*args, **kwargs):
+            raise AssertionError("security_curve ran a session before rejecting a point")
+
+        monkeypatch.setattr(analysis, "run_session", no_session)
+        for attack, n_values, match in (
+            (AttackConfig(), [3, 2], "strictly increasing"),
+            (AttackConfig(), [], "nonempty"),  # an empty sweep has no curve to return
+            (AttackConfig(), [2, 3, 2**20 + 1], "must be <= 1048576"),
+            (AttackConfig(strategy="impersonation", guess_weights=(1, 0)), [2, 3],
+             "expected 3 weights, got 2"),
+        ):
+            with pytest.raises(ConfigError, match=match):
+                security_curve(_params(rounds=500), attack, n_values)
 
 
 def test_no_attack_gains_key_information_invisibly():

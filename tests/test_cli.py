@@ -402,21 +402,26 @@ def test_outdir_that_cannot_be_a_directory_exits_two_before_any_session(
 
 
 def test_reused_outdir_keeps_only_this_runs_session_files(tmp_path, capsys):
-    # A larger run's audits and transcripts, and a transcript of the old
-    # line-delimited format, are removed; other files are left alone.
-    outdir = tmp_path / "out"
-    argv = BASE + ["--emit-transcript", "--outdir", str(outdir)]
-    assert main(argv + ["--trials", "3"]) == 0
-    (outdir / "transcript_004.jsonl").write_text("{}\n")
-    (outdir / "notes.txt").write_text("kept")
-    assert main(argv + ["--trials", "1"]) == 0
-    assert sorted(p.name for p in outdir.iterdir()) == [
-        "audit_N2_000.npz", "notes.txt", "report.json", "transcript_000.npz", "trials.csv",
-    ]
+    # An earlier run's audits, transcripts and sweep curve, and a transcript
+    # of the old line-delimited format, are removed when this run does not
+    # write them; files that are not the program's are left alone.
+    argv = BASE + ["--emit-transcript", "--trials", "1"]
     fresh = tmp_path / "fresh"
-    assert main(BASE + ["--emit-transcript", "--outdir", str(fresh), "--trials", "1"]) == 0
-    for path in fresh.iterdir():
-        assert (outdir / path.name).read_bytes() == path.read_bytes(), path.name
+    assert main(argv + ["--outdir", str(fresh)]) == 0
+    for i, earlier in enumerate((
+        ["--emit-transcript", "--trials", "3"],
+        ["--sweep-N", "2,3", "--trials", "2"],
+    )):
+        outdir = tmp_path / f"out{i}"
+        assert main(BASE + earlier + ["--outdir", str(outdir)]) == 0
+        (outdir / "transcript_004.jsonl").write_text("{}\n")
+        (outdir / "notes.txt").write_text("kept")
+        assert main(argv + ["--outdir", str(outdir)]) == 0
+        assert sorted(p.name for p in outdir.iterdir()) == [
+            "audit_N2_000.npz", "notes.txt", "report.json", "transcript_000.npz", "trials.csv",
+        ]
+        for path in fresh.iterdir():
+            assert (outdir / path.name).read_bytes() == path.read_bytes(), path.name
 
 
 @pytest.mark.parametrize("blocked,argv", [

@@ -40,6 +40,7 @@ from screenqkd.photonics import (
     uniform_mask,
 )
 from screenqkd.protocol import (
+    MAX_SCREENING,
     MODE_PULSE,
     MODE_SINGLE,
     ProtocolParams,
@@ -408,7 +409,8 @@ def test_blocked_kernels_draw_like_one_whole_call(size, seed, p, mean):
         assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
 
     drawn(lambda rng: uniform_mask(rng, size, p), lambda rng: rng.random(size) < p)
-    for n in (2, 200):  # indices held in uint8 and in uint16
+    # one value (nothing drawn), and indices held in uint8, uint16 and uint32
+    for n in (1, 2, 200, MAX_SCREENING):
         drawn(lambda rng: _screening_indices(rng, n, size),
               lambda rng: rng.integers(1, n + 1, size).astype(np.min_scalar_type(2 * n)))
     drawn(lambda rng: make_pulse(np.full(size, 0.5), mean, rng).owner,
