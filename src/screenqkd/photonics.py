@@ -182,20 +182,24 @@ class Pulse:
             self.gather(block, photons[block])
         return photons
 
-    def gather(self, photons: slice, out: np.ndarray) -> np.ndarray:
+    def gather(self, photons: slice, out: np.ndarray, less=None) -> np.ndarray:
         """The polarizations of the photons in the slice `photons`, written
         into `out` (as long as the slice) and returned: what :func:`measure`
-        reads a block at a time (and :class:`Unrotated` less a per-round
-        angle). `take` by an int32 index first copies it to intp, which
-        pays off only a block at a time; every owner is a round of the
-        batch, so "clip" clips nothing and spares the copy of `out` that
-        "raise" makes."""
+        reads a block at a time. With a per-round array `less`, each is
+        less its round's entry: IEEE ``a - b`` is exactly ``a + (-b)``, so
+        these are the polarizations of ``self.rotated(-less)``, without the
+        table that rotation would build. `take` by an int32 index first
+        copies it to intp, which pays off only a block at a time; every
+        owner is a round of the batch, so "clip" clips nothing and spares
+        the copy of `out` that "raise" makes."""
         owner = self.owner[photons]
         codes = [code for code, table in enumerate(self.angles) if table is not None]
         np.take(self.angles[codes[0]], owner, out=out, mode="clip")
         for code in codes[1:]:
             index = np.flatnonzero(self.origin[photons] == code)
             out[index] = self.angles[code][owner.take(index)]
+        if less is not None:
+            np.subtract(out, less.take(owner, mode="clip"), out=out)
         return out
 
     def leading(self) -> np.ndarray:
@@ -204,15 +208,13 @@ class Pulse:
         np.not_equal(self.owner[1:], self.owner[:-1], out=first[1:])
         return first
 
-    def take(self, index: np.ndarray) -> Pulse:
-        """The photons selected by a mask (or ascending indices), holding
-        only the tables of their origins.
+    def take(self, mask: np.ndarray) -> Pulse:
+        """The photons selected by a mask, holding only the tables of their
+        origins.
 
-        A mask is turned into indices a block at a time, so no index array
+        The mask is turned into indices a block at a time, so no index array
         as long as the batch is made."""
-        if index.dtype != bool:
-            return self._holding(self.owner.take(index), self.origin.take(index))
-        return self._masked(index, rest=False)[0]
+        return self._masked(mask, rest=False)[0]
 
     def split(self, mask: np.ndarray) -> tuple[Pulse, Pulse]:
         """(the photons selected by `mask`, the rest), both in order, each
@@ -345,7 +347,7 @@ class Pulse:
         table`` is the IEEE sum ``table + delta``) and becomes that table.
         A caller that still needs its `delta` passes a copy. A session
         builds two such tables, in Bob's transform and Alice's encode; Bob's
-        decode measures an :class:`Unrotated` batch instead."""
+        decode measures its batch less `phi` instead (see :meth:`gather`)."""
         if np.ndim(delta):
             delta = np.asarray(delta, dtype=np.float64)
         live = self._live()
@@ -361,28 +363,6 @@ class Pulse:
                 out = delta
             angles[code] = _read_only(np.add(table, delta, out=out))
         return replace(self, angles=tuple(angles))
-
-
-@dataclass(frozen=True, eq=False)
-class Unrotated:
-    """`pulse` with round j's pulse rotated back by ``phi[j]``, as
-    :func:`measure` reads it: each photon's polarization is gathered from
-    its table less its round's `phi`, a block at a time. IEEE ``a - b`` is
-    exactly ``a + (-b)``, so these are the polarizations of
-    ``pulse.rotated(-phi)``, without the table that rotation would build."""
-
-    pulse: Pulse
-    phi: np.ndarray
-
-    @property
-    def count(self) -> int:
-        return self.pulse.count
-
-    def gather(self, photons: slice, out: np.ndarray) -> np.ndarray:
-        """As :meth:`Pulse.gather`, less each photon's round's `phi`."""
-        self.pulse.gather(photons, out)
-        phi = self.phi.take(self.pulse.owner[photons], mode="clip")
-        return np.subtract(out, phi, out=out)
 
 
 # Axis of the (+pi/4, -pi/4) analyzer used by Bob's detector pair and Alice's AD.
@@ -405,17 +385,18 @@ def _largest(x) -> float:
     return max(x.max(), -x.min())
 
 
-def measure(photons, axis, rng: np.random.Generator) -> np.ndarray:
+def measure(photons, axis, rng: np.random.Generator, less=None) -> np.ndarray:
     """Projectively measure `photons` on the analyzer with outcome axes
     `axis` and `axis + pi/2` (one axis for all, or one per photon);
     returns one int8 outcome bit per photon.
 
     `photons` is a :class:`Pulse`, whose polarizations are gathered from
-    its tables a block at a time, an :class:`Unrotated` batch (the same,
-    less each photon's round's angle: Bob's decode), or a flat array of
-    polarizations. Bit 0 means collapse onto `axis`, bit 1 onto the
-    orthogonal axis. `axis` counts modulo pi. Measured photons are
-    consumed: callers must not measure them again.
+    its tables a block at a time, each less its round's entry of a
+    per-round array `less` when one is given (Bob's decode: see
+    :meth:`Pulse.gather`), or a flat array of polarizations. Bit 0 means
+    collapse onto `axis`, bit 1 onto the orthogonal axis. `axis` counts
+    modulo pi. Measured photons are consumed: callers must not measure
+    them again.
 
     Photon i gives bit 1 iff ``u[i] >= born_probability(photons, axis)[i]``
     for one uniform draw ``u[i]`` each, drawn a block at a time (the
@@ -431,8 +412,8 @@ def measure(photons, axis, rng: np.random.Generator) -> np.ndarray:
     NaN angles) screens nothing, so such a block takes the float64 rule
     whole.
     """
-    if isinstance(photons, (Pulse, Unrotated)):
-        count, gather = photons.count, photons.gather
+    if isinstance(photons, Pulse):
+        count, gather = photons.count, lambda block, out: photons.gather(block, out, less)
     else:
         array = np.asarray(photons)
         count, gather = len(array), lambda block, out: array[block]

@@ -44,7 +44,6 @@ from .photonics import (
     MAX_ROUNDS,
     PI,
     Pulse,
-    Unrotated,
     beam_split,
     blocks,
     make_pulse,
@@ -325,7 +324,7 @@ def bob_decode(
     # at a time, so no rotated table is built; they are counted per block
     # of rounds.
     phi = np.asarray(phi, np.float64)
-    bits = measure(Unrotated(pulse, phi), DIAGONAL, rng).view(bool)
+    bits = measure(pulse, DIAGONAL, rng, less=phi).view(bool)
     outcome = np.empty(pulse.rounds, np.int8)
     received = np.zeros(pulse.rounds, np.min_scalar_type(0))
     for rounds, photons in pulse.round_blocks():

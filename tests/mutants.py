@@ -44,6 +44,7 @@ class Mutant(NamedTuple):
 
 
 ADVERSARY = "src/screenqkd/adversary.py"
+PHOTONICS = "src/screenqkd/photonics.py"
 PROTOCOL = "src/screenqkd/protocol.py"
 MUTANTS = (
     Mutant("verdict_ignores_ad", PROTOCOL,
@@ -75,6 +76,9 @@ MUTANTS = (
            "        step *= PI / 2\n", "        step *= -PI / 2\n"),
     Mutant("bob_conclusive_on_any_photon", PROTOCOL,
            "conclusive = (ones == 0) != all_ones", "conclusive = (zeros + ones) > 0"),
+    Mutant("decode_reapplies_phi", PHOTONICS,
+           "np.subtract(out, less.take(owner, mode=\"clip\"), out=out)",
+           "np.add(out, less.take(owner, mode=\"clip\"), out=out)"),
 )
 
 

@@ -290,7 +290,9 @@ class TestBatch:
     def test_merged_scatters_one_origin_on_disjoint_rounds(self):
         source = single_photon_pulse(np.array([0.1, 0.2, 0.3]))
         resent = single_photon_pulse(np.array([1.0, 1.1, 1.2])).rotated(0.5)
-        merged = source.take(np.array([0, 2])).merged(resent.take(np.array([1])))
+        merged = source.take(np.array([True, False, True])).merged(
+            resent.take(np.array([False, True, False]))
+        )
         assert merged.owner.tolist() == [0, 1, 2]
         assert merged.photons.tolist() == pytest.approx([0.1, 1.6, 0.3])
         assert merged.origin.tolist() == [0, 0, 0]
@@ -298,7 +300,7 @@ class TestBatch:
 
     def test_merged_refuses_two_angles_for_one_round_and_origin(self):
         pulse = single_photon_pulse(np.array([0.1, 0.2]))
-        other = single_photon_pulse(np.array([0.3, 0.4])).take(np.array([1]))
+        other = single_photon_pulse(np.array([0.3, 0.4])).take(np.array([False, True]))
         with pytest.raises(ValueError, match="origin 0 in one round"):
             pulse.merged(other)
         # other origins in the same rounds merge
