@@ -351,26 +351,15 @@ def security_curve(
 ) -> dict[int, ExperimentReport]:
     """Run the experiment for each screening-set size N; the report for
     each N, in order. Every N's parameters and strategy are built first,
-    so an invalid point raises ConfigError before any session runs.
-
-    Checks sift_rate * N = 1 within the 3-sigma binomial bound for the
-    realized round count; a breach raises ValueError.
-    """
-    if not n_values or sorted(set(n_values)) != list(n_values):
-        raise ConfigError(f"n_values must be nonempty and strictly increasing, got {n_values}")
+    then the list is checked to be nonempty and strictly increasing, so an
+    invalid point or list raises ConfigError before any session runs."""
     for n in n_values:
         build_interceptor(attack, replace(base_params, n_screening=n))
+    if not n_values or sorted(set(n_values)) != list(n_values):
+        raise ConfigError(f"n_values must be nonempty and strictly increasing, got {n_values}")
     reports: dict[int, ExperimentReport] = {}
     for n in n_values:
-        report = run_experiment(replace(base_params, n_screening=n), attack, trials)
-        eps = 3.0 * math.sqrt(max(n - 1, 1) / report.totals.rounds)
-        scaled = report.metrics["sift_rate"] * n
-        if abs(scaled - 1.0) > eps:
-            raise ValueError(
-                f"key-rate law violated at N={n}: sift_rate*N={scaled:.4f} "
-                f"outside 1 +/- {eps:.4f}"
-            )
-        reports[n] = report
+        reports[n] = run_experiment(replace(base_params, n_screening=n), attack, trials)
     return reports
 
 
@@ -421,13 +410,15 @@ def transcript_npz(transcript: SessionTranscript) -> Iterator[bytes]:
 
 
 def output_files(
-    config: dict, attack: str, reports: Mapping[int, ExperimentReport], sweep: bool
+    config: dict, reports: Mapping[int, ExperimentReport]
 ) -> dict[str, Iterable[bytes]]:
     """Each file of a run for `emit_report`, in writing order: ``report.json``,
     the audits, ``trials.csv``, then a sweep's ``curve.csv`` or a single
     point's kept transcripts. `reports` maps each N to its report, and
-    `config` is the run's echo, whose ``"n"`` each sweep point overrides."""
-    if sweep:
+    `config` is the run's echo: its ``"attack"`` names the strategy, a
+    ``"sweep_n"`` other than None makes the run a sweep, and each sweep
+    point overrides its ``"n"``."""
+    if config["sweep_n"] is not None:
         doc = {"schema_version": SCHEMA_VERSION, "config": config, "sweep": {
             str(n): r.to_dict({**config, "n": n}) for n, r in reports.items()
         }}
@@ -440,7 +431,9 @@ def output_files(
     return {
         "report.json": report_json(doc),
         **{name: [audit] for r in reports.values() for name, audit in r.audits.items()},
-        "trials.csv": csv_table([x for r in reports.values() for x in flat_rows(r, attack)]),
+        "trials.csv": csv_table(
+            [x for r in reports.values() for x in flat_rows(r, config["attack"])]
+        ),
         **tail,
     }
 

@@ -11,15 +11,17 @@ memory, 2 configuration/usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
+import math
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .adversary import STRATEGIES, STRATEGY_NONE, AttackConfig, build_interceptor
+from .adversary import STRATEGIES, STRATEGY_NONE, AttackConfig
 from .analysis import (
     ExperimentReport,
     emit_report,
@@ -28,7 +30,7 @@ from .analysis import (
     security_curve,
 )
 from .errors import ConfigError, check_int
-from .protocol import MAX_SCREENING, MODE_PULSE, MODE_SINGLE, ProtocolParams
+from .protocol import MODE_PULSE, MODE_SINGLE, ProtocolParams
 
 OUTDIR_ENV = "SCREENQKD_OUTDIR"
 
@@ -59,19 +61,14 @@ class ExperimentConfig:
     emit_transcript: bool = False
 
     def validate(self) -> None:
-        """Check the fields only the runner uses, then build the strategy for
-        every N the run will use; the library types check the rest."""
-        if self.sweep_n is not None:
-            if not isinstance(self.sweep_n, list):
-                raise ConfigError(
-                    f"sweep-N: must be a list of integers, got {self.sweep_n!r}"
-                )
-            for n in self.sweep_n:
-                check_int("sweep-N", n, 1, MAX_SCREENING)
-            if not self.sweep_n or sorted(set(self.sweep_n)) != self.sweep_n:
-                raise ConfigError(
-                    f"sweep-N: must be strictly increasing, got {self.sweep_n}"
-                )
+        """Check what no library function checks: that ``sweep_n`` is a list,
+        the trial count, the transcript switch, the output directory, and
+        that transcripts come from single-point runs only. The library types
+        check the parameters and the strategy, and `security_curve` and
+        `run_experiment` check each N and the strategy there before their
+        first session."""
+        if self.sweep_n is not None and not isinstance(self.sweep_n, list):
+            raise ConfigError(f"sweep-N: must be a list of integers, got {self.sweep_n!r}")
         check_int("trials", self.trials, 1)
         if not isinstance(self.emit_transcript, bool):
             raise ConfigError(
@@ -93,8 +90,6 @@ class ExperimentConfig:
             ancestor = next(p for p in (outdir, *outdir.parents) if os.path.exists(p))
             if not os.path.isdir(ancestor):
                 raise ConfigError(f"outdir: {ancestor} exists and is not a directory")
-        for n in self.sweep_n or [self.params.n_screening]:
-            build_interceptor(self.attack, replace(self.params, n_screening=n))
 
     def echo(self) -> dict:
         # output-destination fields do not describe the experiment and would
@@ -120,29 +115,14 @@ ATTACK_KEYS = _keys(AttackConfig)
 RUN_KEYS = _keys(ExperimentConfig, skip=("params", "attack"))
 
 
-def _parse_n_list(text: str) -> list[int]:
+def _number_list(text: str, kind: type = float) -> list:
+    """The comma-separated values of `text` as `kind` reads them, empty parts
+    skipped; a usage error if any other part is not one."""
     try:
-        return [int(part) for part in text.split(",") if part.strip()]
+        return [kind(part) for part in text.split(",") if part.strip()]
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
-
-
-def _parse_float_list(text: str) -> list[float]:
-    try:
-        return [float(part) for part in text.split(",") if part.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
-
-
-def _is_number_list(token: str) -> bool:
-    """True for a number, or comma-separated numbers, as float() reads them."""
-    try:
-        for part in token.split(","):
-            if part.strip():
-                float(part)
-    except ValueError:
-        return False
-    return True
+        noun = "integers" if kind is int else "numbers"
+        raise argparse.ArgumentTypeError(f"expected comma-separated {noun}, got {text!r}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -156,8 +136,10 @@ class _Parser(argparse.ArgumentParser):
     """
 
     def _parse_optional(self, arg_string):
-        if arg_string.startswith("-") and _is_number_list(arg_string):
-            return None
+        if arg_string.startswith("-"):
+            with contextlib.suppress(argparse.ArgumentTypeError):
+                _number_list(arg_string)
+                return None  # a number, or numbers, is a value, not an option
         return super()._parse_optional(arg_string)
 
     def error(self, message):
@@ -172,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", type=str, help="JSON config file; flags override it")
     parser.add_argument("--N", dest="n", type=int, help="screening-set size")
     parser.add_argument(
-        "--sweep-N", dest="sweep_n", type=_parse_n_list,
+        "--sweep-N", dest="sweep_n", type=lambda text: _number_list(text, int),
         help="comma-separated N values; runs a security curve sweep",
     )
     parser.add_argument("--rounds", type=int, help="rounds per session")
@@ -192,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="probe polarization for the simple Trojan attack")
     parser.add_argument("--attack-probability", dest="attack_probability", type=float,
                         help="per-round probability the strategy acts at all")
-    parser.add_argument("--guess-weights", dest="guess_weights", type=_parse_float_list,
+    parser.add_argument("--guess-weights", dest="guess_weights", type=_number_list,
                         help="impersonation basis-guess weights over the screening set "
                              "(comma-separated; default uniform)")
     parser.add_argument("--outdir", type=str,
@@ -273,6 +255,18 @@ def _honest_assertions(report: ExperimentReport) -> list[str]:
     return failures
 
 
+def _rate_law_assertions(n: int, report: ExperimentReport) -> list[str]:
+    """The key-rate law: sift_rate * N = 1 within the 3-sigma binomial bound
+    for the report's round count."""
+    eps = 3.0 * math.sqrt(max(n - 1, 1) / report.totals.rounds)
+    scaled = report.metrics["sift_rate"] * n
+    if abs(scaled - 1.0) <= eps:
+        return []
+    return [
+        f"key-rate law violated at N={n}: sift_rate*N={scaled:.4f} outside 1 +/- {eps:.4f}"
+    ]
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -283,16 +277,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
 
     outdir = config.resolve_outdir()
-    params, attack, sweep = config.params, config.attack, config.sweep_n
+    params, attack, sweep = config.params, config.attack, config.sweep_n is not None
     try:
         if sweep:
-            try:
-                reports = security_curve(params, attack, sweep, trials=config.trials)
-            except ConfigError:
-                raise  # invalid input, not a failed check: exits 2 below
-            except ValueError as exc:
-                print(f"assertion failed: {exc}", file=sys.stderr)
-                return 1
+            reports = security_curve(params, attack, config.sweep_n, trials=config.trials)
         else:
             reports = {params.n_screening: run_experiment(
                 params, attack,
@@ -302,13 +290,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         for n, report in reports.items():
             label = f"N={n}" if sweep else f"N={n} attack={attack.strategy}"
             _print_summary(label, report)
+            if sweep:
+                failures += _rate_law_assertions(n, report)
             if attack.strategy == STRATEGY_NONE:
                 prefix = f"{label}: " if sweep else ""
                 failures += [prefix + f for f in _honest_assertions(report)]
         if outdir is not None:
-            emit_report(
-                outdir, output_files(config.echo(), attack.strategy, reports, bool(sweep))
-            )
+            emit_report(outdir, output_files(config.echo(), reports))
             print(f"wrote {outdir / 'report.json'} and {outdir / 'trials.csv'}")
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -130,6 +130,18 @@ def pns_trojan_rejection(
     return 1.0 - (1.0 - q) ** rounds
 
 
+def detection_share(mode: str, transmission: float, loss: float, mu: float) -> float:
+    """Share of honest rounds in which Bob receives at least one photon.
+
+    A photon reaches Bob when it survives the loss of all three legs,
+    (1 - loss)^3, and passes the AD tap, t, independently of every other
+    photon: a single photon does so with that product, and a Poisson(mu)
+    pulse thinned by it is empty with probability exp(-mu (1 - loss)^3 t).
+    """
+    arrives = (1.0 - loss) ** 3 * transmission
+    return arrives if mode == "single" else 1.0 - math.exp(-mu * arrives)
+
+
 def standard_state_ad_violation(n: int) -> float:
     """Mean AD violation probability per tapped standard-state probe.
 

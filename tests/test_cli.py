@@ -155,6 +155,25 @@ def test_sweep_rate_law_breach_exits_one(monkeypatch, capsys):
     assert "key-rate law" in capsys.readouterr().err
 
 
+def test_sweep_rate_law_breach_reports_every_point_and_writes_outputs(
+    monkeypatch, capsys, tmp_path
+):
+    # A breached law is a failed check, like a failed honest-run check: every
+    # point's summary is printed and the outputs are written before exit 1.
+    rates = analysis.rates
+    monkeypatch.setattr(analysis, "rates", lambda c: {**rates(c), "sift_rate": 0.0})
+    code = main(["--sweep-N", "2,3", "--rounds", "3000", "--seed", "9",
+                 "--outdir", str(tmp_path)])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert [line.split(": sift_rate")[0] for line in err.splitlines()] == [
+        "assertion failed: key-rate law violated at N=2",
+        "assertion failed: key-rate law violated at N=3",
+    ]
+    assert "[N=2] rounds=3000" in out and "[N=3] rounds=3000" in out
+    assert (tmp_path / "report.json").exists() and (tmp_path / "curve.csv").exists()
+
+
 def test_flags_override_config_file(tmp_path):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps({"seed": 1, "rounds": 1000, "n": 3}))
@@ -260,6 +279,11 @@ INVALID_INPUTS = {
     # both invalid: the one line names the first field checked
     "loss-and-attack": (None, ["--loss", "2", "--attack", "bogus"]),
     "sweep-negative-n": (None, ["--sweep-N", "-1,2"]),
+    # sweep lists only security_curve checks, before its first session
+    "sweep-decreasing": (None, ["--sweep-N", "3,2"]),
+    "sweep-empty": (None, ["--sweep-N", ","]),
+    "sweep-n-string": ({"sweep_n": [2, "3"]}, []),
+    "sweep-n-fraction": ({"sweep_n": [2, 2.5]}, []),
     "guess-weights-negative-exponent": (None, ["--attack", "impersonation",
                                                "--guess-weights", "-1e-3,1"]),
     "sweep-with-transcript": (None, ["--sweep-N", "2,3", "--emit-transcript"]),

@@ -5,10 +5,11 @@ draw order changes can fail it by chance. For each row of tests/claims.py
 with `pooled` seeds, the counts of each statistic with an oracle are pooled
 over those seeds and checked against the oracle at |z| <= 5, which tells a
 biased engine from an unlucky seed; `per_case` seeds check each
-(alpha_a, k, phi*) case of the probe AD violations. Two more checks hold
-criterion 3's QBER per matched pair and criterion 4's share of rejected
-sessions to closed forms of their own. Each prints one pass/fail line with
-every z-score, and none replaces an acceptance test:
+(alpha_a, k, phi*) case of the probe AD violations. Three more checks hold
+criterion 3's QBER per matched pair, criterion 4's share of rejected
+sessions and the share of honest rounds in which Bob receives a photon to
+closed forms of their own. Each prints one pass/fail line with every
+z-score, and none replaces an acceptance test:
 
     pytest tests/test_signatures.py -v -s
 """
@@ -168,5 +169,29 @@ def test_criterion_4_pns_trojan_session_rejection():
     pass_fail(
         all(abs(z) <= Z_MAX for z in z_scores),
         "criterion 4 session rejection (pns_trojan, 400 sessions of 2000 rounds, seed 11)",
+        "; ".join(parts),
+    )
+
+
+def test_honest_detection_share():
+    # Bob's share of rounds with a photon counts the loss of every leg, so a
+    # channel that drops none on the last leg (Alice back to Bob) raises it:
+    # at loss 0.2 to 0.576 from 0.461 with single photons, and to 0.684 from
+    # 0.602 with pulses.
+    z_scores, parts = [], []
+    for mode in ("single", "pulse"):
+        for loss in (0.0, 0.2):
+            params = ProtocolParams(rounds=200_000, transmission=0.9, loss=loss, mode=mode,
+                                    mean_photons=2.0, seed=5)
+            received = int(np.count_nonzero(run_session(params).rounds.bob_received))
+            oracle = oracles.detection_share(mode, params.transmission, loss,
+                                             params.mean_photons)
+            z_scores.append(z_score(received, params.rounds, oracle))
+            parts.append(f"{mode} loss={loss}: {received}/{params.rounds} = "
+                         f"{received / params.rounds:.4f} vs {oracle:.4f}, "
+                         f"z={z_scores[-1]:+.2f}")
+    pass_fail(
+        all(abs(z) <= Z_MAX for z in z_scores),
+        "honest detection share (t=0.9, mu=2 in pulse mode, 200000 rounds, seed 5)",
         "; ".join(parts),
     )
