@@ -78,6 +78,9 @@ class ExperimentConfig:
             raise ConfigError("emit-transcript: single-point runs only, not with sweep-N")
         if self.outdir is not None and not isinstance(self.outdir, str):
             raise ConfigError(f"outdir: must be a path string, got {self.outdir!r}")
+        if self.outdir == "":
+            # Path("") is the working directory, whose stale files a run removes
+            raise ConfigError("outdir: must not be empty")
         outdir = self.resolve_outdir()
         if self.emit_transcript and outdir is None:
             raise ConfigError(

@@ -25,12 +25,14 @@ origin, and moving photons moves 5 bytes each.
 Batches are never modified after construction. Random number generators
 are single-owner and must be passed in explicitly.
 
-The kernels that would otherwise build a full-length temporary only to
-reduce it (a uniform draw to a mask, a gather to a measurement, a count
-to a narrow column, a sort order to a merge) run over consecutive blocks
-of at most `BLOCK` rounds or photons. Consecutive calls on one generator
-continue one stream, so a blocked draw takes exactly the values, and
-leaves the generator in exactly the state, of one whole call.
+A kernel runs over consecutive blocks of at most `BLOCK` rounds or
+photons only where a full-length temporary would raise a session's memory
+peak: :func:`uniform_mask`, :meth:`Pulse.take`, :meth:`Pulse.merged`,
+:func:`measure`, and in `protocol` Alice's encode delta and Bob's decode;
+each loop names the peak it bounds. Every other kernel works on whole
+arrays. Consecutive calls on one generator continue one stream, so a
+blocked draw takes exactly the values, and leaves the generator in exactly
+the state, of one whole call.
 """
 
 from __future__ import annotations
@@ -54,8 +56,8 @@ MAX_MEAN_PHOTONS = 100
 # Largest accepted batch: a photon's round, `Pulse.owner`, is an int32.
 MAX_ROUNDS = 2**31 - 1
 
-# Rounds or photons per block of a blocked kernel: a float64 block is
-# 128 KiB, glibc's initial mmap threshold.
+# Rounds or photons per block of a blocked kernel (see the module
+# docstring): a float64 block is 128 KiB, glibc's initial mmap threshold.
 BLOCK = 2**14
 
 
@@ -69,6 +71,7 @@ def uniform_mask(rng: np.random.Generator, size: int, p: float) -> np.ndarray:
     without a full-length float64 array."""
     mask = np.empty(size, bool)
     u = np.empty(min(size, BLOCK))
+    # blocked: a whole draw lifts passive_pns's peak (mu 10) from 154 to 188 B/round
     for block in blocks(size):
         np.less(rng.random(out=u[: block.stop - block.start]), p, out=mask[block])
     return mask
@@ -155,14 +158,8 @@ class Pulse:
 
     @property
     def counts(self) -> np.ndarray:
-        """Photon number of each round's pulse, counted a block of rounds at
-        a time: a whole `bincount` would first copy every owner to intp."""
-        counts = np.empty(self.rounds, np.intp)
-        for rounds, photons in self.round_blocks():
-            counts[rounds] = np.bincount(
-                self.owner[photons] - rounds.start, minlength=rounds.stop - rounds.start
-            )
-        return counts
+        """Photon number of each round's pulse."""
+        return np.bincount(self.owner, minlength=self.rounds)
 
     def round_blocks(self) -> Iterator[tuple[slice, slice]]:
         """(rounds, photons): each block of rounds of :func:`blocks` and the
@@ -177,10 +174,7 @@ class Pulse:
         """Each photon's polarization, gathered from its origin's table."""
         if all(table is None for table in self.angles):
             return np.empty(0)
-        photons = np.empty(self.count)
-        for block in blocks(self.count):
-            self.gather(block, photons[block])
-        return photons
+        return self.gather(slice(None), np.empty(self.count))
 
     def gather(self, photons: slice, out: np.ndarray, less=None) -> np.ndarray:
         """The polarizations of the photons in the slice `photons`, written
@@ -188,10 +182,9 @@ class Pulse:
         reads a block at a time. With a per-round array `less`, each is
         less its round's entry: IEEE ``a - b`` is exactly ``a + (-b)``, so
         these are the polarizations of ``self.rotated(-less)``, without the
-        table that rotation would build. `take` by an int32 index first
-        copies it to intp, which pays off only a block at a time; every
-        owner is a round of the batch, so "clip" clips nothing and spares
-        the copy of `out` that "raise" makes."""
+        table that rotation would build. Every owner is a round of the
+        batch, so "clip" clips nothing and spares the copy of `out` that
+        "raise" makes."""
         owner = self.owner[photons]
         codes = [code for code, table in enumerate(self.angles) if table is not None]
         np.take(self.angles[codes[0]], owner, out=out, mode="clip")
@@ -209,49 +202,29 @@ class Pulse:
         return first
 
     def take(self, mask: np.ndarray) -> Pulse:
-        """The photons selected by a mask, holding only the tables of their
-        origins.
-
-        The mask is turned into indices a block at a time, so no index array
-        as long as the batch is made."""
-        return self._masked(mask, rest=False)[0]
-
-    def split(self, mask: np.ndarray) -> tuple[Pulse, Pulse]:
-        """(the photons selected by `mask`, the rest), both in order, each
-        holding only the tables of its origins."""
-        return self._masked(mask, rest=True)
-
-    def _masked(self, mask: np.ndarray, rest: bool) -> list[Pulse]:
-        """The photons `mask` selects and, with `rest`, those it leaves, both
-        filled in one pass over the blocks: the rest is read from a
-        block-sized complement of the mask, and each block's selection is
-        scanned once for both of its gathers."""
+        """The photons selected by a mask, in order, holding only the tables
+        of their origins: a table no photon needs any more is not kept alive
+        by the batch."""
         kept = int(np.count_nonzero(mask))
-        sizes = (kept, self.count - kept) if rest else (kept,)
-        halves = [(np.empty(size, np.int32), np.empty(size, np.int8)) for size in sizes]
-        starts = [0] * len(halves)
-        flipped = np.empty(min(len(mask), BLOCK), bool)
+        owner, origin = np.empty(kept, np.int32), np.empty(kept, np.int8)
+        start = 0
+        # blocked: whole intp indices lift passive_pns's peak from 154 to 213 B/round
         for block in blocks(len(mask)):
-            selected = mask[block]
-            for i, (owner, origin) in enumerate(halves):
-                if i:
-                    selected = np.logical_not(selected, out=flipped[: len(selected)])
-                rows = np.flatnonzero(selected)
-                out = slice(starts[i], starts[i] + len(rows))
-                starts[i] = out.stop
-                # rows index the block, so "clip" clips nothing (see `gather`)
-                np.take(self.owner[block], rows, out=owner[out], mode="clip")
-                np.take(self.origin[block], rows, out=origin[out], mode="clip")
-        return [self._holding(owner, origin) for owner, origin in halves]
-
-    def _holding(self, owner: np.ndarray, origin: np.ndarray) -> Pulse:
-        """A batch of the photons `owner`, `origin` taken from this one,
-        holding only the tables of their origins: a table no photon needs
-        any more is not kept alive by the batch."""
+            rows = np.flatnonzero(mask[block])
+            out = slice(start, start + len(rows))
+            start = out.stop
+            # rows index the block, so "clip" clips nothing (see `gather`)
+            np.take(self.owner[block], rows, out=owner[out], mode="clip")
+            np.take(self.origin[block], rows, out=origin[out], mode="clip")
         pulse = Pulse(owner, origin, self.angles, self.rounds)
         live = pulse._live()
         angles = tuple(t if code in live else None for code, t in enumerate(self.angles))
         return replace(pulse, angles=angles)
+
+    def split(self, mask: np.ndarray) -> tuple[Pulse, Pulse]:
+        """(the photons selected by `mask`, the rest), both as :meth:`take`
+        gives them."""
+        return self.take(mask), self.take(np.logical_not(mask))
 
     def _rounds_of(self, code: int) -> np.ndarray:
         """The owners of this batch's photons of origin `code`."""
@@ -261,8 +234,7 @@ class Pulse:
         """The codes of the origins that have photons here. Every photon's
         origin has a table, so a nonempty batch with one table uses it, and
         of several the smallest and the largest origin code tell which hold
-        photons; only a code between them is looked for, a block at a
-        time."""
+        photons; only a code between them is looked for."""
         codes = [code for code, table in enumerate(self.angles) if table is not None]
         if not self.count:
             return []
@@ -271,9 +243,7 @@ class Pulse:
         low, high = int(self.origin.min()), int(self.origin.max())
         return [
             code for code in codes
-            if code in (low, high) or low < code < high and any(
-                (self.origin[block] == code).any() for block in blocks(self.count)
-            )
+            if code in (low, high) or low < code < high and (self.origin == code).any()
         ]
 
     def tagged(self, origin: Origin) -> Pulse:
@@ -295,14 +265,13 @@ class Pulse:
 
         Both are sorted by round, so the result is filled a block of rounds
         at a time, each block's photons stably sorted into place: no sort
-        order or concatenated copy as long as the result is made (on
-        `pns_trojan`'s leg-2 merge those would take 18 B per photon, the
-        peak of the session). Where both hold a table for one origin, their
-        photons of that origin must lie in disjoint rounds: the result's
-        table is this batch's with the other's entries for its rounds
-        scattered in."""
+        order or concatenated copy as long as the result is made. Where
+        both hold a table for one origin, their photons of that origin must
+        lie in disjoint rounds: the result's table is this batch's with the
+        other's entries for its rounds scattered in."""
         count = self.count + other.count
         owner, origin = np.empty(count, np.int32), np.empty(count, np.int8)
+        # blocked: a whole sort order lifts pns_trojan_lossy's peak from 61 to 72 B/round
         for (_, mine), (_, theirs) in zip(self.round_blocks(), other.round_blocks()):
             out = slice(mine.start + theirs.start, mine.stop + theirs.stop)
             block = np.concatenate((self.owner[mine], other.owner[theirs]))
@@ -419,6 +388,7 @@ def measure(photons, axis, rng: np.random.Generator, less=None) -> np.ndarray:
         count, gather = len(array), lambda block, out: array[block]
     bits = np.empty(count, bool)
     u, angles = np.empty(min(count, BLOCK)), np.empty(min(count, BLOCK))
+    # blocked: whole uniforms and angles lift honest's peak from 44 to 55 B/round
     for block in blocks(count):
         size = block.stop - block.start
         bits[block] = _decide(
@@ -457,19 +427,8 @@ def make_pulse(
             f"mean_photons must be in [0, {MAX_MEAN_PHOTONS}], got {mean_photons}"
         )
     rounds = len(polarization)
-    # The photon numbers are drawn a block at a time and each block is kept
-    # in the narrowest type that holds it, then repeated into the owners.
-    counts = []
-    for block in blocks(rounds):
-        drawn = rng.poisson(mean_photons, block.stop - block.start)
-        counts.append(drawn.astype(np.min_scalar_type(drawn.max())))
-    owner = np.empty(sum(int(c.sum()) for c in counts), np.int32)
-    end = 0
-    for block, count in zip(blocks(rounds), counts):
-        start, end = end, end + int(count.sum())
-        rounds_of_block = np.arange(block.start, block.stop, dtype=np.int32)
-        owner[start:end] = np.repeat(rounds_of_block, count)
-    return _legitimate(polarization, owner)
+    counts = rng.poisson(mean_photons, rounds)
+    return _legitimate(polarization, np.repeat(np.arange(rounds, dtype=np.int32), counts))
 
 
 def single_photon_pulse(polarization: np.ndarray) -> Pulse:

@@ -240,12 +240,8 @@ def is_matched(a_index, b_index, n: int):
 
 def _screening_indices(rng: np.random.Generator, n: int, size: int) -> np.ndarray:
     """``rng.integers(1, n + 1, size)`` in the smallest unsigned type that
-    holds 2N (so is_matched's sum fits), drawn a block at a time: int64
-    draws continue one stream across calls, as the uniforms do."""
-    indices = np.empty(size, np.min_scalar_type(2 * n))
-    for block in blocks(size):
-        indices[block] = rng.integers(1, n + 1, block.stop - block.start)
-    return indices
+    holds 2N, so is_matched's sum fits."""
+    return rng.integers(1, n + 1, size).astype(np.min_scalar_type(2 * n))
 
 
 def alice_prepare(
@@ -261,9 +257,7 @@ def bob_transform(
     pulse: Pulse, phi: np.ndarray, b_index: np.ndarray, params: ProtocolParams
 ) -> Pulse:
     """Bob's rotation step: rotate each round's pulse by phi + alpha_b."""
-    delta = np.empty(len(phi))
-    for block in blocks(len(phi)):
-        np.add(phi[block], params.angles.take(b_index[block] - 1), out=delta[block])
+    delta = np.add(phi, params.angles.take(b_index - 1))
     return pulse.rotated(delta)  # `delta` becomes the rotated table
 
 
@@ -286,7 +280,7 @@ def alice_encode(
     Returns (pulses to Bob, AD outcome bits, and each AD photon's round
     and origin code): the AD columns of `Rounds`.
     """
-    if not all(((k[block] == 0) | (k[block] == 1)).all() for block in blocks(len(k))):
+    if not ((k == 0) | (k == 1)).all():
         raise ConfigError(f"key bits must be 0 or 1, got {np.unique(k)}")
     if len(a_index) and not (1 <= a_index.min() and a_index.max() <= params.n_screening):
         raise ConfigError(
@@ -294,8 +288,9 @@ def alice_encode(
         )
     # (-1)^k pi/4 = (1/2 - k) pi/2, exact for any integer or bool k (1 - 2k
     # wraps for unsigned k); the explicit dtype keeps numpy 1.x from
-    # narrowing 1/2 - k to float16. The sum runs in place, a block at a time.
+    # narrowing 1/2 - k to float16. The sum runs in place.
     delta = np.empty(len(k))
+    # blocked: a whole-array sum lifts honest's peak from 44 to 58 B/round
     for block in blocks(len(k)):
         step = np.subtract(0.5, k[block], out=delta[block], dtype=np.float64)
         step *= PI / 2
@@ -320,13 +315,13 @@ def bob_decode(
     deterministically. The counts are held in the smallest unsigned type
     that holds the largest of them.
     """
-    # phi is undone as the photons are gathered from Alice's table, a block
-    # at a time, so no rotated table is built; they are counted per block
-    # of rounds.
+    # phi is undone as the photons are gathered from Alice's table, so no
+    # rotated table is built.
     phi = np.asarray(phi, np.float64)
     bits = measure(pulse, DIAGONAL, rng, less=phi).view(bool)
     outcome = np.empty(pulse.rounds, np.int8)
     received = np.zeros(pulse.rounds, np.min_scalar_type(0))
+    # blocked: a whole bincount key lifts honest's peak from 44 to 63 B/round
     for rounds, photons in pulse.round_blocks():
         # one count per (round, outcome bit): 0 outcomes at 2j, 1s at 2j + 1
         key = pulse.owner[photons] - rounds.start

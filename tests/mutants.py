@@ -3,10 +3,12 @@
 Each row of MUTANTS names a mutant, the file it edits, the exact text it
 replaces (which must occur once in that file) and the new text. Every row
 is applied to its own temporary copy of the whole repository, where
-``python tests/claims.py`` and Tier-1 run against the mutated ``src/``.
-For each row this prints the claims rows and the tests that failed. A row
-killed by nothing, or only by ``tests/test_golden.py`` (whose pins would
-change with any edit), is a gap in the tests, and the script exits 1.
+``python tests/claims.py`` and Tier-1 run against the mutated ``src/``;
+two rows run at a time, one per core of a 2-vCPU machine. For each row,
+in ``MUTANTS`` order, this prints the claims rows and the tests that
+failed. A row killed by nothing, or only by ``tests/test_golden.py``
+(whose pins would change with any edit), is a gap in the tests, and the
+script exits 1.
 
 Run it from the root of a checkout, outside Tier-1 (pytest does not
 collect this file):
@@ -23,6 +25,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import NamedTuple
 
@@ -34,6 +37,7 @@ SKIP = shutil.ignore_patterns(
     ".git", "__pycache__", ".hypothesis", ".pytest_cache", ".bench_build", "*.pyc"
 )
 TIMEOUT_S = 1800
+WORKERS = 2
 
 
 class Mutant(NamedTuple):
@@ -114,15 +118,15 @@ def main() -> int:
         return 1
     start = time.perf_counter()
     gaps = []
-    for mutant in MUTANTS:
-        found = killers(mutant)
-        outside = [k for k in found if not k.startswith(GOLDEN)]
-        print(f"{mutant.name} ({mutant.file}): {len(found)} failed, "
-              f"{len(outside)} outside {GOLDEN}", flush=True)
-        for killer in found:
-            print(f"  {killer}", flush=True)
-        if not outside:
-            gaps.append(mutant.name)
+    with ThreadPoolExecutor(WORKERS) as pool:
+        for mutant, found in zip(MUTANTS, pool.map(killers, MUTANTS)):
+            outside = [k for k in found if not k.startswith(GOLDEN)]
+            print(f"{mutant.name} ({mutant.file}): {len(found)} failed, "
+                  f"{len(outside)} outside {GOLDEN}", flush=True)
+            for killer in found:
+                print(f"  {killer}", flush=True)
+            if not outside:
+                gaps.append(mutant.name)
     print(f"{len(MUTANTS)} mutants in {time.perf_counter() - start:.0f} s")
     if gaps:
         print(f"killed by nothing or only by {GOLDEN}: {', '.join(gaps)}")

@@ -324,9 +324,13 @@ INVALID_INPUTS = {
     "seed-over-cap": (None, ["--seed", "18446744073709551616"]),
     # a path the operating system cannot take; only a config file can hold it
     "outdir-nul-byte": ({"outdir": "out\u0000dir"}, []),
+    # an empty path, which would name the working directory
+    "outdir-empty-flag": (None, ["--outdir", ""]),
+    "outdir-empty-config": ({"outdir": ""}, []),
 }
 # Cases run without --outdir; no case sees $SCREENQKD_OUTDIR.
-NO_OUTDIR = {"transcript-without-outdir", "outdir-nul-byte"}
+NO_OUTDIR = {"transcript-without-outdir", "outdir-nul-byte", "outdir-empty-flag",
+             "outdir-empty-config"}
 
 
 def _invalid_argv(case: str, tmp_path: Path) -> tuple[list[str], Path]:
@@ -365,6 +369,7 @@ def test_invalid_input_exits_two_without_traceback(tmp_path, monkeypatch, capsys
     except SystemExit as exc:
         code = exc.code
     _assert_rejected(code, capsys.readouterr().err, outdir)
+    assert not (tmp_path / "report.json").exists()
 
 
 @pytest.mark.parametrize("case", ["unknown-flag", "rounds-string"])

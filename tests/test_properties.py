@@ -400,8 +400,9 @@ BLOCK_EDGES = (0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7)
 @given(size=st.sampled_from(BLOCK_EDGES) | st.integers(0, 3 * BLOCK + 7),
        seed=st.integers(0, 2**32 - 1), p=unit, mean=st.floats(0.0, 5.0))
 def test_blocked_kernels_draw_like_one_whole_call(size, seed, p, mean):
-    # Each kernel that draws a block at a time takes the values of the one
-    # whole-array call and leaves the generator in the same state.
+    # Each kernel that draws takes the values of the one whole-array call
+    # and leaves the generator in the same state, across block edges where
+    # it runs by blocks.
     def drawn(blocked, whole):
         rngs = np.random.default_rng(seed), np.random.default_rng(seed)
         got, expected = blocked(rngs[0]), whole(rngs[1])

@@ -516,9 +516,12 @@ def test_session_hot_path_avoids_remainder_and_isin(monkeypatch):
 # on each: below the 72.3 B/round that `pns_trojan_lossy` took with a
 # full-length merge order and a decode table, and the 54.6 B/round that
 # `honest_single` took with full-length temporaries (whole uniform draws,
-# gathers and index arrays); above the 61.3 and 43.9 B/round measured with
+# gathers and index arrays); above the 61.1 and 43.8 B/round measured with
 # the blocked kernels, the round-blocked merge and the table-free decode.
-# A decode that builds a rotated table again reads 63.5 and 51.4.
+# A decode that builds a rotated table again reads 63.5 and 51.4. The other
+# cases pin the strategies the benchmark's workloads skip, about 3% above
+# the 116.0, 89.3 and 154.1 B/round measured; on `passive_pns` at mu = 10 a
+# whole-array `uniform_mask` reads 188 and a whole-array `take` 213.
 SESSION_MEMORY = {
     "pns_trojan_lossy": (
         ProtocolParams(rounds=100_000, seed=1, mode="pulse", mean_photons=2.0,
@@ -526,6 +529,16 @@ SESSION_MEMORY = {
         "pns_trojan", 63,
     ),
     "honest_single": (ProtocolParams(rounds=100_000, seed=1), "none", 48),
+    "beamsplit_n5": (
+        ProtocolParams(rounds=100_000, seed=1, n_screening=5, mode="pulse",
+                       mean_photons=2.0, transmission=1.0),
+        "pulse_beamsplit", 120,
+    ),
+    "impersonation": (ProtocolParams(rounds=100_000, seed=1), "impersonation", 92),
+    "passive_pns_mu10": (
+        ProtocolParams(rounds=100_000, seed=1, mode="pulse", mean_photons=10.0, loss=0.2),
+        "passive_pns", 159,
+    ),
 }
 
 
