@@ -3,12 +3,12 @@
 A round crosses the channel three times (Alice -> Bob -> Alice -> Bob).
 A session runs leg-major: each leg carries one batch holding the pulse of
 every round. An adversary is modeled as an :class:`Interceptor` that may
-transform the batch on each leg. The hook receives only physically
-available data: the pulses themselves, which leg they are on, and (after
-the session) the public announcement. Round ids are batch-local: pulse j
-of a batch belongs to round j, which is also entry j of every
-announcement column. Round secrets
-(theta, phi, k, screening indices) are never handed to it.
+transform the batch on each leg. It is built from the public screening
+set and receives only physically available data: the pulses, their leg,
+its own generator and (after the session) the public announcement.
+Round ids are batch-local: pulse j of a batch belongs to round j, which
+is also entry j of every announcement column. Round secrets (theta, phi,
+k, screening indices) and the seed behind them are never handed to it.
 
 The classical channel is public and authentic: the adversary can read the
 announcement but cannot forge it.
@@ -61,8 +61,8 @@ class Interceptor:
     because perfbench's tracer wraps this signature. They may observe the
     public announcement once the session is over and set ``guesses``, the
     per-round key-bit guesses that are all it reports. ``rng`` is the
-    adversary's own generator, handed in by the channel on every call; it
-    is never shared with the parties.
+    adversary's own generator, handed in on every call, the announcement's
+    included; it is never shared with the parties.
     """
 
     guesses = Guesses()  # empty until a strategy sets its own
@@ -72,7 +72,9 @@ class Interceptor:
     ) -> Pulse:
         return pulse
 
-    def observe_announcement(self, announcement: "Announcement") -> None:
+    def observe_announcement(
+        self, announcement: Announcement, rng: np.random.Generator
+    ) -> None:
         pass
 
     def produce_guesses(self) -> Guesses:

@@ -28,11 +28,11 @@ are single-owner and must be passed in explicitly.
 A kernel runs over consecutive blocks of at most `BLOCK` rounds or
 photons only where a full-length temporary would raise a session's memory
 peak: :func:`uniform_mask`, :meth:`Pulse.take`, :meth:`Pulse.merged`,
-:func:`measure`, and in `protocol` Alice's encode delta and Bob's decode;
-each loop names the peak it bounds. Every other kernel works on whole
-arrays. Consecutive calls on one generator continue one stream, so a
-blocked draw takes exactly the values, and leaves the generator in exactly
-the state, of one whole call.
+:func:`measure`, in `protocol` Alice's encode delta and Bob's decode, and
+in `adversary` the beam-split final-leg readout; each loop names the peak
+it bounds. Every other kernel works on whole arrays. Consecutive calls on
+one generator continue one stream, so a blocked draw takes exactly the
+values, and leaves the generator in exactly the state, of one whole call.
 """
 
 from __future__ import annotations

@@ -44,6 +44,7 @@ from .photonics import (
     MAX_ROUNDS,
     PI,
     Pulse,
+    _read_only,
     beam_split,
     blocks,
     make_pulse,
@@ -152,8 +153,9 @@ class Announcement:
     """The public end-of-session disclosure; readable by the adversary.
 
     One entry per round; ``phi_star_flags`` is set where the round was
-    analyzing and phi* = pi/2. Every array is read-only: the adversary
-    reads the announcement but cannot forge it.
+    analyzing and phi* = pi/2. Every array is a read-only view, so the
+    adversary reads the announcement but cannot forge it, and the
+    caller's arrays stay as they were.
     """
 
     a_indices: np.ndarray
@@ -163,7 +165,7 @@ class Announcement:
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            getattr(self, f.name).setflags(write=False)
+            object.__setattr__(self, f.name, _read_only(getattr(self, f.name)))
 
     @classmethod
     def from_rounds(cls, rounds: Rounds) -> Announcement:
@@ -221,9 +223,9 @@ def derive_rng(seed: int, *stream: int) -> np.random.Generator:
     return np.random.default_rng([seed, *stream])
 
 
-def expected_ad_bit(k, phi_star):
+def expected_ad_bit(k, phi_star_flag):
     """AD integrity condition on matched analyzing rounds: k ^ (2 phi*/pi) ^ 1."""
-    return k ^ (phi_star > PI / 4) ^ 1
+    return k ^ phi_star_flag ^ 1
 
 
 def _sealed(values: np.ndarray) -> np.ndarray:
@@ -369,7 +371,7 @@ def sift_and_verify(
     Matched rounds have screening index sum N + 1. Key bits come from
     matched non-analyzing rounds with a conclusive detection: Alice
     contributes k, Bob contributes O_b XOR 1. Every AD outcome on a
-    matched analyzing round is checked against the integrity condition.
+    matched analyzing round is checked against the announced phi*.
     The session is accepted iff the key digests agree and there were no
     integrity violations.
     """
@@ -391,7 +393,7 @@ def sift_and_verify(
     bob_key = (rounds.bob_outcome.take(key_rounds) ^ 1).astype(np.uint8).tobytes()
     owner = rounds.ad_owner
     checked = (matched & rounds.is_analyzing)[owner]
-    expected = expected_ad_bit(rounds.k[owner], rounds.phi[owner])
+    expected = expected_ad_bit(rounds.k[owner], announcement.phi_star_flags[owner])
     violated = checked & (rounds.ad_bits != expected)
     alice_hash = key_digest(alice_key)
     bob_hash = key_digest(bob_key)
@@ -494,5 +496,5 @@ def run_session(
         bob_received=received,
     )
     announcement = Announcement.from_rounds(rounds)
-    interceptor.observe_announcement(announcement)
+    interceptor.observe_announcement(announcement, rng_eve)
     return sift_and_verify(params, rounds, announcement)

@@ -22,6 +22,7 @@ from typing import Callable, NamedTuple, Optional
 from screenqkd.adversary import AttackConfig
 from screenqkd.analysis import RATES, ie_sum, run_experiment
 from screenqkd.cli import main as cli_main
+from screenqkd.photonics import PI
 from screenqkd.protocol import ProtocolParams, Verdict, expected_ad_bit
 from screenqkd.protocol import is_matched, run_session
 
@@ -112,7 +113,7 @@ def _honest_correctness(claim: Claim, tmp: Path) -> tuple[bool, str]:
     rounds, owner = t.rounds, t.rounds.ad_owner
     matched = is_matched(rounds.a_index, rounds.b_index, params.n_screening)
     audited = (matched & rounds.is_analyzing)[owner]
-    recomputed = rounds.ad_bits == expected_ad_bit(rounds.k[owner], rounds.phi[owner])
+    recomputed = rounds.ad_bits == expected_ad_bit(rounds.k[owner], rounds.phi[owner] > PI / 4)
     hashes_equal = t.alice_hash == t.bob_hash
     ok = (len(t.alice_key) > 0 and errors == 0 and t.ad_checked > 0
           and t.ad_violations == 0 and bool(recomputed[audited].all())

@@ -78,6 +78,6 @@ class ThetaOracleTrojan(SimpleTrojan):
             self._thetas = pulse.angles[Origin.LEGITIMATE]
         return super()._act(leg, pulse, rng)
 
-    def _read_storage(self, announcement):
+    def _read_storage(self, announcement, rng):
         self.storage = self.storage.rotated(self._thetas)
-        return super()._read_storage(announcement)
+        return super()._read_storage(announcement, rng)

@@ -12,7 +12,9 @@ from screenqkd.errors import ConfigError
 from screenqkd.photonics import (
     PI, Origin, Pulse, beam_split, canon, make_pulse, measure, single_photon_pulse,
 )
-from screenqkd.protocol import ProtocolParams, Verdict, run_session, screening_angles
+from screenqkd.protocol import (
+    Announcement, ProtocolParams, Verdict, run_session, screening_angles,
+)
 
 import oracles
 from conftest import ThetaOracleTrojan, binom_sigma
@@ -130,6 +132,19 @@ def test_null_attack_reproduces_honest_transcript(strategy, param_overrides):
     assert len(idle.produce_guesses()) == 0
 
 
+@pytest.mark.parametrize("strategy", STRATEGY_TABLE)
+def test_strategy_holds_only_the_public_screening_set(strategy):
+    # the session's params carry the seed that regenerates every round
+    # secret, so a strategy is built from the screening set alone and
+    # keeps no generator between calls
+    params = _params(rounds=500, mode=REQUIRED_MODE[strategy] or "pulse", mean_photons=2.0)
+    attack = build_interceptor(AttackConfig(strategy=strategy), params)
+    run_session(params, attack)
+    assert not any(isinstance(value, ProtocolParams) for value in vars(attack).values())
+    assert not any(isinstance(value, np.random.Generator) for value in vars(attack).values())
+    assert attack.angles is params.angles
+
+
 class TestImpersonation:
     def test_correct_basis_guess_reads_key_exactly(self):
         # with the right screening angle the readout of (-1)^k pi/4 + alpha_a
@@ -190,6 +205,17 @@ class TestImpersonation:
         assert len(first_basis) > 1000 and all(first_basis)
         assert not all(other_basis)
 
+    def test_final_leg_rotation_follows_the_readout(self):
+        # N = 1: Eve measures in (pi/2, 0), so a photon at pi/2 reads 0 and
+        # one at 0 reads 1 with certainty; her stored reply is re-encoded
+        # by +pi/4 after a 0 and by -pi/4 after a 1, as Alice encodes k
+        attack = build_interceptor(AttackConfig(strategy="impersonation"), _params(n_screening=1))
+        readout = np.array([0, 1, 1, 0, 1])
+        active = single_photon_pulse(np.where(readout == 0, PI / 2, 0.0))
+        delta = attack._read_final_leg(active, np.random.default_rng(2))
+        assert attack.guesses.bits.tolist() == readout.tolist()
+        assert delta.tolist() == [PI / 4, -PI / 4, -PI / 4, PI / 4, -PI / 4]
+
     def test_guess_weights_length_validated(self):
         params = _params()
         with pytest.raises(ConfigError):
@@ -209,7 +235,7 @@ class TestImpersonation:
 class TestPulseBeamSplit:
     def test_vacuum_passes_through_without_report(self):
         params = _params(mode="pulse", mean_photons=2.0)
-        attack = PulseBeamSplit(AttackConfig(strategy="pulse_beamsplit"), params)
+        attack = PulseBeamSplit(AttackConfig(strategy="pulse_beamsplit"), params.angles)
         rng = np.random.default_rng(1)
         for leg in Leg:
             out = attack.intercept(leg, Pulse.vacuum(1), np.arange(1), rng)
@@ -367,7 +393,7 @@ class TestStandardStateProbe:
     def test_theta_oracle_validates_estimator(self):
         params = _params(transmission=0.5, rounds=5000, seed=114)
         config = AttackConfig(strategy="standard_state")
-        oracle = ThetaOracleTrojan(config, params)
+        oracle = ThetaOracleTrojan(config, params.angles)
         counts = score_trial(run_session(params, oracle), oracle.produce_guesses())
         assert counts.eve_guesses > 1000
         assert counts.eve_correct == counts.eve_guesses
@@ -436,9 +462,9 @@ class TestPassivePns:
         stored = np.zeros(params.rounds, bool)
         read_storage = attack._read_storage
 
-        def read_and_record(announcement):
+        def read_and_record(announcement, rng):
             stored[attack.storage.owner] = True  # before the readout uses it up
-            return read_storage(announcement)
+            return read_storage(announcement, rng)
 
         attack._read_storage = read_and_record
         transcript = run_session(params, attack)
@@ -448,6 +474,29 @@ class TestPassivePns:
         checked = transcript.rounds.is_analyzing[rounds] & stored[rounds]
         assert np.all(guesses.bits[checked] == transcript.rounds.k[rounds[checked]])
         assert np.count_nonzero(checked) > 1000
+
+    def test_stored_photon_is_read_against_the_announced_phi_star(self):
+        # phi* = pi/2 on every analyzing round: the stored final-leg photon
+        # is at phi* + alpha_a + alpha_b + (-1)^k pi/4, and Eve's axis
+        # phi* + alpha_a + alpha_b + pi/4 reads k from it; at phi* = 0 an
+        # axis without phi* would read k as well
+        params = _params(n_screening=3, mode="pulse")
+        attack = build_interceptor(AttackConfig(strategy="passive_pns"), params)
+        a_index, b_index = np.array([1, 2, 3, 1, 3, 2]), np.array([3, 2, 1, 2, 3, 1])
+        k = np.array([0, 1, 1, 0, 1, 0])
+        state = PI / 2 + params.angles[a_index - 1] + params.angles[b_index - 1]
+        state += (1 - 2 * k) * (PI / 4)
+        # two photons per round, so Eve splits one off on each leg
+        owner = np.repeat(np.arange(6, dtype=np.int32), 2)
+        pulse = Pulse(owner, np.zeros(12, np.int8), (state, None, None), 6)
+        rng = np.random.default_rng(3)
+        for leg in Leg:
+            attack.intercept(leg, pulse, None, rng)
+        analyzing = np.ones(6, bool)
+        attack.observe_announcement(Announcement(a_index, b_index, analyzing, analyzing), rng)
+        guesses = attack.produce_guesses()
+        assert guesses.rounds.tolist() == list(range(6))
+        assert guesses.bits.tolist() == k.tolist()
 
     def test_invisible_to_both_detectors(self):
         params = _params(

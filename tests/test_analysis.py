@@ -445,7 +445,7 @@ def _recount(transcript, guesses, records, beamsplit_reported=None) -> dict:
         detected = rec["bob_outcome"] >= 0
         c["matched"] += matched
         if matched and rec["is_analyzing"]:
-            expected = expected_ad_bit(rec["k"], rec["phi"])  # phi is phi* here
+            expected = expected_ad_bit(rec["k"], rec["phi"] > PI / 4)  # phi is phi* here
             for bit, origin in zip(rec["ad_bits"], rec["ad_origin"]):
                 c["ad_clicks"] += 1
                 c["ad_violations"] += bit != expected
@@ -487,7 +487,7 @@ def test_batch_scorer_matches_per_record_recount(mode, strategy):
     attack = AttackConfig(strategy=strategy, **knobs)
     if strategy == "standard_state":
         # The theta oracle is the one report path that reads a round column.
-        interceptor = ThetaOracleTrojan(attack, params)
+        interceptor = ThetaOracleTrojan(attack, params.angles)
     else:
         interceptor = build_interceptor(attack, params)
     final_leg = []  # Eve's input on the final leg

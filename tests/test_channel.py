@@ -101,8 +101,8 @@ class _RecordingInterceptor(Interceptor):
         self.calls.append((leg, pulse, round_ids, rng))
         return pulse
 
-    def observe_announcement(self, announcement):
-        self.announcements.append(announcement)
+    def observe_announcement(self, announcement, rng):
+        self.announcements.append((announcement, rng))
 
 
 class TestInformationFirewall:
@@ -125,8 +125,10 @@ class TestInformationFirewall:
             fields = {f.name for f in dataclasses.fields(pulse)}
             assert fields == {"owner", "origin", "angles", "rounds"}
         # the observer runs exactly once, with the published announcement
-        assert len(recorder.announcements) == 1
-        assert recorder.announcements[0] is transcript.announcement
+        # and the generator every leg was handed
+        [(announcement, rng)] = recorder.announcements
+        assert announcement is transcript.announcement
+        assert all(call[3] is rng for call in recorder.calls)
 
     def test_base_interceptor_api_surface(self):
         # API review: the interceptor contract has no transcript access
@@ -141,7 +143,7 @@ class TestInformationFirewall:
         recorder = _RecordingInterceptor()
         params = ProtocolParams(n_screening=3, rounds=200, seed=64)
         run_session(params, recorder)
-        ann = recorder.announcements[0]
+        [(ann, _)] = recorder.announcements
         choices = _drawn_choices(params)
         assert ann.a_indices.tolist() == choices["a_index"].tolist()
         assert ann.b_indices.tolist() == choices["b_index"].tolist()
@@ -209,6 +211,6 @@ class _Scribbler(Interceptor):
             self._write(pulse.angles[Origin.LEGITIMATE], 0.5)
         return pulse
 
-    def observe_announcement(self, announcement):
+    def observe_announcement(self, announcement, rng):
         if self.target == "b_indices":
             self._write(announcement.b_indices, 1)

@@ -198,7 +198,7 @@ class TestAliceEncode:
                     _, ad_outcomes, _, _ = alice_encode(
                         incoming, _one(theta), _one(k), _one(a_index), params, rng
                     )
-                    assert ad_outcomes.tolist() == [expected_ad_bit(k, phi_star)]
+                    assert ad_outcomes.tolist() == [expected_ad_bit(k, phi_star > PI / 4)]
 
     def test_rejects_bad_arguments(self):
         params = ProtocolParams(n_screening=2)
@@ -326,7 +326,7 @@ class TestHonestSession:
         checked = 0
         for rec in transcript_records(transcript):
             if is_matched(rec["a_index"], rec["b_index"], 2) and rec["is_analyzing"]:
-                expected = expected_ad_bit(rec["k"], rec["phi"])
+                expected = expected_ad_bit(rec["k"], rec["phi"] > PI / 4)
                 for bit in rec["ad_bits"]:
                     assert bit == expected
                     checked += 1
@@ -475,6 +475,30 @@ class TestSiftAndVerify:
         with pytest.raises(ConfigError, match="a_indices has length 99"):
             sift_and_verify(transcript.params, transcript.rounds, bad)
 
+    def test_sifting_reads_the_announced_phi_star_not_phi(self):
+        # Bob's phi is his secret; the AD relation is checked against the
+        # phi* he announces, so sifting without phi gives the same result
+        transcript = _honest_session(seed=3, p_analyzing=0.5)
+        rounds = dataclasses.replace(transcript.rounds, phi=np.full(len(transcript.rounds), np.nan))
+        again = sift_and_verify(transcript.params, rounds, transcript.announcement)
+        for name in ("matched", "sifted", "ad_checked_mask", "ad_violation_mask"):
+            assert np.array_equal(getattr(again, name), getattr(transcript, name)), name
+        assert again.ad_checked == transcript.ad_checked > 100
+        assert again.ad_violations == 0
+        assert again.alice_key == transcript.alice_key
+        assert again.verdict is transcript.verdict is Verdict.ACCEPTED
+
+    def test_announcement_leaves_the_callers_arrays_writeable(self):
+        columns = [np.array([1, 2]), np.array([2, 1]), np.array([True, False]),
+                   np.array([False, False])]
+        announcement = Announcement(*columns)
+        for column, field in zip(columns, dataclasses.fields(announcement)):
+            public = getattr(announcement, field.name)
+            assert not public.flags.writeable, field.name
+            assert np.array_equal(public, column)
+            assert column.flags.writeable, field.name
+        columns[0][0] = 2  # the caller's next write goes through
+
     def test_analyzing_rounds_excluded_from_key(self):
         transcript = _honest_session(seed=53, p_analyzing=1.0)
         assert transcript.alice_key == b""
@@ -520,8 +544,11 @@ def test_session_hot_path_avoids_remainder_and_isin(monkeypatch):
 # the blocked kernels, the round-blocked merge and the table-free decode.
 # A decode that builds a rotated table again reads 63.5 and 51.4. The other
 # cases pin the strategies the benchmark's workloads skip, about 3% above
-# the 116.0, 89.3 and 154.1 B/round measured; on `passive_pns` at mu = 10 a
+# the 116.0, 89.3 and 154.1 B/round measured (`beamsplit_n5` reads 113.3
+# since its final-leg readout runs by blocks); on `passive_pns` at mu = 10 a
 # whole-array `uniform_mask` reads 188 and a whole-array `take` 213.
+# `beamsplit_mu50` (5000 rounds) pins that readout at high mu: 1728.4
+# B/round, 2514.4 with the whole-array index.
 SESSION_MEMORY = {
     "pns_trojan_lossy": (
         ProtocolParams(rounds=100_000, seed=1, mode="pulse", mean_photons=2.0,
@@ -538,6 +565,11 @@ SESSION_MEMORY = {
     "passive_pns_mu10": (
         ProtocolParams(rounds=100_000, seed=1, mode="pulse", mean_photons=10.0, loss=0.2),
         "passive_pns", 159,
+    ),
+    "beamsplit_mu50": (
+        ProtocolParams(rounds=5000, seed=1, n_screening=5, mode="pulse",
+                       mean_photons=50.0, transmission=1.0),
+        "pulse_beamsplit", 1780,
     ),
 }
 
