@@ -178,8 +178,8 @@ class Impersonation(_BaseAttack):
         if leg is Leg.ALICE_TO_BOB_1:
             self._original, rest = pulse.split(self._acting(pulse))
             self._theta_prime = rng.random(pulse.rounds) * PI
-            substitutes = replace(self._original, angles=(self._theta_prime, None, None))
-            return rest.merged(substitutes.tagged(Origin.EVE_REPLAYED))
+            substitutes = replace(self._original, angles=(self._theta_prime, None))
+            return rest.merged(substitutes.tagged(Origin.EVE))
         if leg is Leg.BOB_TO_ALICE:
             reply, rest = pulse.split(self._acting(pulse))
             self._reply = reply.rotated(-self._theta_prime)
@@ -259,7 +259,7 @@ class _ProbeCaptureAttack(_BaseAttack):
     """
 
     def _capture_probe(self, pulse: Pulse) -> Pulse:
-        self.storage, rest = pulse.split(pulse.origin == Origin.TROJAN_INJECTED)
+        self.storage, rest = pulse.split(pulse.origin == Origin.EVE)
         return rest
 
     def _read_storage(self, announcement: Announcement, rng: np.random.Generator) -> Guesses:
@@ -286,7 +286,7 @@ class PnsTrojanComposite(_ProbeCaptureAttack):
             return rest
         if leg is Leg.BOB_TO_ALICE:
             split, self._split = self._split, None  # used up
-            return pulse.merged(split.tagged(Origin.TROJAN_INJECTED))
+            return pulse.merged(split.tagged(Origin.EVE))
         return self._capture_probe(pulse)
 
 
@@ -307,7 +307,7 @@ class SimpleTrojan(_ProbeCaptureAttack):
             return pulse
         if leg is Leg.BOB_TO_ALICE:
             probes = single_photon_pulse(np.full(pulse.rounds, self.config.trojan_angle))
-            return pulse.merged(probes.take(self._active).tagged(Origin.TROJAN_INJECTED))
+            return pulse.merged(probes.take(self._active).tagged(Origin.EVE))
         return self._capture_probe(pulse)
 
 

@@ -164,43 +164,48 @@ def npz_bytes(arrays: Mapping[str, np.ndarray]) -> bytes:
 @dataclass(frozen=True, eq=False)
 class SessionSummary:
     """One session's record: its counters, its verdict, its key digests,
-    ``audit``, the bytes of its audit file, and ``transcript``, kept only
-    on request.
+    ``audit_arrays``, the arrays of its audit file, and ``transcript``,
+    kept only on request.
 
     The audit file is an uncompressed ``.npz`` of six arrays.
     ``a_indices`` and ``b_indices`` hold one screening index per round in
     the engine's index dtype. ``analyzing_flags``, ``phi_star_flags``,
     ``alice_key`` and ``bob_key`` are bit strings packed MSB-first into
     uint8, the tail zero-padded; ``phi_star_flags`` has a set bit where
-    the round was analyzing and phi* = pi/2.
+    the round was analyzing and phi* = pi/2. Its bytes, ``audit``, are
+    built the first time a report hashes or writes them.
     """
 
     counts: TrialCounts
     verdict: str
     alice_hash: str
     bob_hash: str
-    audit: bytes
+    audit_arrays: Mapping[str, np.ndarray]
     transcript: Optional[SessionTranscript] = None
+
+    @functools.cached_property
+    def audit(self) -> bytes:
+        """The bytes of the audit file."""
+        return npz_bytes(self.audit_arrays)
 
     @classmethod
     def from_transcript(
         cls, transcript: SessionTranscript, counts: TrialCounts
     ) -> "SessionSummary":
         ann = transcript.announcement
-        audit = npz_bytes({
-            "a_indices": ann.a_indices,
-            "b_indices": ann.b_indices,
-            "analyzing_flags": _packed(ann.analyzing_flags),
-            "phi_star_flags": _packed(ann.phi_star_flags),
-            "alice_key": _packed(transcript.alice_key),
-            "bob_key": _packed(transcript.bob_key),
-        })
         return cls(
             counts=counts,
             verdict=transcript.verdict.value,
             alice_hash=transcript.alice_hash.hex(),
             bob_hash=transcript.bob_hash.hex(),
-            audit=audit,
+            audit_arrays={
+                "a_indices": ann.a_indices,
+                "b_indices": ann.b_indices,
+                "analyzing_flags": _packed(ann.analyzing_flags),
+                "phi_star_flags": _packed(ann.phi_star_flags),
+                "alice_key": _packed(transcript.alice_key),
+                "bob_key": _packed(transcript.bob_key),
+            },
         )
 
 
@@ -212,7 +217,7 @@ def score_trial(transcript: SessionTranscript, guesses: Guesses) -> TrialCounts:
     guess scores. A beam-split guess exists exactly on a conclusive readout.
     """
     rounds = transcript.rounds
-    injected = rounds.ad_origin != Origin.LEGITIMATE
+    injected = rounds.ad_origin == Origin.EVE
     correct = guesses.bits == rounds.k[guesses.rounds]
     analyzing = rounds.is_analyzing[guesses.rounds]
     on_key = transcript.sifted[guesses.rounds]
@@ -252,7 +257,8 @@ class ExperimentReport:
 
     @property
     def audits(self) -> dict[str, bytes]:
-        """Each session's audit file name, in trial order, and its bytes."""
+        """Each session's audit file name, in trial order, and its bytes,
+        built on first use and then kept by the session."""
         n = self.params.n_screening
         return {
             f"audit_N{n}_{trial:03d}.npz": s.audit for trial, s in enumerate(self.sessions)

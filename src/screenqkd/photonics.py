@@ -17,11 +17,12 @@ axis a + pi/2 otherwise (outcome bit 1).
 A :class:`Pulse` holds one pulse per round for a batch of rounds, as flat
 photon rows (round and origin). Multi-photon pulses are products of
 identical independent photons; photon number is Poissonian with
-configurable mean. Rotations act per round, and photons that enter a
-round come as a group under their own origin code, so all photons of one
-origin in one round share one angle. A batch stores that angle once, in a
-per-round table for the origin: a rotation is one add per round and
-origin, and moving photons moves 5 bytes each.
+configurable mean. A photon is Alice's or Eve's (its :class:`Origin`).
+Rotations act per round, and Eve's photons enter a round as one group,
+so all photons of one origin in one round share one angle. A batch
+stores that angle once, in a per-round table for the origin, and holds a
+table exactly for the origins it has photons of: a rotation is one add
+per round and origin, and moving photons moves 5 bytes each.
 Batches are never modified after construction. Random number generators
 are single-owner and must be passed in explicitly.
 
@@ -94,15 +95,16 @@ def canon(radians):
 
 
 class Origin(enum.IntEnum):
-    """Diagnostic provenance code of a photon (the values of `Pulse.origin`).
+    """Diagnostic provenance code of a photon (the values of `Pulse.origin`):
+    Alice's own photon, or one that Eve put on the channel (a probe or a
+    substitute). The analyzing detector notices Eve by this distinction.
 
     Bookkeeping only: it must never influence a measurement probability or
     a routing decision made by Alice or Bob.
     """
 
     LEGITIMATE = 0
-    TROJAN_INJECTED = 1
-    EVE_REPLAYED = 2
+    EVE = 1
 
 
 def _read_only(table: np.ndarray) -> np.ndarray:
@@ -130,22 +132,31 @@ class Pulse:
     or a read-only float64 array over the rounds (a raw angle, meaningful
     modulo pi: see the module docstring), and photon i is at
     ``angles[origin[i]][owner[i]]``. A table's entries for rounds without
-    photons of its origin mean nothing; :meth:`take` and :meth:`split`
-    keep only the tables of the origins they hold, but other batches may
-    carry a table that outlives its origin's last photon. :meth:`merged` and :meth:`tagged` refuse input
-    that would put two angles under one (round, origin).
+    photons of its origin mean nothing. A batch holds a table exactly for
+    the origins it has photons of: the constructor drops the others, so a
+    table no photon needs is not kept alive. :meth:`merged` and
+    :meth:`tagged` refuse input that would put two angles under one
+    (round, origin).
     """
 
     owner: np.ndarray
     origin: np.ndarray
-    angles: tuple[np.ndarray | None, ...]
+    angles: tuple[np.ndarray | None, np.ndarray | None]
     rounds: int
+
+    def __post_init__(self) -> None:
+        legitimate, eve = self.angles
+        if self.is_empty:
+            object.__setattr__(self, "angles", (None, None))
+        elif legitimate is not None and eve is not None:
+            injected = self.origin.view(bool)
+            object.__setattr__(self, "angles", (
+                None if injected.all() else legitimate, eve if injected.any() else None
+            ))
 
     @classmethod
     def vacuum(cls, rounds: int) -> Pulse:
-        return cls(
-            np.empty(0, np.int32), np.empty(0, np.int8), (None,) * len(Origin), rounds
-        )
+        return cls(np.empty(0, np.int32), np.empty(0, np.int8), (None, None), rounds)
 
     @property
     def count(self) -> int:
@@ -172,7 +183,7 @@ class Pulse:
     @property
     def photons(self) -> np.ndarray:
         """Each photon's polarization, gathered from its origin's table."""
-        if all(table is None for table in self.angles):
+        if self.is_empty:
             return np.empty(0)
         return self.gather(slice(None), np.empty(self.count))
 
@@ -186,7 +197,7 @@ class Pulse:
         batch, so "clip" clips nothing and spares the copy of `out` that
         "raise" makes."""
         owner = self.owner[photons]
-        codes = [code for code, table in enumerate(self.angles) if table is not None]
+        codes = self._codes()
         np.take(self.angles[codes[0]], owner, out=out, mode="clip")
         for code in codes[1:]:
             index = np.flatnonzero(self.origin[photons] == code)
@@ -195,6 +206,10 @@ class Pulse:
             np.subtract(out, less.take(owner, mode="clip"), out=out)
         return out
 
+    def _codes(self) -> list[int]:
+        """The codes of the origins that have photons here: those of its tables."""
+        return [code for code, table in enumerate(self.angles) if table is not None]
+
     def leading(self) -> np.ndarray:
         """Mask of the first photon of every nonempty pulse."""
         first = np.ones(self.count, dtype=bool)
@@ -202,9 +217,7 @@ class Pulse:
         return first
 
     def take(self, mask: np.ndarray) -> Pulse:
-        """The photons selected by a mask, in order, holding only the tables
-        of their origins: a table no photon needs any more is not kept alive
-        by the batch."""
+        """The photons selected by a mask, in order."""
         kept = int(np.count_nonzero(mask))
         owner, origin = np.empty(kept, np.int32), np.empty(kept, np.int8)
         start = 0
@@ -216,49 +229,24 @@ class Pulse:
             # rows index the block, so "clip" clips nothing (see `gather`)
             np.take(self.owner[block], rows, out=owner[out], mode="clip")
             np.take(self.origin[block], rows, out=origin[out], mode="clip")
-        pulse = Pulse(owner, origin, self.angles, self.rounds)
-        live = pulse._live()
-        angles = tuple(t if code in live else None for code, t in enumerate(self.angles))
-        return replace(pulse, angles=angles)
+        return Pulse(owner, origin, self.angles, self.rounds)
 
     def split(self, mask: np.ndarray) -> tuple[Pulse, Pulse]:
         """(the photons selected by `mask`, the rest), both as :meth:`take`
         gives them."""
         return self.take(mask), self.take(np.logical_not(mask))
 
-    def _rounds_of(self, code: int) -> np.ndarray:
-        """The owners of this batch's photons of origin `code`."""
-        return self.owner[self.origin == code]
-
-    def _live(self) -> list[int]:
-        """The codes of the origins that have photons here. Every photon's
-        origin has a table, so a nonempty batch with one table uses it, and
-        of several the smallest and the largest origin code tell which hold
-        photons; only a code between them is looked for."""
-        codes = [code for code, table in enumerate(self.angles) if table is not None]
-        if not self.count:
-            return []
-        if len(codes) == 1:
-            return codes
-        low, high = int(self.origin.min()), int(self.origin.max())
-        return [
-            code for code in codes
-            if code in (low, high) or low < code < high and (self.origin == code).any()
-        ]
-
     def tagged(self, origin: Origin) -> Pulse:
         """The same photons, all with origin code `origin`; they must share
         one origin, so that each round keeps one angle."""
-        codes = self._live()
+        codes = self._codes()
         if len(codes) > 1:
             raise ValueError(f"tagged: photons of several origins {codes}")
-        angles = [None] * len(Origin)
+        angles = [None, None]
         if codes:
             angles[origin] = _read_only(self.angles[codes[0]])
-        return Pulse(
-            self.owner, np.full(self.count, origin, dtype=np.int8), tuple(angles),
-            self.rounds,
-        )
+        origins = np.full(self.count, origin, dtype=np.int8)
+        return Pulse(self.owner, origins, tuple(angles), self.rounds)
 
     def merged(self, other: Pulse) -> Pulse:
         """Both batches' photons; within a round this batch's come first.
@@ -280,20 +268,16 @@ class Pulse:
             np.take(block, order, out=owner[out], mode="clip")
             block = np.concatenate((self.origin[mine], other.origin[theirs]))
             np.take(block, order, out=origin[out], mode="clip")
-        angles = tuple(
-            self._merged_table(other, code) for code in range(len(self.angles))
-        )
+        angles = tuple(self._merged_table(other, code) for code in Origin)
         return Pulse(owner, origin, angles, self.rounds)
 
     def _merged_table(self, other: Pulse, code: int) -> np.ndarray | None:
         mine, theirs = self.angles[code], other.angles[code]
         if mine is None or theirs is None:
             return theirs if mine is None else mine
-        rounds, mine_rounds = other._rounds_of(code), self._rounds_of(code)
-        if not rounds.size or not mine_rounds.size:
-            return mine if mine_rounds.size else theirs
+        rounds = other.owner[other.origin == code]
         taken = np.zeros(self.rounds, bool)
-        taken[mine_rounds] = True
+        taken[self.owner[self.origin == code]] = True
         if taken[rounds].any():
             raise ValueError(
                 f"merged: both batches hold photons of origin {code} in one round"
@@ -307,8 +291,7 @@ class Pulse:
 
         One add into each table, not reduced modulo pi (see the module
         docstring); every photon of a table has seen the same adds in the
-        same order, so the sums are those of a per-photon add. Of several
-        tables, those of origins without photons are dropped, not rotated.
+        same order, so the sums are those of a per-photon add.
 
         An array `delta` is handed over: when it is a writeable float64
         array with one entry per round that shares no memory with a table,
@@ -319,15 +302,15 @@ class Pulse:
         decode measures its batch less `phi` instead (see :meth:`gather`)."""
         if np.ndim(delta):
             delta = np.asarray(delta, dtype=np.float64)
-        live = self._live()
-        angles = [None] * len(self.angles)
-        for code in live:
+        codes = self._codes()
+        angles = [None, None]
+        for code in codes:
             table = self.angles[code]
             out = None
             if (
-                code == live[-1] and np.ndim(delta) and delta.flags.writeable
+                code == codes[-1] and np.ndim(delta) and delta.flags.writeable
                 and delta.shape == table.shape
-                and not any(np.may_share_memory(delta, self.angles[c]) for c in live)
+                and not any(np.may_share_memory(delta, self.angles[c]) for c in codes)
             ):
                 out = delta
             angles[code] = _read_only(np.add(table, delta, out=out))
@@ -439,7 +422,7 @@ def single_photon_pulse(polarization: np.ndarray) -> Pulse:
 def _legitimate(polarization: np.ndarray, owner: np.ndarray) -> Pulse:
     """Legitimate photons of the rounds `owner`, each round's at its entry
     of `polarization`, which is reduced once and becomes their table."""
-    angles = (_read_only(canon(polarization)), None, None)  # Origin.LEGITIMATE's
+    angles = (_read_only(canon(polarization)), None)  # Origin.LEGITIMATE's
     return Pulse(owner, np.zeros(len(owner), np.int8), angles, len(polarization))
 
 

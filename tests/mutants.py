@@ -88,6 +88,14 @@ MUTANTS = (
     Mutant("decode_reapplies_phi", PHOTONICS,
            "np.subtract(out, less.take(owner, mode=\"clip\"), out=out)",
            "np.add(out, less.take(owner, mode=\"clip\"), out=out)"),
+    Mutant("probe_capture_wrong_side", ADVERSARY,
+           "pulse.split(pulse.origin == Origin.EVE)",
+           "pulse.split(pulse.origin != Origin.EVE)"),
+    Mutant("pulse_keeps_dead_tables", PHOTONICS,
+           "    def __post_init__(self) -> None:\n",
+           "    def __post_init__(self) -> None:\n        return\n"),
+    Mutant("alpha_denominator", PROTOCOL,
+           "alpha /= 2 * (n + 1)", "alpha /= 2 * n + 1"),
 )
 
 

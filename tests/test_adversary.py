@@ -354,7 +354,7 @@ class TestProbeRecapture:
         rng = np.random.default_rng(7)
         legit = make_pulse(rng.random(300) * PI, 2.0, rng)
         probes = single_photon_pulse(rng.random(300) * PI).take(rng.random(300) < probe_share)
-        probes = probes.tagged(Origin.TROJAN_INJECTED)
+        probes = probes.tagged(Origin.EVE)
         attack = build_interceptor(
             AttackConfig(strategy="pns_trojan"), _params(mode="pulse", mean_photons=2.0)
         )
@@ -488,7 +488,7 @@ class TestPassivePns:
         state += (1 - 2 * k) * (PI / 4)
         # two photons per round, so Eve splits one off on each leg
         owner = np.repeat(np.arange(6, dtype=np.int32), 2)
-        pulse = Pulse(owner, np.zeros(12, np.int8), (state, None, None), 6)
+        pulse = Pulse(owner, np.zeros(12, np.int8), (state, None), 6)
         rng = np.random.default_rng(3)
         for leg in Leg:
             attack.intercept(leg, pulse, None, rng)

@@ -111,7 +111,7 @@ class TestMetrics:
 
 def _session(counts: TrialCounts) -> SessionSummary:
     """An accepted session with these counters and no key or audit bytes."""
-    return SessionSummary(counts, "accepted", alice_hash="", bob_hash="", audit=b"")
+    return SessionSummary(counts, "accepted", alice_hash="", bob_hash="", audit_arrays={})
 
 
 class TestExperimentReport:
@@ -233,6 +233,20 @@ class TestExperimentReport:
             "bytes": len(session.audit),
             "sha256": hashlib.sha256(session.audit).hexdigest(),
         }
+
+    def test_library_runs_build_no_audit_bytes(self):
+        # the audit arrays are kept; their bytes are built once, for the
+        # report that hashes or writes them
+        params = _params(rounds=500)
+        built = AssertionError("a library run built audit bytes")
+        with mock.patch.object(analysis, "npz_bytes", side_effect=built):
+            report = run_experiment(params, AttackConfig(), trials=2)
+            security_curve(params, AttackConfig(), [2, 3])
+        audits = report.audits
+        assert list(audits) == ["audit_N2_000.npz", "audit_N2_001.npz"]
+        assert all(report.audits[name] is data for name, data in audits.items())
+        with np.load(io.BytesIO(audits["audit_N2_001.npz"])) as audit:
+            assert list(audit) == list(report.sessions[1].audit_arrays)
 
 
 class TestReportEmission:
@@ -539,7 +553,7 @@ def test_transcript_file_equals_the_columns():
             assert np.array_equal(npz[name], column), name
     ad_counts = np.bincount(r.ad_owner, minlength=len(r))
     assert {0, 1} <= set(ad_counts.tolist()) and ad_counts.max() >= 2
-    assert set(r.ad_origin.tolist()) == {Origin.LEGITIMATE, Origin.TROJAN_INJECTED}
+    assert set(r.ad_origin.tolist()) == {Origin.LEGITIMATE, Origin.EVE}
     vacuum = r.bob_received == 0
     assert vacuum.any() and (r.bob_outcome[vacuum] == -1).all()
     assert ((r.bob_received > 0) & (r.bob_outcome == -1)).any()  # inconclusive

@@ -16,7 +16,7 @@ from conftest import binom_sigma
 
 def _pulse(n: int) -> Pulse:
     """A batch of one round whose pulse holds n photons at 0.3."""
-    angles = (np.full(1, 0.3), None, None)
+    angles = (np.full(1, 0.3), None)
     return Pulse(np.zeros(n, np.int32), np.zeros(n, np.int8), angles, 1)
 
 
@@ -47,7 +47,7 @@ class TestTransmit:
         owner = np.repeat(np.arange(50, dtype=np.int32), counts)
         pulse = Pulse(
             owner, np.ones(len(owner), np.int8),
-            (None, np.random.default_rng(6).random(50), None), 50,
+            (None, np.random.default_rng(6).random(50)), 50,
         )
         rng_loss, rng_split = np.random.default_rng(7), np.random.default_rng(7)
         out = transmit(pulse, Leg.ALICE_TO_BOB_2, loss=loss, rng_channel=rng_loss)

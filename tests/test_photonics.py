@@ -236,7 +236,7 @@ class TestBeamSplit:
         # tapped fraction must not depend on the diagnostic origin tag
         rng = np.random.default_rng(17)
         n = 50_000
-        origins = [Origin.LEGITIMATE] * n + [Origin.TROJAN_INJECTED] * n
+        origins = [Origin.LEGITIMATE] * n + [Origin.EVE] * n
         tapped, _ = beam_split(_pulse(np.full(2 * n, 0.4), origins), 0.3, rng)
         legit = int(np.count_nonzero(tapped.origin == Origin.LEGITIMATE))
         trojan = tapped.count - legit
@@ -258,9 +258,9 @@ def test_photon_immutable():
 
 
 def test_pulse_rotation_preserves_origin():
-    pulse = _pulse([0.2], [Origin.TROJAN_INJECTED])
+    pulse = _pulse([0.2], [Origin.EVE])
     rotated = pulse.rotated(1.0)
-    assert rotated.origin[0] == Origin.TROJAN_INJECTED
+    assert rotated.origin[0] == Origin.EVE
     assert rotated.photons[0] == pytest.approx(1.2)
 
 
@@ -275,11 +275,9 @@ class TestBatch:
     def test_merged_keeps_rounds_contiguous_and_in_order(self):
         first = Pulse(
             np.array([0, 0, 2], np.int32), np.zeros(3, np.int8),
-            (np.array([0.1, 0.2, 0.3]), None, None), 3,
+            (np.array([0.1, 0.2, 0.3]), None), 3,
         )
-        second = single_photon_pulse(np.array([1.0, 1.1, 1.2])).tagged(
-            Origin.TROJAN_INJECTED
-        )
+        second = single_photon_pulse(np.array([1.0, 1.1, 1.2])).tagged(Origin.EVE)
         merged = first.merged(second)
         assert merged.owner.tolist() == [0, 0, 0, 1, 2, 2]
         assert merged.photons.tolist() == pytest.approx([0.1, 0.1, 1.0, 1.1, 0.3, 1.2])
@@ -304,19 +302,19 @@ class TestBatch:
         with pytest.raises(ValueError, match="origin 0 in one round"):
             pulse.merged(other)
         # other origins in the same rounds merge
-        probes = other.tagged(Origin.TROJAN_INJECTED)
+        probes = other.tagged(Origin.EVE)
         assert pulse.merged(probes).photons.tolist() == pytest.approx([0.1, 0.2, 0.4])
 
     def test_tagged_refuses_two_origins(self):
-        probes = single_photon_pulse(np.array([0.3, 0.4])).tagged(Origin.TROJAN_INJECTED)
+        probes = single_photon_pulse(np.array([0.3, 0.4])).tagged(Origin.EVE)
         pulse = single_photon_pulse(np.array([0.1, 0.2])).merged(probes)
         with pytest.raises(ValueError, match="several origins"):
-            pulse.tagged(Origin.EVE_REPLAYED)
+            pulse.tagged(Origin.EVE)
         # a batch that carries both tables, but photons of one origin
         rows = pulse.origin == Origin.LEGITIMATE
         legit = Pulse(pulse.owner[rows], pulse.origin[rows], pulse.angles, pulse.rounds)
-        legit = legit.tagged(Origin.EVE_REPLAYED)
-        assert legit.origin.tolist() == [Origin.EVE_REPLAYED] * 2
+        legit = legit.tagged(Origin.EVE)
+        assert legit.origin.tolist() == [Origin.EVE] * 2
         assert legit.photons.tolist() == pytest.approx([0.1, 0.2])
 
     def test_make_pulse_sorts_photons_by_round(self):

@@ -9,8 +9,10 @@ either loads or is rejected with a ``ConfigError``. The pulse kernels
 ``leading`` and the adversary's split-off partition), ``canon``, the float32-screened
 ``measure``, Bob's decode and Alice's encode equal a plain reference on
 generated input, and a batch gathered or measured less ``phi`` equals the
-batch rotated by ``-phi``. The examples are derandomized, so every run
-checks the same inputs.
+batch rotated by ``-phi``. Every batch that a pulse kernel returns, or that
+a strategy is handed, returns or holds, has a table exactly for the origins
+of its photons. The examples are derandomized, so every run checks the
+same inputs.
 """
 
 import json
@@ -25,6 +27,7 @@ from hypothesis import strategies as st
 from screenqkd import analysis, cli, protocol
 from screenqkd.adversary import STRATEGIES, AttackConfig, build_interceptor
 from screenqkd.analysis import ExperimentReport, SessionSummary, TrialCounts, run_experiment
+from screenqkd.channel import Interceptor
 from screenqkd.errors import ConfigError
 from screenqkd.photonics import (
     BLOCK,
@@ -33,6 +36,7 @@ from screenqkd.photonics import (
     Origin,
     Pulse,
     attenuated,
+    beam_split,
     born_probability,
     canon,
     make_pulse,
@@ -114,7 +118,7 @@ sessions = st.builds(
     verdict=st.sampled_from([v.value for v in Verdict]),
     alice_hash=st.just(""),
     bob_hash=st.just(""),
-    audit=st.just(b""),
+    audit_arrays=st.just({}),
 )
 
 
@@ -195,9 +199,9 @@ def pulses(draw, rounds: int, taken=frozenset()) -> Pulse:
     """A batch over `rounds` rounds with 0-3 photons each, so vacuum rounds
     and photon-free batches occur; owners come out sorted. One angle is
     drawn per (origin, round), which all photons of that pair share; a
-    (round, origin) pair in `taken` gets no photon, and an origin without
-    photons may still carry a table. Its arrays are read-only, so a kernel
-    that writes into its input raises."""
+    (round, origin) pair in `taken` gets no photon, and a table may be
+    drawn for an origin without photons, which the batch drops. Its arrays
+    are read-only, so a kernel that writes into its input raises."""
     counts = draw(st.lists(st.integers(0, 3), min_size=rounds, max_size=rounds))
     owner = [j for j, c in enumerate(counts) for _ in range(c)]
     n = len(owner)
@@ -306,6 +310,66 @@ def test_pulse_kernels_match_reference(data, rounds, seed):
         [r for r, s in zip(rows, split_off) if s],
         [r for r, s in zip(rows, split_off) if not s],
     ]
+
+
+def _holds_tables_of_its_origins(pulse: Pulse) -> bool:
+    """Whether `pulse` holds a table exactly for the origin codes of its photons."""
+    return [table is not None for table in pulse.angles] == [
+        code in pulse.origin for code in Origin
+    ]
+
+
+@GENERATED
+@given(data=st.data(), rounds=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+def test_every_pulse_operation_holds_tables_of_its_origins_only(data, rounds, seed):
+    pulse = data.draw(pulses(rounds))
+    other = data.draw(pulses(rounds, taken=_cells(pulse)))
+    mask = np.array(data.draw(st.lists(st.booleans(), min_size=pulse.count,
+                                       max_size=pulse.count)), bool)
+    delta = np.array(data.draw(st.lists(st.floats(-10.0, 10.0), min_size=rounds,
+                                        max_size=rounds)))
+    fraction = data.draw(st.sampled_from((0.0, 1.0)) | unit)
+    rng = np.random.default_rng(seed)
+    batches = [
+        pulse, other, pulse.take(mask), *pulse.split(mask), pulse.merged(other),
+        pulse.rotated(delta), pulse.rotated(delta[0]), *beam_split(pulse, fraction, rng),
+        attenuated(pulse, fraction, rng),
+    ]
+    if len(set(pulse.origin.tolist())) <= 1:
+        batches.append(pulse.tagged(data.draw(st.sampled_from(list(Origin)))))
+    for batch in batches:
+        assert _holds_tables_of_its_origins(batch)
+
+
+class _TableRule(Interceptor):
+    """Runs `strategy` and checks the table rule on every batch it is
+    handed, returns or holds between legs (its storage among them)."""
+
+    def __init__(self, strategy: Interceptor) -> None:
+        self.strategy = strategy
+        self.checked = 0
+
+    def intercept(self, leg, pulse, round_ids, rng):
+        out = self.strategy.intercept(leg, pulse, round_ids, rng)
+        held = [v for v in vars(self.strategy).values() if isinstance(v, Pulse)]
+        for batch in (pulse, out, *held):
+            assert _holds_tables_of_its_origins(batch), (leg, batch)
+            self.checked += 1
+        return out
+
+    def observe_announcement(self, announcement, rng):
+        self.strategy.observe_announcement(announcement, rng)
+
+
+@GENERATED
+@given(params=params, p=unit)
+def test_every_strategy_batch_holds_tables_of_its_origins_only(params, p):
+    for strategy in STRATEGIES_BY_MODE[params.mode]:
+        rule = _TableRule(
+            build_interceptor(AttackConfig(strategy=strategy, attack_probability=p), params)
+        )
+        run_session(params, rule)
+        assert rule.checked >= 6, strategy  # both sides of each of the three legs
 
 
 # Angles at the edges of canon's fast path, and far outside [0, pi).
@@ -447,11 +511,11 @@ def test_blocked_kernels_draw_like_one_whole_call(size, seed, p, mean):
 
     # merged, against concatenating and stably sorting by round: photons of
     # two origins, and of one origin from two tables over disjoint rounds
-    legit = Pulse(owner, np.zeros(size, np.int8), (tables[0], None, None), pulse.rounds)
-    resent = Pulse(legit.owner, legit.origin, (tables[1], None, None), pulse.rounds)
+    legit = Pulse(owner, np.zeros(size, np.int8), (tables[0], None), pulse.rounds)
+    resent = Pulse(legit.owner, legit.origin, (tables[1], None), pulse.rounds)
     odd = owner % 2 == 1
     for first, second in (
-        (pulse.take(origin == Origin.LEGITIMATE), pulse.take(origin == Origin.EVE_REPLAYED)),
+        (pulse.take(origin == Origin.LEGITIMATE), pulse.take(origin == Origin.EVE)),
         (legit.take(~odd), resent.take(odd)),
     ):
         merged = first.merged(second)

@@ -54,6 +54,17 @@ class TestScreeningAngles:
         assert all(b > a for a, b in zip(angles, angles[1:]))
         assert len(set(angles)) == n
 
+    @pytest.mark.parametrize("n", [*range(1, 11), 2**20])
+    def test_alpha_from_the_index_is_the_screening_angle(self, n):
+        # bit for bit, from the engine's index dtype, into a new array or a
+        # buffer; and every angle is the scalar formula's
+        index = np.arange(1, n + 1).astype(np.min_scalar_type(2 * n))
+        angles = screening_angles(n)
+        expected = angles[index - 1].tobytes()
+        assert protocol._alpha(index, n).tobytes() == expected
+        assert protocol._alpha(index, n, out=np.empty(n)).tobytes() == expected
+        assert angles.tolist() == [i * PI / (2 * (n + 1)) for i in range(1, n + 1)]
+
     def test_matched_pairs_sum_to_quarter_turn(self):
         angles = screening_angles(5)
         for i in range(5):
@@ -229,7 +240,7 @@ class TestBobDecode:
         rng = np.random.default_rng(12)
         phi = 0.2
         state = phi + PI / 4 + PI / 2  # k = 0 on a matched round
-        angles = (np.full(1, state), None, None)
+        angles = (np.full(1, state), None)
         pulse = Pulse(np.zeros(4, np.int32), np.zeros(4, np.int8), angles, 1)
         outcome, received = bob_decode(pulse, _one(phi), rng)
         assert received[0] == 4 and outcome[0] == 1
@@ -238,7 +249,7 @@ class TestBobDecode:
         # 20 photons halfway between the analyzer axes: all 20 outcomes
         # agree with probability 2^-19, else the round has no outcome
         rng = np.random.default_rng(13)
-        angles = (np.zeros(2), None, None)
+        angles = (np.zeros(2), None)
         pulse = Pulse(np.zeros(20, np.int32), np.zeros(20, np.int8), angles, 2)
         outcome, received = bob_decode(pulse, np.zeros(2), rng)
         assert received.tolist() == [20, 0] and outcome.tolist() == [-1, -1]
@@ -247,7 +258,7 @@ class TestBobDecode:
         # 300 photons in one round do not fit a byte: the counts are uint16
         rng = np.random.default_rng(14)
         owner = np.repeat(np.arange(3, dtype=np.int32), [0, 300, 2])
-        pulse = Pulse(owner, np.zeros(302, np.int8), (np.zeros(3), None, None), 3)
+        pulse = Pulse(owner, np.zeros(302, np.int8), (np.zeros(3), None), 3)
         _, received = bob_decode(pulse, np.zeros(3), rng)
         assert received.dtype == np.uint16
         assert np.array_equal(received, pulse.counts)
@@ -258,7 +269,7 @@ class TestBobDecode:
             counts = np.ones(rounds, np.intp)
             counts[-2] = largest
             owner = np.repeat(np.arange(rounds, dtype=np.int32), counts)
-            angles = (np.zeros(rounds), None, None)
+            angles = (np.zeros(rounds), None)
             pulse = Pulse(owner, np.zeros(len(owner), np.int8), angles, rounds)
             outcome, received = bob_decode(pulse, np.zeros(rounds), rng)
             assert received.dtype == dtype
