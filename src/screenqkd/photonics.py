@@ -149,7 +149,7 @@ class Pulse:
         if self.is_empty:
             object.__setattr__(self, "angles", (None, None))
         elif legitimate is not None and eve is not None:
-            injected = self.origin.view(bool)
+            injected = self.origin.view(bool)  # the codes are 0 and 1
             object.__setattr__(self, "angles", (
                 None if injected.all() else legitimate, eve if injected.any() else None
             ))
