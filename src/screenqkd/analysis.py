@@ -150,10 +150,6 @@ def rates(counts: TrialCounts) -> dict[str, Optional[float]]:
     }
 
 
-def _packed(bits) -> np.ndarray:
-    return np.frombuffer(pack_key_bits(bits), np.uint8)
-
-
 def npz_bytes(arrays: Mapping[str, np.ndarray]) -> bytes:
     """`arrays` as the bytes of an uncompressed ``.npz``, each under its key."""
     buffer = io.BytesIO()
@@ -201,10 +197,10 @@ class SessionSummary:
             audit_arrays={
                 "a_indices": ann.a_indices,
                 "b_indices": ann.b_indices,
-                "analyzing_flags": _packed(ann.analyzing_flags),
-                "phi_star_flags": _packed(ann.phi_star_flags),
-                "alice_key": _packed(transcript.alice_key),
-                "bob_key": _packed(transcript.bob_key),
+                "analyzing_flags": pack_key_bits(ann.analyzing_flags),
+                "phi_star_flags": pack_key_bits(ann.phi_star_flags),
+                "alice_key": pack_key_bits(transcript.alice_key),
+                "bob_key": pack_key_bits(transcript.bob_key),
             },
         )
 
@@ -221,9 +217,7 @@ def score_trial(transcript: SessionTranscript, guesses: Guesses) -> TrialCounts:
     correct = guesses.bits == rounds.k[guesses.rounds]
     analyzing = rounds.is_analyzing[guesses.rounds]
     on_key = transcript.sifted[guesses.rounds]
-    key_errors = np.frombuffer(transcript.alice_key, np.uint8) != np.frombuffer(
-        transcript.bob_key, np.uint8
-    )
+    key_errors = transcript.alice_key != transcript.bob_key
     return TrialCounts(
         rounds=len(rounds),
         matched=_count(transcript.matched),

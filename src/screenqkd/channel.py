@@ -21,7 +21,6 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .errors import ConfigError
 from .photonics import Pulse, attenuated
 
 if TYPE_CHECKING:
@@ -92,14 +91,9 @@ def transmit(
 ) -> Pulse:
     """Carry a batch of pulses across one leg: interception hook first, then loss.
 
-    Each photon is dropped independently with probability `loss`: loss is
-    a beam splitter whose tapped output is discarded, so only the
-    survivors are gathered. A loss-free leg returns the batch it was
-    handed and draws nothing.
+    Each photon is dropped independently with probability `loss`
+    (`attenuated`, which checks it): loss is a beam splitter whose tapped
+    output is discarded, so only the survivors are gathered. A loss-free
+    leg returns the batch the interceptor forwards and draws nothing.
     """
-    if not 0.0 <= loss <= 1.0:
-        raise ConfigError(f"loss must be in [0, 1], got {loss}")
-    pulse = interceptor.intercept(leg, pulse, None, rng_eve)
-    if loss == 0.0:
-        return pulse
-    return attenuated(pulse, loss, rng_channel)
+    return attenuated(interceptor.intercept(leg, pulse, None, rng_eve), loss, rng_channel)

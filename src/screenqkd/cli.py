@@ -29,7 +29,7 @@ from .analysis import (
     run_experiment,
     security_curve,
 )
-from .errors import ConfigError, check_int
+from .errors import ConfigError
 from .protocol import MODE_PULSE, MODE_SINGLE, ProtocolParams
 
 OUTDIR_ENV = "SCREENQKD_OUTDIR"
@@ -62,14 +62,13 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         """Check what no library function checks: that ``sweep_n`` is a list,
-        the trial count, the transcript switch, the output directory, and
-        that transcripts come from single-point runs only. The library types
-        check the parameters and the strategy, and `security_curve` and
-        `run_experiment` check each N and the strategy there before their
-        first session."""
+        the transcript switch, the output directory, and that transcripts
+        come from single-point runs only. The library types check the
+        parameters and the strategy, `security_curve` and `run_experiment`
+        check each N and the strategy there before their first session, and
+        `run_experiment` checks the trial count."""
         if self.sweep_n is not None and not isinstance(self.sweep_n, list):
             raise ConfigError(f"sweep-N: must be a list of integers, got {self.sweep_n!r}")
-        check_int("trials", self.trials, 1)
         if not isinstance(self.emit_transcript, bool):
             raise ConfigError(
                 f"emit-transcript: must be true or false, got {self.emit_transcript!r}"

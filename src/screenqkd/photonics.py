@@ -426,15 +426,15 @@ def _legitimate(polarization: np.ndarray, owner: np.ndarray) -> Pulse:
     return Pulse(owner, np.zeros(len(owner), np.int8), angles, len(polarization))
 
 
-def _split_trivially(pulse: Pulse, tap_fraction: float):
-    """Check a beam splitter's tap fraction. Returns False (True) when no
-    photon (every photon) is tapped, so that nothing is drawn, and None
-    when each photon needs one uniform draw."""
-    if not 0.0 <= tap_fraction <= 1.0:
-        raise ConfigError(f"tap_fraction must be in [0, 1], got {tap_fraction}")
-    if tap_fraction == 0.0 or pulse.is_empty:
+def _split_trivially(pulse: Pulse, fraction: float, name: str):
+    """Check a beam splitter's tap fraction, named `name` in the error.
+    Returns False (True) when no photon (every photon) is tapped, so that
+    nothing is drawn, and None when each photon needs one uniform draw."""
+    if not 0.0 <= fraction <= 1.0:
+        raise ConfigError(f"{name} must be in [0, 1], got {fraction}")
+    if fraction == 0.0 or pulse.is_empty:
         return False
-    if tap_fraction == 1.0:
+    if fraction == 1.0:
         return True
     return None
 
@@ -448,7 +448,7 @@ def beam_split(
     `tap_fraction`. Polarizations and origins are untouched and the two
     outputs partition the input.
     """
-    trivial = _split_trivially(pulse, tap_fraction)
+    trivial = _split_trivially(pulse, tap_fraction, "tap_fraction")
     if trivial is False:
         return Pulse.vacuum(pulse.rounds), pulse
     if trivial is True:
@@ -459,7 +459,7 @@ def beam_split(
 def attenuated(pulse: Pulse, loss: float, rng: np.random.Generator) -> Pulse:
     """The photons that survive a loss of `loss`: ``beam_split(pulse, loss,
     rng)[1]`` from the same draw, without gathering the lost photons."""
-    trivial = _split_trivially(pulse, loss)
+    trivial = _split_trivially(pulse, loss, "loss")
     if trivial is False:
         return pulse
     if trivial is True:

@@ -115,9 +115,7 @@ class ProtocolParams:
     @functools.cached_property
     def angles(self) -> np.ndarray:
         """The screening set (read-only), computed once per parameter set."""
-        angles = screening_angles(self.n_screening)
-        angles.setflags(write=False)
-        return angles
+        return _read_only(screening_angles(self.n_screening))
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,8 +193,8 @@ class Verdict(enum.Enum):
 
 @dataclass(frozen=True, eq=False)
 class SessionTranscript:
-    """A sifted session. ``alice_key`` and ``bob_key`` hold one byte, 0 or
-    1, per sifted key bit.
+    """A sifted session. ``alice_key`` and ``bob_key`` are int8 columns
+    with one entry, 0 or 1, per sifted key bit.
 
     The masks sifting computed are kept for scoring: ``matched`` and
     ``sifted`` have one entry per round (``sifted`` marks the rounds that
@@ -207,8 +205,8 @@ class SessionTranscript:
     params: ProtocolParams
     rounds: Rounds
     announcement: Announcement
-    alice_key: bytes
-    bob_key: bytes
+    alice_key: np.ndarray
+    bob_key: np.ndarray
     alice_hash: bytes
     bob_hash: bytes
     verdict: Verdict
@@ -349,15 +347,10 @@ def bob_decode(
     return outcome, received
 
 
-def pack_key_bits(bits) -> bytes:
-    """Pack a bit string big-endian (first bit = MSB), zero-padding the tail.
-
-    `bits` is a sequence or array of 0/1 values, or bytes holding one bit
-    per byte.
-    """
-    if isinstance(bits, bytes):
-        bits = np.frombuffer(bits, dtype=np.uint8)
-    return np.packbits(np.asarray(bits, dtype=bool)).tobytes()
+def pack_key_bits(bits) -> np.ndarray:
+    """Pack a bit string big-endian (first bit = MSB) into uint8,
+    zero-padding the tail. `bits` is a sequence or array of 0/1 values."""
+    return np.packbits(np.asarray(bits, dtype=bool))
 
 
 def key_digest(bits) -> bytes:
@@ -372,31 +365,29 @@ def sift_and_verify(
 ) -> SessionTranscript:
     """Sifting and verification over a completed session.
 
-    Matched rounds have screening index sum N + 1. Key bits come from
-    matched non-analyzing rounds with a conclusive detection: Alice
-    contributes k, Bob contributes O_b XOR 1. Every AD outcome on a
-    matched analyzing round is checked against the announced phi*.
-    The session is accepted iff the key digests agree and there were no
-    integrity violations.
+    The parties sift on what they announced: matched rounds have announced
+    screening index sum N + 1. Key bits come from matched rounds announced
+    non-analyzing with a conclusive detection: Alice contributes k, Bob
+    contributes O_b XOR 1, each an int8 column. Every AD outcome on a
+    matched round announced analyzing is checked against the announced
+    phi*. Of `rounds` only the private columns are read: k, Bob's outcomes
+    and the AD columns. The session is accepted iff the key digests agree
+    and there were no integrity violations.
     """
     m = len(rounds)
-    for name, values in (
-        ("a_indices", announcement.a_indices),
-        ("b_indices", announcement.b_indices),
-        ("analyzing_flags", announcement.analyzing_flags),
-        ("phi_star_flags", announcement.phi_star_flags),
-    ):
+    for f in fields(announcement):
+        values = getattr(announcement, f.name)
         if len(values) != m:
             raise ConfigError(
-                f"announcement field {name} has length {len(values)}, expected {m}"
+                f"announcement field {f.name} has length {len(values)}, expected {m}"
             )
-    matched = is_matched(rounds.a_index, rounds.b_index, params.n_screening)
-    key = matched & ~rounds.is_analyzing & (rounds.bob_outcome >= 0)
+    matched = is_matched(announcement.a_indices, announcement.b_indices, params.n_screening)
+    key = matched & ~announcement.analyzing_flags & (rounds.bob_outcome >= 0)
     key_rounds = np.flatnonzero(key)
-    alice_key = rounds.k.take(key_rounds).astype(np.uint8).tobytes()
-    bob_key = (rounds.bob_outcome.take(key_rounds) ^ 1).astype(np.uint8).tobytes()
+    alice_key = rounds.k.take(key_rounds)
+    bob_key = rounds.bob_outcome.take(key_rounds) ^ 1
     owner = rounds.ad_owner
-    checked = (matched & rounds.is_analyzing)[owner]
+    checked = (matched & announcement.analyzing_flags)[owner]
     expected = expected_ad_bit(rounds.k[owner], announcement.phi_star_flags[owner])
     violated = checked & (rounds.ad_bits != expected)
     alice_hash = key_digest(alice_key)

@@ -96,6 +96,12 @@ MUTANTS = (
            "    def __post_init__(self) -> None:\n        return\n"),
     Mutant("alpha_denominator", PROTOCOL,
            "alpha /= 2 * (n + 1)", "alpha /= 2 * n + 1"),
+    Mutant("sifting_matches_a_indices_alone", PROTOCOL,
+           "is_matched(announcement.a_indices, announcement.b_indices, params.n_screening)",
+           "is_matched(announcement.a_indices, announcement.a_indices, params.n_screening)"),
+    Mutant("key_bits_packed_little_endian", PROTOCOL,
+           "np.packbits(np.asarray(bits, dtype=bool))",
+           "np.packbits(np.asarray(bits, dtype=bool), bitorder=\"little\")"),
 )
 
 

@@ -127,7 +127,7 @@ def test_null_attack_reproduces_honest_transcript(strategy, param_overrides):
     )
     attacked = run_session(params, idle)
     assert honest.rounds == attacked.rounds
-    assert honest.alice_key == attacked.alice_key
+    assert np.array_equal(honest.alice_key, attacked.alice_key)
     assert honest.verdict == attacked.verdict
     assert len(idle.produce_guesses()) == 0
 

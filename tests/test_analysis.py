@@ -221,12 +221,12 @@ class TestExperimentReport:
         assert session.verdict == "accepted"
         with np.load(io.BytesIO(session.audit)) as audit:
             arrays = dict(audit)
-        assert arrays["alice_key"].tobytes() == pack_key_bits(transcript.alice_key)
-        assert arrays["bob_key"].tobytes() == arrays["alice_key"].tobytes()  # honest run
+        assert np.array_equal(arrays["alice_key"], pack_key_bits(transcript.alice_key))
+        assert np.array_equal(arrays["bob_key"], arrays["alice_key"])  # honest run
         assert np.array_equal(arrays["a_indices"], transcript.announcement.a_indices)
         assert np.array_equal(arrays["b_indices"], transcript.announcement.b_indices)
         flags = pack_key_bits([int(f) for f in transcript.announcement.analyzing_flags])
-        assert arrays["analyzing_flags"].tobytes() == flags
+        assert np.array_equal(arrays["analyzing_flags"], flags)
         block, = report.to_dict({})["sessions"]
         assert block["audit"] == {
             "file": "audit_N2_000.npz",
@@ -486,8 +486,8 @@ def _recount(transcript, guesses, records, beamsplit_reported=None) -> dict:
         # a beam-split guess is made exactly on a conclusive readout
         c["beamsplit_reported"] = beamsplit_reported
         c["beamsplit_conclusive"] = c["eve_guesses"]
-    assert transcript.alice_key == bytes(alice_key)
-    assert transcript.bob_key == bytes(bob_key)
+    assert np.array_equal(transcript.alice_key, alice_key)
+    assert np.array_equal(transcript.bob_key, bob_key)
     return c
 
 
@@ -561,9 +561,9 @@ def test_transcript_file_equals_the_columns():
 
 def announcement_from_session(
     session: dict, outdir: Path, rounds: int
-) -> tuple[Announcement, bytes, bytes]:
+) -> tuple[Announcement, np.ndarray, np.ndarray]:
     """Read one report session's audit file back to the public announcement
-    and the two sifted keys (one 0/1 byte per bit, as a transcript holds them).
+    and the two sifted keys (one 0/1 entry per bit, as a transcript holds them).
 
     The file's length and SHA-256 must be the ones the report names. Flags
     and keys are packed MSB-first with a zero tail; phi* is 0 or pi/2 on
@@ -588,7 +588,7 @@ def announcement_from_session(
         phi_star_flags=bits("phi_star_flags", rounds).astype(bool),
     )
     alice_key, bob_key = (
-        bits(name, session["sifted_bits"]).tobytes() for name in ("alice_key", "bob_key")
+        bits(name, session["sifted_bits"]) for name in ("alice_key", "bob_key")
     )
     return announcement, alice_key, bob_key
 
@@ -605,8 +605,8 @@ def _assert_decodes(doc: dict, transcripts, outdir: Path) -> None:
             assert np.array_equal(getattr(decoded, name), getattr(ann, name))
         assert np.array_equal(decoded.analyzing_flags, ann.analyzing_flags)
         assert np.array_equal(decoded.phi_star_flags, ann.phi_star_flags)
-        assert alice_key == transcript.alice_key
-        assert bob_key == transcript.bob_key
+        assert np.array_equal(alice_key, transcript.alice_key)
+        assert np.array_equal(bob_key, transcript.bob_key)
 
 
 def _cli_report(argv: list[str], outdir) -> tuple[dict, list]:

@@ -5,10 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from screenqkd import channel
 from screenqkd.channel import Interceptor, Leg, transmit
 from screenqkd.errors import ConfigError
-from screenqkd.photonics import PI, Origin, Pulse, beam_split
+from screenqkd.photonics import PI, Origin, Pulse, attenuated, beam_split
 from screenqkd.protocol import MODE_SINGLE, ProtocolParams, Verdict, derive_rng, run_session
 
 from conftest import binom_sigma
@@ -30,7 +29,6 @@ class TestTransmit:
         def forbidden(*args):
             raise AssertionError("a loss-free leg applied loss")
 
-        monkeypatch.setattr(channel, "attenuated", forbidden)
         monkeypatch.setattr(Pulse, "take", forbidden)
         pulse = _pulse(5)
         rng = np.random.default_rng(0)
@@ -39,7 +37,7 @@ class TestTransmit:
         assert out is pulse
         assert rng.bit_generator.state == before
 
-    @pytest.mark.parametrize("loss", [0.3, 1.0])
+    @pytest.mark.parametrize("loss", [0.0, 0.3, 1.0])
     @pytest.mark.parametrize("photons", [0, 200])
     def test_survivors_are_beam_splits_passed_output(self, loss, photons):
         # loss gathers only the survivors, from the draw the AD tap makes
@@ -63,15 +61,19 @@ class TestTransmit:
         assert out.is_empty
 
     def test_invalid_loss(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="^loss must be in"):
             transmit(_pulse(1), Leg.ALICE_TO_BOB_1, loss=1.5)
+        with pytest.raises(ConfigError, match="^loss must be in"):
+            attenuated(_pulse(1), 1.5, np.random.default_rng(0))
+        with pytest.raises(ConfigError, match="^tap_fraction must be in"):
+            beam_split(_pulse(1), -0.5, np.random.default_rng(0))
 
     def test_identity_interceptor_equivalent_to_none(self):
         params = ProtocolParams(n_screening=2, rounds=2000, seed=60)
         honest = run_session(params)
         hooked = run_session(params, Interceptor())
         assert honest.rounds == hooked.rounds
-        assert honest.alice_key == hooked.alice_key
+        assert np.array_equal(honest.alice_key, hooked.alice_key)
         assert honest.verdict == hooked.verdict
 
     def test_loss_composition(self):
@@ -169,7 +171,7 @@ class TestInformationFirewall:
         honest = run_session(params)
         assert transcript.rounds == honest.rounds
         assert transcript.announcement.b_indices.tolist() == honest.rounds.b_index.tolist()
-        assert transcript.alice_key == honest.alice_key
+        assert np.array_equal(transcript.alice_key, honest.alice_key)
         assert transcript.verdict is honest.verdict is Verdict.ACCEPTED
         assert scribbler.refused == 1
 

@@ -251,7 +251,7 @@ def test_load_config_validates():
         "attack_probability", "outdir", "emit_transcript",
     ):
         setattr(args, field, None)
-    args.trials = 0
+    args.rounds = 0
     with pytest.raises(ConfigError):
         load_config(args)
 
@@ -268,6 +268,9 @@ def test_default_config_is_valid():
 INVALID_INPUTS = {
     "rounds-string": ({"rounds": "100"}, []),
     "rounds-fraction": ({"rounds": 10.5}, []),
+    # trial counts only run_experiment checks, before its first session
+    "trials-zero": (None, ["--trials", "0"]),
+    "trials-string": ({"trials": "3"}, []),
     "config-not-object": ([2, 3], []),
     "mean-photons-inf": (None, ["--mode", "pulse", "--mean-photons", "inf"]),
     "mean-photons-huge": (None, ["--mode", "pulse", "--mean-photons", "1e19"]),

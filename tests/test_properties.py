@@ -83,7 +83,7 @@ params = st.builds(
 @given(params=params)
 def test_honest_session_is_clean(params):
     transcript = run_session(params)
-    assert transcript.alice_key == transcript.bob_key
+    assert np.array_equal(transcript.alice_key, transcript.bob_key)
     assert transcript.ad_violations == 0
     assert transcript.verdict is Verdict.ACCEPTED
 

@@ -280,11 +280,12 @@ class TestBobDecode:
 
 class TestKeyDigest:
     def test_big_endian_packing(self):
-        assert pack_key_bits([]) == b""
-        assert pack_key_bits([1]) == b"\x80"
-        assert pack_key_bits([1, 0, 0, 0, 0, 0, 0, 0]) == b"\x80"
-        assert pack_key_bits([0, 1]) == b"\x40"
-        assert pack_key_bits([1] * 8 + [1]) == b"\xff\x80"
+        assert pack_key_bits([]).tobytes() == b""
+        assert pack_key_bits([1]).tobytes() == b"\x80"
+        assert pack_key_bits([1, 0, 0, 0, 0, 0, 0, 0]).tobytes() == b"\x80"
+        assert pack_key_bits([0, 1]).tobytes() == b"\x40"
+        assert pack_key_bits([1] * 8 + [1]).tobytes() == b"\xff\x80"
+        assert pack_key_bits(np.array([1, 0, 1], np.int8)).dtype == np.uint8
 
     def test_digest_matches_hashlib(self):
         bits = [1, 0, 1, 1, 0, 0, 1, 0, 1]
@@ -298,9 +299,9 @@ class TestKeyDigest:
         for i, bit in enumerate(bits):
             if bit:
                 expected[i >> 3] |= 0x80 >> (i & 7)
-        assert pack_key_bits(bits) == bytes(expected)
-        assert pack_key_bits(bytes(bits)) == bytes(expected)
-        assert pack_key_bits(np.array(bits, dtype=bool)) == bytes(expected)
+        assert pack_key_bits(bits).tobytes() == bytes(expected)
+        assert pack_key_bits(np.array(bits, dtype=np.int8)).tobytes() == bytes(expected)
+        assert pack_key_bits(np.array(bits, dtype=bool)).tobytes() == bytes(expected)
 
 
 def _honest_session(**overrides):
@@ -315,7 +316,8 @@ def _honest_session(**overrides):
 class TestHonestSession:
     def test_keys_identical_and_accepted(self):
         transcript = _honest_session()
-        assert transcript.alice_key == transcript.bob_key
+        assert np.array_equal(transcript.alice_key, transcript.bob_key)
+        assert transcript.alice_key.dtype == transcript.bob_key.dtype == np.int8
         assert len(transcript.alice_key) > 0
         assert transcript.alice_hash == transcript.bob_hash
         assert transcript.verdict is Verdict.ACCEPTED
@@ -410,7 +412,7 @@ class TestHonestSession:
         t1 = run_session(params)
         t2 = run_session(params)
         assert t1.rounds == t2.rounds
-        assert t1.alice_key == t2.alice_key
+        assert np.array_equal(t1.alice_key, t2.alice_key)
         assert t1.alice_hash == t2.alice_hash
 
     def test_lossy_channel_shrinks_key_but_stays_clean(self):
@@ -420,7 +422,7 @@ class TestHonestSession:
             transmission=t, loss=loss, mode="single", seed=54,
         )
         transcript = run_session(params)
-        assert transcript.alice_key == transcript.bob_key
+        assert np.array_equal(transcript.alice_key, transcript.bob_key)
         assert transcript.verdict is Verdict.ACCEPTED
         # the photon must survive three lossy legs and the AD tap
         p_detect = (1 - loss) ** 3 * t
@@ -438,7 +440,7 @@ class TestHonestSession:
         )
         transcript = run_session(params)
         assert len(transcript.alice_key) > 5000
-        assert transcript.alice_key == transcript.bob_key
+        assert np.array_equal(transcript.alice_key, transcript.bob_key)
         assert transcript.ad_violations == 0 and transcript.ad_checked > 500
         assert transcript.verdict is Verdict.ACCEPTED
         rounds = transcript.rounds
@@ -450,7 +452,7 @@ class TestHonestSession:
             n_screening=2, rounds=300, mode="pulse", mean_photons=0.0, seed=55,
         )
         transcript = run_session(params)
-        assert transcript.alice_key == b""
+        assert len(transcript.alice_key) == 0
         assert transcript.alice_hash == transcript.bob_hash
         assert transcript.verdict is Verdict.ACCEPTED
 
@@ -471,7 +473,7 @@ class TestSiftAndVerify:
             transcript.params, rounds, Announcement.from_rounds(rounds)
         )
         assert tampered.verdict is Verdict.HASH_MISMATCH
-        assert tampered.alice_key != tampered.bob_key
+        assert not np.array_equal(tampered.alice_key, tampered.bob_key)
 
     def test_announcement_length_mismatch_aborts(self):
         transcript = _honest_session(seed=52, rounds=100)
@@ -494,8 +496,29 @@ class TestSiftAndVerify:
             assert np.array_equal(getattr(again, name), getattr(transcript, name)), name
         assert again.ad_checked == transcript.ad_checked > 100
         assert again.ad_violations == 0
-        assert again.alice_key == transcript.alice_key
+        assert np.array_equal(again.alice_key, transcript.alice_key)
         assert again.verdict is transcript.verdict is Verdict.ACCEPTED
+
+    @pytest.mark.parametrize("column", ["a_indices", "b_indices", "analyzing_flags"])
+    def test_sifting_follows_the_announcement(self, column):
+        # The parties sift on what they publish: an announcement with one
+        # column rolled by a round is sifted as announced, not as drawn.
+        transcript = _honest_session(seed=4, p_analyzing=0.5)
+        rounds, public = transcript.rounds, transcript.announcement
+        announced = {f.name: getattr(public, f.name) for f in dataclasses.fields(public)}
+        announced[column] = np.roll(announced[column], 1)
+        assert len(announced[column]) == len(rounds)
+        again = sift_and_verify(transcript.params, rounds, Announcement(**announced))
+        matched = is_matched(announced["a_indices"], announced["b_indices"], 2)
+        assert np.array_equal(again.matched, matched)
+        assert not np.array_equal(again.matched & ~announced["analyzing_flags"],
+                                  transcript.matched & ~rounds.is_analyzing)
+        key = matched & ~announced["analyzing_flags"] & (rounds.bob_outcome >= 0)
+        assert np.array_equal(again.sifted, key)
+        assert np.array_equal(again.alice_key, rounds.k[key])
+        assert np.array_equal(again.bob_key, rounds.bob_outcome[key] ^ 1)
+        checked = (matched & announced["analyzing_flags"])[rounds.ad_owner]
+        assert np.array_equal(again.ad_checked_mask, checked)
 
     def test_announcement_leaves_the_callers_arrays_writeable(self):
         columns = [np.array([1, 2]), np.array([2, 1]), np.array([True, False]),
@@ -510,7 +533,7 @@ class TestSiftAndVerify:
 
     def test_analyzing_rounds_excluded_from_key(self):
         transcript = _honest_session(seed=53, p_analyzing=1.0)
-        assert transcript.alice_key == b""
+        assert len(transcript.alice_key) == 0
         assert transcript.verdict is Verdict.ACCEPTED
 
 

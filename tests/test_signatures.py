@@ -130,7 +130,7 @@ def test_criterion_3_impersonation_qber_per_pair():
             point = replace(params, n_screening=n, rounds=200_000, seed=seed)
             t = run_session(point, build_interceptor(attack, point))
             a_index = t.rounds.a_index[t.sifted].astype(int) - 1
-            wrong = np.frombuffer(t.alice_key, np.uint8) != np.frombuffer(t.bob_key, np.uint8)
+            wrong = t.alice_key != t.bob_key
             errors += np.bincount(a_index[wrong], minlength=n)
             sifted += np.bincount(a_index, minlength=n)
         for a, oracle in enumerate(oracles.impersonation_qber_by_pair(n)):
