@@ -198,11 +198,13 @@ class Impersonation(_BaseAttack):
 
     def _read_final_leg(self, active: Pulse, rng: np.random.Generator) -> np.ndarray:
         """Measure the active rounds' final-leg photons and record guesses.
-        Returns the rotation that re-encodes each round's stored reply."""
-        read = active.leading()
-        rounds = active.owner[read]
+        Returns the rotation that re-encodes each round's stored reply.
+        `active` is read as handed: in single-photon mode Eve hands Alice
+        back only her own leg-1 photon and injects none, so a round's
+        final-leg pulse holds at most that one photon."""
+        rounds = active.owner
         guess = rng.choice(len(self.angles), len(rounds), p=self._guess_probs)
-        readout = measure(active.take(read), self.angles[guess] + PI / 4, rng)
+        readout = measure(active, self.angles[guess] + PI / 4, rng)
         self.guesses = Guesses(rounds, readout)
         delta = np.zeros(active.rounds)
         delta[rounds] = (1 - 2 * readout) * (PI / 4)
@@ -221,16 +223,16 @@ class PulseBeamSplit(Impersonation):
     """
 
     def _read_final_leg(self, active: Pulse, rng: np.random.Generator) -> np.ndarray:
+        """Measure `active`; report its nonempty rounds, guess its conclusive ones."""
         n = len(self.angles)
-        reported = active.owner[active.leading()]
-        owner = active.owner
+        counts, owner = active.counts, active.owner
         basis = rng.integers(0, n, len(owner))
         bits = measure(active, self.angles[basis] + PI / 4, rng)
         # Hypothesis (alpha_i, k) is number 2i + k. Outcome bit b in basis i
         # has zero Born probability only under (alpha_i, 1 - b), which it
         # therefore excludes; ruling out all but one of the 2N hypotheses
         # takes at least 2N - 1 photons, so only such pulses get a row.
-        candidates = reported[active.counts[reported] >= 2 * n - 1]
+        candidates = np.flatnonzero(counts >= 2 * n - 1)
         row = np.full(active.rounds, -1)
         row[candidates] = np.arange(len(candidates))
         excluded = np.zeros((len(candidates), 2 * n), bool)
@@ -243,7 +245,7 @@ class PulseBeamSplit(Impersonation):
         hypothesis = np.argmin(excluded[conclusive], axis=1)
         rounds = candidates[conclusive]
         k_hat = hypothesis % 2
-        self.guesses = Guesses(rounds, k_hat, reported=len(reported))
+        self.guesses = Guesses(rounds, k_hat, reported=int(np.count_nonzero(counts)))
         delta = np.zeros(active.rounds)
         delta[rounds] = (1 - 2 * k_hat) * (PI / 4) + self.angles[hypothesis // 2]
         return delta

@@ -45,7 +45,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import check_real
 
 PI = math.pi
 
@@ -136,7 +136,9 @@ class Pulse:
     the origins it has photons of: the constructor drops the others, so a
     table no photon needs is not kept alive. :meth:`merged` and
     :meth:`tagged` refuse input that would put two angles under one
-    (round, origin).
+    (round, origin). The constructor raises ValueError for a table whose
+    length is not `rounds`; checking that each owner is a round would take
+    a pass over the photons, so it leaves them unchecked.
     """
 
     owner: np.ndarray
@@ -145,6 +147,9 @@ class Pulse:
     rounds: int
 
     def __post_init__(self) -> None:
+        for table in self.angles:
+            if table is not None and len(table) != self.rounds:
+                raise ValueError(f"Pulse: {len(table)} table entries for {self.rounds} rounds")
         legitimate, eve = self.angles
         if self.is_empty:
             object.__setattr__(self, "angles", (None, None))
@@ -194,8 +199,8 @@ class Pulse:
         less its round's entry: IEEE ``a - b`` is exactly ``a + (-b)``, so
         these are the polarizations of ``self.rotated(-less)``, without the
         table that rotation would build. Every owner is a round of the
-        batch, so "clip" clips nothing and spares the copy of `out` that
-        "raise" makes."""
+        batch, and the tables and `less` have an entry per round, so "clip"
+        clips nothing and spares the copy of `out` that "raise" makes."""
         owner = self.owner[photons]
         codes = self._codes()
         np.take(self.angles[codes[0]], owner, out=out, mode="clip")
@@ -209,12 +214,6 @@ class Pulse:
     def _codes(self) -> list[int]:
         """The codes of the origins that have photons here: those of its tables."""
         return [code for code, table in enumerate(self.angles) if table is not None]
-
-    def leading(self) -> np.ndarray:
-        """Mask of the first photon of every nonempty pulse."""
-        first = np.ones(self.count, dtype=bool)
-        np.not_equal(self.owner[1:], self.owner[:-1], out=first[1:])
-        return first
 
     def take(self, mask: np.ndarray) -> Pulse:
         """The photons selected by a mask, in order."""
@@ -287,7 +286,8 @@ class Pulse:
         return _read_only(table)
 
     def rotated(self, delta) -> Pulse:
-        """Rotate round j's pulse by ``delta[j]``, or every photon by a number.
+        """Rotate round j's pulse by ``delta[j]``, or every photon by a number
+        (made a 0-d array, which has no entry per round: never handed over).
 
         One add into each table, not reduced modulo pi (see the module
         docstring); every photon of a table has seen the same adds in the
@@ -300,16 +300,14 @@ class Pulse:
         A caller that still needs its `delta` passes a copy. A session
         builds two such tables, in Bob's transform and Alice's encode; Bob's
         decode measures its batch less `phi` instead (see :meth:`gather`)."""
-        if np.ndim(delta):
-            delta = np.asarray(delta, dtype=np.float64)
+        delta = np.asarray(delta, dtype=np.float64)
         codes = self._codes()
         angles = [None, None]
         for code in codes:
             table = self.angles[code]
             out = None
             if (
-                code == codes[-1] and np.ndim(delta) and delta.flags.writeable
-                and delta.shape == table.shape
+                code == codes[-1] and delta.flags.writeable and delta.shape == table.shape
                 and not any(np.may_share_memory(delta, self.angles[c]) for c in codes)
             ):
                 out = delta
@@ -321,11 +319,10 @@ class Pulse:
 DIAGONAL = PI / 4
 
 
-def born_probability(state, axis):
-    """Probability of collapsing onto `axis` (outcome bit 0)."""
+def born_probability(state: np.ndarray, axis) -> np.ndarray:
+    """Probability of collapsing onto `axis` (outcome bit 0), for a float64
+    array of polarizations and one axis or one per polarization."""
     p = np.subtract(state, axis)
-    if not isinstance(p, np.ndarray):
-        return np.cos(p) ** 2
     np.cos(p, out=p)
     return np.square(p, out=p)
 
@@ -337,18 +334,17 @@ def _largest(x) -> float:
     return max(x.max(), -x.min())
 
 
-def measure(photons, axis, rng: np.random.Generator, less=None) -> np.ndarray:
-    """Projectively measure `photons` on the analyzer with outcome axes
-    `axis` and `axis + pi/2` (one axis for all, or one per photon);
-    returns one int8 outcome bit per photon.
+def measure(pulse: Pulse, axis, rng: np.random.Generator, less=None) -> np.ndarray:
+    """Projectively measure the photons of `pulse` on the analyzer with
+    outcome axes `axis` and `axis + pi/2` (one axis for all, or one per
+    photon); returns one int8 outcome bit per photon.
 
-    `photons` is a :class:`Pulse`, whose polarizations are gathered from
-    its tables a block at a time, each less its round's entry of a
-    per-round array `less` when one is given (Bob's decode: see
-    :meth:`Pulse.gather`), or a flat array of polarizations. Bit 0 means
-    collapse onto `axis`, bit 1 onto the orthogonal axis. `axis` counts
-    modulo pi. Measured photons are consumed: callers must not measure
-    them again.
+    The polarizations are gathered from the tables a block at a time, each
+    less its round's entry of a per-round array `less` when one is given
+    (Bob's decode: see :meth:`Pulse.gather`); a `less` whose length is not
+    ``pulse.rounds`` raises ValueError. Bit 0 means collapse onto `axis`,
+    bit 1 onto the orthogonal axis. `axis` counts modulo pi. Measured
+    photons are consumed: callers must not measure them again.
 
     Photon i gives bit 1 iff ``u[i] >= born_probability(photons, axis)[i]``
     for one uniform draw ``u[i]`` each, drawn a block at a time (the
@@ -364,18 +360,15 @@ def measure(photons, axis, rng: np.random.Generator, less=None) -> np.ndarray:
     NaN angles) screens nothing, so such a block takes the float64 rule
     whole.
     """
-    if isinstance(photons, Pulse):
-        count, gather = photons.count, lambda block, out: photons.gather(block, out, less)
-    else:
-        array = np.asarray(photons)
-        count, gather = len(array), lambda block, out: array[block]
-    bits = np.empty(count, bool)
-    u, angles = np.empty(min(count, BLOCK)), np.empty(min(count, BLOCK))
+    if less is not None and len(less) != pulse.rounds:
+        raise ValueError(f"measure: less has {len(less)} entries for {pulse.rounds} rounds")
+    bits = np.empty(pulse.count, bool)
+    u, angles = np.empty(min(pulse.count, BLOCK)), np.empty(min(pulse.count, BLOCK))
     # blocked: whole uniforms and angles lift honest's peak from 44 to 55 B/round
-    for block in blocks(count):
+    for block in blocks(pulse.count):
         size = block.stop - block.start
         bits[block] = _decide(
-            gather(block, angles[:size]),
+            pulse.gather(block, angles[:size], less),
             axis[block] if np.ndim(axis) else axis,
             rng.random(out=u[:size]),
         )
@@ -404,11 +397,9 @@ def make_pulse(
     polarization: np.ndarray, mean_photons: float, rng: np.random.Generator
 ) -> Pulse:
     """One pulse per entry of `polarization`, all of its photons at that
-    angle, with a Poissonian photon number."""
-    if not 0 <= mean_photons <= MAX_MEAN_PHOTONS:
-        raise ConfigError(
-            f"mean_photons must be in [0, {MAX_MEAN_PHOTONS}], got {mean_photons}"
-        )
+    angle, with a Poissonian photon number whose mean, `mean_photons`, is
+    checked as `ProtocolParams` checks it (a real number, not a bool)."""
+    check_real("mean_photons", mean_photons, 0, MAX_MEAN_PHOTONS)
     rounds = len(polarization)
     counts = rng.poisson(mean_photons, rounds)
     return _legitimate(polarization, np.repeat(np.arange(rounds, dtype=np.int32), counts))
@@ -427,11 +418,10 @@ def _legitimate(polarization: np.ndarray, owner: np.ndarray) -> Pulse:
 
 
 def _split_trivially(pulse: Pulse, fraction: float, name: str):
-    """Check a beam splitter's tap fraction, named `name` in the error.
-    Returns False (True) when no photon (every photon) is tapped, so that
-    nothing is drawn, and None when each photon needs one uniform draw."""
-    if not 0.0 <= fraction <= 1.0:
-        raise ConfigError(f"{name} must be in [0, 1], got {fraction}")
+    """Check the tap fraction `name` as `ProtocolParams` checks one (a real
+    number in [0, 1], not a bool). False (True): no (every) photon is
+    tapped, so nothing is drawn; None: each photon needs one uniform draw."""
+    check_real(name, fraction, 0, 1)
     if fraction == 0.0 or pulse.is_empty:
         return False
     if fraction == 1.0:

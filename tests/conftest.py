@@ -10,7 +10,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 from screenqkd.adversary import SimpleTrojan  # noqa: E402
 from screenqkd.analysis import transcript_npz  # noqa: E402
 from screenqkd.channel import Leg  # noqa: E402
-from screenqkd.photonics import PI, Origin, canon  # noqa: E402
+from screenqkd.photonics import PI, Origin, Pulse, canon  # noqa: E402
 
 # Absolute tolerance for angle comparisons modulo pi.
 ANGLE_TOL = 1e-9
@@ -20,6 +20,14 @@ def angles_close(a: float, b: float, tol: float = ANGLE_TOL) -> bool:
     """Compare two angles modulo pi (handles wrap-around at 0/pi)."""
     d = canon(a - b)
     return d < tol or PI - d < tol
+
+
+def raw_pulse(angles) -> Pulse:
+    """One legitimate photon per round, round i's at ``angles[i]`` as given:
+    unlike the constructors it skips `canon`, so huge angles stay huge."""
+    n = len(angles)
+    table = np.asarray(angles, dtype=np.float64)
+    return Pulse(np.arange(n, dtype=np.int32), np.zeros(n, np.int8), (table, None), n)
 
 
 def binom_sigma(p: float, n: int) -> float:

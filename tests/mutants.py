@@ -61,8 +61,8 @@ MUTANTS = (
            "delta[rounds] = (1 - 2 * readout) * (PI / 4)",
            "delta[rounds] = (2 * readout - 1) * (PI / 4)"),
     Mutant("impersonation_reads_minus_pi_4", ADVERSARY,
-           "measure(active.take(read), self.angles[guess] + PI / 4, rng)",
-           "measure(active.take(read), self.angles[guess] - PI / 4, rng)"),
+           "measure(active, self.angles[guess] + PI / 4, rng)",
+           "measure(active, self.angles[guess] - PI / 4, rng)"),
     Mutant("passive_pns_drops_phi_star", ADVERSARY,
            "measure(self.storage, phi_star + alpha_sum + PI / 4, rng)",
            "measure(self.storage, alpha_sum + PI / 4, rng)"),
@@ -102,6 +102,8 @@ MUTANTS = (
     Mutant("key_bits_packed_little_endian", PROTOCOL,
            "np.packbits(np.asarray(bits, dtype=bool))",
            "np.packbits(np.asarray(bits, dtype=bool), bitorder=\"little\")"),
+    Mutant("beamsplit_reports_candidates_only", ADVERSARY,
+           "reported=int(np.count_nonzero(counts))", "reported=len(candidates)"),
 )
 
 

@@ -142,6 +142,18 @@ def detection_share(mode: str, transmission: float, loss: float, mu: float) -> f
     return arrives if mode == "single" else 1.0 - math.exp(-mu * arrives)
 
 
+def beamsplit_reported_share(mu: float, loss: float, transmission: float, p: float) -> float:
+    """Share of rounds whose final-leg pulse a pulse_beamsplit Eve reads.
+
+    She acts on a round with probability p and reads its final-leg pulse
+    when it holds a photon. That pulse is Alice's original Poisson(mu)
+    pulse, which Eve handed back on the return leg: it has passed that
+    leg's loss and the AD tap's transmission t, and not yet the final
+    leg's loss, so it is empty with probability exp(-mu (1 - loss) t).
+    """
+    return p * (1.0 - math.exp(-mu * (1.0 - loss) * transmission))
+
+
 def standard_state_ad_violation(n: int) -> float:
     """Mean AD violation probability per tapped standard-state probe.
 

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from screenqkd.adversary import (
-    STRATEGY_NONE, STRATEGY_TABLE, AttackConfig, PulseBeamSplit, build_interceptor,
+    STRATEGY_NONE, STRATEGY_TABLE, AttackConfig, Impersonation, PulseBeamSplit,
+    build_interceptor,
 )
 from screenqkd.analysis import run_experiment, run_trial, score_trial
 from screenqkd.channel import Interceptor, Leg
@@ -17,7 +18,7 @@ from screenqkd.protocol import (
 )
 
 import oracles
-from conftest import ThetaOracleTrojan, binom_sigma
+from conftest import ThetaOracleTrojan, binom_sigma, raw_pulse
 
 
 # Probe angles far outside [0, pi), where a raw angle loses the rotations
@@ -145,14 +146,41 @@ def test_strategy_holds_only_the_public_screening_set(strategy):
     assert attack.angles is params.angles
 
 
+class _OnePhotonPerRound(Impersonation):
+    """Impersonation that checks that each final-leg batch it reads holds
+    at most one photon per round: its owners strictly increase."""
+
+    read = 0  # photons read
+
+    def _read_final_leg(self, active, rng):
+        assert (np.diff(active.owner) > 0).all()
+        self.read += active.count
+        return super()._read_final_leg(active, rng)
+
+
 class TestImpersonation:
+    @pytest.mark.parametrize("attack_probability", [1.0, 0.5])
+    @pytest.mark.parametrize("transmission", [1.0, 0.6])
+    @pytest.mark.parametrize("loss", [0.0, 0.3])
+    def test_final_leg_reads_one_photon_per_round(self, loss, transmission,
+                                                   attack_probability):
+        # Eve reads the active batch as it is handed, one photon a round
+        params = _params(n_screening=3, rounds=3000, loss=loss, transmission=transmission,
+                         seed=141)
+        attack = _OnePhotonPerRound(
+            AttackConfig(strategy="impersonation", attack_probability=attack_probability),
+            params.angles,
+        )
+        run_session(params, attack)
+        assert attack.read == len(attack.produce_guesses()) > 0
+
     def test_correct_basis_guess_reads_key_exactly(self):
         # with the right screening angle the readout of (-1)^k pi/4 + alpha_a
         # in (alpha_a + pi/4, alpha_a - pi/4) is deterministic and equals k
         rng = np.random.default_rng(0)
         for alpha_a in screening_angles(4):
             for k in (0, 1):
-                photons = np.full(20, (-1) ** k * PI / 4 + alpha_a)
+                photons = raw_pulse(np.full(20, (-1) ** k * PI / 4 + alpha_a))
                 assert (measure(photons, alpha_a + PI / 4, rng) == k).all()
 
     def test_single_screening_angle_reads_everything(self):

@@ -61,12 +61,16 @@ class TestTransmit:
         assert out.is_empty
 
     def test_invalid_loss(self):
-        with pytest.raises(ConfigError, match="^loss must be in"):
+        # worded as ProtocolParams words them
+        with pytest.raises(ConfigError, match=r"^loss: must be a finite number in \[0, 1\]"):
             transmit(_pulse(1), Leg.ALICE_TO_BOB_1, loss=1.5)
-        with pytest.raises(ConfigError, match="^loss must be in"):
+        with pytest.raises(ConfigError, match=r"^loss: must be a finite number in \[0, 1\]"):
             attenuated(_pulse(1), 1.5, np.random.default_rng(0))
-        with pytest.raises(ConfigError, match="^tap_fraction must be in"):
+        with pytest.raises(ConfigError, match=r"^tap_fraction: must be a finite number in"):
             beam_split(_pulse(1), -0.5, np.random.default_rng(0))
+        # unchecked, True would drop every photon
+        with pytest.raises(ConfigError, match="^loss: must be a number, got True"):
+            attenuated(_pulse(1), True, np.random.default_rng(0))
 
     def test_identity_interceptor_equivalent_to_none(self):
         params = ProtocolParams(n_screening=2, rounds=2000, seed=60)

@@ -18,8 +18,9 @@ from screenqkd.photonics import (
     measure,
     single_photon_pulse,
 )
+from screenqkd.protocol import bob_decode
 
-from conftest import angles_close, binom_sigma
+from conftest import angles_close, binom_sigma, raw_pulse
 
 
 class TestCanonialization:
@@ -126,16 +127,16 @@ class TestRotate:
 class TestMeasure:
     def test_aligned_deterministic(self):
         rng = np.random.default_rng(4)
-        assert (measure(np.full(200, PI / 4), PI / 4, rng) == 0).all()
+        assert (measure(raw_pulse(np.full(200, PI / 4)), PI / 4, rng) == 0).all()
 
     def test_orthogonal_deterministic(self):
         rng = np.random.default_rng(5)
-        assert (measure(np.full(200, 3 * PI / 4), PI / 4, rng) == 1).all()
+        assert (measure(raw_pulse(np.full(200, 3 * PI / 4)), PI / 4, rng) == 1).all()
 
     def test_unbiased_at_45_degrees(self):
         rng = np.random.default_rng(6)
         n = 100_000
-        mean = measure(np.zeros(n), DIAGONAL, rng).sum() / n
+        mean = measure(raw_pulse(np.zeros(n)), DIAGONAL, rng).sum() / n
         assert abs(mean - 0.5) <= 0.01
 
     def test_born_rule_chi_squared(self):
@@ -147,7 +148,7 @@ class TestMeasure:
             delta = (i + 0.5) * PI / 16
             expected0 = math.cos(delta) ** 2 * samples
             expected1 = samples - expected0
-            ones = int(measure(np.full(samples, delta), 0.0, rng).sum())
+            ones = int(measure(raw_pulse(np.full(samples, delta)), 0.0, rng).sum())
             zeros = samples - ones
             statistic += (zeros - expected0) ** 2 / expected0
             statistic += (ones - expected1) ** 2 / expected1
@@ -155,21 +156,32 @@ class TestMeasure:
 
     def test_outcome_probabilities_exhaustive(self):
         rng = np.random.default_rng(8)
-        for _ in range(500):
-            s, a = rng.uniform(0, PI, size=2)
-            p0 = born_probability(s, a)
-            p1 = born_probability(s, a + PI / 2)
-            assert p0 + p1 == pytest.approx(1.0, abs=1e-12)
+        s, a = rng.uniform(0, PI, size=(2, 500))
+        p0 = born_probability(s, a)
+        p1 = born_probability(s, a + PI / 2)
+        assert p0 + p1 == pytest.approx(np.ones(500), abs=1e-12)
 
     def test_basis_axes_orthogonal(self):
         # an axis and the same axis plus pi are one analyzer: same outcomes
         # from the same generator state
-        photons = np.full(200, 0.4)
+        photons = raw_pulse(np.full(200, 0.4))
         for axis in (0.0, 1.234, PI / 4, 3.0):
             rng_a, rng_b = np.random.default_rng(21), np.random.default_rng(21)
             a = measure(photons, axis, rng_a).tolist()
             b = measure(photons, axis + PI, rng_b).tolist()
             assert a == b and set(a) == {0, 1}
+
+    def test_less_must_have_an_entry_per_round(self):
+        # unchecked, a short `less` would be clipped: photons past its end read its last entry
+        pulse = single_photon_pulse(np.full(6, 0.3))
+        rng = np.random.default_rng(9)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match="less has 2 entries for 6 rounds"):
+            measure(pulse, DIAGONAL, rng, less=np.zeros(2))
+        with pytest.raises(ValueError, match="less has 2 entries for 6 rounds"):
+            bob_decode(pulse, np.zeros(2), rng)
+        assert rng.bit_generator.state == before
+        assert len(measure(pulse, DIAGONAL, rng, less=np.zeros(6))) == 6
 
 
 class TestPulsePreparation:
@@ -201,6 +213,11 @@ class TestPulsePreparation:
             make_pulse(np.zeros(1), -0.1, rng)
         with pytest.raises(ConfigError):
             make_pulse(np.zeros(1), 101.0, rng)
+
+    def test_bool_mean_rejected(self):
+        # unchecked, True would run at mean 1; ProtocolParams rejects it too
+        with pytest.raises(ConfigError, match="^mean_photons: must be a number, got True"):
+            make_pulse(np.zeros(1), True, np.random.default_rng(12))
 
 
 class TestBeamSplit:
@@ -250,6 +267,11 @@ class TestBeamSplit:
         with pytest.raises(ConfigError):
             beam_split(_pulse([0.0]), -0.1, rng)
 
+    def test_bool_fraction_rejected(self):
+        # unchecked, True would tap every photon
+        with pytest.raises(ConfigError, match="^tap_fraction: must be a number, got True"):
+            beam_split(_pulse([0.0]), True, np.random.default_rng(18))
+
 
 def test_photon_immutable():
     pulse = single_photon_pulse(np.array([0.5]))
@@ -283,7 +305,8 @@ class TestBatch:
         assert merged.photons.tolist() == pytest.approx([0.1, 0.1, 1.0, 1.1, 0.3, 1.2])
         assert merged.origin.tolist() == [0, 0, 1, 1, 0, 1]
         assert merged.counts.tolist() == [3, 1, 2]
-        assert merged.leading().tolist() == [True, False, False, True, True, False]
+        # each round's first photon, where the owner changes
+        assert np.flatnonzero(np.diff(merged.owner, prepend=-1)).tolist() == [0, 3, 4]
 
     def test_merged_scatters_one_origin_on_disjoint_rounds(self):
         source = single_photon_pulse(np.array([0.1, 0.2, 0.3]))
@@ -316,6 +339,20 @@ class TestBatch:
         legit = legit.tagged(Origin.EVE)
         assert legit.origin.tolist() == [Origin.EVE] * 2
         assert legit.photons.tolist() == pytest.approx([0.1, 0.2])
+
+    def test_tables_must_have_an_entry_per_round(self):
+        # unchecked, a short table would be clipped: photons past its end read its last entry
+        owner, origin = np.arange(6, dtype=np.int32), np.zeros(6, np.int8)
+        with pytest.raises(ValueError, match="2 table entries for 6 rounds"):
+            Pulse(owner, origin, (np.array([0.1, 0.2]), None), 6)
+        with pytest.raises(ValueError, match="7 table entries for 6 rounds"):
+            Pulse(owner, np.ones(6, np.int8), (None, np.zeros(7)), 6)
+        # a dropped table is checked too, and vacuum as well
+        with pytest.raises(ValueError, match="2 table entries for 6 rounds"):
+            Pulse(owner, origin, (np.zeros(6), np.zeros(2)), 6)
+        with pytest.raises(ValueError, match="5 table entries for 6 rounds"):
+            Pulse(owner[:0], origin[:0], (np.zeros(5), None), 6)
+        assert Pulse(owner, origin, (np.zeros(6), None), 6).photons.tolist() == [0.0] * 6
 
     def test_make_pulse_sorts_photons_by_round(self):
         pulse = make_pulse(np.linspace(0.0, 3.0, 1000), 2.0, np.random.default_rng(23))

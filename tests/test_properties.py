@@ -5,8 +5,8 @@ never acts (``attack_probability = 0``) leaves the session bit-identical
 to the honest one. Every report passes its own consistency check, its
 totals do not depend on the order of the trials, and any JSON config
 either loads or is rejected with a ``ConfigError``. The pulse kernels
-(``take``, ``split``, ``merged``, ``tagged``, ``rotated``, ``attenuated``,
-``leading`` and the adversary's split-off partition), ``canon``, the float32-screened
+(``take``, ``split``, ``merged``, ``tagged``, ``rotated``, ``attenuated``
+and the adversary's split-off partition), ``canon``, the float32-screened
 ``measure``, Bob's decode and Alice's encode equal a plain reference on
 generated input, and a batch gathered or measured less ``phi`` equals the
 batch rotated by ``-phi``. Every batch that a pulse kernel returns, or that
@@ -55,6 +55,8 @@ from screenqkd.protocol import (
     bob_decode,
     run_session,
 )
+
+from conftest import raw_pulse
 
 STRATEGIES_BY_MODE = {
     MODE_SINGLE: ("impersonation", "standard_state", "simple_trojan", "passive_pns"),
@@ -294,7 +296,6 @@ def test_pulse_kernels_match_reference(data, rounds, seed):
 
     owners = [r[2] for r in rows]
     leading = [i == 0 or owners[i] != owners[i - 1] for i in range(len(owners))]
-    assert pulse.leading().tolist() == leading
 
     counts = Counter(owners)
     active = data.draw(st.lists(st.booleans(), min_size=rounds, max_size=rounds))
@@ -444,7 +445,7 @@ def test_measure_decides_like_the_float64_born_rule(data, size, per_photon, huge
     pick = data.draw(st.lists(st.integers(0, len(choices) - 1), min_size=size, max_size=size))
     u = np.minimum(choices[pick, np.arange(size)], 1 - 2.0**-53)
     uniforms = _Uniforms(u)
-    bits = measure(photons, axis, uniforms)
+    bits = measure(raw_pulse(photons), axis, uniforms)
     assert uniforms.used == size  # every chosen uniform, each once
     assert bits.dtype == np.int8
     assert bits.tolist() == (u >= p64).astype(np.int8).tolist()
@@ -481,9 +482,9 @@ def test_blocked_kernels_draw_like_one_whole_call(size, seed, p, mean):
     drawn(lambda rng: make_pulse(np.full(size, 0.5), mean, rng).owner,
           lambda rng: np.repeat(np.arange(size, dtype=np.int32), rng.poisson(mean, size)))
 
-    # measure, on an array and on a batch of three origins' photons, by one
-    # axis or one per photon; the batch's mask, split, merge and per-round
-    # counts too, and Bob's decode of it
+    # measure, on one photon per round and on a batch of three origins'
+    # photons, by one axis or one per photon; the batch's mask, split, merge
+    # and per-round counts too, and Bob's decode of it
     shapes = np.random.default_rng(seed + 1)
     owner = np.sort(shapes.integers(0, max(size, 1), size)).astype(np.int32)
     origin = shapes.integers(0, len(Origin), size).astype(np.int8)
@@ -491,7 +492,7 @@ def test_blocked_kernels_draw_like_one_whole_call(size, seed, p, mean):
     pulse = Pulse(owner, origin, tuple(tables), max(size, 1))
     angles = tables[origin, owner]
     axes = shapes.uniform(-PI, PI, size)
-    for photons, axis in ((angles, DIAGONAL), (pulse, axes)):
+    for photons, axis in ((raw_pulse(angles), DIAGONAL), (pulse, axes)):
         drawn(lambda rng: measure(photons, axis, rng),
               lambda rng: (rng.random(size) >= born_probability(angles, axis)).view(np.int8))
     mask = shapes.random(size) < p
@@ -524,11 +525,12 @@ def test_blocked_kernels_draw_like_one_whole_call(size, seed, p, mean):
             expected = np.concatenate((getattr(first, column), getattr(second, column)))
             assert getattr(merged, column).tolist() == expected[order].tolist()
 
-    # Bob's decode, against measuring each photon less its round's phi
+    # Bob's decode, against the float64 rule on each photon less its round's phi
     phi = shapes.uniform(0.0, PI, pulse.rounds)
 
     def decoded(rng):
-        bits = measure(angles - phi[owner], DIAGONAL, rng)
+        p0 = born_probability(angles - phi[owner], DIAGONAL)
+        bits = (rng.random(size) >= p0).view(np.int8)
         ones = np.bincount(owner, bits, minlength=pulse.rounds)
         zeros = np.bincount(owner, 1 - bits, minlength=pulse.rounds)
         one_outcome = (ones == 0) != (zeros == 0)
@@ -544,10 +546,11 @@ def test_bob_decode_matches_per_round_reference(data, rounds, seed):
     phi = np.array(data.draw(st.lists(st.floats(0.0, PI), min_size=rounds,
                                       max_size=rounds)))
     outcome, received = bob_decode(pulse, phi, np.random.default_rng(seed))
-    # the same draws: one uniform per photon, at the photon's angle minus phi
-    bits = measure(
-        pulse.photons - phi[pulse.owner], DIAGONAL, np.random.default_rng(seed)
-    ).tolist()
+    # the same draws: one uniform per photon, by the float64 rule at the
+    # photon's angle minus phi
+    uniforms = np.random.default_rng(seed).random(pulse.count)
+    bits = uniforms >= born_probability(pulse.photons - phi[pulse.owner], DIAGONAL)
+    bits = bits.view(np.int8).tolist()
     owners = pulse.owner.tolist()
     per_round = [[b for b, o in zip(bits, owners) if o == j] for j in range(rounds)]
     assert received.tolist() == [len(b) for b in per_round]

@@ -5,9 +5,10 @@ draw order changes can fail it by chance. For each row of tests/claims.py
 with `pooled` seeds, the counts of each statistic with an oracle are pooled
 over those seeds and checked against the oracle at |z| <= 5, which tells a
 biased engine from an unlucky seed; `per_case` seeds check each
-(alpha_a, k, phi*) case of the probe AD violations. Three more checks hold
+(alpha_a, k, phi*) case of the probe AD violations. Four more checks hold
 criterion 3's QBER per matched pair, criterion 4's share of rejected
-sessions and the share of honest rounds in which Bob receives a photon to
+sessions, the share of honest rounds in which Bob receives a photon and
+the share of rounds whose final-leg pulse a beam-split Eve reads to
 closed forms of their own. Each prints one pass/fail line with every
 z-score, and none replaces an acceptance test:
 
@@ -18,6 +19,7 @@ import functools
 from dataclasses import asdict, replace
 
 import numpy as np
+import pytest
 from scipy.stats import chi2
 
 from screenqkd.adversary import AttackConfig, build_interceptor
@@ -194,4 +196,24 @@ def test_honest_detection_share():
         all(abs(z) <= Z_MAX for z in z_scores),
         "honest detection share (t=0.9, mu=2 in pulse mode, 200000 rounds, seed 5)",
         "; ".join(parts),
+    )
+
+
+@pytest.mark.parametrize("loss, transmission, p", [(0.0, 1.0, 1.0), (0.2, 0.7, 0.5)])
+def test_beamsplit_reported_share(loss, transmission, p):
+    # The rounds whose final-leg pulse pulse_beamsplit reads: every active
+    # one that still holds a photon, not only those with enough photons to
+    # be conclusive (at mu=2, N=2 and no loss, 0.865 against 0.323).
+    params = ProtocolParams(rounds=20_000, transmission=transmission, loss=loss,
+                            mode="pulse", mean_photons=2.0, seed=9)
+    attack = AttackConfig(strategy="pulse_beamsplit", attack_probability=p)
+    totals = run_experiment(params, attack, trials=2).totals
+    reported, rounds = totals.beamsplit_reported, totals.rounds
+    oracle = oracles.beamsplit_reported_share(params.mean_photons, loss, transmission, p)
+    z = z_score(reported, rounds, oracle)
+    pass_fail(
+        abs(z) <= Z_MAX,
+        f"beam-split reported share (N=2, mu=2, loss={loss}, t={transmission}, p={p}, "
+        "2 trials of 20000 rounds, seed 9)",
+        f"{reported}/{rounds} = {reported / rounds:.4f} vs {oracle:.4f}, z={z:+.2f}",
     )
